@@ -14,13 +14,13 @@ from calprune.reporting import bundle_texts, write_bundle
 from calprune.trainer import TrainConfig, train_with_pruning
 
 pool = generate_gaussian_mixture(3, 300, noise=0.1, seed=21)
-train, val = stratified_split(pool, 0.9, seed=21)
+train, _ = stratified_split(pool, 0.9, seed=21)
 test = generate_gaussian_mixture(3, 200, noise=0.1, seed=22)
 
 cfg = TrainConfig(max_epochs=25, batch_size=64, learning_rate=0.1,
                   lr_milestones=[15], momentum=0.9, weight_decay=5e-4, seed=9,
                   loss=LossSpec(kind="nll"), eval_deltas=[0.95, 0.99], n_bins=10)
-result = train_with_pruning(train, val, test, init_mlp([2, 24, 3], 9), cfg)
+result = train_with_pruning(train, test, init_mlp([2, 24, 3], 9), cfg)
 
 print("reliability table (lower, upper, count, confidence, accuracy, gap):")
 for row in export_reliability_rows(result.report.bins):

@@ -6,9 +6,8 @@ from .data import (LabeledData, generate_gaussian_mixture, load_csv, load_idx_pa
 from .losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss, flsd_gamma,
                      flsd_loss, focal_loss, huber_value, mdca_aux_loss, nll_loss,
                      total_loss)
-from .metrics import (CalibrationReport, EvalRecord, binned_ece, build_report,
-                      ece_on_subset, high_confidence_subset, refinement_auroc,
-                      test_error)
+from .metrics import (CalibrationReport, binned_ece, build_report, ece_on_subset,
+                      high_confidence_subset, refinement_auroc, test_error)
 from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict, \
     save_checkpoint
 from .pruning import (PruneSchedule, ScoredDataset, prune_count, prune_using_ema,

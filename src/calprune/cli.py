@@ -40,11 +40,11 @@ def _print_report(report):
 
 def cmd_train(args):
     cfg = load_config(args.config, overrides=args.set or ())
-    train, val, test = build_datasets(cfg)
+    train, _, test = build_datasets(cfg)
     widths = model_widths(cfg, train.x.shape[1], train.n_classes)
     train_config = build_train_config(cfg)
     params = init_mlp(widths, train_config.seed)
-    result = train_with_pruning(train, val, test, params, train_config)
+    result = train_with_pruning(train, test, params, train_config)
     doc = run_result_doc(result, cfg)
     files = bundle_texts(result.report, run_doc=doc)
     write_bundle(cfg["output_dir"], files,
@@ -89,8 +89,8 @@ def cmd_calibrate(args):
     _, val, test = build_datasets(cfg)
     params = _load_checkpoint_for(cfg, args.checkpoint, test)
     temperature = fit_temperature(params, val)
-    _, ece_before = binned_ece(records_for(params, test), cfg["eval"]["bins"])
-    _, ece_after = binned_ece(records_for(params, test, temperature=temperature),
+    _, ece_before = binned_ece(*records_for(params, test), cfg["eval"]["bins"])
+    _, ece_after = binned_ece(*records_for(params, test, temperature=temperature),
                               cfg["eval"]["bins"])
     print(_metric_line("temperature", temperature))
     print(_metric_line("ece_before", ece_before))

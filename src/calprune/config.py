@@ -83,7 +83,20 @@ _SOURCE_REQUIRED = {
 }
 
 
+def _json_type(value):
+    for kind, types in (("boolean", bool), ("integer", int), ("number", float),
+                        ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
 def _merge_strict(defaults, user, prefix=""):
+    """Merge `user` over `defaults`; every leaf must have its default's JSON type.
+
+    An integer may stand in for a non-integral number; a key whose default is
+    None takes any value.
+    """
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         path = f"{prefix}{key}"
@@ -97,6 +110,10 @@ def _merge_strict(defaults, user, prefix=""):
             else:
                 merged[key] = _merge_strict(defaults[key], value, prefix=path + ".")
         else:
+            expected, actual = _json_type(defaults[key]), _json_type(value)
+            if expected not in ("null", actual) and (expected, actual) != ("number", "integer"):
+                raise ConfigError(f"config key {path} must be of type {expected}, "
+                                  f"got {actual} {value!r}")
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -167,7 +184,7 @@ def build_datasets(cfg):
                                          noise=d["noise"], seed=[d["seed"], 1])
     elif d["source"] == "idx_pair":
         pool = load_idx_pair(d["images"], d["labels"])
-        test = load_idx_pair(d["test_images"], d["test_labels"])
+        test = load_idx_pair(d["test_images"], d["test_labels"], n_classes=pool.n_classes)
     else:
         pool = load_csv(d["path"], d["label_column"], n_classes=d["classes"])
         test = load_csv(d["test_path"], d["label_column"], n_classes=pool.n_classes)

@@ -101,8 +101,11 @@ def _read_exact(fh, n, path, what, offset):
     return data
 
 
-def load_idx_pair(images_path, labels_path):
-    """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened."""
+def load_idx_pair(images_path, labels_path, n_classes=None):
+    """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened.
+
+    `n_classes` defaults to the largest label plus one.
+    """
     with open(images_path, "rb") as fh:
         header = _read_exact(fh, 16, images_path, "image header", 0)
         magic, count, rows, cols = struct.unpack(">IIII", header)
@@ -127,7 +130,12 @@ def load_idx_pair(images_path, labels_path):
             f"{labels_path} holds {label_count} labels")
     x = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
     y = labels.astype(np.int64)
-    return LabeledData(x, y, int(y.max()) + 1 if count else 2)
+    if n_classes is None:
+        n_classes = int(y.max()) + 1 if count else 2
+    elif count and y.max() >= n_classes:
+        raise ValueError(
+            f"{labels_path}: label {int(y.max())} out of range for {n_classes} classes")
+    return LabeledData(x, y, n_classes)
 
 
 def load_csv(path, label_column, n_classes=None):

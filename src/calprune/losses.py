@@ -31,10 +31,10 @@ class AuxSpec:
     def __post_init__(self):
         if self.kind not in AUX_KINDS:
             raise ValueError(f"unknown aux loss kind {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError(f"aux weight must be >= 0, got {self.weight}")
-        if self.kind == "huber" and self.alpha <= 0:
-            raise ValueError(f"huber alpha must be > 0, got {self.alpha}")
+        if not 0 <= self.weight < np.inf:
+            raise ValueError(f"aux weight must be finite and >= 0, got {self.weight}")
+        if self.kind == "huber" and not 0 < self.alpha < np.inf:
+            raise ValueError(f"huber alpha must be finite and > 0, got {self.alpha}")
 
     def to_dict(self):
         return {"kind": self.kind, "alpha": self.alpha, "weight": self.weight}
@@ -51,8 +51,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFICATION_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0 <= self.smoothing < 1:
             raise ValueError(f"smoothing must be in [0, 1), got {self.smoothing}")
 
@@ -102,11 +102,6 @@ def flsd_loss(g, log_probs, targets):
                            gamma_above=FLSD_HIGH_CONFIDENCE_GAMMA,
                            threshold=FLSD_THRESHOLD)
     return g.scale(g.mean(g.mul(weight, picked)), -1.0)
-
-
-def huber_fn(g, x, alpha):
-    """Huber of a scalar node: x^2/2 for |x| <= alpha, alpha*(|x| - alpha/2) outside."""
-    return g.huber(x, alpha)
 
 
 def huber_value(x, alpha):

@@ -13,20 +13,6 @@ import numpy as np
 
 
 @dataclass
-class EvalRecord:
-    confidence: float
-    correct: bool
-    predicted: int
-    label: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if bool(self.correct) != (self.predicted == self.label):
-            raise ValueError("correct flag disagrees with predicted/label pair")
-
-
-@dataclass
 class ReliabilityBin:
     lower: float
     upper: float
@@ -56,12 +42,6 @@ class CalibrationReport:
     auroc: float        # None when all records are correct or all incorrect
 
 
-def _arrays(records):
-    conf = np.array([r.confidence for r in records], dtype=np.float64)
-    correct = np.array([r.correct for r in records], dtype=np.float64)
-    return conf, correct
-
-
 def bin_edges(n_bins):
     return np.arange(1, n_bins + 1) / n_bins
 
@@ -71,19 +51,25 @@ def bin_indices(confidences, n_bins):
     return np.searchsorted(bin_edges(n_bins), confidences, side="left")
 
 
-def binned_ece(records, n_bins):
-    """Equispaced-bin reliability table and its expected calibration error."""
+def binned_ece(conf, correct, n_bins):
+    """Equispaced-bin reliability table and its expected calibration error.
+
+    `conf` and `correct` are equal-length float64 arrays: each record's
+    confidence in [0, 1] and 1.0 where its prediction was right, else 0.0.
+    """
     if n_bins < 1:
         raise ValueError(f"need at least 1 bin, got {n_bins}")
-    if not records:
+    if not len(conf):
         raise ValueError("binned_ece requires at least one record")
-    conf, correct = _arrays(records)
+    outside = conf[~((conf >= 0.0) & (conf <= 1.0))]
+    if outside.size:
+        raise ValueError(f"confidence {outside[0]} outside [0, 1]")
     idx = bin_indices(conf, n_bins)
     counts = np.bincount(idx, minlength=n_bins)
     conf_sums = np.bincount(idx, weights=conf, minlength=n_bins)
     correct_sums = np.bincount(idx, weights=correct, minlength=n_bins)
     edges = bin_edges(n_bins)
-    n = len(records)
+    n = len(conf)
     bins = []
     ece = 0.0
     for m in range(n_bins):
@@ -99,71 +85,67 @@ def binned_ece(records, n_bins):
     return bins, float(ece)
 
 
-def high_confidence_subset(records, delta):
-    """Records with confidence >= delta, plus the subset size as a percentage."""
+def high_confidence_subset(conf, correct, delta):
+    """The records with confidence >= delta, plus the subset size as a percentage."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    subset = [r for r in records if r.confidence >= delta]
-    fraction_pct = 100.0 * len(subset) / len(records) if records else 0.0
-    return subset, fraction_pct
+    keep = conf >= delta
+    fraction_pct = 100.0 * int(keep.sum()) / len(conf) if len(conf) else 0.0
+    return conf[keep], correct[keep], fraction_pct
 
 
-def ece_on_subset(records, delta, n_bins):
+def ece_on_subset(conf, correct, delta, n_bins):
     """Binned ECE restricted to the high-confidence subset.
 
     An empty subset is reported with ece=None and empty=True rather than a
     silent zero.
     """
-    subset, fraction_pct = high_confidence_subset(records, delta)
-    if not subset:
+    sub_conf, sub_correct, fraction_pct = high_confidence_subset(conf, correct, delta)
+    if not len(sub_conf):
         return SubsetCalibration(delta, 0, fraction_pct, None, True)
-    _, ece = binned_ece(subset, n_bins)
-    return SubsetCalibration(delta, len(subset), fraction_pct, ece, False)
+    _, ece = binned_ece(sub_conf, sub_correct, n_bins)
+    return SubsetCalibration(delta, len(sub_conf), fraction_pct, ece, False)
 
 
-def refinement_auroc(records):
+def refinement_auroc(conf, correct):
     """P(random correct record outranks a random incorrect one), ties counted 1/2.
 
     Returns None when the ranking is undefined (all correct or all incorrect).
     """
-    conf, correct = _arrays(records)
+    n = len(conf)
     n_pos = int(correct.sum())
-    n_neg = len(records) - n_pos
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(conf, kind="mergesort")
-    ranks = np.empty(len(records))
     sorted_conf = conf[order]
-    i = 0
-    while i < len(records):
-        j = i
-        while j < len(records) and sorted_conf[j] == sorted_conf[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average rank across the tie run
-        i = j
+    # each run of equal confidences [start, end) shares its average 1-based rank
+    starts = np.flatnonzero(np.r_[True, sorted_conf[1:] != sorted_conf[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     rank_sum = ranks[correct == 1.0].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def test_error(records):
+def test_error(correct):
     """Fraction of misclassified records, as a percentage."""
-    if not records:
+    if not len(correct):
         raise ValueError("test_error requires at least one record")
-    _, correct = _arrays(records)
     return float(100.0 * (1.0 - correct.mean()))
 
 
-def build_report(records, n_bins, deltas):
-    bins, ece = binned_ece(records, n_bins)
-    subsets = [ece_on_subset(records, delta, n_bins) for delta in deltas]
+def build_report(conf, correct, n_bins, deltas):
+    bins, ece = binned_ece(conf, correct, n_bins)
+    subsets = [ece_on_subset(conf, correct, delta, n_bins) for delta in deltas]
     return CalibrationReport(
-        n=len(records),
+        n=len(conf),
         n_bins=n_bins,
         bins=bins,
         ece=ece,
         subsets=subsets,
-        test_error_pct=test_error(records),
-        auroc=refinement_auroc(records),
+        test_error_pct=test_error(correct),
+        auroc=refinement_auroc(conf, correct),
     )
 
 
@@ -176,20 +158,6 @@ def export_reliability_rows(bins):
     for b in bins:
         gap = None if b.count == 0 else b.accuracy - b.confidence
         rows.append((b.lower, b.upper, b.count, b.confidence, b.accuracy, gap))
-    return rows
-
-
-def confidence_histogram(records, n_bins):
-    """(lower, upper, count, fraction) per bin over the same edge convention."""
-    conf, _ = _arrays(records)
-    idx = bin_indices(conf, n_bins)
-    counts = np.bincount(idx, minlength=n_bins)
-    edges = bin_edges(n_bins)
-    n = max(len(records), 1)
-    rows = []
-    for m in range(n_bins):
-        lower = 0.0 if m == 0 else edges[m - 1]
-        rows.append((float(lower), float(edges[m]), int(counts[m]), counts[m] / n))
     return rows
 
 

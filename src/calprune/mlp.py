@@ -31,13 +31,6 @@ class MlpParams:
         return self.widths[-1]
 
 
-@dataclass
-class Prediction:
-    log_probs: np.ndarray
-    label: int
-    confidence: float
-
-
 def init_mlp(widths, seed):
     """Glorot-uniform weights, zero biases, drawn layer by layer from PCG64(seed)."""
     widths = [int(w) for w in widths]
@@ -73,15 +66,14 @@ def log_softmax_rows(logits):
 
 
 def predict(logits):
-    """Per-row log-softmax, argmax label (ties -> lowest index), max-prob confidence."""
+    """Per-row argmax labels (ties -> lowest index) and max-prob confidences, as arrays."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {logits.shape}")
     log_probs = log_softmax_rows(logits)
     labels = np.argmax(log_probs, axis=1)
     confidences = np.exp(log_probs[np.arange(len(labels)), labels])
-    return [Prediction(log_probs[i], int(labels[i]), float(confidences[i]))
-            for i in range(len(labels))]
+    return labels, confidences
 
 
 def logits_graph(graph: Graph, x_node, n_layers):
@@ -132,19 +124,32 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; any malformed document raises ValueError naming `path`."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (magic {doc.get('magic')!r})")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    magic = doc.get("magic") if isinstance(doc, dict) else None
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    widths = [int(w) for w in doc["widths"]]
-    weights, biases = [], []
-    for i, layer in enumerate(doc["layers"]):
-        w = np.asarray(layer["weight"], dtype=np.float64)
-        b = np.asarray(layer["bias"], dtype=np.float64)
+    try:
+        widths = [int(w) for w in doc["widths"]]
+        layers = doc["layers"]
+        if not isinstance(layers, list):
+            raise TypeError(f"'layers' is a {type(layers).__name__}, not a list")
+        weights = [np.asarray(layer["weight"], dtype=np.float64) for layer in layers]
+        biases = [np.asarray(layer["bias"], dtype=np.float64) for layer in layers]
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
+    if len(layers) != len(widths) - 1:
+        raise ValueError(f"{path}: {len(layers)} layers, but widths {widths} "
+                         f"need {len(widths) - 1}")
+    for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
             raise ValueError(f"{path}: layer {i} shapes inconsistent with widths {widths}")
-        weights.append(w)
-        biases.append(b)
     return MlpParams(widths, weights, biases)

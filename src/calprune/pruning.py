@@ -87,23 +87,20 @@ def prune_count(percent, n):
 def update_ema(dataset, confidences, ema_factor):
     """Blend this epoch's confidences into every instance's EMA score.
 
-    `confidences` maps original id -> confidence in [0, 1]; a surviving
-    instance without an entry is an error.
+    `confidences` holds one value in [0, 1] per instance, by position; a NaN
+    (an instance never visited this epoch) is an error.
     """
     if not 0 <= ema_factor <= 1:
         raise ValueError(f"ema factor must be in [0, 1], got {ema_factor}")
     if ema_factor == 0:
         warnings.warn("ema factor 0 keeps all scores frozen forever", stacklevel=2)
-    conf = np.empty(len(dataset))
-    for row, original_id in enumerate(dataset.ids):
-        try:
-            c = confidences[int(original_id)]
-        except KeyError:
-            raise ValueError(f"no confidence recorded for surviving id {original_id}") from None
-        if not 0 <= c <= 1:
-            raise ValueError(f"confidence {c} for id {original_id} outside [0, 1]")
-        conf[row] = c
-    new_ema = ema_factor * conf + (1.0 - ema_factor) * dataset.ema
+    if confidences.shape != (len(dataset),):
+        raise ValueError(f"got {confidences.shape} confidences for {len(dataset)} instances")
+    bad = np.flatnonzero(~((confidences >= 0.0) & (confidences <= 1.0)))
+    if bad.size:
+        raise ValueError(f"confidence {confidences[bad[0]]} for id {dataset.ids[bad[0]]} "
+                         "outside [0, 1]")
+    new_ema = ema_factor * confidences + (1.0 - ema_factor) * dataset.ema
     return ScoredDataset(dataset.x, dataset.y, new_ema, dataset.ids, dataset.n_classes)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .metrics import export_reliability_rows, report_to_dict
 
-RUN_SCHEMA_VERSION = 1
+RUN_SCHEMA_VERSION = 2
 MANIFEST_SCHEMA_VERSION = 1
 
 RUN_JSON = "run.json"
@@ -168,8 +168,7 @@ def run_result_doc(result, config_doc):
         "schema_version": RUN_SCHEMA_VERSION,
         "config": config_doc,
         "epochs": [
-            {"epoch": e.epoch, "train_loss": e.train_loss, "surviving": e.surviving,
-             "samples_processed": e.samples_processed}
+            {"epoch": e.epoch, "train_loss": e.train_loss, "surviving": e.surviving}
             for e in result.epoch_log
         ],
         "prune_events": [

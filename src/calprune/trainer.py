@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Graph
 from .data import minibatches
 from .losses import LossSpec, total_loss
-from .metrics import EvalRecord, build_report
+from .metrics import build_report
 from .mlp import (forward_logits, logits_graph, param_bindings, params_from_bindings,
                   predict)
 from .pruning import PruneSchedule, prune_using_ema, should_prune, update_ema
@@ -47,12 +47,16 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # written as `not ...` so that NaN fails every range check
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 < self.lr_decay_factor < np.inf:
+            raise ValueError(
+                f"lr_decay_factor must be finite and > 0, got {self.lr_decay_factor}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_bins < 1:
@@ -82,7 +86,6 @@ class EpochStats:
     epoch: int
     train_loss: float
     surviving: int
-    samples_processed: int
 
 
 @dataclass
@@ -101,7 +104,7 @@ class RunResult:
     total_sample_updates: int
     wall_clock_seconds: float
     survivors: object = None     # the final surviving ScoredDataset
-    confidence_log: list = None  # per-epoch {original_id: confidence}, opt-in
+    confidence_log: list = None  # per-epoch (original ids, confidences) arrays, opt-in
 
 
 def sgd_update(params, grads, velocity, lr, momentum, weight_decay):
@@ -126,16 +129,8 @@ def lr_at_epoch(epoch, config):
     return config.learning_rate * config.lr_decay_factor ** passed
 
 
-def _batch_confidences(log_prob_values):
-    return np.exp(np.max(log_prob_values, axis=1))
-
-
-def train_with_pruning(train, val, test, params, config):
-    """Run the full training procedure and evaluate on the test set.
-
-    `val` is accepted for interface completeness but the loop never reads it;
-    it exists for post-hoc temperature fitting.
-    """
+def train_with_pruning(train, test, params, config):
+    """Run the full training procedure and evaluate on the test set."""
     started = time.perf_counter()
     n_classes = params.n_classes
     if train.n_classes != n_classes or test.n_classes != n_classes:
@@ -157,7 +152,7 @@ def train_with_pruning(train, val, test, params, config):
         if len(survivors) == 0:
             raise TrainingDiverged(f"no training instances left at epoch {epoch}")
         blocks = minibatches(survivors, config.batch_size, epoch, config.seed)
-        epoch_conf = {}
+        epoch_conf = np.full(len(survivors), np.nan)  # by survivor position
         loss_sum = 0.0
         for batch_no, block in enumerate(blocks):
             graph = Graph()
@@ -175,17 +170,14 @@ def train_with_pruning(train, val, test, params, config):
             grads = graph.backward(root=loss_node)
             bindings, velocity = sgd_update(bindings, grads, velocity, lr,
                                             config.momentum, config.weight_decay)
-            for original_id, c in zip(survivors.ids[block],
-                                      _batch_confidences(log_probs.value)):
-                epoch_conf[int(original_id)] = float(c)
+            epoch_conf[block] = np.exp(np.max(log_probs.value, axis=1))
             loss_sum += loss_value * len(block)
 
         n_surviving = len(survivors)
         total_updates += n_surviving
-        epoch_log.append(EpochStats(epoch, loss_sum / n_surviving,
-                                    n_surviving, n_surviving))
+        epoch_log.append(EpochStats(epoch, loss_sum / n_surviving, n_surviving))
         if confidence_log is not None:
-            confidence_log.append(epoch_conf)
+            confidence_log.append((survivors.ids, epoch_conf))
         if config.prune is not None:
             survivors = update_ema(survivors, epoch_conf, config.prune.ema_factor)
             if should_prune(epoch, config.prune):
@@ -204,16 +196,17 @@ def train_with_pruning(train, val, test, params, config):
 
 
 def records_for(params, data, temperature=1.0):
+    """(confidence, correct) float64 arrays over every row of `data`."""
     logits = forward_logits(params, data.x) / temperature
-    return [EvalRecord(p.confidence, p.label == int(y), p.label, int(y))
-            for p, y in zip(predict(logits), data.y)]
+    labels, confidences = predict(logits)
+    return confidences, (labels == data.y).astype(np.float64)
 
 
 def evaluate_model(params, data, n_bins, deltas):
     """Forward + predict the whole dataset, then assemble the calibration report."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    return build_report(records_for(params, data), n_bins, deltas)
+    return build_report(*records_for(params, data), n_bins, deltas)
 
 
 def mean_nll(logits, labels, temperature=1.0):

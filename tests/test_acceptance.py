@@ -33,7 +33,7 @@ from calprune.cli import main as cli_main
 from calprune.data import generate_gaussian_mixture, stratified_split
 from calprune.losses import (AuxSpec, LossSpec, focal_loss, huber_value,
                              label_smoothing_loss, nll_loss, total_loss)
-from calprune.metrics import EvalRecord, binned_ece, ece_on_subset
+from calprune.metrics import binned_ece, ece_on_subset
 from calprune.mlp import forward_logits, init_mlp, predict
 from calprune.pruning import (PruneSchedule, ScoredDataset, prune_count,
                               prune_using_ema, update_ema)
@@ -142,19 +142,18 @@ def test_criterion_01_gradient_correctness():
 # criterion 2: binning oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _oracle_ece(records, n_bins):
+def _oracle_ece(conf, correct, n_bins):
     counts = [0] * n_bins
     conf_sums = [0.0] * n_bins
     hit_sums = [0.0] * n_bins
-    for r in records:
+    for c, hit in zip(conf.tolist(), correct.tolist()):
         for m in range(1, n_bins + 1):
-            if ((m - 1) / n_bins < r.confidence <= m / n_bins) or \
-                    (m == 1 and r.confidence == 0.0):
+            if ((m - 1) / n_bins < c <= m / n_bins) or (m == 1 and c == 0.0):
                 counts[m - 1] += 1
-                conf_sums[m - 1] += r.confidence
-                hit_sums[m - 1] += float(r.correct)
+                conf_sums[m - 1] += c
+                hit_sums[m - 1] += hit
                 break
-    n = len(records)
+    n = len(conf)
     return sum(counts[m] / n * abs(hit_sums[m] / counts[m] - conf_sums[m] / counts[m])
                for m in range(n_bins) if counts[m])
 
@@ -167,15 +166,16 @@ def test_criterion_02_oracle_equivalence():
     for n_bins in (1, 10, 15):
         for _ in range(334 if n_bins != 15 else 332):
             n = int(rng.integers(1, 501))
-            records = [EvalRecord(float(c), bool(h), 0, 0 if h else 1)
-                       for c, h in zip(rng.uniform(0, 1, n), rng.random(n) < 0.7)]
-            _, ece = binned_ece(records, n_bins)
-            worst = max(worst, abs(ece - _oracle_ece(records, n_bins)))
+            conf = rng.uniform(0, 1, n)
+            correct = (rng.random(n) < 0.7).astype(np.float64)
+            _, ece = binned_ece(conf, correct, n_bins)
+            worst = max(worst, abs(ece - _oracle_ece(conf, correct, n_bins)))
             delta = float(rng.uniform(0.05, 0.99))
-            sub = ece_on_subset(records, delta, n_bins)
-            kept = [r for r in records if r.confidence >= delta]
-            if kept:
-                worst = max(worst, abs(sub.ece - _oracle_ece(kept, n_bins)))
+            sub = ece_on_subset(conf, correct, delta, n_bins)
+            kept = conf >= delta
+            if kept.any():
+                worst = max(worst, abs(sub.ece - _oracle_ece(conf[kept], correct[kept],
+                                                             n_bins)))
             else:
                 assert sub.empty and sub.ece is None
             sets += 1
@@ -245,8 +245,7 @@ def test_criterion_04_ema_closed_form():
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")  # kappa may legitimately be 0
             for t in range(length):
-                ds = update_ema(ds, {i: float(confs[t, i]) for i in range(batch)},
-                                kappa)
+                ds = update_ema(ds, confs[t], kappa)
         closed = kappa * np.array(
             [sum((1 - kappa) ** (length - 1 - t) * confs[t, i] for t in range(length))
              for i in range(batch)])
@@ -319,13 +318,13 @@ def _experiment_data(seed):
 
 
 def _run_experiment(seed, loss, prune=None):
-    train, val, test = _experiment_data(seed)
+    train, _, test = _experiment_data(seed)
     cfg = TrainConfig(max_epochs=60, batch_size=128, learning_rate=0.1,
                       lr_milestones=[30, 45], lr_decay_factor=0.1, momentum=0.9,
                       weight_decay=5e-4, seed=seed, loss=loss, prune=prune,
                       eval_deltas=[0.95, 0.99], n_bins=10)
     params = init_mlp([2, 64, 64, 4], seed=seed)
-    return train_with_pruning(train, val, test, params, cfg)
+    return train_with_pruning(train, test, params, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -375,13 +374,12 @@ def test_criterion_07_pruning_boosts_high_confidence_fraction(experiment_grid):
     # threshold even though both arms sit at zero for delta=0.95
     boosts = []
     for s in SEEDS:
-        train, val, test = _experiment_data(s)
-        with_p = [p.confidence for p in predict(
-            forward_logits(experiment_grid["pruned"][s].params, test.x))]
-        without = [p.confidence for p in predict(
-            forward_logits(experiment_grid["calibrated"][s].params, test.x))]
-        boosts.append((round(100 * np.mean(np.array(with_p) >= 0.6), 1),
-                       round(100 * np.mean(np.array(without) >= 0.6), 1)))
+        _, _, test = _experiment_data(s)
+        _, with_p = predict(forward_logits(experiment_grid["pruned"][s].params, test.x))
+        _, without = predict(
+            forward_logits(experiment_grid["calibrated"][s].params, test.x))
+        boosts.append((round(100 * np.mean(with_p >= 0.6), 1),
+                       round(100 * np.mean(without >= 0.6), 1)))
     elapsed = experiment_grid["timing"]["pruned"] + experiment_grid["timing"]["calibrated"]
     ok = wins >= 4 and elapsed < 600.0
     assert criterion(7, ok,
@@ -419,16 +417,16 @@ def test_criterion_09_temperature_scaling(experiment_grid):
     started = time.perf_counter()
     seed = SEEDS[0]
     result = experiment_grid["nll"][seed]
-    train, val, test = _experiment_data(seed)
+    _, val, test = _experiment_data(seed)
     temperature = fit_temperature(result.params, val)
     val_logits = forward_logits(result.params, val.x)
     nll_before = mean_nll(val_logits, val.y, 1.0)
     nll_after = mean_nll(val_logits, val.y, temperature)
     test_logits = forward_logits(result.params, test.x)
-    labels_before = [p.label for p in predict(test_logits)]
-    labels_after = [p.label for p in predict(test_logits / temperature)]
+    labels_before, _ = predict(test_logits)
+    labels_after, _ = predict(test_logits / temperature)
     elapsed = time.perf_counter() - started
-    ok = (nll_after <= nll_before and labels_before == labels_after
+    ok = (nll_after <= nll_before and np.array_equal(labels_before, labels_after)
           and temperature > 0 and elapsed < 30.0)
     assert criterion(9, ok,
                      f"T={temperature:.4f}, val NLL {nll_before:.4f} -> "

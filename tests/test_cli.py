@@ -1,12 +1,18 @@
 """Config schema strictness and the four CLI subcommands, run in-process."""
 
+import importlib.util
 import json
+import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calprune.cli import main
 from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV,
                              build_prune_schedule, load_config, resolve_config)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def write_config(tmp_path, output_dir, name="config.json", **overrides):
@@ -52,6 +58,34 @@ def test_source_specific_keys_enforced():
         resolve_config({"dataset": {"source": "idx_pair"}})
 
 
+def test_config_value_types_checked(tmp_path, capsys):
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path), "--set", "train.batch_size=abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "train.batch_size" in err
+    for bad in ({"train": {"max_epochs": 2.5}}, {"prune": {"enabled": 1}},
+                {"eval": {"deltas": 0.95}}, {"model": {"hidden": None}}):
+        with pytest.raises(ConfigError, match="must be of type"):
+            resolve_config(bad)
+    # an integer stands in for a number; keys defaulting to None take anything
+    cfg = resolve_config({"train": {"learning_rate": 1}, "loss": {"aux": None},
+                          "prune": {"epochs": [3, 6]}})
+    assert cfg["train"]["learning_rate"] == 1 and cfg["loss"]["aux"] is None
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("key, name", [
+    ("train.learning_rate", "learning_rate"), ("train.weight_decay", "weight_decay"),
+    ("train.lr_decay_factor", "lr_decay_factor"), ("loss.gamma", "gamma"),
+    ("loss.aux.alpha", "huber alpha"), ("loss.aux.weight", "aux weight")])
+def test_non_finite_float_settings_rejected(tmp_path, capsys, key, name, value):
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path), "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_var_and_override_precedence(tmp_path, monkeypatch):
     path = write_config(tmp_path, tmp_path / "from_file")
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "from_env"))
@@ -92,7 +126,8 @@ def test_train_smoke_writes_bundle(tmp_path, capsys):
                 "auroc ", "sample_updates ", "sample_updates_full "):
         assert any(line.startswith(key) for line in stdout.splitlines()), key
     doc = json.loads((out / "run.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert sorted(doc["epochs"][0]) == ["epoch", "surviving", "train_loss"]
     assert len(doc["epochs"]) == 5
     assert doc["prune_events"]
 
@@ -200,3 +235,57 @@ def test_two_runs_identical_modulo_wall_clock(tmp_path):
     for name in ma:
         if name != "run.json":
             assert ma[name] == mb[name]
+
+
+def write_idx(directory, name, labels, seed):
+    labels = np.asarray(labels, dtype=np.uint8)
+    pixels = np.random.default_rng(seed).integers(0, 256, (len(labels), 2, 2), dtype=np.uint8)
+    images = directory / f"{name}-images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, len(labels), 2, 2) + pixels.tobytes())
+    label_file = directory / f"{name}-labels.idx"
+    label_file.write_bytes(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
+    return str(images), str(label_file)
+
+
+def test_idx_test_set_without_highest_class_trains(tmp_path):
+    images, labels = write_idx(tmp_path, "train", np.repeat([0, 1, 2], 10), seed=0)
+    test_images, test_labels = write_idx(tmp_path, "test", [0, 1, 1, 0], seed=1)
+    config = {
+        "dataset": {"source": "idx_pair", "images": images, "labels": labels,
+                    "test_images": test_images, "test_labels": test_labels},
+        "model": {"hidden": [4]},
+        "train": {"max_epochs": 2, "batch_size": 8, "lr_milestones": []},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "run.json").read_text())["report"]["n"] == 4
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["layers"].append(doc["layers"][-1]),
+    lambda doc: doc.pop("widths"),
+], ids=["extra_layer", "no_widths"])
+def test_evaluate_malformed_checkpoint_exits_cleanly(trained, tmp_path, capsys, mutate):
+    config_path, out = trained
+    doc = json.loads((out / "checkpoint.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad_checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config_path), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "bad_eval")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "bad_checkpoint.json" in err
+    assert "Traceback" not in err
+
+
+def test_traced_benchmark_targets_resolve():
+    """Every (module, attribute) the traced benchmark wraps must exist."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, _span in tracing.WRAPPED:
+        assert hasattr(tracing._resolve(owner), attr), f"{owner}.{attr}"

@@ -95,6 +95,14 @@ def test_idx_count_mismatch(tmp_path):
         load_idx_pair(images, labels)
 
 
+def test_idx_declared_class_count(tmp_path):
+    pixels = np.zeros((3, 2, 2), dtype=np.uint8)
+    images, labels = idx_fixture(tmp_path, pixels, [0, 1, 0])
+    assert load_idx_pair(images, labels, n_classes=4).n_classes == 4
+    with pytest.raises(ValueError, match="labels.idx.*label 1 out of range"):
+        load_idx_pair(images, labels, n_classes=1)
+
+
 def test_csv_fixture(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,x1,y\n0.5,1.5,0\n-1.0,2.0,1\n")

@@ -3,45 +3,48 @@
 import numpy as np
 import pytest
 
-from calprune.metrics import (CalibrationReport, EvalRecord, binned_ece, build_report,
-                              confidence_histogram, ece_on_subset,
-                              export_reliability_rows, high_confidence_subset,
-                              refinement_auroc, report_from_dict, report_to_dict)
+from calprune.metrics import (CalibrationReport, binned_ece, build_report,
+                              ece_on_subset, export_reliability_rows,
+                              high_confidence_subset, refinement_auroc,
+                              report_from_dict, report_to_dict)
 from calprune.metrics import test_error as error_rate
+from calprune.reporting import hist_rows_from_bins
 
 
-def record(confidence, correct):
-    return EvalRecord(confidence, correct, predicted=0, label=0 if correct else 1)
+def records(pairs):
+    """(confidence, correct) float64 arrays from (confidence, bool) pairs."""
+    pairs = list(pairs)
+    return (np.array([c for c, _ in pairs], dtype=np.float64),
+            np.array([ok for _, ok in pairs], dtype=np.float64))
 
 
 def random_records(rng, n):
-    return [record(float(c), bool(ok))
-            for c, ok in zip(rng.uniform(0, 1, n), rng.random(n) < 0.7)]
+    return rng.uniform(0, 1, n), (rng.random(n) < 0.7).astype(np.float64)
 
 
-def oracle_bin_table(records, n_bins):
+def oracle_bin_table(conf, correct, n_bins):
     """O(n*M) re-binning by direct comparison against the same float64 edges."""
     counts = [0] * n_bins
     conf_sums = [0.0] * n_bins
     correct_sums = [0.0] * n_bins
-    for r in records:
+    for c, ok in zip(conf.tolist(), correct.tolist()):
         placed = None
         for m in range(1, n_bins + 1):
             lower = (m - 1) / n_bins
             upper = m / n_bins
-            if (lower < r.confidence <= upper) or (m == 1 and r.confidence == 0.0):
+            if (lower < c <= upper) or (m == 1 and c == 0.0):
                 placed = m - 1
                 break
-        assert placed is not None, f"confidence {r.confidence} fell through all bins"
+        assert placed is not None, f"confidence {c} fell through all bins"
         counts[placed] += 1
-        conf_sums[placed] += r.confidence
-        correct_sums[placed] += float(r.correct)
+        conf_sums[placed] += c
+        correct_sums[placed] += ok
     return counts, conf_sums, correct_sums
 
 
-def oracle_ece(records, n_bins):
-    counts, conf_sums, correct_sums = oracle_bin_table(records, n_bins)
-    n = len(records)
+def oracle_ece(conf, correct, n_bins):
+    counts, conf_sums, correct_sums = oracle_bin_table(conf, correct, n_bins)
+    n = len(conf)
     total = 0.0
     for m in range(n_bins):
         if counts[m]:
@@ -51,8 +54,7 @@ def oracle_ece(records, n_bins):
 
 
 def test_single_bin_formula():
-    records = [record(0.8, ok) for ok in [True] * 3 + [False]]
-    bins, ece = binned_ece(records, 10)
+    bins, ece = binned_ece(*records((0.8, ok) for ok in [True] * 3 + [False]), 10)
     assert ece == pytest.approx(0.05, abs=1e-12)
     assert bins[7].count == 4
     assert bins[7].confidence == pytest.approx(0.8, abs=1e-12)
@@ -60,11 +62,11 @@ def test_single_bin_formula():
 
 
 def test_exactly_calibrated_records_have_zero_ece():
-    records = []
+    pairs = []
     for numerator in range(0, 5):  # accuracies 0/4 .. 4/4 at matching confidences
         c = numerator / 4
-        records += [record(c, i < numerator) for i in range(4)]
-    _, ece = binned_ece(records, 4)
+        pairs += [(c, i < numerator) for i in range(4)]
+    _, ece = binned_ece(*records(pairs), 4)
     assert ece == pytest.approx(0.0, abs=1e-15)
 
 
@@ -72,54 +74,58 @@ def test_matches_oracle_on_random_records():
     rng = np.random.default_rng(12)
     for n_bins in (1, 10, 15):
         for _ in range(20):
-            records = random_records(rng, int(rng.integers(1, 200)))
-            _, ece = binned_ece(records, n_bins)
-            assert ece == pytest.approx(oracle_ece(records, n_bins), abs=1e-12)
+            conf, correct = random_records(rng, int(rng.integers(1, 200)))
+            _, ece = binned_ece(conf, correct, n_bins)
+            assert ece == pytest.approx(oracle_ece(conf, correct, n_bins), abs=1e-12)
 
 
 def test_bin_counts_match_oracle_exactly():
     rng = np.random.default_rng(13)
-    records = random_records(rng, 500)
+    conf, correct = random_records(rng, 500)
     # include exact edge confidences
-    records += [record(c, True) for c in (0.0, 0.1, 0.2, 0.5, 1.0)]
-    bins, _ = binned_ece(records, 10)
-    counts, _, _ = oracle_bin_table(records, 10)
+    conf = np.append(conf, [0.0, 0.1, 0.2, 0.5, 1.0])
+    correct = np.append(correct, np.ones(5))
+    bins, _ = binned_ece(conf, correct, 10)
+    counts, _, _ = oracle_bin_table(conf, correct, 10)
     assert [b.count for b in bins] == counts
 
 
 def test_zero_confidence_lands_in_first_bin():
-    bins, _ = binned_ece([record(0.0, False)], 10)
+    bins, _ = binned_ece(*records([(0.0, False)]), 10)
     assert bins[0].count == 1
 
 
 def test_empty_records_rejected():
     with pytest.raises(ValueError):
-        binned_ece([], 10)
+        binned_ece(*records([]), 10)
     with pytest.raises(ValueError):
-        binned_ece([record(0.5, True)], 0)
+        binned_ece(*records([(0.5, True)]), 0)
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            binned_ece(*records([(0.5, True), (bad, True)]), 10)
 
 
 def test_high_confidence_subset():
-    records = [record(0.96, True), record(0.94, False)]
-    subset, fraction = high_confidence_subset(records, 0.95)
-    assert len(subset) == 1
+    conf, correct = records([(0.96, True), (0.94, False)])
+    sub_conf, sub_correct, fraction = high_confidence_subset(conf, correct, 0.95)
+    assert sub_conf.tolist() == [0.96] and sub_correct.tolist() == [1.0]
     assert fraction == pytest.approx(50.0)
-    one, frac_one = high_confidence_subset([record(1.0, True)], 1.0)
+    one, _, frac_one = high_confidence_subset(*records([(1.0, True)]), 1.0)
     assert len(one) == 1 and frac_one == 100.0
     with pytest.raises(ValueError):
-        high_confidence_subset(records, 0.0)
+        high_confidence_subset(conf, correct, 0.0)
 
 
 def test_ece_on_subset_values():
-    well = [record(0.96, i != 0) for i in range(25)]  # accuracy 24/25 = 0.96
-    sub = ece_on_subset(well, 0.95, 10)
+    well = records((0.96, i != 0) for i in range(25))  # accuracy 24/25 = 0.96
+    sub = ece_on_subset(*well, 0.95, 10)
     assert sub.ece == pytest.approx(0.0, abs=1e-12)
-    half = [record(0.99, True), record(0.99, False)]
-    assert ece_on_subset(half, 0.95, 10).ece == pytest.approx(0.49, abs=1e-12)
+    half = records([(0.99, True), (0.99, False)])
+    assert ece_on_subset(*half, 0.95, 10).ece == pytest.approx(0.49, abs=1e-12)
 
 
 def test_ece_on_subset_empty_is_flagged():
-    sub = ece_on_subset([record(0.3, True), record(0.4, False)], 0.95, 10)
+    sub = ece_on_subset(*records([(0.3, True), (0.4, False)]), 0.95, 10)
     assert sub.empty
     assert sub.ece is None
     assert sub.count == 0
@@ -128,72 +134,75 @@ def test_ece_on_subset_empty_is_flagged():
 def test_subset_matches_oracle():
     rng = np.random.default_rng(14)
     for _ in range(20):
-        records = random_records(rng, 300)
+        conf, correct = random_records(rng, 300)
         delta = float(rng.uniform(0.1, 0.99))
-        sub = ece_on_subset(records, delta, 10)
-        filtered = [r for r in records if r.confidence >= delta]
-        if filtered:
-            assert sub.ece == pytest.approx(oracle_ece(filtered, 10), abs=1e-12)
+        sub = ece_on_subset(conf, correct, delta, 10)
+        keep = conf >= delta
+        if keep.any():
+            assert sub.ece == pytest.approx(oracle_ece(conf[keep], correct[keep], 10),
+                                            abs=1e-12)
         else:
             assert sub.empty
 
 
 def test_auroc_perfect_separation():
-    records = [record(0.9, True), record(0.8, True), record(0.2, False), record(0.1, False)]
-    assert refinement_auroc(records) == 1.0
+    pairs = [(0.9, True), (0.8, True), (0.2, False), (0.1, False)]
+    assert refinement_auroc(*records(pairs)) == 1.0
 
 
 def test_auroc_all_ties():
-    records = [record(0.5, True), record(0.5, False), record(0.5, True)]
-    assert refinement_auroc(records) == pytest.approx(0.5)
+    pairs = [(0.5, True), (0.5, False), (0.5, True)]
+    assert refinement_auroc(*records(pairs)) == pytest.approx(0.5)
 
 
 def test_auroc_pair_counting():
-    records = [record(0.9, True), record(0.3, True), record(0.5, False)]
-    assert refinement_auroc(records) == pytest.approx(0.5)
+    pairs = [(0.9, True), (0.3, True), (0.5, False)]
+    assert refinement_auroc(*records(pairs)) == pytest.approx(0.5)
 
 
 def test_auroc_degenerate_is_none():
-    assert refinement_auroc([record(0.5, True)] * 3) is None
-    assert refinement_auroc([record(0.5, False)] * 3) is None
+    assert refinement_auroc(*records([(0.5, True)] * 3)) is None
+    assert refinement_auroc(*records([(0.5, False)] * 3)) is None
 
 
-def test_auroc_matches_pairwise_oracle():
+@pytest.mark.parametrize("grid", [None, 0.05], ids=["distinct", "ties"])
+def test_auroc_matches_pairwise_oracle(grid):
     rng = np.random.default_rng(15)
-    records = random_records(rng, 80)
-    fast = refinement_auroc(records)
+    conf, correct = random_records(rng, 80)
+    if grid is not None:  # a coarse grid makes most confidences tie
+        conf = np.round(conf / grid) * grid
+    fast = refinement_auroc(conf, correct)
     wins = ties = total = 0
-    for a in records:
-        if not a.correct:
+    for a, a_ok in zip(conf, correct):
+        if not a_ok:
             continue
-        for b in records:
-            if b.correct:
+        for b, b_ok in zip(conf, correct):
+            if b_ok:
                 continue
             total += 1
-            wins += a.confidence > b.confidence
-            ties += a.confidence == b.confidence
+            wins += a > b
+            ties += a == b
     assert fast == pytest.approx((wins + 0.5 * ties) / total, abs=1e-12)
 
 
 def test_test_error_values():
-    records = [record(0.9, True)] * 3 + [record(0.9, False)]
-    assert error_rate(records) == pytest.approx(25.0)
-    assert error_rate([record(0.5, True)]) == 0.0
-    assert error_rate([record(0.5, False)]) == 100.0
+    assert error_rate(np.array([1.0, 1.0, 1.0, 0.0])) == pytest.approx(25.0)
+    assert error_rate(np.array([1.0])) == 0.0
+    assert error_rate(np.array([0.0])) == 100.0
 
 
 def test_single_record_ece():
     for c, ok in ((0.3, True), (0.9, False)):
-        _, ece = binned_ece([record(c, ok)], 10)
+        _, ece = binned_ece(*records([(c, ok)]), 10)
         assert ece == pytest.approx(abs(float(ok) - c), abs=1e-12)
 
 
 def test_permutation_invariance():
     rng = np.random.default_rng(16)
-    records = random_records(rng, 150)
-    report = build_report(records, 10, [0.95])
-    shuffled = [records[i] for i in rng.permutation(len(records))]
-    other = build_report(shuffled, 10, [0.95])
+    conf, correct = random_records(rng, 150)
+    report = build_report(conf, correct, 10, [0.95])
+    perm = rng.permutation(len(conf))
+    other = build_report(conf[perm], correct[perm], 10, [0.95])
     assert other.ece == pytest.approx(report.ece, abs=1e-12)
     assert other.auroc == pytest.approx(report.auroc, abs=1e-12)
     assert other.test_error_pct == pytest.approx(report.test_error_pct, abs=1e-12)
@@ -201,27 +210,24 @@ def test_permutation_invariance():
 
 def test_tiny_delta_subset_is_no_op():
     rng = np.random.default_rng(22)
-    records = [record(float(c), bool(ok))  # every confidence strictly positive
-               for c, ok in zip(rng.uniform(0.05, 1, 120), rng.random(120) < 0.6)]
-    _, full = binned_ece(records, 10)
-    sub = ece_on_subset(records, 1e-9, 10)
-    assert sub.count == len(records)
+    conf = rng.uniform(0.05, 1, 120)  # every confidence strictly positive
+    correct = (rng.random(120) < 0.6).astype(np.float64)
+    _, full = binned_ece(conf, correct, 10)
+    sub = ece_on_subset(conf, correct, 1e-9, 10)
+    assert sub.count == len(conf)
     assert sub.ece == pytest.approx(full, abs=1e-15)
 
 
 def test_one_bin_reduces_to_global_gap():
     rng = np.random.default_rng(17)
-    records = random_records(rng, 200)
-    _, ece = binned_ece(records, 1)
-    conf = np.mean([r.confidence for r in records])
-    acc = np.mean([float(r.correct) for r in records])
-    assert ece == pytest.approx(abs(acc - conf), abs=1e-12)
+    conf, correct = random_records(rng, 200)
+    _, ece = binned_ece(conf, correct, 1)
+    assert ece == pytest.approx(abs(np.mean(correct) - np.mean(conf)), abs=1e-12)
 
 
 def test_report_ece_recomputable_from_bins():
     rng = np.random.default_rng(18)
-    records = random_records(rng, 400)
-    report = build_report(records, 10, [0.95, 0.99])
+    report = build_report(*random_records(rng, 400), 10, [0.95, 0.99])
     recomputed = sum(b.count / report.n * abs(b.accuracy - b.confidence)
                      for b in report.bins if b.count)
     assert report.ece == pytest.approx(recomputed, abs=1e-12)
@@ -231,8 +237,7 @@ def test_report_ece_recomputable_from_bins():
 
 def test_export_rows_shape_and_gap():
     rng = np.random.default_rng(19)
-    records = random_records(rng, 50)
-    bins, _ = binned_ece(records, 10)
+    bins, _ = binned_ece(*random_records(rng, 50), 10)
     rows = export_reliability_rows(bins)
     assert len(rows) == 10
     for (lower, upper, count, conf, acc, gap), b in zip(rows, bins):
@@ -244,24 +249,18 @@ def test_export_rows_shape_and_gap():
 
 def test_histogram_counts_sum_to_n():
     rng = np.random.default_rng(20)
-    records = random_records(rng, 123)
-    rows = confidence_histogram(records, 10)
+    conf, correct = random_records(rng, 123)
+    bins, _ = binned_ece(conf, correct, 10)
+    rows = hist_rows_from_bins(bins, len(conf))
     assert sum(count for _, _, count, _ in rows) == 123
-    bins, _ = binned_ece(records, 10)
-    assert [b.count for b in bins] == [count for _, _, count, _ in rows]
-
-
-def test_eval_record_invariant_enforced():
-    with pytest.raises(ValueError):
-        EvalRecord(0.5, True, predicted=0, label=1)
-    with pytest.raises(ValueError):
-        EvalRecord(1.5, True, predicted=0, label=0)
+    assert sum(fraction for _, _, _, fraction in rows) == pytest.approx(1.0, abs=1e-12)
+    counts, _, _ = oracle_bin_table(conf, correct, 10)
+    assert [count for _, _, count, _ in rows] == counts
 
 
 def test_report_dict_roundtrip():
     rng = np.random.default_rng(21)
-    records = random_records(rng, 60)
-    report = build_report(records, 10, [0.95])
+    report = build_report(*random_records(rng, 60), 10, [0.95])
     doc = report_to_dict(report)
     back = report_from_dict(doc)
     assert isinstance(back, CalibrationReport)

@@ -1,11 +1,13 @@
 """MLP init/forward/predict contracts and the checkpoint format."""
 
+import json
+
 import numpy as np
 import pytest
 
 from calprune.autodiff import Graph
-from calprune.mlp import (forward_logits, init_mlp, load_checkpoint, logits_graph,
-                          param_bindings, predict, save_checkpoint)
+from calprune.mlp import (forward_logits, init_mlp, load_checkpoint, log_softmax_rows,
+                          logits_graph, param_bindings, predict, save_checkpoint)
 
 
 def test_init_shapes_and_zero_biases():
@@ -61,34 +63,35 @@ def test_dimension_mismatch_rejected():
 
 
 def test_predict_uniform_ties_to_class_zero():
-    [p] = predict(np.array([[0.0, 0.0, 0.0]]))
-    assert p.label == 0
-    assert p.confidence == pytest.approx(1 / 3, abs=1e-12)
+    [label], [confidence] = predict(np.array([[0.0, 0.0, 0.0]]))
+    assert label == 0
+    assert confidence == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_predict_analytic_confidences():
-    [p] = predict(np.array([[10.0, 0.0]]))
-    assert p.label == 0
-    assert p.confidence == pytest.approx(1 / (1 + np.exp(-10.0)), abs=1e-12)
-    [q] = predict(np.array([[0.0, np.log(3.0)]]))
-    assert q.label == 1
-    assert q.confidence == pytest.approx(0.75, abs=1e-12)
+    labels, confidences = predict(np.array([[10.0, 0.0], [0.0, np.log(3.0)]]))
+    assert labels.tolist() == [0, 1]
+    assert confidences[0] == pytest.approx(1 / (1 + np.exp(-10.0)), abs=1e-12)
+    assert confidences[1] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_predict_rows_sum_to_one():
     logits = np.random.default_rng(3).normal(size=(20, 5)) * 4
-    for p in predict(logits):
-        assert np.exp(p.log_probs).sum() == pytest.approx(1.0, abs=1e-9)
-        assert p.confidence >= 1 / 5
+    np.testing.assert_allclose(np.exp(log_softmax_rows(logits)).sum(axis=1), 1.0,
+                               rtol=0, atol=1e-9)
+    labels, confidences = predict(logits)
+    assert np.all(confidences >= 1 / 5)
+    assert confidences == pytest.approx(np.exp(log_softmax_rows(logits)).max(axis=1),
+                                        abs=1e-15)
 
 
 def test_predict_shift_invariance():
     rng = np.random.default_rng(11)
     logits = rng.normal(size=(10, 4)) * 3
     shifted = logits + rng.normal(size=(10, 1)) * 5
-    for a, b in zip(predict(logits), predict(shifted)):
-        assert a.label == b.label
-        assert a.confidence == pytest.approx(b.confidence, abs=1e-9)
+    (labels, confidences), (labels_b, confidences_b) = predict(logits), predict(shifted)
+    np.testing.assert_array_equal(labels, labels_b)
+    np.testing.assert_allclose(confidences, confidences_b, rtol=0, atol=1e-9)
 
 
 def test_graph_forward_matches_plain_forward_bitwise():
@@ -117,4 +120,30 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"magic": "something-else", "version": 1}')
     with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(path)
+
+
+def _drop(key, layer=None):
+    def mutate(doc):
+        del (doc if layer is None else doc["layers"][layer])[key]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda doc: doc["layers"].append(doc["layers"][-1]), "3 layers, but widths"),
+    (_drop("magic"), "magic None"),
+    (_drop("widths"), "lacks key 'widths'"),
+    (_drop("layers"), "lacks key 'layers'"),
+    (_drop("weight", layer=0), "lacks key 'weight'"),
+    (_drop("bias", layer=1), "lacks key 'bias'"),
+    (lambda doc: doc.update(layers={"weight": []}), "'layers' is a dict, not a list"),
+], ids=["extra_layer", "no_magic", "no_widths", "no_layers", "no_weight", "no_bias",
+        "layers_not_list"])
+def test_checkpoint_malformed_documents_rejected(tmp_path, mutate, problem):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_mlp([3, 4, 2], seed=0), path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"model.json: .*{problem}"):
         load_checkpoint(path)

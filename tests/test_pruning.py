@@ -19,7 +19,7 @@ def make_dataset(labels, emas=None, ids=None, n_classes=None):
 
 def test_update_ema_basic_arithmetic():
     ds = make_dataset([0, 0])
-    out = update_ema(ds, {0: 0.8, 1: 0.5}, ema_factor=0.3)
+    out = update_ema(ds, np.array([0.8, 0.5]), ema_factor=0.3)
     assert out.ema[0] == pytest.approx(0.24, abs=1e-15)
     assert out.ema[1] == pytest.approx(0.15, abs=1e-15)
     # input dataset untouched
@@ -28,27 +28,29 @@ def test_update_ema_basic_arithmetic():
 
 def test_update_ema_factor_one_has_no_memory():
     ds = make_dataset([0, 0], emas=[0.9, 0.1])
-    out = update_ema(ds, {0: 0.3, 1: 0.7}, ema_factor=1.0)
+    out = update_ema(ds, np.array([0.3, 0.7]), ema_factor=1.0)
     np.testing.assert_array_equal(out.ema, [0.3, 0.7])
 
 
 def test_update_ema_factor_zero_warns_and_freezes():
     ds = make_dataset([0, 0], emas=[0.9, 0.1])
     with pytest.warns(UserWarning, match="frozen"):
-        out = update_ema(ds, {0: 0.3, 1: 0.7}, ema_factor=0.0)
+        out = update_ema(ds, np.array([0.3, 0.7]), ema_factor=0.0)
     np.testing.assert_array_equal(out.ema, [0.9, 0.1])
 
 
 def test_update_ema_missing_confidence_rejected():
     ds = make_dataset([0, 0])
-    with pytest.raises(ValueError, match="id 1"):
-        update_ema(ds, {0: 0.5}, ema_factor=0.3)
+    with pytest.raises(ValueError, match="id 1"):  # NaN marks a row never visited
+        update_ema(ds, np.array([0.5, np.nan]), ema_factor=0.3)
+    with pytest.raises(ValueError, match="2 instances"):
+        update_ema(ds, np.array([0.5]), ema_factor=0.3)
 
 
 def test_update_ema_out_of_range_confidence_rejected():
     ds = make_dataset([0])
     with pytest.raises(ValueError, match="outside"):
-        update_ema(ds, {0: 1.5}, ema_factor=0.3)
+        update_ema(ds, np.array([1.5]), ema_factor=0.3)
 
 
 def test_ema_closed_form_matches_iteration():
@@ -59,7 +61,7 @@ def test_ema_closed_form_matches_iteration():
         confs = rng.uniform(0, 1, size=length)
         ds = make_dataset([0])
         for c in confs:
-            ds = update_ema(ds, {0: float(c)}, ema_factor=kappa)
+            ds = update_ema(ds, np.array([c]), ema_factor=kappa)
         closed = kappa * sum((1 - kappa) ** (length - 1 - t) * confs[t]
                              for t in range(length))
         assert ds.ema[0] == pytest.approx(closed, abs=1e-12)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from calprune.metrics import EvalRecord, build_report
+from calprune.metrics import build_report
 from calprune.reporting import (HISTOGRAM_CSV, MANIFEST_JSON, RELIABILITY_CSV,
                                 RELIABILITY_SVG, bundle_texts, fmt_sig,
                                 hist_rows_from_bins, histogram_svg_text,
@@ -15,17 +15,16 @@ from calprune.reporting import (HISTOGRAM_CSV, MANIFEST_JSON, RELIABILITY_CSV,
 
 def sample_report(seed=0, n=200):
     rng = np.random.default_rng(seed)
-    records = [EvalRecord(float(c), bool(ok), 0, 0 if ok else 1)
-               for c, ok in zip(rng.uniform(0, 1, n), rng.random(n) < 0.6)]
-    return build_report(records, 10, [0.95])
+    conf = rng.uniform(0, 1, n)
+    correct = (rng.random(n) < 0.6).astype(np.float64)
+    return build_report(conf, correct, 10, [0.95])
 
 
 def perfectly_calibrated_report():
-    records = []
-    for k in range(1, 20, 2):  # confidences k/20 hit each bin's centre exactly
-        c = k / 20
-        records += [EvalRecord(c, i < k, 0, 0 if i < k else 1) for i in range(20)]
-    return build_report(records, 10, [])
+    ks = np.arange(1, 20, 2)  # confidences k/20 hit each bin's centre exactly
+    conf = np.repeat(ks / 20, 20)
+    correct = (np.tile(np.arange(20), len(ks)) < np.repeat(ks, 20)).astype(np.float64)
+    return build_report(conf, correct, 10, [])
 
 
 def test_reliability_csv_has_header_and_all_bins():
@@ -37,8 +36,7 @@ def test_reliability_csv_has_header_and_all_bins():
 
 
 def test_empty_bins_are_blank_in_csv():
-    records = [EvalRecord(0.95, True, 0, 0)] * 5
-    report = build_report(records, 10, [])
+    report = build_report(np.full(5, 0.95), np.ones(5), 10, [])
     text = reliability_csv_text(report.bins)
     first_bin = text.strip().split("\n")[1]
     assert first_bin.endswith(",0,,,")

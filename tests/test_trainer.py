@@ -64,14 +64,13 @@ def small_experiment(n_classes=2, per_class=100, noise=0.0, seed=3):
 
 
 def test_plain_loop_keeps_all_survivors_and_learns():
-    train, val, test = small_experiment()
+    train, _, test = small_experiment()
     cfg = TrainConfig(max_epochs=10, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], momentum=0.9, weight_decay=0.0, seed=1,
                       loss=LossSpec(kind="nll"))
     params = init_mlp([2, 16, 2], seed=1)
-    result = train_with_pruning(train, val, test, params, cfg)
+    result = train_with_pruning(train, test, params, cfg)
     assert [e.surviving for e in result.epoch_log] == [len(train)] * 10
-    assert [e.samples_processed for e in result.epoch_log] == [len(train)] * 10
     assert result.total_sample_updates == 10 * len(train)
     # separable data: the loss must come down
     assert result.epoch_log[9].train_loss < result.epoch_log[0].train_loss
@@ -79,7 +78,7 @@ def test_plain_loop_keeps_all_survivors_and_learns():
 
 
 def test_pruned_loop_survivor_arithmetic():
-    train, val, test = small_experiment(per_class=1000, seed=9)
+    _, _, test = small_experiment(per_class=1000, seed=9)
     # stratified split of 1000/class at 0.9 leaves 900/class; use the pool directly
     from calprune.pruning import ScoredDataset
     pool = generate_gaussian_mixture(2, 1000, noise=0.0, seed=9)
@@ -90,7 +89,7 @@ def test_pruned_loop_survivor_arithmetic():
                       prune=PruneSchedule(percent=10.0, ema_factor=0.3, interval=5,
                                           warmup_epochs=0))
     params = init_mlp([2, 8, 2], seed=2)
-    result = train_with_pruning(train, val, test, params, cfg)
+    result = train_with_pruning(train, test, params, cfg)
     # per-class sizes after each prune: 1000 -> 900 -> 810 -> 729 -> 657
     assert [p.surviving_total for p in result.prune_events] == [1800, 1620, 1458, 1314]
     assert [p.epoch for p in result.prune_events] == [5, 10, 15, 20]
@@ -103,7 +102,7 @@ def test_pruned_loop_survivor_arithmetic():
 
 
 def test_training_is_bitwise_deterministic():
-    train, val, test = small_experiment(noise=0.1, seed=4)
+    train, _, test = small_experiment(noise=0.1, seed=4)
     cfg = TrainConfig(max_epochs=6, batch_size=32, learning_rate=0.05,
                       lr_milestones=[3], seed=5,
                       loss=LossSpec(kind="flsd", aux=AuxSpec()),
@@ -111,7 +110,7 @@ def test_training_is_bitwise_deterministic():
     runs = []
     for _ in range(2):
         params = init_mlp([2, 8, 2], seed=5)
-        runs.append(train_with_pruning(train, val, test, params, cfg))
+        runs.append(train_with_pruning(train, test, params, cfg))
     a, b = runs
     for wa, wb in zip(a.params.weights + a.params.biases,
                       b.params.weights + b.params.biases):
@@ -123,7 +122,7 @@ def test_training_is_bitwise_deterministic():
 
 
 def test_ema_log_matches_closed_form():
-    train, val, test = small_experiment(noise=0.1, seed=6)
+    train, _, test = small_experiment(noise=0.1, seed=6)
     kappa = 0.3
     cfg = TrainConfig(max_epochs=8, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
@@ -131,38 +130,38 @@ def test_ema_log_matches_closed_form():
                                           warmup_epochs=0),
                       log_confidences=True)
     params = init_mlp([2, 8, 2], seed=7)
-    result = train_with_pruning(train, val, test, params, cfg)
+    result = train_with_pruning(train, test, params, cfg)
     assert len(result.confidence_log) == 8
-    assert all(0.0 <= c <= 1.0 for epoch in result.confidence_log
-               for c in epoch.values())
+    assert all(np.all((0.0 <= c) & (c <= 1.0)) for _, c in result.confidence_log)
+    by_id = [dict(zip(ids.tolist(), c.tolist())) for ids, c in result.confidence_log]
     # every final survivor's ema equals the closed form over its logged
     # confidences: e = sum_t kappa * (1-kappa)^(last-t) * c_t
     assert len(result.survivors) > 0
     for row, original_id in enumerate(result.survivors.ids):
-        confs = [epoch[int(original_id)] for epoch in result.confidence_log]
+        confs = [epoch[int(original_id)] for epoch in by_id]
         closed = sum(kappa * (1 - kappa) ** (len(confs) - 1 - t) * confs[t]
                      for t in range(len(confs)))
         assert result.survivors.ema[row] == pytest.approx(closed, abs=1e-10)
 
 
 def test_nan_aborts_loudly():
-    train, val, test = small_experiment(seed=8)
+    train, _, test = small_experiment(seed=8)
     cfg = TrainConfig(max_epochs=5, batch_size=32, learning_rate=1e155,
                       lr_milestones=[], momentum=0.0, weight_decay=0.0, seed=8,
                       loss=LossSpec(kind="nll"))
     params = init_mlp([2, 8, 2], seed=8)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
-        train_with_pruning(train, val, test, params, cfg)
+        train_with_pruning(train, test, params, cfg)
 
 
 def test_batch_size_warning_with_pruning():
-    train, val, test = small_experiment(seed=12)
+    train, _, test = small_experiment(seed=12)
     cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05,
                       lr_milestones=[], seed=1, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, interval=1, warmup_epochs=0))
     params = init_mlp([2, 4, 2], seed=1)
     with pytest.warns(UserWarning, match="10\\*K"):
-        train_with_pruning(train, val, test, params, cfg)
+        train_with_pruning(train, test, params, cfg)
 
 
 def test_evaluate_zero_model_predicts_class_zero():
@@ -214,9 +213,9 @@ def test_temperature_preserves_argmax():
     cfg = TrainConfig(max_epochs=5, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=3, loss=LossSpec(kind="nll"))
     params = init_mlp([2, 8, 2], seed=3)
-    result = train_with_pruning(train, val, test, params, cfg)
+    result = train_with_pruning(train, test, params, cfg)
     temperature = fit_temperature(result.params, val)
     logits = forward_logits(result.params, test.x)
-    before = [p.label for p in predict(logits)]
-    after = [p.label for p in predict(logits / temperature)]
-    assert before == after
+    before, _ = predict(logits)
+    after, _ = predict(logits / temperature)
+    np.testing.assert_array_equal(before, after)
