@@ -5,13 +5,15 @@ topological order, forward() evaluates every node under fresh leaf bindings,
 and backward() accumulates adjoints from a scalar root back to the leaves.
 Everything is float64; gradient checks at 1e-4 tolerance are unreliable in
 32-bit.
+
+Each op kind is defined once, in RULES: a forward rule and one adjoint (vjp)
+rule per input. backward() calls an input's rule only when that input lies on
+a path to a parameter leaf, so inputs such as the data batch get no gradient.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-LOG_FLOOR = 1e-12  # floor inside explicit log(); log(0) is undefined
 
 
 class GraphError(ValueError):
@@ -19,7 +21,8 @@ class GraphError(ValueError):
 
 
 class Node:
-    __slots__ = ("op", "inputs", "aux", "name", "is_param", "value", "adjoint", "saved")
+    __slots__ = ("op", "inputs", "aux", "name", "is_param", "on_path", "value", "adjoint",
+                 "saved")
 
     def __init__(self, op, inputs=(), aux=None, name=None, is_param=False):
         self.op = op
@@ -27,6 +30,7 @@ class Node:
         self.aux = aux
         self.name = name
         self.is_param = is_param
+        self.on_path = is_param  # gradient can flow from this node to a parameter leaf
         self.value = None
         self.adjoint = None
         self.saved = None  # per-forward data needed by the adjoint rule
@@ -34,6 +38,12 @@ class Node:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Node({self.op}{tag})"
+
+
+def log_softmax(x):
+    """Log-softmax over the last axis, stabilised by the row max."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _unbroadcast(adj, shape):
@@ -44,6 +54,122 @@ def _unbroadcast(adj, shape):
         if dim == 1 and adj.shape[axis] != 1:
             adj = adj.sum(axis=axis, keepdims=True)
     return adj
+
+
+# ---- per-op forward rules: fn(node, *input_values) -> value ----------------
+
+def _matmul(node, a, b):
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise GraphError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
+    return a @ b
+
+
+def _broadcasting(ufunc):
+    def evaluate(node, a, b):
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise GraphError(
+                f"{node.op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+        return ufunc(a, b)
+    return evaluate
+
+
+def _gather_rows(node, x):
+    idx = node.aux
+    if x.ndim != 2:
+        raise GraphError(f"gather_rows: expected 2-d input, got shape {x.shape}")
+    if idx.shape != (x.shape[0],):
+        raise GraphError(f"gather_rows: index shape {idx.shape} does not match rows of {x.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
+        raise GraphError(f"gather_rows: index out of range for {x.shape[1]} columns")
+    return x[np.arange(x.shape[0]), idx]
+
+
+def _mean(node, x):
+    if x.ndim == 0:
+        raise GraphError("mean needs an input with a leading axis, got a scalar")
+    if x.shape[0] == 0:
+        raise GraphError("mean over an empty leading axis")
+    return np.mean(x, axis=0)
+
+
+def _huber(node, x):
+    if x.shape != ():
+        raise GraphError(f"huber expects a scalar, got shape {x.shape}")
+    alpha = node.aux
+    if abs(x) <= alpha:
+        return np.asarray(0.5 * x * x)
+    return np.asarray(alpha * (abs(x) - 0.5 * alpha))
+
+
+def _row_max(node, x):
+    if x.ndim != 2:
+        raise GraphError(f"row_max: expected 2-d input, got shape {x.shape}")
+    node.saved = np.argmax(x, axis=1)
+    return x[np.arange(x.shape[0]), node.saved]
+
+
+def _correct_indicator(node, x):
+    targets = node.aux
+    if x.ndim != 2 or targets.shape != (x.shape[0],):
+        raise GraphError(f"correct_indicator: logits shape {x.shape} vs targets {targets.shape}")
+    return (np.argmax(x, axis=1) == targets).astype(np.float64)
+
+
+def _focal_power(node, x):
+    threshold, gamma_below, gamma_above = node.aux
+    node.saved = np.where(1.0 - x < threshold, gamma_below, gamma_above)
+    return x ** node.saved
+
+
+# ---- per-input adjoint rules: fn(adj, node, *input_values) -> contribution --
+
+def _scatter_rows(adj, x, columns):
+    grad = np.zeros_like(x)
+    np.add.at(grad, (np.arange(grad.shape[0]), columns), adj)
+    return grad
+
+
+def _huber_vjp(adj, node, x):
+    x = float(x)
+    alpha = node.aux
+    return adj * (x if abs(x) <= alpha else alpha * np.sign(x))
+
+
+# op kind -> (forward rule, one adjoint rule per input). An op without
+# adjoint rules passes no gradient to its inputs.
+RULES = {
+    "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
+    "const": (lambda node: node.aux, ()),
+    "matmul": (_matmul, (lambda adj, node, a, b: adj @ b.T,
+                         lambda adj, node, a, b: a.T @ adj)),
+    "add": (_broadcasting(np.add), (lambda adj, node, a, b: _unbroadcast(adj, a.shape),
+                                    lambda adj, node, a, b: _unbroadcast(adj, b.shape))),
+    "sub": (_broadcasting(np.subtract), (lambda adj, node, a, b: _unbroadcast(adj, a.shape),
+                                         lambda adj, node, a, b: _unbroadcast(-adj, b.shape))),
+    "mul": (_broadcasting(np.multiply),
+            (lambda adj, node, a, b: _unbroadcast(adj * b, a.shape),
+             lambda adj, node, a, b: _unbroadcast(adj * a, b.shape))),
+    "relu": (lambda node, x: np.maximum(x, 0.0), (lambda adj, node, x: adj * (x > 0),)),
+    "log_softmax": (lambda node, x: log_softmax(x),
+                    (lambda adj, node, x:
+                     adj - np.exp(node.value) * np.sum(adj, axis=-1, keepdims=True),)),
+    "exp": (lambda node, x: np.exp(x), (lambda adj, node, x: adj * node.value,)),
+    "pow_const": (lambda node, x: x ** node.aux,
+                  (lambda adj, node, x: adj * node.aux * x ** (node.aux - 1.0),)),
+    "abs": (lambda node, x: np.abs(x), (lambda adj, node, x: adj * np.sign(x),)),
+    "gather_rows": (_gather_rows, (lambda adj, node, x: _scatter_rows(adj, x, node.aux),)),
+    "mean": (_mean, (lambda adj, node, x: np.broadcast_to(adj / x.shape[0], x.shape),)),
+    "sum": (lambda node, x: np.asarray(np.sum(x)), (lambda adj, node, x: np.full_like(x, adj),)),
+    "scale": (lambda node, x: node.aux * x, (lambda adj, node, x: node.aux * adj,)),
+    "stop_gradient": (lambda node, x: x, ()),
+    "huber": (_huber, (_huber_vjp,)),
+    "row_max": (_row_max, (lambda adj, node, x: _scatter_rows(adj, x, node.saved),)),
+    "correct_indicator": (_correct_indicator, ()),
+    "focal_power": (_focal_power,
+                    (lambda adj, node, x: adj * node.saved * x ** (node.saved - 1.0),)),
+}
 
 
 class Graph:
@@ -58,6 +184,11 @@ class Graph:
         self._leaf_names = {}
 
     def _append(self, node):
+        if RULES[node.op][1]:
+            for inp in node.inputs:
+                if inp.on_path:
+                    node.on_path = True
+                    break
         self.nodes.append(node)
         return node
 
@@ -72,9 +203,7 @@ class Graph:
         return node
 
     def const(self, value):
-        node = self._append(Node("const"))
-        node.aux = np.asarray(value, dtype=np.float64)
-        return node
+        return self._append(Node("const", aux=np.asarray(value, dtype=np.float64)))
 
     # ---- op builders -----------------------------------------------------
 
@@ -101,13 +230,11 @@ class Graph:
     def exp(self, a):
         return self._append(Node("exp", (a,)))
 
-    def log(self, a):
-        return self._append(Node("log", (a,)))
-
     def pow_const(self, a, exponent):
-        """a**exponent with a constant (scalar or per-element) exponent."""
-        node = self._append(Node("pow_const", (a,)))
-        node.aux = exponent if np.isscalar(exponent) else np.asarray(exponent, dtype=np.float64)
+        """a**exponent with a constant scalar exponent."""
+        node = self._append(Node("pow_const", (a,), aux=float(exponent)))
+        if node.aux == 0.0:
+            node.on_path = False  # a**0 is constant; e * a**(e-1) would be NaN at a = 0
         return node
 
     def absolute(self, a):
@@ -115,9 +242,7 @@ class Graph:
 
     def gather_rows(self, a, indices):
         """Pick one entry per row of a 2-d array: out[i] = a[i, indices[i]]."""
-        node = self._append(Node("gather_rows", (a,)))
-        node.aux = np.asarray(indices, dtype=np.int64)
-        return node
+        return self._append(Node("gather_rows", (a,), aux=np.asarray(indices, dtype=np.int64)))
 
     def mean(self, a):
         """Mean over the leading (batch) axis."""
@@ -128,9 +253,7 @@ class Graph:
         return self._append(Node("sum", (a,)))
 
     def scale(self, a, factor):
-        node = self._append(Node("scale", (a,)))
-        node.aux = float(factor)
-        return node
+        return self._append(Node("scale", (a,), aux=float(factor)))
 
     def stop_gradient(self, a):
         """Identity forward; the adjoint is cut to zero."""
@@ -140,9 +263,7 @@ class Graph:
         """Huber function of a scalar: x^2/2 inside |x|<=alpha, linear outside."""
         if alpha <= 0:
             raise GraphError(f"huber alpha must be > 0, got {alpha}")
-        node = self._append(Node("huber", (a,)))
-        node.aux = float(alpha)
-        return node
+        return self._append(Node("huber", (a,), aux=float(alpha)))
 
     def row_max(self, a):
         """Max over the last axis of a 2-d array; ties route to the lowest index."""
@@ -151,11 +272,10 @@ class Graph:
     def correct_indicator(self, a, targets):
         """Per-row 0/1 indicator that argmax(a) equals the target label.
 
-        The indicator is piecewise constant, so its adjoint rule is zero.
+        The indicator is piecewise constant, so it has no adjoint rule.
         """
-        node = self._append(Node("correct_indicator", (a,)))
-        node.aux = np.asarray(targets, dtype=np.int64)
-        return node
+        return self._append(Node("correct_indicator", (a,),
+                                 aux=np.asarray(targets, dtype=np.int64)))
 
     def focal_power(self, a, gamma_below=5.0, gamma_above=3.0, threshold=0.2):
         """a**gamma with gamma chosen per element from the current forward value.
@@ -164,9 +284,8 @@ class Graph:
         p < threshold, else gamma_above. The exponent is recomputed on every
         forward pass and carries no gradient of its own.
         """
-        node = self._append(Node("focal_power", (a,)))
-        node.aux = (float(threshold), float(gamma_below), float(gamma_above))
-        return node
+        return self._append(Node("focal_power", (a,),
+                                 aux=(float(threshold), float(gamma_below), float(gamma_above))))
 
     # ---- evaluation -------------------------------------------------------
 
@@ -178,14 +297,20 @@ class Graph:
         missing = set(self._leaf_names) - set(bindings)
         if missing:
             raise GraphError(f"missing binding(s) for leaf(s): {sorted(missing)}")
+        for name, node in self._leaf_names.items():
+            node.value = np.asarray(bindings[name], dtype=np.float64)
         root = root if root is not None else self.nodes[-1]
         stop = self.nodes.index(root)
         for node in self.nodes[: stop + 1]:
-            node.value = self._eval(node, bindings)
+            node.value = RULES[node.op][0](node, *[inp.value for inp in node.inputs])
         return root.value
 
     def backward(self, root=None):
-        """Accumulate adjoints from a scalar root; returns parameter-leaf gradients."""
+        """Accumulate adjoints from a scalar root; returns parameter-leaf gradients.
+
+        Every node up to `root` gets an adjoint of its value's shape; nodes off
+        the parameter path keep theirs at zero.
+        """
         root = root if root is not None else self.nodes[-1]
         if root.value is None:
             raise GraphError("backward() before forward()")
@@ -197,166 +322,12 @@ class Graph:
             node.adjoint = np.zeros_like(node.value)
         root.adjoint = np.ones_like(root.value)
         for node in reversed(active):
-            self._accumulate(node)
-        return {n.name: n.adjoint.copy() for n in active if n.op == "leaf" and n.is_param}
-
-    # ---- per-op rules ------------------------------------------------------
-
-    def _eval(self, node, bindings):
-        op = node.op
-        if op == "leaf":
-            return np.asarray(bindings[node.name], dtype=np.float64)
-        if op == "const":
-            return node.aux
-        vals = [inp.value for inp in node.inputs]
-        if op == "matmul":
-            a, b = vals
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-                raise GraphError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-            return a @ b
-        if op in ("add", "sub", "mul"):
-            a, b = vals
-            try:
-                np.broadcast_shapes(a.shape, b.shape)
-            except ValueError:
-                raise GraphError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-            return {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](a, b)
-        if op == "relu":
-            return np.maximum(vals[0], 0.0)
-        if op == "log_softmax":
-            x = vals[0]
-            shifted = x - np.max(x, axis=-1, keepdims=True)
-            return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-        if op == "exp":
-            return np.exp(vals[0])
-        if op == "log":
-            return np.log(np.maximum(vals[0], LOG_FLOOR))
-        if op == "pow_const":
-            x = vals[0]
-            e = node.aux
-            if np.isscalar(e) and e == 0.0:
-                return np.ones_like(x)
-            return x ** e
-        if op == "abs":
-            return np.abs(vals[0])
-        if op == "gather_rows":
-            x = vals[0]
-            idx = node.aux
-            if x.ndim != 2:
-                raise GraphError(f"gather_rows: expected 2-d input, got shape {x.shape}")
-            if idx.shape != (x.shape[0],):
-                raise GraphError(
-                    f"gather_rows: index shape {idx.shape} does not match rows of {x.shape}")
-            if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-                raise GraphError(f"gather_rows: index out of range for {x.shape[1]} columns")
-            return x[np.arange(x.shape[0]), idx]
-        if op == "mean":
-            x = vals[0]
-            if x.ndim == 0:
-                raise GraphError("mean needs an input with a leading axis, got a scalar")
-            if x.shape[0] == 0:
-                raise GraphError("mean over an empty leading axis")
-            return np.mean(x, axis=0)
-        if op == "sum":
-            return np.asarray(np.sum(vals[0]))
-        if op == "scale":
-            return node.aux * vals[0]
-        if op == "stop_gradient":
-            return vals[0]
-        if op == "huber":
-            x = vals[0]
-            if x.shape != ():
-                raise GraphError(f"huber expects a scalar, got shape {x.shape}")
-            alpha = node.aux
-            if abs(x) <= alpha:
-                return np.asarray(0.5 * x * x)
-            return np.asarray(alpha * (abs(x) - 0.5 * alpha))
-        if op == "row_max":
-            x = vals[0]
-            if x.ndim != 2:
-                raise GraphError(f"row_max: expected 2-d input, got shape {x.shape}")
-            node.saved = np.argmax(x, axis=1)
-            return x[np.arange(x.shape[0]), node.saved]
-        if op == "correct_indicator":
-            x = vals[0]
-            targets = node.aux
-            if x.ndim != 2 or targets.shape != (x.shape[0],):
-                raise GraphError(
-                    f"correct_indicator: logits shape {x.shape} vs targets {targets.shape}")
-            return (np.argmax(x, axis=1) == targets).astype(np.float64)
-        if op == "focal_power":
-            x = vals[0]
-            threshold, gamma_below, gamma_above = node.aux
-            gamma = np.where(1.0 - x < threshold, gamma_below, gamma_above)
-            node.saved = gamma
-            return x ** gamma
-        raise GraphError(f"unknown op kind {op!r}")
-
-    def _accumulate(self, node):
-        adj = node.adjoint
-        op = node.op
-        if op in ("leaf", "const", "correct_indicator"):
-            return
-        ins = node.inputs
-        if op == "matmul":
-            a, b = ins
-            a.adjoint += adj @ b.value.T
-            b.adjoint += a.value.T @ adj
-        elif op == "add":
-            ins[0].adjoint += _unbroadcast(adj, ins[0].value.shape)
-            ins[1].adjoint += _unbroadcast(adj, ins[1].value.shape)
-        elif op == "sub":
-            ins[0].adjoint += _unbroadcast(adj, ins[0].value.shape)
-            ins[1].adjoint -= _unbroadcast(adj, ins[1].value.shape)
-        elif op == "mul":
-            ins[0].adjoint += _unbroadcast(adj * ins[1].value, ins[0].value.shape)
-            ins[1].adjoint += _unbroadcast(adj * ins[0].value, ins[1].value.shape)
-        elif op == "relu":
-            ins[0].adjoint += adj * (ins[0].value > 0)
-        elif op == "log_softmax":
-            soft = np.exp(node.value)
-            ins[0].adjoint += adj - soft * np.sum(adj, axis=-1, keepdims=True)
-        elif op == "exp":
-            ins[0].adjoint += adj * node.value
-        elif op == "log":
-            x = ins[0].value
-            ins[0].adjoint += np.where(x > LOG_FLOOR, adj / np.maximum(x, LOG_FLOOR), 0.0)
-        elif op == "pow_const":
-            x = ins[0].value
-            e = node.aux
-            if np.isscalar(e) and e == 0.0:
-                return
-            ins[0].adjoint += adj * e * x ** (e - 1.0)
-        elif op == "abs":
-            ins[0].adjoint += adj * np.sign(ins[0].value)
-        elif op == "gather_rows":
-            grad = np.zeros_like(ins[0].value)
-            np.add.at(grad, (np.arange(grad.shape[0]), node.aux), adj)
-            ins[0].adjoint += grad
-        elif op == "mean":
-            n = ins[0].value.shape[0]
-            ins[0].adjoint += np.broadcast_to(adj / n, ins[0].value.shape)
-        elif op == "sum":
-            ins[0].adjoint += np.full_like(ins[0].value, adj)
-        elif op == "scale":
-            ins[0].adjoint += node.aux * adj
-        elif op == "stop_gradient":
-            pass
-        elif op == "huber":
-            x = float(ins[0].value)
-            alpha = node.aux
-            slope = x if abs(x) <= alpha else alpha * np.sign(x)
-            ins[0].adjoint += adj * slope
-        elif op == "row_max":
-            grad = np.zeros_like(ins[0].value)
-            np.add.at(grad, (np.arange(grad.shape[0]), node.saved), adj)
-            ins[0].adjoint += grad
-        elif op == "focal_power":
-            x = ins[0].value
-            gamma = node.saved
-            ins[0].adjoint += adj * gamma * x ** (gamma - 1.0)
-        else:
-            raise GraphError(f"unknown op kind {op!r}")
+            if node.on_path and node.inputs:
+                values = [inp.value for inp in node.inputs]
+                for inp, vjp in zip(node.inputs, RULES[node.op][1]):
+                    if inp.on_path:
+                        inp.adjoint += vjp(node.adjoint, node, *values)
+        return {n.name: n.adjoint.copy() for n in active if n.is_param}
 
 
 @dataclass
@@ -371,7 +342,8 @@ def grad_check(graph, bindings, step=1e-5, tol=1e-4, root=None):
 
     Returns one LeafCheck per parameter leaf; never raises on failure. The
     relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|)
-    per coordinate; a leaf passes iff its max relative error is <= tol.
+    per coordinate; a leaf passes iff its max relative error is <= tol. A NaN
+    error (a NaN or infinite gradient) is kept as the maximum, so it fails.
     """
     if step <= 0:
         raise GraphError(f"grad_check step must be > 0, got {step}")
@@ -394,7 +366,7 @@ def grad_check(graph, bindings, step=1e-5, tol=1e-4, root=None):
             numeric = (f_plus - f_minus) / (2 * step)
             a = grads.reshape(-1)[i]
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, rel)
+            worst = rel if np.isnan(rel) else max(worst, rel)
         results.append(LeafCheck(name, worst, worst <= tol))
     # leave the graph's cached values consistent with the unperturbed point
     graph.forward(bindings, root=root)

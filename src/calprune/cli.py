@@ -101,7 +101,12 @@ def cmd_calibrate(args):
 def cmd_report(args):
     with open(args.run) as fh:
         doc = json.load(fh)
-    report = report_from_dict(doc["report"])
+    if not isinstance(doc, dict) or "report" not in doc:
+        raise ValueError(f"{args.run}: run document lacks key 'report'")
+    try:
+        report = report_from_dict(doc["report"])
+    except ValueError as exc:
+        raise ValueError(f"{args.run}: {exc}") from None
     write_bundle(args.out, bundle_texts(report))
     print(_metric_line("output_dir", args.out))
     return 0

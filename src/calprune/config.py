@@ -146,6 +146,8 @@ def load_config(path, overrides=(), env=None):
             user = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(user, dict):
+        raise ConfigError("config root must be a JSON object")
     env = os.environ if env is None else env
     if env.get(OUTPUT_DIR_ENV):
         user["output_dir"] = env[OUTPUT_DIR_ENV]

@@ -182,9 +182,15 @@ def report_to_dict(report):
 
 
 def report_from_dict(doc):
-    bins = [ReliabilityBin(b["lower"], b["upper"], b["count"],
-                           b["confidence"], b["accuracy"]) for b in doc["bins"]]
-    subsets = [SubsetCalibration(s["delta"], s["count"], s["fraction_pct"],
-                                 s["ece"], s["empty"]) for s in doc["subsets"]]
-    return CalibrationReport(doc["n"], doc["n_bins"], bins, doc["ece"], subsets,
-                             doc["test_error_pct"], doc["auroc"])
+    """Rebuild a report from its to_dict() form; a malformed one raises ValueError."""
+    try:
+        bins = [ReliabilityBin(b["lower"], b["upper"], b["count"],
+                               b["confidence"], b["accuracy"]) for b in doc["bins"]]
+        subsets = [SubsetCalibration(s["delta"], s["count"], s["fraction_pct"],
+                                     s["ece"], s["empty"]) for s in doc["subsets"]]
+        return CalibrationReport(doc["n"], doc["n_bins"], bins, doc["ece"], subsets,
+                                 doc["test_error_pct"], doc["auroc"])
+    except KeyError as exc:
+        raise ValueError(f"report lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed report: {exc}") from None

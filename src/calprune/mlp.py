@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, log_softmax
 
 CHECKPOINT_MAGIC = "calprune-mlp"
 CHECKPOINT_VERSION = 1
@@ -60,17 +60,12 @@ def forward_logits(params, batch):
     return h
 
 
-def log_softmax_rows(logits):
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
 def predict(logits):
     """Per-row argmax labels (ties -> lowest index) and max-prob confidences, as arrays."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {logits.shape}")
-    log_probs = log_softmax_rows(logits)
+    log_probs = log_softmax(logits)
     labels = np.argmax(log_probs, axis=1)
     confidences = np.exp(log_probs[np.arange(len(labels)), labels])
     return labels, confidences

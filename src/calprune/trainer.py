@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, log_softmax
 from .data import minibatches
 from .losses import LossSpec, total_loss
 from .metrics import build_report
@@ -210,10 +210,8 @@ def evaluate_model(params, data, n_bins, deltas):
 
 
 def mean_nll(logits, labels, temperature=1.0):
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(lse - shifted[np.arange(len(labels)), labels]))
+    log_probs = log_softmax(np.asarray(logits, dtype=np.float64) / temperature)
+    return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
 
 
 @dataclass

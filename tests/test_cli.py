@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calprune.autodiff import Graph
 from calprune.cli import main
 from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV,
                              build_prune_schedule, load_config, resolve_config)
+from calprune.losses import AuxSpec, LossSpec, total_loss
+from calprune.mlp import init_mlp, logits_graph, param_bindings
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -93,6 +96,20 @@ def test_env_var_and_override_precedence(tmp_path, monkeypatch):
     assert cfg["output_dir"] == str(tmp_path / "from_env")
     cfg = load_config(path, overrides=[f"output_dir={tmp_path / 'from_flag'}"])
     assert cfg["output_dir"] == str(tmp_path / "from_flag")
+
+
+@pytest.mark.parametrize("how", ["env", "set"])
+def test_config_root_not_an_object(tmp_path, monkeypatch, capsys, how):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    argv = ["train", "--config", str(path)]
+    if how == "env":
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    else:
+        argv += ["--set", "train.max_epochs=2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config root must be a JSON object\n"
 
 
 def test_prune_schedule_resolution():
@@ -218,6 +235,34 @@ def test_report_regenerates_artifacts(trained, tmp_path):
         assert (report_out / name).read_text() == (out / name).read_text()
 
 
+@pytest.mark.parametrize("drop, key", [
+    (("report",), "'report'"),
+    (("report", "subsets"), "'subsets'"),
+    (("report", "bins", 0, "count"), "'count'"),
+    (None, "'report'"),
+], ids=["no_report", "no_subsets", "bin_without_count", "list_root"])
+def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, drop, key):
+    """`drop` is the key path deleted from run.json; None wraps the document in a list."""
+    config_path, out = trained
+    doc = json.loads((out / "run.json").read_text())
+    if drop is None:
+        doc = [doc]
+    else:
+        node = doc
+        for step in drop[:-1]:
+            node = node[step]
+        del node[drop[-1]]
+    bad = tmp_path / "bad_run.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["report", "--run", str(bad), "--out", str(tmp_path / "regen")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "bad_run.json" in err and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "regen").exists()
+
+
 def test_two_runs_identical_modulo_wall_clock(tmp_path):
     out = tmp_path / "det"
     path = write_config(tmp_path, out)
@@ -282,10 +327,33 @@ def test_evaluate_malformed_checkpoint_exits_cleanly(trained, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
-def test_traced_benchmark_targets_resolve():
-    """Every (module, attribute) the traced benchmark wraps must exist."""
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_benchmark_targets_resolve():
+    """Every (module, attribute) the traced benchmark wraps must exist."""
+    tracing = load_tracing()
     for owner, attr, _span in tracing.WRAPPED:
         assert hasattr(tracing._resolve(owner), attr), f"{owner}.{attr}"
+
+
+def test_traced_benchmark_reads_graph_after_backward():
+    """The traced benchmark's per-step graph counts work on a quickstart-shaped step."""
+    params = init_mlp([2, 64, 64, 4], seed=1)
+    rng = np.random.default_rng(0)
+    g = Graph()
+    x = g.leaf("x", param=False)
+    log_probs = g.log_softmax(logits_graph(g, x, params.n_layers))
+    spec = LossSpec(kind="flsd", aux=AuxSpec(kind="huber", alpha=0.005, weight=10.0))
+    root = total_loss(g, log_probs, rng.integers(0, 4, 128), spec, 4)
+    bindings = param_bindings(params)
+    bindings["x"] = rng.normal(size=(128, 2))
+    g.forward(bindings, root=root)
+    g.backward(root=root)
+    stats = load_tracing().graph_stats(g, root)
+    assert stats["nodes"] == 34
+    assert 0 < stats["useful_adjoint_frac"] <= 1

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from calprune.autodiff import Graph
-from calprune.mlp import (forward_logits, init_mlp, load_checkpoint, log_softmax_rows,
+from calprune.autodiff import Graph, log_softmax
+from calprune.mlp import (forward_logits, init_mlp, load_checkpoint,
                           logits_graph, param_bindings, predict, save_checkpoint)
 
 
@@ -77,11 +77,11 @@ def test_predict_analytic_confidences():
 
 def test_predict_rows_sum_to_one():
     logits = np.random.default_rng(3).normal(size=(20, 5)) * 4
-    np.testing.assert_allclose(np.exp(log_softmax_rows(logits)).sum(axis=1), 1.0,
+    np.testing.assert_allclose(np.exp(log_softmax(logits)).sum(axis=1), 1.0,
                                rtol=0, atol=1e-9)
     labels, confidences = predict(logits)
     assert np.all(confidences >= 1 / 5)
-    assert confidences == pytest.approx(np.exp(log_softmax_rows(logits)).max(axis=1),
+    assert confidences == pytest.approx(np.exp(log_softmax(logits)).max(axis=1),
                                         abs=1e-15)
 
 
