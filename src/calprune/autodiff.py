@@ -46,6 +46,14 @@ def log_softmax(x):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+_ZERO = bytes(8)  # one float64 0.0: the buffer of every read-only zero adjoint
+
+
+def _zero_view(shape):
+    """A read-only all-zero float64 array of `shape` that allocates no data."""
+    return np.ndarray(shape, np.float64, _ZERO, 0, (0,) * len(shape))
+
+
 def _unbroadcast(adj, shape):
     """Sum an adjoint back down to `shape` after numpy broadcasting."""
     for _ in range(adj.ndim - len(shape)):
@@ -160,7 +168,7 @@ RULES = {
                   (lambda adj, node, x: adj * node.aux * x ** (node.aux - 1.0),)),
     "abs": (lambda node, x: np.abs(x), (lambda adj, node, x: adj * np.sign(x),)),
     "gather_rows": (_gather_rows, (lambda adj, node, x: _scatter_rows(adj, x, node.aux),)),
-    "mean": (_mean, (lambda adj, node, x: np.broadcast_to(adj / x.shape[0], x.shape),)),
+    "mean": (_mean, (lambda adj, node, x: np.full(x.shape, adj / x.shape[0]),)),
     "sum": (lambda node, x: np.asarray(np.sum(x)), (lambda adj, node, x: np.full_like(x, adj),)),
     "scale": (lambda node, x: node.aux * x, (lambda adj, node, x: node.aux * adj,)),
     "stop_gradient": (lambda node, x: x, ()),
@@ -308,8 +316,11 @@ class Graph:
     def backward(self, root=None):
         """Accumulate adjoints from a scalar root; returns parameter-leaf gradients.
 
-        Every node up to `root` gets an adjoint of its value's shape; nodes off
-        the parameter path keep theirs at zero.
+        A node's adjoint is its first vjp contribution; later ones are added out
+        of place, because a contribution may alias another node's adjoint. Every
+        node up to `root` ends with an adjoint of its value's shape: a node that
+        got no contribution holds a read-only zero view, or fresh zeros if it
+        is a parameter leaf. The returned gradients are the leaves' adjoints.
         """
         root = root if root is not None else self.nodes[-1]
         if root.value is None:
@@ -319,15 +330,20 @@ class Graph:
         stop = self.nodes.index(root)
         active = self.nodes[: stop + 1]
         for node in active:
-            node.adjoint = np.zeros_like(node.value)
+            node.adjoint = None
         root.adjoint = np.ones_like(root.value)
         for node in reversed(active):
-            if node.on_path and node.inputs:
+            adj = node.adjoint
+            if adj is None:
+                node.adjoint = (np.zeros_like(node.value) if node.is_param
+                                else _zero_view(node.value.shape))
+            elif node.on_path and node.inputs:
                 values = [inp.value for inp in node.inputs]
                 for inp, vjp in zip(node.inputs, RULES[node.op][1]):
                     if inp.on_path:
-                        inp.adjoint += vjp(node.adjoint, node, *values)
-        return {n.name: n.adjoint.copy() for n in active if n.is_param}
+                        grad = vjp(adj, node, *values)
+                        inp.adjoint = grad if inp.adjoint is None else inp.adjoint + grad
+        return {n.name: n.adjoint for n in active if n.is_param}
 
 
 @dataclass

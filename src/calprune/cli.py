@@ -89,9 +89,9 @@ def cmd_calibrate(args):
     _, val, test = build_datasets(cfg)
     params = _load_checkpoint_for(cfg, args.checkpoint, test)
     temperature = fit_temperature(params, val)
-    _, ece_before = binned_ece(*records_for(params, test), cfg["eval"]["bins"])
-    _, ece_after = binned_ece(*records_for(params, test, temperature=temperature),
-                              cfg["eval"]["bins"])
+    before, after = records_for(params, test, temperatures=(1.0, temperature))
+    _, ece_before = binned_ece(*before, cfg["eval"]["bins"])
+    _, ece_after = binned_ece(*after, cfg["eval"]["bins"])
     print(_metric_line("temperature", temperature))
     print(_metric_line("ece_before", ece_before))
     print(_metric_line("ece_after", ece_after))
@@ -100,7 +100,10 @@ def cmd_calibrate(args):
 
 def cmd_report(args):
     with open(args.run) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.run}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "report" not in doc:
         raise ValueError(f"{args.run}: run document lacks key 'report'")
     try:

@@ -46,7 +46,10 @@ def init_mlp(widths, seed):
 
 
 def forward_logits(params, batch):
-    """Plain numpy forward pass; batch is (n, input_dim), result is (n, K)."""
+    """Plain numpy forward pass; batch is (n, input_dim), result is (n, K).
+
+    Each layer allocates only its product; bias and relu are applied in place.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.widths[0]:
         raise ValueError(
@@ -54,9 +57,10 @@ def forward_logits(params, batch):
     h = batch
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = h @ w  # a new array, so the bias and relu below never touch `batch`
+        h += b
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 

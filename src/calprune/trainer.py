@@ -108,17 +108,24 @@ class RunResult:
 
 
 def sgd_update(params, grads, velocity, lr, momentum, weight_decay):
-    """One SGD step: g' = g + wd*theta; v = momentum*v + g'; theta -= lr*v."""
-    new_params, new_velocity = {}, {}
+    """One SGD step in place: g' = g + wd*theta; v = momentum*v + g'; theta -= lr*v.
+
+    Updates the `params` and `velocity` arrays themselves and returns the two
+    dicts. Shapes are checked before any array is written.
+    """
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape}"
                              f" for {name!r}")
-        v = momentum * velocity[name] + (g + weight_decay * theta)
-        new_velocity[name] = v
-        new_params[name] = theta - lr * v
-    return new_params, new_velocity
+    for name, theta in params.items():
+        step = weight_decay * theta
+        step += grads[name]
+        v = velocity[name]
+        v *= momentum
+        v += step
+        theta -= lr * v
+    return params, velocity
 
 
 def lr_at_epoch(epoch, config):
@@ -140,7 +147,9 @@ def train_with_pruning(train, test, params, config):
             f"batch size {config.batch_size} < 10*K={10 * n_classes}: minibatches may "
             "not represent every class while pruning", stacklevel=2)
 
-    bindings = param_bindings(params)
+    # copied once: sgd_update writes into these, never into the caller's arrays
+    bindings = {name: np.array(arr, dtype=np.float64)
+                for name, arr in param_bindings(params).items()}
     velocity = {name: np.zeros_like(arr) for name, arr in bindings.items()}
     survivors = train
     epoch_log, prune_events = [], []
@@ -168,8 +177,7 @@ def train_with_pruning(train, test, params, config):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
             grads = graph.backward(root=loss_node)
-            bindings, velocity = sgd_update(bindings, grads, velocity, lr,
-                                            config.momentum, config.weight_decay)
+            sgd_update(bindings, grads, velocity, lr, config.momentum, config.weight_decay)
             epoch_conf[block] = np.exp(np.max(log_probs.value, axis=1))
             loss_sum += loss_value * len(block)
 
@@ -195,18 +203,25 @@ def train_with_pruning(train, test, params, config):
                      time.perf_counter() - started, survivors, confidence_log)
 
 
-def records_for(params, data, temperature=1.0):
-    """(confidence, correct) float64 arrays over every row of `data`."""
-    logits = forward_logits(params, data.x) / temperature
-    labels, confidences = predict(logits)
-    return confidences, (labels == data.y).astype(np.float64)
+def records_for(params, data, temperatures=(1.0,)):
+    """One (confidence, correct) pair of float64 arrays per temperature.
+
+    Every row of `data` is forwarded once; each temperature divides the same logits.
+    """
+    logits = forward_logits(params, data.x)
+    records = []
+    for t in temperatures:
+        labels, confidences = predict(logits / t)
+        records.append((confidences, (labels == data.y).astype(np.float64)))
+    return records
 
 
 def evaluate_model(params, data, n_bins, deltas):
     """Forward + predict the whole dataset, then assemble the calibration report."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    return build_report(*records_for(params, data), n_bins, deltas)
+    [(confidences, correct)] = records_for(params, data)
+    return build_report(confidences, correct, n_bins, deltas)
 
 
 def mean_nll(logits, labels, temperature=1.0):

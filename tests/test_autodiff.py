@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calprune.autodiff import RULES, Graph, GraphError, grad_check
+from calprune.losses import AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 
 
@@ -298,3 +299,57 @@ def test_gradient_skips_the_input_batch():
     assert sorted(grads) == ["b0", "b1", "w0", "w1"]
     for name, grad in grads.items():
         assert grad.any(), f"{name} got an all-zero gradient"
+
+
+def test_shared_first_contribution_is_never_added_into():
+    """add() hands its own adjoint array to both inputs; q's later contribution
+    from exp(q) must not leak into p's gradient through that shared array."""
+    g = Graph()
+    p, q = g.leaf("p"), g.leaf("q")
+    e = g.exp(q)
+    g.sum(g.add(g.add(p, q), e))
+    q_val = np.array([0.5, -1.0, 2.0])
+    g.forward({"p": np.zeros(3), "q": q_val})
+    grads = g.backward()
+    np.testing.assert_array_equal(grads["p"], np.ones(3))
+    np.testing.assert_array_equal(grads["q"], 1.0 + np.exp(q_val))
+
+
+def _reference_backward(graph, root):
+    """Zero-fill every adjoint, then add each vjp contribution in place."""
+    active = graph.nodes[: graph.nodes.index(root) + 1]
+    adjoints = {id(node): np.zeros_like(node.value) for node in active}
+    adjoints[id(root)] = np.ones_like(root.value)
+    for node in reversed(active):
+        if node.on_path and node.inputs:
+            values = [inp.value for inp in node.inputs]
+            for inp, vjp in zip(node.inputs, RULES[node.op][1]):
+                if inp.on_path:
+                    adjoints[id(inp)] += vjp(adjoints[id(node)], node, *values)
+    return {node.name: adjoints[id(node)] for node in active if node.is_param}
+
+
+@pytest.mark.parametrize("widths, spec, batch", [
+    ([2, 64, 64, 4], LossSpec(kind="flsd", aux=AuxSpec(kind="huber", alpha=0.005, weight=10.0)),
+     128),
+    ([784, 256, 256, 10], LossSpec(kind="nll"), 64),
+], ids=["quickstart_flsd_huber", "mnist_shaped_nll"])
+def test_backward_matches_zero_fill_reference(widths, spec, batch):
+    """First-contribution adjoints give the same gradients as zero-fill plus +=."""
+    params = init_mlp(widths, seed=1)
+    rng = np.random.default_rng(0)
+    g = Graph()
+    x = g.leaf("x", param=False)
+    log_probs = g.log_softmax(logits_graph(g, x, params.n_layers))
+    root = total_loss(g, log_probs, rng.integers(0, widths[-1], batch), spec, widths[-1])
+    bindings = param_bindings(params)
+    bindings["x"] = rng.normal(size=(batch, widths[0]))
+    g.forward(bindings, root=root)
+    grads = g.backward(root=root)
+    reference = _reference_backward(g, root)
+    assert sorted(grads) == sorted(reference)
+    for name in reference:
+        assert np.array_equal(grads[name], reference[name]), name
+    for node in g.nodes:
+        assert node.adjoint.shape == node.value.shape
+    assert not x.adjoint.any() and not x.adjoint.flags.writeable

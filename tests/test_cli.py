@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calprune import trainer
 from calprune.autodiff import Graph
 from calprune.cli import main
-from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV,
+from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datasets,
                              build_prune_schedule, load_config, resolve_config)
 from calprune.losses import AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings
@@ -225,6 +226,28 @@ def test_calibrate_prints_temperature(trained, capsys):
     assert "ece_before" in lines and "ece_after" in lines
 
 
+def test_calibrate_forwards_each_split_once(trained, monkeypatch, capsys):
+    """calibrate forwards the val rows once (temperature fit) and the test rows
+    once (both ECEs); its ece_before equals evaluate's ece."""
+    config_path, out = trained
+    forward = trainer.forward_logits
+    forwarded = []
+
+    def counting_forward(params, batch):
+        forwarded.append(batch.shape[0])
+        return forward(params, batch)
+
+    monkeypatch.setattr(trainer, "forward_logits", counting_forward)
+    common = ["--config", str(config_path), "--checkpoint", str(out / "checkpoint.json")]
+    assert main(["calibrate", *common]) == 0
+    calibrated = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    _, val, test = build_datasets(load_config(config_path, env={}))
+    assert forwarded == [len(val), len(test)]
+    assert main(["evaluate", *common, "--out", str(out.parent / "eval_once")]) == 0
+    evaluated = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert calibrated["ece_before"] == evaluated["ece"]
+
+
 def test_report_regenerates_artifacts(trained, tmp_path):
     config_path, out = trained
     report_out = tmp_path / "regen"
@@ -240,20 +263,22 @@ def test_report_regenerates_artifacts(trained, tmp_path):
     (("report", "subsets"), "'subsets'"),
     (("report", "bins", 0, "count"), "'count'"),
     (None, "'report'"),
-], ids=["no_report", "no_subsets", "bin_without_count", "list_root"])
+    ("truncated", "invalid JSON"),
+], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated"])
 def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, drop, key):
-    """`drop` is the key path deleted from run.json; None wraps the document in a list."""
+    """`drop` is the key path deleted from run.json; None wraps the document in a
+    list; "truncated" writes a document cut off after its first key."""
     config_path, out = trained
     doc = json.loads((out / "run.json").read_text())
     if drop is None:
         doc = [doc]
-    else:
+    elif drop != "truncated":
         node = doc
         for step in drop[:-1]:
             node = node[step]
         del node[drop[-1]]
     bad = tmp_path / "bad_run.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text('{"report": \n' if drop == "truncated" else json.dumps(doc))
     capsys.readouterr()
     code = main(["report", "--run", str(bad), "--out", str(tmp_path / "regen")])
     err = capsys.readouterr().err

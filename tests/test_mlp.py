@@ -106,6 +106,26 @@ def test_graph_forward_matches_plain_forward_bitwise():
     assert graph_logits.tobytes() == forward_logits(params, batch).tobytes()
 
 
+@pytest.mark.parametrize("widths", [[5, 3], [5, 64, 3], [5, 64, 32, 3]],
+                         ids=["1_layer", "2_layers", "3_layers"])
+def test_forward_matches_out_of_place_reference_bitwise(widths):
+    """The in-place forward gives the bits of relu(h @ w + b) layer by layer and
+    leaves the caller's batch alone."""
+    params = init_mlp(widths, seed=2)
+    rng = np.random.default_rng(3)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    batch = rng.normal(size=(10_000, widths[0]))
+    kept = batch.copy()
+    h = batch
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if i < params.n_layers - 1:
+            h = np.maximum(h, 0.0)
+    assert forward_logits(params, batch).tobytes() == h.tobytes()
+    assert batch.tobytes() == kept.tobytes()
+
+
 def test_checkpoint_roundtrip_exact(tmp_path):
     params = init_mlp([3, 8, 4], seed=5)
     path = tmp_path / "model.json"

@@ -17,8 +17,10 @@ def test_sgd_plain_step():
     params = {"w": np.array([1.0, 2.0])}
     grads = {"w": np.array([0.5, -0.5])}
     vel = {"w": np.zeros(2)}
+    theta = params["w"]
     new, _ = sgd_update(params, grads, vel, lr=0.1, momentum=0.0, weight_decay=0.0)
-    np.testing.assert_allclose(new["w"], [0.95, 2.05], atol=1e-15)
+    assert new["w"] is theta  # stepped in place
+    np.testing.assert_allclose(theta, [0.95, 2.05], atol=1e-15)
 
 
 def test_sgd_decay_only_step():
@@ -35,14 +37,18 @@ def test_sgd_momentum_recurrence():
     grads = {"w": np.array([1.0])}
     p1, vel = sgd_update(params, grads, vel, lr=1.0, momentum=0.9, weight_decay=0.0)
     assert p1["w"][0] == pytest.approx(-1.0)
+    before = p1["w"].copy()  # the step below writes into p1's arrays
     p2, vel = sgd_update(p1, grads, vel, lr=1.0, momentum=0.9, weight_decay=0.0)
-    assert p2["w"][0] - p1["w"][0] == pytest.approx(-1.9)
+    assert p2["w"][0] - before[0] == pytest.approx(-1.9)
 
 
 def test_sgd_shape_mismatch_rejected():
+    params = {"a": np.ones(1), "w": np.zeros(2)}
     with pytest.raises(ValueError, match="shape"):
-        sgd_update({"w": np.zeros(2)}, {"w": np.zeros(3)}, {"w": np.zeros(2)},
+        sgd_update(params, {"a": np.ones(1), "w": np.zeros(3)},
+                   {"a": np.zeros(1), "w": np.zeros(2)},
                    lr=0.1, momentum=0.0, weight_decay=0.0)
+    assert params["a"][0] == 1.0  # shapes are checked before any array is stepped
 
 
 def test_lr_schedule():
@@ -75,6 +81,18 @@ def test_plain_loop_keeps_all_survivors_and_learns():
     # separable data: the loss must come down
     assert result.epoch_log[9].train_loss < result.epoch_log[0].train_loss
     assert result.report.test_error_pct < 10.0
+
+
+def test_training_leaves_caller_params_unchanged():
+    train, _, test = small_experiment(noise=0.1, seed=4)
+    cfg = TrainConfig(max_epochs=3, batch_size=32, learning_rate=0.05,
+                      lr_milestones=[], seed=5, loss=LossSpec(kind="flsd", aux=AuxSpec()))
+    params = init_mlp([2, 8, 2], seed=5)
+    before = [a.tobytes() for a in params.weights + params.biases]
+    result = train_with_pruning(train, test, params, cfg)
+    assert [a.tobytes() for a in params.weights + params.biases] == before
+    assert all(not np.shares_memory(a, b) for a, b in
+               zip(params.weights + params.biases, result.params.weights + result.params.biases))
 
 
 def test_pruned_loop_survivor_arithmetic():
