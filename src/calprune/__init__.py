@@ -1,7 +1,7 @@
 """calprune: train-time calibration with focal/Huber losses and EMA data pruning."""
 
 from .autodiff import Graph, GraphError, grad_check
-from .data import (LabeledData, generate_gaussian_mixture, load_csv, load_idx_pair,
+from .data import (Dataset, generate_gaussian_mixture, load_csv, load_idx_pair,
                    minibatches, mixture_posterior, stratified_split)
 from .losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss, flsd_gamma,
                      flsd_loss, focal_loss, huber_value, mdca_aux_loss, nll_loss,
@@ -10,8 +10,7 @@ from .metrics import (CalibrationReport, binned_ece, build_report, ece_on_subset
                       high_confidence_subset, refinement_auroc, test_error)
 from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict, \
     save_checkpoint
-from .pruning import (PruneSchedule, ScoredDataset, prune_count, prune_using_ema,
-                      should_prune, update_ema)
+from .pruning import PruneSchedule, prune_count, prune_using_ema, should_prune, update_ema
 from .trainer import (RunResult, TrainConfig, TrainingDiverged, evaluate_model,
                       fit_temperature, lr_at_epoch, sgd_update, train_with_pruning)
 

@@ -83,6 +83,12 @@ _SOURCE_REQUIRED = {
 }
 
 
+# stand-in defaults that give null-default keys their type; null itself stays allowed
+_NULL_DEFAULT_TYPES = {"prune.epochs": [1], "prune.warmup_epochs": 0, **{
+    f"dataset.{key}": "" for key in ("images", "labels", "test_images", "test_labels",
+                                     "path", "test_path", "label_column")}}
+
+
 def _json_type(value):
     for kind, types in (("boolean", bool), ("integer", int), ("number", float),
                         ("string", str), ("array", list), ("object", dict)):
@@ -91,11 +97,25 @@ def _json_type(value):
     return "null"
 
 
+def _check_type(path, default, value):
+    """Raise ConfigError unless `value` has the JSON type of `default`.
+
+    An integer may stand in for a non-integral number, a boolean never does.
+    Every element of an array must have the type of the default's first one.
+    """
+    expected, actual = _json_type(default), _json_type(value)
+    if expected != actual and (expected, actual) != ("number", "integer"):
+        raise ConfigError(f"config key {path} must be of type {expected}, "
+                          f"got {actual} {value!r}")
+    if expected == "array" and default:
+        for i, element in enumerate(value):
+            _check_type(f"{path}[{i}]", default[0], element)
+
+
 def _merge_strict(defaults, user, prefix=""):
     """Merge `user` over `defaults`; every leaf must have its default's JSON type.
 
-    An integer may stand in for a non-integral number; a key whose default is
-    None takes any value.
+    A key whose default is None takes None or the type in _NULL_DEFAULT_TYPES.
     """
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
@@ -110,10 +130,8 @@ def _merge_strict(defaults, user, prefix=""):
             else:
                 merged[key] = _merge_strict(defaults[key], value, prefix=path + ".")
         else:
-            expected, actual = _json_type(defaults[key]), _json_type(value)
-            if expected not in ("null", actual) and (expected, actual) != ("number", "integer"):
-                raise ConfigError(f"config key {path} must be of type {expected}, "
-                                  f"got {actual} {value!r}")
+            if not (value is None and defaults[key] is None):
+                _check_type(path, _NULL_DEFAULT_TYPES.get(path, defaults[key]), value)
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -177,7 +195,8 @@ def _apply_override(user, assignment):
 # ---- builders ---------------------------------------------------------------
 
 def build_datasets(cfg):
-    """(train ScoredDataset, validation, test) per the dataset section."""
+    """(train, validation, test) Datasets per the dataset section; train and
+    validation split the pool and carry their pool positions as ids."""
     d = cfg["dataset"]
     if d["source"] == "gaussian_mixture":
         pool = generate_gaussian_mixture(d["classes"], d["train_per_class"],
@@ -239,6 +258,6 @@ def build_train_config(cfg):
 
 def model_widths(cfg, input_dim, n_classes):
     hidden = cfg["model"]["hidden"]
-    if any(int(h) < 1 for h in hidden):
+    if any(h < 1 for h in hidden):
         raise ConfigError("config key model.hidden must hold positive layer sizes")
-    return [input_dim, *[int(h) for h in hidden], n_classes]
+    return [input_dim, *hidden, n_classes]

@@ -14,8 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pruning import ScoredDataset
-
 MIXTURE_RADIUS = 3.0
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -23,22 +21,39 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 @dataclass
-class LabeledData:
+class Dataset:
+    """Labeled rows with stable original ids and per-row EMA confidence scores.
+
+    Arrays enter through the constructor, which checks them once; ids default
+    to the row positions and EMA scores to 0."""
     x: np.ndarray
     y: np.ndarray
     n_classes: int
-    ids: np.ndarray = None  # original row ids, set by stratified_split
+    ids: np.ndarray = None
+    ema: np.ndarray = None
 
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise ValueError(f"inconsistent shapes x={self.x.shape} y={self.y.shape}")
+        n = len(self.y)
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features must be finite")
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.n_classes):
+        if n and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise ValueError(f"labels out of range for {self.n_classes} classes")
+        if self.ids is None:
+            self.ids = np.arange(n, dtype=np.int64)
+        elif self.ids.shape != (n,) or len(np.unique(self.ids)) != n:
+            raise ValueError(f"ids must be {n} unique values, one per row")
+        if self.ema is None:
+            self.ema = np.zeros(n)
+        elif self.ema.shape != (n,) or not np.all((self.ema >= 0) & (self.ema <= 1)):
+            raise ValueError(f"ema must be {n} scores in [0, 1], one per row")
 
     def __len__(self):
         return self.x.shape[0]
+
+    def class_sizes(self):
+        return np.bincount(self.y, minlength=self.n_classes)
 
 
 def mixture_means(n_classes):
@@ -75,7 +90,7 @@ def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
     offsets = flip_rng.integers(1, n_classes, size=len(y))
     flip = u < noise
     y[flip] = (y[flip] + offsets[flip]) % n_classes
-    return LabeledData(x, y, n_classes)
+    return Dataset(x, y, n_classes)
 
 
 def mixture_posterior(x, n_classes, per_class, noise=0.0):
@@ -135,7 +150,7 @@ def load_idx_pair(images_path, labels_path, n_classes=None):
     elif count and y.max() >= n_classes:
         raise ValueError(
             f"{labels_path}: label {int(y.max())} out of range for {n_classes} classes")
-    return LabeledData(x, y, n_classes)
+    return Dataset(x, y, n_classes)
 
 
 def load_csv(path, label_column, n_classes=None):
@@ -179,15 +194,15 @@ def load_csv(path, label_column, n_classes=None):
     elif y.max() >= n_classes:
         raise ValueError(
             f"{path}: label {int(y.max())} out of range for declared {n_classes} classes")
-    return LabeledData(np.asarray(features, dtype=np.float64), y, n_classes)
+    return Dataset(np.asarray(features, dtype=np.float64), y, n_classes)
 
 
 def stratified_split(data, train_fraction, seed):
     """Per-class seeded shuffle, then a floor(train_fraction * n_k) split.
 
-    Returns (train as a ScoredDataset with ema=0, validation). Original row
-    ids are preserved on both sides; the floor uses exact rational arithmetic
-    over the double value of train_fraction.
+    Returns (train, validation) Datasets whose ids are the rows' positions in
+    `data`, with every EMA score at 0. The floor uses exact rational
+    arithmetic over the double value of train_fraction.
     """
     if not 0 < train_fraction < 1:
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
@@ -201,13 +216,11 @@ def stratified_split(data, train_fraction, seed):
         take = int(Fraction(train_fraction) * positions.size)
         train_parts.append(shuffled[:take])
         val_parts.append(shuffled[take:])
-    train_idx = np.concatenate(train_parts)
-    val_idx = np.concatenate(val_parts)
-    train = ScoredDataset(data.x[train_idx], data.y[train_idx],
-                          np.zeros(len(train_idx)), train_idx.astype(np.int64),
-                          data.n_classes)
-    val = LabeledData(data.x[val_idx], data.y[val_idx], data.n_classes,
-                      ids=val_idx.astype(np.int64))
+    train_idx, val_idx = np.concatenate(train_parts), np.concatenate(val_parts)
+    train = Dataset(data.x[train_idx], data.y[train_idx], data.n_classes,
+                    ids=train_idx.astype(np.int64))
+    val = Dataset(data.x[val_idx], data.y[val_idx], data.n_classes,
+                  ids=val_idx.astype(np.int64))
     return train, val
 
 

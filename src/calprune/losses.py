@@ -36,9 +36,6 @@ class AuxSpec:
         if self.kind == "huber" and not 0 < self.alpha < np.inf:
             raise ValueError(f"huber alpha must be finite and > 0, got {self.alpha}")
 
-    def to_dict(self):
-        return {"kind": self.kind, "alpha": self.alpha, "weight": self.weight}
-
 
 @dataclass
 class LossSpec:
@@ -55,10 +52,6 @@ class LossSpec:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0 <= self.smoothing < 1:
             raise ValueError(f"smoothing must be in [0, 1), got {self.smoothing}")
-
-    def to_dict(self):
-        return {"kind": self.kind, "gamma": self.gamma, "smoothing": self.smoothing,
-                "aux": self.aux.to_dict() if self.aux is not None else None}
 
 
 def _one_hot(targets, n_classes):

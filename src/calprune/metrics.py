@@ -182,7 +182,7 @@ def report_to_dict(report):
 
 
 def report_from_dict(doc):
-    """Rebuild a report from its to_dict() form; a malformed one raises ValueError."""
+    """Rebuild a report from its report_to_dict form; a malformed one raises ValueError."""
     try:
         bins = [ReliabilityBin(b["lower"], b["upper"], b["count"],
                                b["confidence"], b["accuracy"]) for b in doc["bins"]]

@@ -3,41 +3,15 @@
 Every training instance carries an exponentially smoothed confidence score
 e <- factor * c + (1 - factor) * e (starting from 0). At scheduled epochs the
 lowest-scored fraction of each class is removed; pruned instances never
-return. All operations are pure: they return new datasets.
+return. All operations are pure: they return new Datasets.
 """
 
+import copy
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-@dataclass
-class ScoredDataset:
-    """Instances with labels, per-instance EMA scores, and stable original ids."""
-    x: np.ndarray
-    y: np.ndarray
-    ema: np.ndarray
-    ids: np.ndarray
-    n_classes: int
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        if not (self.y.shape == self.ema.shape == self.ids.shape == (n,)):
-            raise ValueError("x, y, ema, ids lengths disagree")
-        if n and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise ValueError(f"labels out of range for {self.n_classes} classes")
-        if n and (self.ema.min() < 0 or self.ema.max() > 1):
-            raise ValueError("ema scores must lie in [0, 1]")
-        if len(np.unique(self.ids)) != n:
-            raise ValueError("original ids must be unique")
-
-    def __len__(self):
-        return self.x.shape[0]
-
-    def class_sizes(self):
-        return np.bincount(self.y, minlength=self.n_classes)
 
 
 @dataclass
@@ -65,15 +39,6 @@ class PruneSchedule:
         if self.warmup_epochs < 0:
             raise ValueError(f"warmup epochs must be >= 0, got {self.warmup_epochs}")
 
-    def to_dict(self):
-        return {
-            "percent": self.percent,
-            "ema_factor": self.ema_factor,
-            "interval": self.interval,
-            "epochs": sorted(self.epochs) if self.epochs is not None else None,
-            "warmup_epochs": self.warmup_epochs,
-        }
-
 
 def prune_count(percent, n):
     """floor(percent/100 * n), evaluated in exact rational arithmetic.
@@ -100,8 +65,9 @@ def update_ema(dataset, confidences, ema_factor):
     if bad.size:
         raise ValueError(f"confidence {confidences[bad[0]]} for id {dataset.ids[bad[0]]} "
                          "outside [0, 1]")
-    new_ema = ema_factor * confidences + (1.0 - ema_factor) * dataset.ema
-    return ScoredDataset(dataset.x, dataset.y, new_ema, dataset.ids, dataset.n_classes)
+    out = copy.copy(dataset)  # a blend of in-range scores needs no re-check
+    out.ema = ema_factor * confidences + (1.0 - ema_factor) * dataset.ema
+    return out
 
 
 def prune_using_ema(dataset, percent):
@@ -122,8 +88,9 @@ def prune_using_ema(dataset, percent):
         victims = positions[order[:removed]]
         keep_parts.append(np.setdiff1d(positions, victims))
     keep = np.concatenate(keep_parts)
-    return ScoredDataset(dataset.x[keep], dataset.y[keep], dataset.ema[keep],
-                         dataset.ids[keep], dataset.n_classes)
+    out = copy.copy(dataset)  # a row subset of a checked record needs no re-check
+    out.x, out.y, out.ids, out.ema = (a[keep] for a in (out.x, out.y, out.ids, out.ema))
+    return out
 
 
 def should_prune(epoch, schedule):

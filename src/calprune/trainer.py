@@ -21,6 +21,9 @@ from .mlp import (forward_logits, logits_graph, param_bindings, params_from_bind
                   predict)
 from .pruning import PruneSchedule, prune_using_ema, should_prune, update_ema
 
+TEMPERATURE_LO, TEMPERATURE_HI = 0.05, 10.0  # golden-section search bracket
+TEMPERATURE_RESOLUTION = 1e-3
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss turns non-finite or pruning empties the data."""
@@ -64,22 +67,6 @@ class TrainConfig:
         if any(not 0 < d <= 1 for d in self.eval_deltas):
             raise ValueError(f"eval deltas must lie in (0, 1], got {self.eval_deltas}")
 
-    def to_dict(self):
-        return {
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "lr_milestones": list(self.lr_milestones),
-            "lr_decay_factor": self.lr_decay_factor,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "loss": self.loss.to_dict(),
-            "prune": self.prune.to_dict() if self.prune is not None else None,
-            "eval_deltas": list(self.eval_deltas),
-            "n_bins": self.n_bins,
-        }
-
 
 @dataclass
 class EpochStats:
@@ -103,7 +90,7 @@ class RunResult:
     report: object
     total_sample_updates: int
     wall_clock_seconds: float
-    survivors: object = None     # the final surviving ScoredDataset
+    survivors: object = None     # the final surviving Dataset, EMA scores included
     confidence_log: list = None  # per-epoch (original ids, confidences) arrays, opt-in
 
 
@@ -229,39 +216,30 @@ def mean_nll(logits, labels, temperature=1.0):
     return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
 
 
-@dataclass
-class TemperatureSearch:
-    lo: float = 0.05
-    hi: float = 10.0
-    resolution: float = 1e-3
-
-
-def fit_temperature(params, val, search=None):
+def fit_temperature(params, val):
     """Golden-section search for the temperature minimising validation NLL.
 
-    The final answer is compared against T=1 (the identity), so the returned
-    temperature never scores worse than leaving the logits alone; exact ties
-    resolve to the smaller temperature.
+    The search runs over [TEMPERATURE_LO, TEMPERATURE_HI]. The final answer is
+    compared against T=1 (the identity), so the returned temperature never
+    scores worse than leaving the logits alone; exact ties resolve to the
+    smaller temperature.
     """
-    search = search or TemperatureSearch()
     if len(val) == 0:
         raise ValueError("temperature fitting needs a nonempty validation set")
     logits = forward_logits(params, val.x)
-    return fit_temperature_on_logits(logits, val.y, search)
+    return fit_temperature_on_logits(logits, val.y)
 
 
-def fit_temperature_on_logits(logits, labels, search=None):
-    search = search or TemperatureSearch()
-
+def fit_temperature_on_logits(logits, labels):
     def nll(t):
         return mean_nll(logits, labels, temperature=t)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = search.lo, search.hi
+    lo, hi = TEMPERATURE_LO, TEMPERATURE_HI
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     f_c, f_d = nll(c), nll(d)
-    while hi - lo > search.resolution:
+    while hi - lo > TEMPERATURE_RESOLUTION:
         if f_c <= f_d:
             hi, d, f_d = d, c, f_c
             c = hi - invphi * (hi - lo)
@@ -270,8 +248,4 @@ def fit_temperature_on_logits(logits, labels, search=None):
             lo, c, f_c = c, d, f_d
             d = lo + invphi * (hi - lo)
             f_d = nll(d)
-    best = 0.5 * (lo + hi)
-    candidates = [best]
-    if search.lo <= 1.0 <= search.hi:
-        candidates.append(1.0)
-    return min(candidates, key=lambda t: (nll(t), t))
+    return min([0.5 * (lo + hi), 1.0], key=lambda t: (nll(t), t))

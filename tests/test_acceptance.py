@@ -30,13 +30,12 @@ import pytest
 
 from calprune.autodiff import Graph, grad_check
 from calprune.cli import main as cli_main
-from calprune.data import generate_gaussian_mixture, stratified_split
+from calprune.data import Dataset, generate_gaussian_mixture, stratified_split
 from calprune.losses import (AuxSpec, LossSpec, focal_loss, huber_value,
                              label_smoothing_loss, nll_loss, total_loss)
 from calprune.metrics import binned_ece, ece_on_subset
 from calprune.mlp import forward_logits, init_mlp, predict
-from calprune.pruning import (PruneSchedule, ScoredDataset, prune_count,
-                              prune_using_ema, update_ema)
+from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 from calprune.reporting import stable_run_text
 from calprune.trainer import (TrainConfig, fit_temperature, mean_nll,
                               train_with_pruning)
@@ -200,8 +199,8 @@ def test_criterion_03_pruning_arithmetic():
         labels = np.repeat(np.arange(n_classes), sizes)
         emas = np.round(rng.uniform(0, 1, len(labels)), 1)  # coarse: forces ties
         ids = rng.permutation(len(labels)).astype(np.int64)
-        ds = ScoredDataset(rng.normal(size=(len(labels), 2)), labels, emas, ids,
-                           n_classes)
+        ds = Dataset(rng.normal(size=(len(labels), 2)), labels, n_classes, ids=ids,
+                     ema=emas)
         out = prune_using_ema(ds, percent)
         for k in range(n_classes):
             n_k = int(sizes[k])
@@ -239,8 +238,7 @@ def test_criterion_04_ema_closed_form():
         length = int(rng.integers(1, 101))
         kappa = float(rng.uniform(0.0, 1.0))
         confs = rng.uniform(0, 1, size=(length, batch))
-        ds = ScoredDataset(np.zeros((batch, 2)), np.zeros(batch, dtype=np.int64),
-                           np.zeros(batch), np.arange(batch, dtype=np.int64), 1)
+        ds = Dataset(np.zeros((batch, 2)), np.zeros(batch, dtype=np.int64), 1)
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")  # kappa may legitimately be 0

@@ -71,10 +71,35 @@ def test_config_value_types_checked(tmp_path, capsys):
                 {"eval": {"deltas": 0.95}}, {"model": {"hidden": None}}):
         with pytest.raises(ConfigError, match="must be of type"):
             resolve_config(bad)
-    # an integer stands in for a number; keys defaulting to None take anything
+    # an integer stands in for a number; a null-default key takes its declared type
     cfg = resolve_config({"train": {"learning_rate": 1}, "loss": {"aux": None},
                           "prune": {"epochs": [3, 6]}})
     assert cfg["train"]["learning_rate"] == 1 and cfg["loss"]["aux"] is None
+
+
+@pytest.mark.parametrize("assignment, key, element", [
+    ('train.lr_milestones=["a"]', "train.lr_milestones[0]", "string 'a'"),
+    ("train.lr_milestones=[null]", "train.lr_milestones[0]", "null None"),
+    ('eval.deltas=["a"]', "eval.deltas[0]", "string 'a'"),
+    ("eval.deltas=[true]", "eval.deltas[0]", "boolean True"),
+    ("prune.epochs=5", "prune.epochs", "integer 5"),
+    ('prune.epochs=["x"]', "prune.epochs[0]", "string 'x'"),
+    ("prune.epochs=[2.5]", "prune.epochs[0]", "number 2.5"),
+    ("prune.epochs=[true]", "prune.epochs[0]", "boolean True"),
+    ('prune.warmup_epochs="x"', "prune.warmup_epochs", "string 'x'"),
+    ("prune.warmup_epochs=2.5", "prune.warmup_epochs", "number 2.5"),
+    ('model.hidden=["x"]', "model.hidden[0]", "string 'x'"),
+    ("model.hidden=[2.5]", "model.hidden[0]", "number 2.5"),
+    ("dataset.images=5", "dataset.images", "integer 5"),
+])
+def test_config_array_elements_and_null_defaults_typed(tmp_path, capsys, assignment, key,
+                                                       element):
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path), "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key {key} must be of type")
+    assert element in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from calprune.data import (LabeledData, generate_gaussian_mixture, load_csv,
+from calprune.data import (Dataset, generate_gaussian_mixture, load_csv,
                            load_idx_pair, minibatches, mixture_posterior,
                            stratified_split)
 
@@ -151,7 +151,7 @@ def test_stratified_split_fractions():
 
 
 def test_stratified_split_floor_rule():
-    data = LabeledData(np.zeros((3, 2)), np.array([0, 0, 0]), 1)
+    data = Dataset(np.zeros((3, 2)), np.array([0, 0, 0]), 1)
     train, val = stratified_split(data, 0.5, seed=1)
     assert len(train) == 1
     assert len(val) == 2
@@ -174,9 +174,38 @@ def test_stratified_split_deterministic():
 
 
 def test_stratified_split_rejects_tiny_class():
-    data = LabeledData(np.zeros((3, 2)), np.array([0, 0, 1]), 2)
+    data = Dataset(np.zeros((3, 2)), np.array([0, 0, 1]), 2)
     with pytest.raises(ValueError, match="class 1"):
         stratified_split(data, 0.9, seed=0)
+
+
+def test_dataset_defaults_ids_and_ema():
+    data = Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2)
+    assert data.ids.dtype == np.int64 and data.ids.tolist() == [0, 1, 2]
+    assert data.ema.tolist() == [0.0, 0.0, 0.0]
+    assert data.class_sizes().tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x", np.zeros(4), "inconsistent shapes"),
+    ("y", np.zeros(3, dtype=np.int64), "inconsistent shapes"),
+    ("x", np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]]), "finite"),
+    ("x", np.array([[0.0, 1.0], [np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]]), "finite"),
+    ("y", np.array([0, 1, 2, 0]), "labels out of range"),
+    ("y", np.array([0, -1, 1, 0]), "labels out of range"),
+    ("ids", np.arange(3), "ids must be 4 unique values"),
+    ("ids", np.array([4, 7, 4, 1]), "ids must be 4 unique values"),
+    ("ema", np.zeros(5), r"ema must be 4 scores in \[0, 1\]"),
+    ("ema", np.array([0.0, 0.5, 1.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
+    ("ema", np.array([0.0, -0.1, 0.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
+    ("ema", np.array([0.0, np.nan, 0.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
+], ids=["x_1d", "y_short", "x_nan", "x_inf", "label_high", "label_negative",
+        "ids_short", "ids_repeated", "ema_long", "ema_above_1", "ema_negative", "ema_nan"])
+def test_dataset_rejects_broken_invariants(field, value, message):
+    fields = {"x": np.zeros((4, 2)), "y": np.array([0, 1, 1, 0]), "n_classes": 2}
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        Dataset(**fields)
 
 
 def test_minibatch_blocks():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from calprune.pruning import (PruneSchedule, ScoredDataset, prune_count,
-                              prune_using_ema, should_prune, update_ema)
+from calprune.data import Dataset
+from calprune.pruning import (PruneSchedule, prune_count, prune_using_ema, should_prune,
+                              update_ema)
 
 
 def make_dataset(labels, emas=None, ids=None, n_classes=None):
@@ -14,7 +15,7 @@ def make_dataset(labels, emas=None, ids=None, n_classes=None):
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     k = int(labels.max()) + 1 if n_classes is None else n_classes
     x = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
-    return ScoredDataset(x, labels, emas, ids, k)
+    return Dataset(x, labels, k, ids=ids, ema=emas)
 
 
 def test_update_ema_basic_arithmetic():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from calprune.data import generate_gaussian_mixture, mixture_posterior, stratified_split
+from calprune.data import (Dataset, generate_gaussian_mixture, mixture_posterior,
+                           stratified_split)
 from calprune.losses import AuxSpec, LossSpec
 from calprune.mlp import forward_logits, init_mlp, predict
 from calprune.pruning import PruneSchedule
@@ -98,10 +99,7 @@ def test_training_leaves_caller_params_unchanged():
 def test_pruned_loop_survivor_arithmetic():
     _, _, test = small_experiment(per_class=1000, seed=9)
     # stratified split of 1000/class at 0.9 leaves 900/class; use the pool directly
-    from calprune.pruning import ScoredDataset
-    pool = generate_gaussian_mixture(2, 1000, noise=0.0, seed=9)
-    train = ScoredDataset(pool.x, pool.y, np.zeros(len(pool)),
-                          np.arange(len(pool), dtype=np.int64), 2)
+    train = generate_gaussian_mixture(2, 1000, noise=0.0, seed=9)
     cfg = TrainConfig(max_epochs=20, batch_size=256, learning_rate=0.05,
                       lr_milestones=[], seed=2, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, ema_factor=0.3, interval=5,
@@ -117,6 +115,21 @@ def test_pruned_loop_survivor_arithmetic():
     assert result.total_sample_updates == expected_updates
     sizes = [e.surviving for e in result.epoch_log]
     assert sizes == [2000] * 5 + [1800] * 5 + [1620] * 5 + [1458] * 5
+
+
+def test_pruned_run_never_revalidates(monkeypatch):
+    # the EMA blends and prunes derive records from checked ones: no check reruns
+    train, _, test = small_experiment(noise=0.1, seed=6)
+    calls = []
+    check = Dataset.__post_init__
+    monkeypatch.setattr(Dataset, "__post_init__",
+                        lambda self: calls.append(len(self.y)) or check(self))
+    cfg = TrainConfig(max_epochs=8, batch_size=32, learning_rate=0.05,
+                      lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
+                      prune=PruneSchedule(percent=10.0, interval=4, warmup_epochs=0))
+    result = train_with_pruning(train, test, init_mlp([2, 8, 2], seed=7), cfg)
+    assert [p.epoch for p in result.prune_events] == [4, 8]
+    assert calls == []
 
 
 def test_training_is_bitwise_deterministic():
