@@ -154,6 +154,12 @@ def resolve_config(user):
     if missing:
         raise ConfigError(
             f"dataset source {source!r} requires config key dataset.{sorted(missing)[0]}")
+    seed = cfg["dataset"]["seed"]
+    if seed < 0:  # numpy's seed sequences take no negative entropy
+        raise ConfigError("config key dataset.seed must be of type non-negative integer, "
+                          f"got integer {seed}")
+    if source == "csv" and "classes" not in user_dataset_keys:
+        cfg["dataset"]["classes"] = None  # counted from the training labels
     return cfg
 
 
@@ -224,6 +230,11 @@ def build_loss_spec(cfg):
 
 
 def build_prune_schedule(cfg):
+    """The epochs in 1..train.max_epochs to prune at, from the prune section.
+
+    Explicit `prune.epochs` win over every `prune.interval`-th epoch; epochs
+    before `prune.warmup_epochs` (default: the first LR milestone) are dropped.
+    """
     p = cfg["prune"]
     if p is None or not p["enabled"]:
         return None
@@ -231,11 +242,18 @@ def build_prune_schedule(cfg):
     if warmup is None:
         milestones = cfg["train"]["lr_milestones"]
         warmup = min(milestones) if milestones else 0
-    # an explicit epoch set wins over the interval default
-    interval = None if p["epochs"] is not None else p["interval"]
-    epochs = frozenset(p["epochs"]) if p["epochs"] is not None else None
+    elif warmup < 0:
+        raise ConfigError(f"config key prune.warmup_epochs must be >= 0, got {warmup}")
+    last = cfg["train"]["max_epochs"]
+    epochs = p["epochs"]
+    if epochs is None:
+        if p["interval"] < 1:
+            raise ConfigError(f"config key prune.interval must be >= 1, got {p['interval']}")
+        epochs = range(p["interval"], last + 1, p["interval"])
+    elif any(e < 1 for e in epochs):
+        raise ConfigError(f"config key prune.epochs must hold epochs >= 1, got {epochs}")
     return PruneSchedule(percent=p["percent"], ema_factor=p["ema_factor"],
-                         interval=interval, epochs=epochs, warmup_epochs=warmup)
+                         epochs=(e for e in epochs if warmup <= e <= last))
 
 
 def build_train_config(cfg):

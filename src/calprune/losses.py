@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CLASSIFICATION_KINDS = ("nll", "focal", "flsd", "brier", "label_smoothing")
-AUX_KINDS = ("huber", "dca", "mdca")
-
 FLSD_LOW_CONFIDENCE_GAMMA = 5.0
 FLSD_HIGH_CONFIDENCE_GAMMA = 3.0
 FLSD_THRESHOLD = 0.2
@@ -29,7 +26,7 @@ class AuxSpec:
     weight: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in AUX_KINDS:
+        if self.kind not in AUX_LOSSES:
             raise ValueError(f"unknown aux loss kind {self.kind!r}")
         if not 0 <= self.weight < np.inf:
             raise ValueError(f"aux weight must be finite and >= 0, got {self.weight}")
@@ -46,7 +43,7 @@ class LossSpec:
     aux: AuxSpec = None
 
     def __post_init__(self):
-        if self.kind not in CLASSIFICATION_KINDS:
+        if self.kind not in CLASSIFICATION_LOSSES:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not 0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
@@ -155,28 +152,20 @@ def label_smoothing_loss(g, log_probs, targets, smoothing, n_classes):
     return g.scale(g.sum(g.mul(g.const(soft), log_probs)), -1.0 / onehot.shape[0])
 
 
-def classification_loss(g, log_probs, targets, spec, n_classes):
-    if spec.kind == "nll":
-        return nll_loss(g, log_probs, targets)
-    if spec.kind == "focal":
-        return focal_loss(g, log_probs, targets, spec.gamma)
-    if spec.kind == "flsd":
-        return flsd_loss(g, log_probs, targets)
-    if spec.kind == "brier":
-        return brier_loss(g, log_probs, targets, n_classes)
-    if spec.kind == "label_smoothing":
-        return label_smoothing_loss(g, log_probs, targets, spec.smoothing, n_classes)
-    raise ValueError(f"unknown loss kind {spec.kind!r}")
-
-
-def aux_loss(g, log_probs, targets, aux, n_classes):
-    if aux.kind == "huber":
-        return aux_huber_loss(g, log_probs, targets, aux.alpha)
-    if aux.kind == "dca":
-        return dca_aux_loss(g, log_probs, targets)
-    if aux.kind == "mdca":
-        return mdca_aux_loss(g, log_probs, targets, n_classes)
-    raise ValueError(f"unknown aux loss kind {aux.kind!r}")
+# kind -> builder(g, log_probs, targets, spec, n_classes), one table per loss family
+CLASSIFICATION_LOSSES = {
+    "nll": lambda g, lp, t, spec, k: nll_loss(g, lp, t),
+    "focal": lambda g, lp, t, spec, k: focal_loss(g, lp, t, spec.gamma),
+    "flsd": lambda g, lp, t, spec, k: flsd_loss(g, lp, t),
+    "brier": lambda g, lp, t, spec, k: brier_loss(g, lp, t, k),
+    "label_smoothing": lambda g, lp, t, spec, k: label_smoothing_loss(g, lp, t,
+                                                                      spec.smoothing, k),
+}
+AUX_LOSSES = {
+    "huber": lambda g, lp, t, aux, k: aux_huber_loss(g, lp, t, aux.alpha),
+    "dca": lambda g, lp, t, aux, k: dca_aux_loss(g, lp, t),
+    "mdca": lambda g, lp, t, aux, k: mdca_aux_loss(g, lp, t, k),
+}
 
 
 def total_loss(g, log_probs, targets, spec, n_classes):
@@ -185,8 +174,8 @@ def total_loss(g, log_probs, targets, spec, n_classes):
     A zero weight (or no aux spec) builds the classification loss alone, so
     the degenerate case is bitwise identical to the plain loss.
     """
-    cls = classification_loss(g, log_probs, targets, spec, n_classes)
+    cls = CLASSIFICATION_LOSSES[spec.kind](g, log_probs, targets, spec, n_classes)
     if spec.aux is None or spec.aux.weight == 0:
         return cls
-    aux = aux_loss(g, log_probs, targets, spec.aux, n_classes)
+    aux = AUX_LOSSES[spec.aux.kind](g, log_probs, targets, spec.aux, n_classes)
     return g.add(cls, g.scale(aux, spec.aux.weight))

@@ -181,15 +181,41 @@ def report_to_dict(report):
     }
 
 
+_INTEGER = (int,)
+_NUMBER = (int, float)
+_NUMBER_OR_NULL = (int, float, type(None))
+_BOOLEAN = (bool,)
+_TYPE_NAMES = {_INTEGER: "an integer", _NUMBER: "a number",
+               _NUMBER_OR_NULL: "a number or null", _BOOLEAN: "a boolean"}
+_REPORT_FIELDS = (("n", _INTEGER), ("n_bins", _INTEGER), ("ece", _NUMBER_OR_NULL),
+                  ("test_error_pct", _NUMBER), ("auroc", _NUMBER_OR_NULL))
+_BIN_FIELDS = (("lower", _NUMBER), ("upper", _NUMBER), ("count", _INTEGER),
+               ("confidence", _NUMBER_OR_NULL), ("accuracy", _NUMBER_OR_NULL))
+_SUBSET_FIELDS = (("delta", _NUMBER), ("count", _INTEGER), ("fraction_pct", _NUMBER),
+                  ("ece", _NUMBER_OR_NULL), ("empty", _BOOLEAN))
+
+
+def _fields(record, fields, where):
+    """The values of `fields` in `record`, in order; a boolean is never a number."""
+    values = []
+    for key, types in fields:
+        value = record[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"report field {where}{key} must be {_TYPE_NAMES[types]}, "
+                             f"got {value!r}")
+        values.append(value)
+    return values
+
+
 def report_from_dict(doc):
     """Rebuild a report from its report_to_dict form; a malformed one raises ValueError."""
     try:
-        bins = [ReliabilityBin(b["lower"], b["upper"], b["count"],
-                               b["confidence"], b["accuracy"]) for b in doc["bins"]]
-        subsets = [SubsetCalibration(s["delta"], s["count"], s["fraction_pct"],
-                                     s["ece"], s["empty"]) for s in doc["subsets"]]
-        return CalibrationReport(doc["n"], doc["n_bins"], bins, doc["ece"], subsets,
-                                 doc["test_error_pct"], doc["auroc"])
+        bins = [ReliabilityBin(*_fields(b, _BIN_FIELDS, f"bins[{i}]."))
+                for i, b in enumerate(doc["bins"])]
+        subsets = [SubsetCalibration(*_fields(s, _SUBSET_FIELDS, f"subsets[{i}]."))
+                   for i, s in enumerate(doc["subsets"])]
+        n, n_bins, ece, test_error_pct, auroc = _fields(doc, _REPORT_FIELDS, "")
+        return CalibrationReport(n, n_bins, bins, ece, subsets, test_error_pct, auroc)
     except KeyError as exc:
         raise ValueError(f"report lacks key {exc.args[0]!r}") from None
     except TypeError as exc:

@@ -8,7 +8,7 @@ return. All operations are pure: they return new Datasets.
 
 import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -16,28 +16,19 @@ import numpy as np
 
 @dataclass
 class PruneSchedule:
-    """When and how hard to prune: fraction, EMA factor, epochs, warmup gate."""
+    """How hard and when to prune: fraction per class, EMA factor, prune epochs."""
     percent: float
     ema_factor: float = 0.3
-    interval: int = 5
-    epochs: frozenset = None
-    warmup_epochs: int = 0
+    epochs: frozenset = field(kw_only=True)
 
     def __post_init__(self):
         if not 0 < self.percent < 100:
             raise ValueError(f"prune percent must be in (0, 100), got {self.percent}")
         if not 0 <= self.ema_factor <= 1:
             raise ValueError(f"ema factor must be in [0, 1], got {self.ema_factor}")
-        if (self.interval is None) == (self.epochs is None):
-            raise ValueError("exactly one of interval/epochs must be set")
-        if self.interval is not None and self.interval < 1:
-            raise ValueError(f"prune interval must be >= 1, got {self.interval}")
-        if self.epochs is not None:
-            self.epochs = frozenset(int(e) for e in self.epochs)
-            if any(e < 1 for e in self.epochs):
-                raise ValueError("prune epochs must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup epochs must be >= 0, got {self.warmup_epochs}")
+        self.epochs = frozenset(int(e) for e in self.epochs)
+        if any(e < 1 for e in self.epochs):
+            raise ValueError("prune epochs must be >= 1")
 
 
 def prune_count(percent, n):
@@ -91,14 +82,3 @@ def prune_using_ema(dataset, percent):
     out = copy.copy(dataset)  # a row subset of a checked record needs no re-check
     out.x, out.y, out.ids, out.ema = (a[keep] for a in (out.x, out.y, out.ids, out.ema))
     return out
-
-
-def should_prune(epoch, schedule):
-    """True iff `epoch` is a scheduled prune epoch at or past the warmup gate."""
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
-    if epoch < schedule.warmup_epochs:
-        return False
-    if schedule.interval is not None:
-        return epoch % schedule.interval == 0
-    return epoch in schedule.epochs

@@ -19,7 +19,7 @@ from .losses import LossSpec, total_loss
 from .metrics import build_report
 from .mlp import (forward_logits, logits_graph, param_bindings, params_from_bindings,
                   predict)
-from .pruning import PruneSchedule, prune_using_ema, should_prune, update_ema
+from .pruning import PruneSchedule, prune_using_ema, update_ema
 
 TEMPERATURE_LO, TEMPERATURE_HI = 0.05, 10.0  # golden-section search bracket
 TEMPERATURE_RESOLUTION = 1e-3
@@ -43,7 +43,6 @@ class TrainConfig:
     prune: PruneSchedule = None
     eval_deltas: list = field(default_factory=lambda: [0.95, 0.99])
     n_bins: int = 10
-    log_confidences: bool = False
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -90,8 +89,7 @@ class RunResult:
     report: object
     total_sample_updates: int
     wall_clock_seconds: float
-    survivors: object = None     # the final surviving Dataset, EMA scores included
-    confidence_log: list = None  # per-epoch (original ids, confidences) arrays, opt-in
+    survivors: object = None  # the final surviving Dataset, EMA scores included
 
 
 def sgd_update(params, grads, velocity, lr, momentum, weight_decay):
@@ -140,7 +138,6 @@ def train_with_pruning(train, test, params, config):
     velocity = {name: np.zeros_like(arr) for name, arr in bindings.items()}
     survivors = train
     epoch_log, prune_events = [], []
-    confidence_log = [] if config.log_confidences else None
     total_updates = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -171,11 +168,9 @@ def train_with_pruning(train, test, params, config):
         n_surviving = len(survivors)
         total_updates += n_surviving
         epoch_log.append(EpochStats(epoch, loss_sum / n_surviving, n_surviving))
-        if confidence_log is not None:
-            confidence_log.append((survivors.ids, epoch_conf))
         if config.prune is not None:
             survivors = update_ema(survivors, epoch_conf, config.prune.ema_factor)
-            if should_prune(epoch, config.prune):
+            if epoch in config.prune.epochs:
                 before = survivors.class_sizes()
                 survivors = prune_using_ema(survivors, config.prune.percent)
                 after = survivors.class_sizes()
@@ -187,7 +182,7 @@ def train_with_pruning(train, test, params, config):
     final_params = params_from_bindings(params.widths, bindings)
     report = evaluate_model(final_params, test, config.n_bins, config.eval_deltas)
     return RunResult(final_params, epoch_log, prune_events, report, total_updates,
-                     time.perf_counter() - started, survivors, confidence_log)
+                     time.perf_counter() - started, survivors)
 
 
 def records_for(params, data, temperatures=(1.0,)):

@@ -304,8 +304,7 @@ EXPERIMENT_LOSSES = {
     "calibrated": LossSpec(kind="flsd", aux=AuxSpec(kind="huber", alpha=0.005,
                                                     weight=10.0)),
 }
-PRUNE_SCHEDULE = PruneSchedule(percent=10.0, ema_factor=0.3, interval=5,
-                               warmup_epochs=20)
+PRUNE_SCHEDULE = PruneSchedule(percent=10.0, ema_factor=0.3, epochs=range(20, 61, 5))
 
 
 def _experiment_data(seed):

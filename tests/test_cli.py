@@ -91,6 +91,7 @@ def test_config_value_types_checked(tmp_path, capsys):
     ('model.hidden=["x"]', "model.hidden[0]", "string 'x'"),
     ("model.hidden=[2.5]", "model.hidden[0]", "number 2.5"),
     ("dataset.images=5", "dataset.images", "integer 5"),
+    ("dataset.seed=-1", "dataset.seed", "integer -1"),
 ])
 def test_config_array_elements_and_null_defaults_typed(tmp_path, capsys, assignment, key,
                                                        element):
@@ -139,17 +140,37 @@ def test_config_root_not_an_object(tmp_path, monkeypatch, capsys, how):
 
 
 def test_prune_schedule_resolution():
-    cfg = resolve_config({"prune": {"enabled": True},
-                          "train": {"lr_milestones": [30, 45]}})
-    sched = build_prune_schedule(cfg)
-    assert sched.warmup_epochs == 30  # defaults to the first LR milestone
-    assert sched.interval == 5
-    cfg = resolve_config({"prune": {"enabled": True, "epochs": [7, 11],
-                                    "warmup_epochs": 0}})
-    sched = build_prune_schedule(cfg)
-    assert sched.interval is None
-    assert sched.epochs == frozenset({7, 11})
+    def epochs(prune, train=None):
+        cfg = resolve_config({"prune": {"enabled": True, **prune}, "train": train or {}})
+        return build_prune_schedule(cfg).epochs
+
+    # every interval-th epoch from the warmup on, up to max_epochs
+    assert epochs({"interval": 5, "warmup_epochs": 20}) == frozenset(range(20, 61, 5))
+    assert epochs({"interval": 5, "warmup_epochs": 0}, {"max_epochs": 12}) == {5, 10}
+    # explicit epochs win over the interval and still sit behind the warmup gate
+    assert epochs({"epochs": [5, 25], "warmup_epochs": 20}) == {25}
+    assert epochs({"epochs": [7, 11], "warmup_epochs": 0}) == {7, 11}
+    # the warmup defaults to the first LR milestone
+    assert epochs({}, {"lr_milestones": [45, 30]}) == frozenset(range(30, 61, 5))
+    assert epochs({}, {"lr_milestones": []}) == frozenset(range(5, 61, 5))
     assert build_prune_schedule(resolve_config({})) is None
+
+
+@pytest.mark.parametrize("assignments, key", [
+    (["prune.interval=0"], "prune.interval"),
+    (["prune.warmup_epochs=-1"], "prune.warmup_epochs"),
+    (["prune.epochs=[0]"], "prune.epochs"),
+    (["prune.epochs=[0, 4]", "prune.warmup_epochs=3"], "prune.epochs"),
+])
+def test_bad_prune_schedule_names_its_key(tmp_path, capsys, assignments, key):
+    path = write_config(tmp_path, tmp_path / "out")
+    argv = ["train", "--config", str(path)]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key {key} must ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_smoke_writes_bundle(tmp_path, capsys):
@@ -283,27 +304,49 @@ def test_report_regenerates_artifacts(trained, tmp_path):
         assert (report_out / name).read_text() == (out / name).read_text()
 
 
-@pytest.mark.parametrize("drop, key", [
-    (("report",), "'report'"),
-    (("report", "subsets"), "'subsets'"),
-    (("report", "bins", 0, "count"), "'count'"),
-    (None, "'report'"),
-    ("truncated", "invalid JSON"),
-], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated"])
-def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, drop, key):
-    """`drop` is the key path deleted from run.json; None wraps the document in a
-    list; "truncated" writes a document cut off after its first key."""
+DROP = object()  # marks a key deleted from run.json rather than given a value
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("report",), DROP, "'report'"),
+    (("report", "subsets"), DROP, "'subsets'"),
+    (("report", "bins", 0, "count"), DROP, "'count'"),
+    (None, None, "'report'"),
+    ("truncated", None, "invalid JSON"),
+    (("report", "bins", 0, "count"), "x", "bins[0].count must be an integer"),
+    (("report", "bins", 0, "count"), None, "bins[0].count must be an integer"),
+    (("report", "bins", 0, "count"), True, "bins[0].count must be an integer"),
+    (("report", "bins", 0, "lower"), "a", "bins[0].lower must be a number"),
+    (("report", "bins", 9, "confidence"), "z", "bins[9].confidence must be a number or null"),
+    (("report", "bins", 9, "accuracy"), [1], "bins[9].accuracy must be a number or null"),
+    (("report", "n"), "x", "report field n must be an integer"),
+    (("report", "n_bins"), 10.0, "report field n_bins must be an integer"),
+    (("report", "ece"), False, "report field ece must be a number or null"),
+    (("report", "auroc"), "0.5", "report field auroc must be a number or null"),
+    (("report", "subsets", 0, "delta"), None, "subsets[0].delta must be a number"),
+    (("report", "subsets", 0, "empty"), 0, "subsets[0].empty must be a boolean"),
+], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated",
+        "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
+        "accuracy_list", "n_string", "n_bins_float", "ece_boolean", "auroc_string",
+        "delta_null", "empty_integer"])
+def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, value, key):
+    """`path` is the key path in run.json given `value` (DROP deletes it); None
+    wraps the document in a list; "truncated" writes a document cut off after
+    its first key."""
     config_path, out = trained
     doc = json.loads((out / "run.json").read_text())
-    if drop is None:
+    if path is None:
         doc = [doc]
-    elif drop != "truncated":
+    elif path != "truncated":
         node = doc
-        for step in drop[:-1]:
+        for step in path[:-1]:
             node = node[step]
-        del node[drop[-1]]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
     bad = tmp_path / "bad_run.json"
-    bad.write_text('{"report": \n' if drop == "truncated" else json.dumps(doc))
+    bad.write_text('{"report": \n' if path == "truncated" else json.dumps(doc))
     capsys.readouterr()
     code = main(["report", "--run", str(bad), "--out", str(tmp_path / "regen")])
     err = capsys.readouterr().err
@@ -356,6 +399,37 @@ def test_idx_test_set_without_highest_class_trains(tmp_path):
     path.write_text(json.dumps(config))
     assert main(["train", "--config", str(path)]) == 0
     assert json.loads((tmp_path / "out" / "run.json").read_text())["report"]["n"] == 4
+
+
+@pytest.mark.parametrize("classes, code, recorded", [
+    (None, 0, None), (3, 0, 3), (2, 1, 2)], ids=["counted", "declared", "too_few"])
+def test_csv_class_count(tmp_path, capsys, classes, code, recorded):
+    """Without dataset.classes a csv source counts its classes from the training
+    labels (recorded as null); an explicit value declares the count."""
+    rng = np.random.default_rng(0)
+    for name, per_class in (("train", 10), ("test", 4)):
+        labels = np.repeat([0, 1, 2], per_class)
+        rows = [f"{a:.6f},{b:.6f},{y}" for (a, b), y in zip(rng.normal(size=(len(labels), 2)),
+                                                       labels)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(["a,b,y", *rows]) + "\n")
+    dataset = {"source": "csv", "path": str(tmp_path / "train.csv"),
+               "test_path": str(tmp_path / "test.csv"), "label_column": "y"}
+    if classes is not None:
+        dataset["classes"] = classes
+    path = tmp_path / "csv.json"
+    path.write_text(json.dumps({"dataset": dataset, "model": {"hidden": [4]},
+                                "train": {"max_epochs": 2, "batch_size": 8,
+                                          "lr_milestones": []},
+                                "output_dir": str(tmp_path / "out")}))
+    assert load_config(path, env={})["dataset"]["classes"] == recorded
+    assert main(["train", "--config", str(path)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of range for declared 2 classes" in err
+        return
+    doc = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert doc["config"]["dataset"]["classes"] == recorded
+    assert json.loads((tmp_path / "out" / "checkpoint.json").read_text())["widths"][-1] == 3
 
 
 @pytest.mark.parametrize("mutate", [

@@ -1,11 +1,10 @@
-"""EMA updates, the classwise prune rule, and schedule gating."""
+"""EMA updates, the classwise prune rule, and schedule validation."""
 
 import numpy as np
 import pytest
 
 from calprune.data import Dataset
-from calprune.pruning import (PruneSchedule, prune_count, prune_using_ema, should_prune,
-                              update_ema)
+from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 
 
 def make_dataset(labels, emas=None, ids=None, n_classes=None):
@@ -138,29 +137,10 @@ def test_monotone_shrinking_id_set():
         seen = current
 
 
-def test_should_prune_interval():
-    sched = PruneSchedule(percent=10.0, interval=5, warmup_epochs=0)
-    assert should_prune(10, sched)
-    assert not should_prune(7, sched)
-
-
-def test_should_prune_warmup_gate():
-    sched = PruneSchedule(percent=10.0, interval=None, epochs={5, 25}, warmup_epochs=20)
-    assert not should_prune(5, sched)
-    assert should_prune(25, sched)
-    interval = PruneSchedule(percent=10.0, interval=5, warmup_epochs=20)
-    assert should_prune(20, interval)
-    assert not should_prune(15, interval)
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        PruneSchedule(percent=0.0)
+        PruneSchedule(percent=0.0, epochs=())
     with pytest.raises(ValueError):
-        PruneSchedule(percent=10.0, ema_factor=1.5)
+        PruneSchedule(percent=10.0, ema_factor=1.5, epochs=())
     with pytest.raises(ValueError):
-        PruneSchedule(percent=10.0, interval=5, epochs={5})
-    with pytest.raises(ValueError):
-        PruneSchedule(percent=10.0, interval=None, epochs=None)
-    with pytest.raises(ValueError):
-        should_prune(0, PruneSchedule(percent=10.0, interval=5))
+        PruneSchedule(percent=10.0, epochs={0})

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from calprune import trainer
 from calprune.data import (Dataset, generate_gaussian_mixture, mixture_posterior,
                            stratified_split)
 from calprune.losses import AuxSpec, LossSpec
 from calprune.mlp import forward_logits, init_mlp, predict
-from calprune.pruning import PruneSchedule
+from calprune.pruning import PruneSchedule, update_ema
 from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               fit_temperature, fit_temperature_on_logits,
                               lr_at_epoch, mean_nll, sgd_update,
@@ -102,8 +103,8 @@ def test_pruned_loop_survivor_arithmetic():
     train = generate_gaussian_mixture(2, 1000, noise=0.0, seed=9)
     cfg = TrainConfig(max_epochs=20, batch_size=256, learning_rate=0.05,
                       lr_milestones=[], seed=2, loss=LossSpec(kind="nll"),
-                      prune=PruneSchedule(percent=10.0, ema_factor=0.3, interval=5,
-                                          warmup_epochs=0))
+                      prune=PruneSchedule(percent=10.0, ema_factor=0.3,
+                                          epochs=range(5, 21, 5)))
     params = init_mlp([2, 8, 2], seed=2)
     result = train_with_pruning(train, test, params, cfg)
     # per-class sizes after each prune: 1000 -> 900 -> 810 -> 729 -> 657
@@ -126,7 +127,7 @@ def test_pruned_run_never_revalidates(monkeypatch):
                         lambda self: calls.append(len(self.y)) or check(self))
     cfg = TrainConfig(max_epochs=8, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
-                      prune=PruneSchedule(percent=10.0, interval=4, warmup_epochs=0))
+                      prune=PruneSchedule(percent=10.0, epochs={4, 8}))
     result = train_with_pruning(train, test, init_mlp([2, 8, 2], seed=7), cfg)
     assert [p.epoch for p in result.prune_events] == [4, 8]
     assert calls == []
@@ -137,7 +138,7 @@ def test_training_is_bitwise_deterministic():
     cfg = TrainConfig(max_epochs=6, batch_size=32, learning_rate=0.05,
                       lr_milestones=[3], seed=5,
                       loss=LossSpec(kind="flsd", aux=AuxSpec()),
-                      prune=PruneSchedule(percent=10.0, interval=3, warmup_epochs=0))
+                      prune=PruneSchedule(percent=10.0, epochs={3, 6}))
     runs = []
     for _ in range(2):
         params = init_mlp([2, 8, 2], seed=5)
@@ -152,19 +153,24 @@ def test_training_is_bitwise_deterministic():
     assert a.total_sample_updates == b.total_sample_updates
 
 
-def test_ema_log_matches_closed_form():
+def test_ema_log_matches_closed_form(monkeypatch):
     train, _, test = small_experiment(noise=0.1, seed=6)
     kappa = 0.3
+    logged = []  # per-epoch (original ids, confidences) arrays, seen by update_ema
+
+    def spy(dataset, confidences, ema_factor):
+        logged.append((dataset.ids, confidences))
+        return update_ema(dataset, confidences, ema_factor)
+
+    monkeypatch.setattr(trainer, "update_ema", spy)
     cfg = TrainConfig(max_epochs=8, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
-                      prune=PruneSchedule(percent=10.0, ema_factor=kappa, interval=4,
-                                          warmup_epochs=0),
-                      log_confidences=True)
+                      prune=PruneSchedule(percent=10.0, ema_factor=kappa, epochs={4, 8}))
     params = init_mlp([2, 8, 2], seed=7)
     result = train_with_pruning(train, test, params, cfg)
-    assert len(result.confidence_log) == 8
-    assert all(np.all((0.0 <= c) & (c <= 1.0)) for _, c in result.confidence_log)
-    by_id = [dict(zip(ids.tolist(), c.tolist())) for ids, c in result.confidence_log]
+    assert len(logged) == 8
+    assert all(np.all((0.0 <= c) & (c <= 1.0)) for _, c in logged)
+    by_id = [dict(zip(ids.tolist(), c.tolist())) for ids, c in logged]
     # every final survivor's ema equals the closed form over its logged
     # confidences: e = sum_t kappa * (1-kappa)^(last-t) * c_t
     assert len(result.survivors) > 0
@@ -189,7 +195,7 @@ def test_batch_size_warning_with_pruning():
     train, _, test = small_experiment(seed=12)
     cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05,
                       lr_milestones=[], seed=1, loss=LossSpec(kind="nll"),
-                      prune=PruneSchedule(percent=10.0, interval=1, warmup_epochs=0))
+                      prune=PruneSchedule(percent=10.0, epochs={1}))
     params = init_mlp([2, 4, 2], seed=1)
     with pytest.warns(UserWarning, match="10\\*K"):
         train_with_pruning(train, test, params, cfg)
