@@ -1,8 +1,9 @@
-"""EMA updates, the classwise prune rule, and schedule validation."""
+"""EMA updates, the classwise prune rule, the resolved prune epochs, and schedule validation."""
 
 import numpy as np
 import pytest
 
+from calprune.config import build_prune_schedule, resolve_config
 from calprune.data import Dataset
 from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 
@@ -135,6 +136,26 @@ def test_monotone_shrinking_id_set():
         current = set(ds.ids.tolist())
         assert current <= seen
         seen = current
+
+
+def prune_epochs(prune):
+    cfg = resolve_config({"prune": {"enabled": True, **prune}})
+    return build_prune_schedule(cfg).epochs
+
+
+def test_should_prune_interval():
+    epochs = prune_epochs({"interval": 5, "warmup_epochs": 0})
+    assert 10 in epochs
+    assert 7 not in epochs
+
+
+def test_should_prune_warmup_gate():
+    explicit = prune_epochs({"epochs": [5, 25], "warmup_epochs": 20})
+    assert 5 not in explicit
+    assert 25 in explicit
+    interval = prune_epochs({"interval": 5, "warmup_epochs": 20})
+    assert 20 in interval
+    assert 15 not in interval
 
 
 def test_schedule_validation():
