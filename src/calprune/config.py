@@ -112,10 +112,15 @@ def _check_type(path, default, value):
             _check_type(f"{path}[{i}]", default[0], element)
 
 
+# object-valued sections that may be switched off with null
+_NULLABLE_SECTIONS = {"prune", "loss.aux"}
+
+
 def _merge_strict(defaults, user, prefix=""):
     """Merge `user` over `defaults`; every leaf must have its default's JSON type.
 
-    A key whose default is None takes None or the type in _NULL_DEFAULT_TYPES.
+    A key whose default is None takes None or the type in _NULL_DEFAULT_TYPES;
+    a section takes None only if it is in _NULLABLE_SECTIONS.
     """
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
@@ -123,7 +128,7 @@ def _merge_strict(defaults, user, prefix=""):
         if key not in defaults:
             raise ConfigError(f"unknown config key: {path}")
         if isinstance(defaults[key], dict) and defaults[key]:
-            if value is None:
+            if value is None and path in _NULLABLE_SECTIONS:
                 merged[key] = None
             elif not isinstance(value, dict):
                 raise ConfigError(f"config key {path} must be an object")

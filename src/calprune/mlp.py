@@ -2,9 +2,12 @@
 
 Parameters are Glorot-uniform initialised from a seeded PCG64 generator;
 the forward pass is an affine+relu stack with a final affine layer producing
-logits. Checkpoints are versioned JSON.
+logits. Checkpoints are versioned JSON; version 2 stores each array as base64
+of its little-endian float64 bytes and version 1 as nested lists, which
+`load_checkpoint` still reads.
 """
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -13,7 +16,7 @@ import numpy as np
 from .autodiff import Graph, log_softmax
 
 CHECKPOINT_MAGIC = "calprune-mlp"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -103,14 +106,40 @@ def params_from_bindings(widths, bindings):
     return MlpParams(list(widths), weights, biases)
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _encode_array(a):
+    """`{"shape", "data"}`: the C-order little-endian float64 bytes, base64."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(entry):
+    """Inverse of _encode_array, as an owned, writable, native float64 array."""
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(_is_count(n) and n >= 0 for n in shape):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+    raw = base64.b64decode(entry["data"], validate=True)
+    n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
+    if len(raw) != n_bytes:
+        raise ValueError(f"{len(raw)} data bytes, but shape {shape} needs {n_bytes}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+# how each checkpoint version stores an array
+_DECODERS = {1: lambda nested: np.asarray(nested, dtype=np.float64), 2: _decode_array}
+
+
 def checkpoint_text(params):
-    """Versioned JSON checkpoint text (row-major weight dumps, exact float64)."""
+    """Versioned JSON checkpoint text; each array is stored by _encode_array."""
     doc = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "widths": list(params.widths),
         "layers": [
-            {"weight": w.tolist(), "bias": b.tolist()}
+            {"weight": _encode_array(w), "bias": _encode_array(b)}
             for w, b in zip(params.weights, params.biases)
         ],
     }
@@ -123,24 +152,33 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; any malformed document raises ValueError naming `path`."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    """Read a version 1 (nested lists) or version 2 checkpoint.
+
+    Any malformed document raises ValueError naming `path`.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     magic = doc.get("magic") if isinstance(doc, dict) else None
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    decode = _DECODERS.get(version) if _is_count(version) else None
+    if decode is None:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
-        widths = [int(w) for w in doc["widths"]]
+        widths = doc["widths"]
+        if not (isinstance(widths, list) and len(widths) >= 2
+                and all(_is_count(w) and w > 0 for w in widths)):
+            raise ValueError(f"widths {widths!r} is not a list of >= 2 positive integers")
         layers = doc["layers"]
         if not isinstance(layers, list):
             raise TypeError(f"'layers' is a {type(layers).__name__}, not a list")
-        weights = [np.asarray(layer["weight"], dtype=np.float64) for layer in layers]
-        biases = [np.asarray(layer["bias"], dtype=np.float64) for layer in layers]
+        weights = [decode(layer["weight"]) for layer in layers]
+        biases = [decode(layer["bias"]) for layer in layers]
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -151,4 +189,6 @@ def load_checkpoint(path):
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
             raise ValueError(f"{path}: layer {i} shapes inconsistent with widths {widths}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{path}: layer {i} holds a non-finite weight or bias")
     return MlpParams(widths, weights, biases)

@@ -1,8 +1,12 @@
 """Config schema strictness and the four CLI subcommands, run in-process."""
 
+import base64
 import importlib.util
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,9 @@ from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datase
 from calprune.losses import AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+QUICKSTART = ROOT / "demos" / "quickstart_config.json"
 
 
 def write_config(tmp_path, output_dir, name="config.json", **overrides):
@@ -101,6 +107,22 @@ def test_config_array_elements_and_null_defaults_typed(tmp_path, capsys, assignm
     assert err.startswith(f"config error: config key {key} must be of type")
     assert element in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, code", [
+    ("dataset", 2), ("train", 2), ("model", 2), ("eval", 2), ("loss", 2),
+    ("prune", 0), ("loss.aux", 0)])
+def test_null_section_rejected_unless_optional(tmp_path, capsys, section, code):
+    """Only the optional sections, prune and loss.aux, may be switched off with null."""
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path), "--set", f"{section}=null"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(f"config error: config key {section} must be an object")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -432,10 +454,19 @@ def test_csv_class_count(tmp_path, capsys, classes, code, recorded):
     assert json.loads((tmp_path / "out" / "checkpoint.json").read_text())["widths"][-1] == 3
 
 
+def _nan_first_weight(doc):
+    weight = doc["layers"][0]["weight"]
+    values = np.frombuffer(base64.b64decode(weight["data"]), dtype="<f8").copy()
+    values[0] = np.nan
+    weight["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc["layers"].append(doc["layers"][-1]),
     lambda doc: doc.pop("widths"),
-], ids=["extra_layer", "no_widths"])
+    lambda doc: doc.update(widths=[2.7, *doc["widths"][1:]]),
+    _nan_first_weight,
+], ids=["extra_layer", "no_widths", "fractional_width", "nan_weight"])
 def test_evaluate_malformed_checkpoint_exits_cleanly(trained, tmp_path, capsys, mutate):
     config_path, out = trained
     doc = json.loads((out / "checkpoint.json").read_text())
@@ -449,6 +480,28 @@ def test_evaluate_malformed_checkpoint_exits_cleanly(trained, tmp_path, capsys, 
     assert code == 1
     assert err.startswith("error: ") and "bad_checkpoint.json" in err
     assert "Traceback" not in err
+
+
+def test_quickstart_checkpoint_bytes_deterministic(tmp_path):
+    texts = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["train", "--config", str(QUICKSTART), "--set", f"output_dir={out}"]) == 0
+        texts.append((out / "checkpoint.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["version"] == 2
+
+
+def test_module_entry_point_runs_from_checkout(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = [sys.executable, "-m", "calprune"]
+    proc = subprocess.run([*run, "--help"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: calprune")
+    proc = subprocess.run([*run, "report", "--run", str(tmp_path / "missing.json"),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: ")
 
 
 def load_tracing():

@@ -1,13 +1,15 @@
 """MLP init/forward/predict contracts and the checkpoint format."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from calprune.autodiff import Graph, log_softmax
-from calprune.mlp import (forward_logits, init_mlp, load_checkpoint,
-                          logits_graph, param_bindings, predict, save_checkpoint)
+from calprune.mlp import (MlpParams, checkpoint_text, forward_logits, init_mlp,
+                          load_checkpoint, logits_graph, param_bindings, predict,
+                          save_checkpoint)
 
 
 def test_init_shapes_and_zero_biases():
@@ -126,14 +128,50 @@ def test_forward_matches_out_of_place_reference_bitwise(widths):
     assert batch.tobytes() == kept.tobytes()
 
 
-def test_checkpoint_roundtrip_exact(tmp_path):
-    params = init_mlp([3, 8, 4], seed=5)
-    path = tmp_path / "model.json"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
+def _v1_doc(params):
+    """A version 1 document, as the list-of-floats writer produced it."""
+    return {"magic": "calprune-mlp", "version": 1, "widths": list(params.widths),
+            "layers": [{"weight": w.tolist(), "bias": b.tolist()}
+                       for w, b in zip(params.weights, params.biases)]}
+
+
+def _assert_loads_exactly(loaded, params):
     assert loaded.widths == params.widths
     for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
-        assert a.tobytes() == b.tobytes()
+        assert b.dtype == np.float64 and b.dtype.isnative
+        assert b.flags.owndata and b.flags.writeable and b.flags.c_contiguous
+        assert b.tobytes() == np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def test_checkpoint_roundtrip_exact(tmp_path):
+    params = init_mlp([3, 8, 4], seed=5)
+    params.biases[0] += np.random.default_rng(1).normal(size=8)
+    path = tmp_path / "model.json"
+    save_checkpoint(params, path)
+    text = path.read_text()
+    assert json.loads(text)["version"] == 2 and text.endswith("}\n")
+    _assert_loads_exactly(load_checkpoint(path), params)
+
+
+def test_checkpoint_v1_loads_bit_equal_to_v2(tmp_path):
+    params = init_mlp([3, 8, 4], seed=5)
+    params.biases[1] += np.random.default_rng(1).normal(size=4)
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(_v1_doc(params)))
+    save_checkpoint(params, v2)
+    _assert_loads_exactly(load_checkpoint(v1), params)
+    _assert_loads_exactly(load_checkpoint(v2), params)
+
+
+def test_checkpoint_v2_roundtrips_strided_and_big_endian_arrays(tmp_path):
+    base = init_mlp([3, 8, 4], seed=5)
+    params = MlpParams(base.widths,
+                       [np.asfortranarray(base.weights[0]), base.weights[1].astype(">f8")],
+                       [np.linspace(-1.0, 1.0, 16)[::2], base.biases[1].astype(">f8") + 0.5])
+    assert not params.weights[0].flags.c_contiguous and not params.biases[0].flags.contiguous
+    path = tmp_path / "model.json"
+    save_checkpoint(params, path)
+    _assert_loads_exactly(load_checkpoint(path), params)
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
@@ -149,7 +187,25 @@ def _drop(key, layer=None):
     return mutate
 
 
-@pytest.mark.parametrize("mutate, problem", [
+def _set_widths(widths):
+    return lambda doc: doc.update(widths=widths)
+
+
+def _put_nan(name, layer):
+    """Overwrite one element of a stored array with NaN, in either layout."""
+    def mutate(doc):
+        entry = doc["layers"][layer][name]
+        if doc["version"] == 1:
+            (entry[0] if name == "weight" else entry)[0] = float("nan")
+            return
+        values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        values[0] = np.nan
+        entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return mutate
+
+
+# each case applies to both layouts: version 2 as written, version 1 as built by _v1_doc
+MALFORMED = pytest.mark.parametrize("mutate, problem", [
     (lambda doc: doc["layers"].append(doc["layers"][-1]), "3 layers, but widths"),
     (_drop("magic"), "magic None"),
     (_drop("widths"), "lacks key 'widths'"),
@@ -157,13 +213,66 @@ def _drop(key, layer=None):
     (_drop("weight", layer=0), "lacks key 'weight'"),
     (_drop("bias", layer=1), "lacks key 'bias'"),
     (lambda doc: doc.update(layers={"weight": []}), "'layers' is a dict, not a list"),
+    (lambda doc: doc.update(version=True), "unsupported checkpoint version True"),
+    (_set_widths([2.7, 4, 2]), r"widths \[2.7, 4, 2\] is not a list of >= 2 positive"),
+    (_set_widths([True, 4, 2]), r"widths \[True, 4, 2\] is not"),
+    (_set_widths([3, 0, 2]), r"widths \[3, 0, 2\] is not"),
+    (_set_widths([3]), r"widths \[3\] is not"),
+    (_set_widths({"0": 3}), "widths {'0': 3} is not"),
+    (_set_widths([3, 5, 2]), "layer 0 shapes inconsistent with widths"),
+    (_put_nan("weight", 0), "layer 0 holds a non-finite weight or bias"),
+    (_put_nan("bias", 1), "layer 1 holds a non-finite weight or bias"),
 ], ids=["extra_layer", "no_magic", "no_widths", "no_layers", "no_weight", "no_bias",
-        "layers_not_list"])
+        "layers_not_list", "version_bool", "fractional_width", "boolean_width",
+        "zero_width", "one_width", "widths_not_list", "widths_disagree", "nan_weight",
+        "nan_bias"])
+
+
+def _assert_rejected(tmp_path, doc, mutate, problem):
+    path = tmp_path / "model.json"
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"model.json: .*({problem})"):
+        load_checkpoint(path)
+
+
+@MALFORMED
 def test_checkpoint_malformed_documents_rejected(tmp_path, mutate, problem):
     path = tmp_path / "model.json"
     save_checkpoint(init_mlp([3, 4, 2], seed=0), path)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"model.json: .*{problem}"):
-        load_checkpoint(path)
+    _assert_rejected(tmp_path, json.loads(path.read_text()), mutate, problem)
+
+
+@MALFORMED
+def test_checkpoint_v1_malformed_documents_rejected(tmp_path, mutate, problem):
+    _assert_rejected(tmp_path, _v1_doc(init_mlp([3, 4, 2], seed=0)), mutate, problem)
+
+
+def _set_entry(name, **fields):
+    return lambda doc: doc["layers"][0][name].update(fields)
+
+
+@pytest.mark.parametrize("mutate, problem", [
+    # a lenient decoder would skip the stray character and load the right bytes
+    (lambda doc: doc["layers"][0]["weight"].update(
+        data="*" + doc["layers"][0]["weight"]["data"]), "base64"),
+    (_set_entry("weight", data="AAA"), "padding"),
+    (_set_entry("weight", data="é"), "ASCII"),
+    (_set_entry("weight", data=5), "malformed checkpoint"),
+    (_set_entry("bias", data=base64.b64encode(bytes(8 * 3)).decode()),
+     "24 data bytes, but shape \\[4\\] needs 32"),
+    (_set_entry("weight", shape=[4, 3]), "layer 0 shapes inconsistent with widths"),
+    (_set_entry("weight", shape=[12]), "layer 0 shapes inconsistent with widths"),
+    (_set_entry("weight", shape=[3, -4]), r"shape \[3, -4\] is not a list of non-negative"),
+    (_set_entry("weight", shape=[3, 4.0]), r"shape \[3, 4.0\] is not"),
+    (_set_entry("weight", shape=[3, True]), r"shape \[3, True\] is not"),
+    (_set_entry("weight", shape="3x4"), "shape '3x4' is not"),
+    (lambda doc: doc["layers"][0].update(weight=[[0.0] * 4] * 3), "malformed checkpoint"),
+    (lambda doc: doc["layers"][0]["weight"].pop("shape"), "lacks key 'shape'"),
+    (lambda doc: doc["layers"][0]["bias"].pop("data"), "lacks key 'data'"),
+], ids=["bad_base64", "bad_padding", "non_ascii", "data_not_string", "short_payload",
+        "transposed_shape", "flat_shape", "negative_shape", "float_shape", "boolean_shape",
+        "shape_not_list", "v1_array_in_v2", "no_shape", "no_data"])
+def test_checkpoint_v2_corruptions_rejected(tmp_path, mutate, problem):
+    doc = json.loads(checkpoint_text(init_mlp([3, 4, 2], seed=0)))
+    _assert_rejected(tmp_path, doc, mutate, problem)
