@@ -1,7 +1,8 @@
 """Every loss on one toy batch, so the knobs are easy to see side by side.
 
 The batch is two-class with hand-picked target probabilities; each loss is
-built as a graph over a log-probability leaf and evaluated once.
+built as a graph over a log-probability leaf and an integer label leaf, and
+evaluated once.
 """
 
 import numpy as np
@@ -19,8 +20,8 @@ targets = np.array([0, 0, 0, 0])
 
 def value(build, **kw):
     g = Graph()
-    node = build(g, g.leaf("lp"), targets, **kw)
-    return float(g.forward({"lp": log_probs}, root=node))
+    node = build(g, g.leaf("lp"), g.int_leaf("y"), **kw)
+    return float(g.forward({"lp": log_probs, "y": targets}, root=node))
 
 
 print("nll:                ", value(nll_loss))

@@ -3,12 +3,17 @@
 A Graph is a re-runnable Wengert list: builder methods append nodes in
 topological order, forward() evaluates every node under fresh leaf bindings,
 and backward() accumulates adjoints from a scalar root back to the leaves.
-Everything is float64; gradient checks at 1e-4 tolerance are unreliable in
-32-bit.
+Values are float64, apart from integer input leaves such as class labels;
+gradient checks at 1e-4 tolerance are unreliable in 32-bit.
 
 Each op kind is defined once, in RULES: a forward rule and one adjoint (vjp)
 rule per input. backward() calls an input's rule only when that input lies on
 a path to a parameter leaf, so inputs such as the data batch get no gradient.
+
+A graph is built once and evaluated many times. The first forward() or
+backward() for a root compiles a plan: the forward (node, rule, inputs) list
+and the backward (node, inputs, vjp calls) list, with every RULES lookup and
+on-path test already done. Appending a node discards the plans.
 """
 
 from dataclasses import dataclass
@@ -75,16 +80,14 @@ def _matmul(node, a, b):
 def _broadcasting(ufunc):
     def evaluate(node, a, b):
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            return ufunc(a, b)
         except ValueError:
             raise GraphError(
                 f"{node.op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-        return ufunc(a, b)
     return evaluate
 
 
-def _gather_rows(node, x):
-    idx = node.aux
+def _gather_rows(node, x, idx):
     if x.ndim != 2:
         raise GraphError(f"gather_rows: expected 2-d input, got shape {x.shape}")
     if idx.shape != (x.shape[0],):
@@ -118,11 +121,27 @@ def _row_max(node, x):
     return x[np.arange(x.shape[0]), node.saved]
 
 
-def _correct_indicator(node, x):
-    targets = node.aux
+def _correct_indicator(node, x, targets):
     if x.ndim != 2 or targets.shape != (x.shape[0],):
         raise GraphError(f"correct_indicator: logits shape {x.shape} vs targets {targets.shape}")
     return (np.argmax(x, axis=1) == targets).astype(np.float64)
+
+
+def _one_hot(node, targets):
+    n_classes, on, off = node.aux
+    if targets.ndim != 1:
+        raise GraphError(f"one_hot: expected 1-d targets, got shape {targets.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
+        raise GraphError(f"target labels out of range for {n_classes} classes")
+    out = np.full((targets.shape[0], n_classes), off)
+    out[np.arange(targets.shape[0]), targets] = on
+    return out
+
+
+def _per_row(node, batch):
+    if batch.ndim == 0 or batch.shape[0] == 0:
+        raise GraphError(f"per_row needs a nonempty leading axis, got shape {batch.shape}")
+    return np.asarray(node.aux / batch.shape[0])
 
 
 def _focal_power(node, x):
@@ -145,8 +164,8 @@ def _huber_vjp(adj, node, x):
     return adj * (x if abs(x) <= alpha else alpha * np.sign(x))
 
 
-# op kind -> (forward rule, one adjoint rule per input). An op without
-# adjoint rules passes no gradient to its inputs.
+# op kind -> (forward rule, adjoint rules for its leading inputs). An input
+# without a rule (such as the targets of gather_rows) gets no gradient.
 RULES = {
     "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
     "const": (lambda node: node.aux, ()),
@@ -167,7 +186,7 @@ RULES = {
     "pow_const": (lambda node, x: x ** node.aux,
                   (lambda adj, node, x: adj * node.aux * x ** (node.aux - 1.0),)),
     "abs": (lambda node, x: np.abs(x), (lambda adj, node, x: adj * np.sign(x),)),
-    "gather_rows": (_gather_rows, (lambda adj, node, x: _scatter_rows(adj, x, node.aux),)),
+    "gather_rows": (_gather_rows, (lambda adj, node, x, idx: _scatter_rows(adj, x, idx),)),
     "mean": (_mean, (lambda adj, node, x: np.full(x.shape, adj / x.shape[0]),)),
     "sum": (lambda node, x: np.asarray(np.sum(x)), (lambda adj, node, x: np.full_like(x, adj),)),
     "scale": (lambda node, x: node.aux * x, (lambda adj, node, x: node.aux * adj,)),
@@ -175,9 +194,47 @@ RULES = {
     "huber": (_huber, (_huber_vjp,)),
     "row_max": (_row_max, (lambda adj, node, x: _scatter_rows(adj, x, node.saved),)),
     "correct_indicator": (_correct_indicator, ()),
+    "one_hot": (_one_hot, ()),
+    "per_row": (_per_row, ()),
     "focal_power": (_focal_power,
                     (lambda adj, node, x: adj * node.saved * x ** (node.saved - 1.0),)),
 }
+
+
+class _Plan:
+    """One root's evaluation order, compiled once from the node list.
+
+    forward: (node, rule, inputs) for every non-leaf node up to the root.
+    backward: (node, inputs, ((input, vjp, first), ...)) in reverse order, for
+    every node that receives an adjoint and passes it on; `first` marks the
+    contribution that becomes the input's adjoint, later ones are added to it.
+    zeros: the nodes up to the root that receive no contribution.
+    params: the parameter leaves up to the root.
+    """
+    __slots__ = ("forward", "backward", "zeros", "params")
+
+    def __init__(self, nodes, root):
+        try:
+            stop = nodes.index(root)
+        except ValueError:
+            raise GraphError(f"{root!r} is not a node of this graph") from None
+        active = nodes[: stop + 1]
+        self.forward = tuple((node, RULES[node.op][0], node.inputs)
+                             for node in active if node.op != "leaf")
+        reached, backward = {root}, []
+        for node in reversed(active):
+            if node not in reached or not node.on_path:
+                continue
+            calls = []
+            for inp, vjp in zip(node.inputs, RULES[node.op][1]):
+                if inp.on_path:
+                    calls.append((inp, vjp, inp not in reached))
+                    reached.add(inp)
+            if calls:
+                backward.append((node, node.inputs, tuple(calls)))
+        self.backward = tuple(backward)
+        self.zeros = tuple(node for node in active if node not in reached)
+        self.params = tuple(node for node in active if node.is_param)
 
 
 class Graph:
@@ -190,23 +247,41 @@ class Graph:
     def __init__(self):
         self.nodes = []
         self._leaf_names = {}
+        self._plans = {}  # root node -> _Plan
 
     def _append(self, node):
-        if RULES[node.op][1]:
-            for inp in node.inputs:
-                if inp.on_path:
-                    node.on_path = True
-                    break
+        for inp in node.inputs:
+            if not isinstance(inp, Node):
+                raise GraphError(f"{node.op}: inputs must be graph nodes, got "
+                                 f"{type(inp).__name__}")
+        for inp, _ in zip(node.inputs, RULES[node.op][1]):
+            if inp.on_path:
+                node.on_path = True
+                break
         self.nodes.append(node)
+        self._plans.clear()
         return node
+
+    def _plan(self, root):
+        plan = self._plans.get(root)
+        if plan is None:
+            plan = self._plans[root] = _Plan(self.nodes, root)
+        return plan
 
     # ---- leaves and constants -------------------------------------------
 
     def leaf(self, name, param=True):
-        """Declare a named input; `param=True` marks it a trainable parameter."""
+        """Declare a named float64 input; `param=True` marks it a trainable parameter."""
+        return self._leaf(name, param, np.float64)
+
+    def int_leaf(self, name):
+        """Declare a named int64 input, such as class labels; never a parameter."""
+        return self._leaf(name, False, np.int64)
+
+    def _leaf(self, name, param, dtype):
         if name in self._leaf_names:
             raise GraphError(f"duplicate leaf name {name!r}")
-        node = self._append(Node("leaf", name=name, is_param=param))
+        node = self._append(Node("leaf", aux=dtype, name=name, is_param=param))
         self._leaf_names[name] = node
         return node
 
@@ -249,8 +324,11 @@ class Graph:
         return self._append(Node("abs", (a,)))
 
     def gather_rows(self, a, indices):
-        """Pick one entry per row of a 2-d array: out[i] = a[i, indices[i]]."""
-        return self._append(Node("gather_rows", (a,), aux=np.asarray(indices, dtype=np.int64)))
+        """Pick one entry per row of a 2-d array: out[i] = a[i, indices[i]].
+
+        `indices` is a node holding one integer per row, e.g. an int_leaf.
+        """
+        return self._append(Node("gather_rows", (a, indices)))
 
     def mean(self, a):
         """Mean over the leading (batch) axis."""
@@ -280,10 +358,22 @@ class Graph:
     def correct_indicator(self, a, targets):
         """Per-row 0/1 indicator that argmax(a) equals the target label.
 
-        The indicator is piecewise constant, so it has no adjoint rule.
+        `targets` is a node holding one integer label per row. The indicator
+        is piecewise constant, so it has no adjoint rule.
         """
-        return self._append(Node("correct_indicator", (a,),
-                                 aux=np.asarray(targets, dtype=np.int64)))
+        return self._append(Node("correct_indicator", (a, targets)))
+
+    def one_hot(self, targets, n_classes, on=1.0, off=0.0):
+        """(n, n_classes) rows holding `on` at each target label and `off` elsewhere.
+
+        A function of the labels alone, so it has no adjoint rule.
+        """
+        return self._append(Node("one_hot", (targets,),
+                                 aux=(int(n_classes), float(on), float(off))))
+
+    def per_row(self, batch, factor=1.0):
+        """The scalar factor / n for the n rows of `batch`; it has no adjoint rule."""
+        return self._append(Node("per_row", (batch,), aux=float(factor)))
 
     def focal_power(self, a, gamma_below=5.0, gamma_above=3.0, threshold=0.2):
         """a**gamma with gamma chosen per element from the current forward value.
@@ -298,19 +388,22 @@ class Graph:
     # ---- evaluation -------------------------------------------------------
 
     def forward(self, bindings, root=None):
-        """Evaluate all nodes up to `root` (default: last built) and return its value."""
-        unknown = set(bindings) - set(self._leaf_names)
-        if unknown:
-            raise GraphError(f"unknown leaf name(s) in bindings: {sorted(unknown)}")
-        missing = set(self._leaf_names) - set(bindings)
-        if missing:
+        """Evaluate all nodes up to `root` (default: last built) and return its value.
+
+        Every leaf is bound, as an array of its declared dtype.
+        """
+        leaves = self._leaf_names
+        if bindings.keys() != leaves.keys():
+            unknown = set(bindings) - set(leaves)
+            if unknown:
+                raise GraphError(f"unknown leaf name(s) in bindings: {sorted(unknown)}")
+            missing = set(leaves) - set(bindings)
             raise GraphError(f"missing binding(s) for leaf(s): {sorted(missing)}")
-        for name, node in self._leaf_names.items():
-            node.value = np.asarray(bindings[name], dtype=np.float64)
+        for name, node in leaves.items():
+            node.value = np.asarray(bindings[name], dtype=node.aux)
         root = root if root is not None else self.nodes[-1]
-        stop = self.nodes.index(root)
-        for node in self.nodes[: stop + 1]:
-            node.value = RULES[node.op][0](node, *[inp.value for inp in node.inputs])
+        for node, rule, inputs in self._plan(root).forward:
+            node.value = rule(node, *[inp.value for inp in inputs])
         return root.value
 
     def backward(self, root=None):
@@ -327,23 +420,18 @@ class Graph:
             raise GraphError("backward() before forward()")
         if root.value.shape != ():
             raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
-        stop = self.nodes.index(root)
-        active = self.nodes[: stop + 1]
-        for node in active:
-            node.adjoint = None
+        plan = self._plan(root)
         root.adjoint = np.ones_like(root.value)
-        for node in reversed(active):
+        for node, inputs, calls in plan.backward:
             adj = node.adjoint
-            if adj is None:
-                node.adjoint = (np.zeros_like(node.value) if node.is_param
-                                else _zero_view(node.value.shape))
-            elif node.on_path and node.inputs:
-                values = [inp.value for inp in node.inputs]
-                for inp, vjp in zip(node.inputs, RULES[node.op][1]):
-                    if inp.on_path:
-                        grad = vjp(adj, node, *values)
-                        inp.adjoint = grad if inp.adjoint is None else inp.adjoint + grad
-        return {n.name: n.adjoint for n in active if n.is_param}
+            values = [inp.value for inp in inputs]
+            for inp, vjp, first in calls:
+                grad = vjp(adj, node, *values)
+                inp.adjoint = grad if first else inp.adjoint + grad
+        for node in plan.zeros:
+            node.adjoint = (np.zeros_like(node.value) if node.is_param
+                            else _zero_view(node.value.shape))
+        return {node.name: node.adjoint for node in plan.params}
 
 
 @dataclass

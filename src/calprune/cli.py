@@ -13,8 +13,8 @@ from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_con
     load_config, model_widths
 from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
-from .reporting import (CHECKPOINT_JSON, bundle_texts, fmt_sig, run_result_doc,
-                        write_bundle)
+from .reporting import (CHECKPOINT_JSON, bundle_texts, check_output_dir, fmt_sig,
+                        run_result_doc, write_bundle)
 from .trainer import (TrainingDiverged, evaluate_model, fit_temperature,
                       records_for, train_with_pruning)
 
@@ -40,6 +40,7 @@ def _print_report(report):
 
 def cmd_train(args):
     cfg = load_config(args.config, overrides=args.set or ())
+    check_output_dir(cfg["output_dir"])
     train, _, test = build_datasets(cfg)
     widths = model_widths(cfg, train.x.shape[1], train.n_classes)
     train_config = build_train_config(cfg)
@@ -73,6 +74,7 @@ def _load_checkpoint_for(cfg, checkpoint_path, test):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, overrides=args.set or ())
+    check_output_dir(args.out)
     _, _, test = build_datasets(cfg)
     params = _load_checkpoint_for(cfg, args.checkpoint, test)
     bins = args.bins if args.bins is not None else cfg["eval"]["bins"]
@@ -99,6 +101,7 @@ def cmd_calibrate(args):
 
 
 def cmd_report(args):
+    check_output_dir(args.out)
     with open(args.run) as fh:
         try:
             doc = json.load(fh)

@@ -1,9 +1,12 @@
 """Classification and auxiliary calibration losses as graph builders.
 
 Every loss takes a log-probability node (the output of a log-softmax) plus
-integer targets and returns a scalar graph node, so gradients come from the
-autodiff module. Probabilities are always read back via exp() of log-softmax
-output; no raw softmax of large logits anywhere.
+a node of integer targets (an int_leaf bound per batch) and returns a scalar
+graph node, so gradients come from the autodiff module. Whatever depends on
+the labels or the batch size (one-hot rows, class frequencies, a 1/n scale)
+is an op of the targets node, so one built graph serves every batch,
+including a short final one. Probabilities are always read back via exp() of
+log-softmax output; no raw softmax of large logits anywhere.
 
 Sign convention: the focal family is built with a leading minus so the loss
 value is >= 0 and minimisation is meaningful.
@@ -49,15 +52,6 @@ class LossSpec:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0 <= self.smoothing < 1:
             raise ValueError(f"smoothing must be in [0, 1), got {self.smoothing}")
-
-
-def _one_hot(targets, n_classes):
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
-        raise ValueError(f"target labels out of range for {n_classes} classes")
-    out = np.zeros((targets.shape[0], n_classes))
-    out[np.arange(targets.shape[0]), targets] = 1.0
-    return out
 
 
 def nll_loss(g, log_probs, targets):
@@ -127,29 +121,23 @@ def dca_aux_loss(g, log_probs, targets):
 
 def mdca_aux_loss(g, log_probs, targets, n_classes):
     """Classwise mean |mean predicted probability - empirical label frequency|."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape[0] == 0:
-        raise ValueError("mdca_aux_loss requires a nonempty batch")
-    freq = np.bincount(targets, minlength=n_classes) / targets.shape[0]
+    freq = g.mean(g.one_hot(targets, n_classes))  # label counts / n, no gradient
     class_mean = g.mean(g.exp(log_probs))
-    gap = g.sub(class_mean, g.stop_gradient(g.const(freq)))
-    return g.mean(g.absolute(gap))
+    return g.mean(g.absolute(g.sub(class_mean, freq)))
 
 
 def brier_loss(g, log_probs, targets, n_classes):
     """Squared error against the one-hot target, summed over classes, batch mean."""
-    onehot = _one_hot(targets, n_classes)
-    diff = g.sub(g.exp(log_probs), g.const(onehot))
-    return g.scale(g.sum(g.pow_const(diff, 2.0)), 1.0 / onehot.shape[0])
+    diff = g.sub(g.exp(log_probs), g.one_hot(targets, n_classes))
+    return g.mul(g.per_row(targets), g.sum(g.pow_const(diff, 2.0)))
 
 
 def label_smoothing_loss(g, log_probs, targets, smoothing, n_classes):
     """Cross-entropy against (1 - eps) on the true class, eps/(K-1) elsewhere."""
     if not 0 <= smoothing < 1:
         raise ValueError(f"smoothing must be in [0, 1), got {smoothing}")
-    onehot = _one_hot(targets, n_classes)
-    soft = (1.0 - smoothing) * onehot + smoothing / (n_classes - 1) * (1.0 - onehot)
-    return g.scale(g.sum(g.mul(g.const(soft), log_probs)), -1.0 / onehot.shape[0])
+    soft = g.one_hot(targets, n_classes, on=1.0 - smoothing, off=smoothing / (n_classes - 1))
+    return g.mul(g.per_row(targets, -1.0), g.sum(g.mul(soft, log_probs)))
 
 
 # kind -> builder(g, log_probs, targets, spec, n_classes), one table per loss family

@@ -207,6 +207,12 @@ def bundle_texts(report, run_doc=None):
     return files
 
 
+def check_output_dir(out_dir):
+    """Refuse an output directory that already exists: bundles never overwrite."""
+    if Path(out_dir).exists():
+        raise FileExistsError(f"output directory {Path(out_dir)} already exists")
+
+
 def write_bundle(out_dir, files, extra_files=None):
     """Atomically write a bundle: temp dir, all files, manifest, single rename.
 
@@ -214,9 +220,8 @@ def write_bundle(out_dir, files, extra_files=None):
     stable digest excluding timing); `extra_files` (e.g. the checkpoint) land
     in the same directory without a manifest entry.
     """
+    check_output_dir(out_dir)  # again here: the directory may have appeared since
     out_dir = Path(out_dir)
-    if out_dir.exists():
-        raise FileExistsError(f"output directory {out_dir} already exists")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = out_dir.parent / (out_dir.name + ".partial")
     if tmp.exists():

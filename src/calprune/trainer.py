@@ -140,6 +140,14 @@ def train_with_pruning(train, test, params, config):
     epoch_log, prune_events = [], []
     total_updates = 0
 
+    # one loss graph for the whole run; each batch rebinds the x and y leaves
+    graph = Graph()
+    x = graph.leaf("x", param=False)
+    y = graph.int_leaf("y")
+    log_probs = graph.log_softmax(logits_graph(graph, x, params.n_layers))
+    loss_node = total_loss(graph, log_probs, y, config.loss, n_classes)
+    feed = dict(bindings)  # the same parameter arrays, which sgd_update steps in place
+
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(epoch, config)
         if len(survivors) == 0:
@@ -148,15 +156,9 @@ def train_with_pruning(train, test, params, config):
         epoch_conf = np.full(len(survivors), np.nan)  # by survivor position
         loss_sum = 0.0
         for batch_no, block in enumerate(blocks):
-            graph = Graph()
-            x = graph.leaf("x", param=False)
-            logits = logits_graph(graph, x, params.n_layers)
-            log_probs = graph.log_softmax(logits)
-            loss_node = total_loss(graph, log_probs, survivors.y[block],
-                                   config.loss, n_classes)
-            batch_bindings = dict(bindings)
-            batch_bindings["x"] = survivors.x[block]
-            loss_value = float(graph.forward(batch_bindings, root=loss_node))
+            feed["x"] = survivors.x[block]
+            feed["y"] = survivors.y[block]
+            loss_value = float(graph.forward(feed, root=loss_node))
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")

@@ -79,10 +79,10 @@ def _build_instance(spec, seed, n=8, widths=(2, 5, 4)):
     logits = g.add(g.matmul(hidden, g.leaf("w1")), g.leaf("b1"))
     log_probs = g.log_softmax(logits)
     targets = rng.integers(0, widths[-1], size=n)
-    total_loss(g, log_probs, targets, spec, widths[-1])
+    total_loss(g, log_probs, g.int_leaf("y"), spec, widths[-1])
     bindings = {"w0": params.weights[0], "b0": params.biases[0],
                 "w1": params.weights[1], "b1": params.biases[1],
-                "x": rng.uniform(-2, 2, size=(n, widths[0]))}
+                "x": rng.uniform(-2, 2, size=(n, widths[0])), "y": targets}
     return g, bindings, pre_activation, log_probs, targets
 
 
@@ -263,8 +263,8 @@ def test_criterion_04_ema_closed_form():
 def _loss_value(build, log_probs, targets, **kwargs):
     g = Graph()
     lp = g.leaf("lp")
-    node = build(g, lp, targets, **kwargs)
-    return float(g.forward({"lp": log_probs}, root=node))
+    node = build(g, lp, g.int_leaf("y"), **kwargs)
+    return float(g.forward({"lp": log_probs, "y": targets}, root=node))
 
 
 def test_criterion_05_reductions():

@@ -58,8 +58,8 @@ def test_softmax_cross_entropy_gradient_at_symmetry():
     g = Graph()
     z = g.leaf("z")
     lp = g.log_softmax(z)
-    g.sum(g.gather_rows(lp, [0]))
-    g.forward({"z": np.array([[0.0, 0.0]])})
+    g.sum(g.gather_rows(lp, g.int_leaf("t")))
+    g.forward({"z": np.array([[0.0, 0.0]]), "t": [0]})
     grads = g.backward()
     np.testing.assert_allclose(grads["z"], [[0.5, -0.5]], atol=1e-12)
 
@@ -164,8 +164,8 @@ def _op_cases(rng):
     cases["abs"] = (g, {"x": _away_from(rng.uniform(-2, 2, (3, 4)), 0.0, 1e-3)})
 
     g = Graph()
-    g.mean(g.gather_rows(g.leaf("x"), [0, 2, 1, 0]))
-    cases["gather_rows"] = (g, {"x": rng.uniform(-2, 2, (4, 3))})
+    g.mean(g.gather_rows(g.leaf("x"), g.int_leaf("t")))
+    cases["gather_rows"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [0, 2, 1, 0]})
 
     g = Graph()
     g.mean(g.leaf("x"))
@@ -197,8 +197,14 @@ def _op_cases(rng):
     cases["row_max"] = (g, {"z": z})
 
     g = Graph()
-    g.mean(g.correct_indicator(g.leaf("z"), [0, 1, 2, 0]))
-    cases["correct_indicator"] = (g, {"z": z})
+    g.mean(g.correct_indicator(g.leaf("z"), g.int_leaf("t")))
+    cases["correct_indicator"] = (g, {"z": z, "t": [0, 1, 2, 0]})
+
+    # one-hot rows and the 1/n factor are functions of the labels alone
+    g = Graph()
+    t = g.int_leaf("t")
+    g.mul(g.per_row(t, -2.0), g.sum(g.mul(g.one_hot(t, 3, on=0.8, off=0.1), g.leaf("x"))))
+    cases["one_hot_per_row"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [2, 0, 1, 2]})
 
     g = Graph()
     g.sum(g.focal_power(g.leaf("x")))
@@ -341,8 +347,9 @@ def test_backward_matches_zero_fill_reference(widths, spec, batch):
     g = Graph()
     x = g.leaf("x", param=False)
     log_probs = g.log_softmax(logits_graph(g, x, params.n_layers))
-    root = total_loss(g, log_probs, rng.integers(0, widths[-1], batch), spec, widths[-1])
+    root = total_loss(g, log_probs, g.int_leaf("y"), spec, widths[-1])
     bindings = param_bindings(params)
+    bindings["y"] = rng.integers(0, widths[-1], batch)
     bindings["x"] = rng.normal(size=(batch, widths[0]))
     g.forward(bindings, root=root)
     grads = g.backward(root=root)
@@ -353,3 +360,50 @@ def test_backward_matches_zero_fill_reference(widths, spec, batch):
     for node in g.nodes:
         assert node.adjoint.shape == node.value.shape
     assert not x.adjoint.any() and not x.adjoint.flags.writeable
+
+
+def test_appending_after_forward_discards_the_cached_plan():
+    g = Graph()
+    x = g.leaf("x")
+    first = g.sum(x)
+    x_val = np.array([1.0, 2.0])
+    assert g.forward({"x": x_val}) == 3.0
+    g.backward()
+    square = g.pow_const(x, 2.0)
+    second = g.sum(square)
+    assert g.forward({"x": x_val}) == 5.0  # the default root is now `second`
+    np.testing.assert_array_equal(g.backward()["x"], [2.0, 4.0])
+    np.testing.assert_array_equal(square.adjoint, [1.0, 1.0])
+    assert float(second.adjoint) == 1.0
+    assert g.forward({"x": x_val}, root=first) == 3.0
+    np.testing.assert_array_equal(g.backward(root=first)["x"], [1.0, 1.0])
+
+
+def test_grad_check_on_a_reused_graph_matches_a_fresh_one():
+    """Each case graph first runs at other bindings, so its plans are cached
+    and its node values stale when grad_check starts."""
+    reused = _op_cases(np.random.default_rng(42))
+    fresh = _op_cases(np.random.default_rng(42))
+    other = _op_cases(np.random.default_rng(43))
+    for name, (g, bindings) in reused.items():
+        g.forward(other[name][1])
+        g.backward()
+        results = grad_check(g, bindings, step=1e-5, tol=1e-4)
+        for r in results:
+            assert r.passed, f"op {name}, leaf {r.leaf}: rel error {r.max_rel_error:.3e}"
+        assert results == grad_check(*fresh[name], step=1e-5, tol=1e-4), name
+
+
+def test_int_leaf_keeps_its_dtype_and_inputs_must_be_nodes():
+    g = Graph()
+    x, t = g.leaf("x"), g.int_leaf("t")
+    g.sum(g.gather_rows(x, t))
+    g.forward({"x": np.ones((2, 3), dtype=np.float32), "t": [2, 0]})
+    assert x.value.dtype == np.float64 and t.value.dtype == np.int64
+    assert not t.is_param
+    g.backward()
+    assert t.adjoint.shape == (2,) and not t.adjoint.any()
+    with pytest.raises(GraphError, match="index out of range"):
+        g.forward({"x": np.ones((2, 3)), "t": [3, 0]})
+    with pytest.raises(GraphError, match="graph nodes, got list"):
+        g.gather_rows(x, [0, 1])

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calprune import trainer
+from calprune import cli, trainer
 from calprune.autodiff import Graph
 from calprune.cli import main
 from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datasets,
-                             build_prune_schedule, load_config, resolve_config)
+                             build_prune_schedule, build_train_config, load_config,
+                             model_widths, resolve_config)
 from calprune.losses import AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 
@@ -249,6 +250,27 @@ def trained(tmp_path):
     path = write_config(tmp_path, out)
     assert main(["train", "--config", str(path)]) == 0
     return path, out
+
+
+def test_existing_output_dir_fails_before_any_work(trained, tmp_path, monkeypatch, capsys):
+    """train, evaluate and report refuse an existing output directory before
+    they build data, train or evaluate anything."""
+    config_path, out = trained
+
+    def never(*args, **kwargs):
+        raise AssertionError("called although the output directory exists")
+
+    for name in ("build_datasets", "train_with_pruning", "evaluate_model"):
+        monkeypatch.setattr(cli, name, never)
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for argv in (["train", "--config", str(config_path), "--set", f"output_dir={existing}"],
+                 ["evaluate", "--config", str(config_path),
+                  "--checkpoint", str(out / "checkpoint.json"), "--out", str(existing)],
+                 ["report", "--run", str(out / "run.json"), "--out", str(existing)]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == f"error: output directory {existing} already exists\n"
+    assert not any(existing.iterdir())
 
 
 def test_evaluate_reproduces_training_report(trained, tmp_path):
@@ -526,11 +548,35 @@ def test_traced_benchmark_reads_graph_after_backward():
     x = g.leaf("x", param=False)
     log_probs = g.log_softmax(logits_graph(g, x, params.n_layers))
     spec = LossSpec(kind="flsd", aux=AuxSpec(kind="huber", alpha=0.005, weight=10.0))
-    root = total_loss(g, log_probs, rng.integers(0, 4, 128), spec, 4)
+    root = total_loss(g, log_probs, g.int_leaf("y"), spec, 4)
     bindings = param_bindings(params)
+    bindings["y"] = rng.integers(0, 4, 128)
     bindings["x"] = rng.normal(size=(128, 2))
     g.forward(bindings, root=root)
     g.backward(root=root)
     stats = load_tracing().graph_stats(g, root)
-    assert stats["nodes"] == 34
+    assert stats["nodes"] == 35  # 34 ops plus the int64 label leaf
     assert 0 < stats["useful_adjoint_frac"] <= 1
+
+
+def test_traced_training_sees_one_graph_shape_per_step():
+    """The traced benchmark's wrappers around a quickstart-shaped run: graph_stats
+    reads the int64 label leaf, every step has the same node count, and the
+    traced run trains the same bits as the untraced one."""
+    cfg = load_config(QUICKSTART, overrides=["train.max_epochs=3"])
+    train, _, test = build_datasets(cfg)
+    config = build_train_config(cfg)
+    widths = model_widths(cfg, train.x.shape[1], train.n_classes)
+    plain = trainer.train_with_pruning(train, test, init_mlp(widths, config.seed), config)
+    tracer = load_tracing().Tracer()
+    restore = tracer.install()
+    try:
+        traced = trainer.train_with_pruning(train, test, init_mlp(widths, config.seed), config)
+    finally:
+        restore()
+    assert len(tracer.steps) == 3 * -(-len(train) // config.batch_size)
+    assert {step["nodes"] for step in tracer.steps} == {35}
+    assert {step["ops"]["leaf"] for step in tracer.steps} == {8}  # x, y and six parameters
+    for a, b in zip(plain.params.weights + plain.params.biases,
+                    traced.params.weights + traced.params.biases):
+        assert np.array_equal(a, b)

@@ -14,8 +14,9 @@ from calprune.mlp import init_mlp, logits_graph, param_bindings
 def eval_loss(build, log_probs, targets, **kwargs):
     g = Graph()
     lp = g.leaf("lp")
-    node = build(g, lp, targets, **kwargs)
-    return float(g.forward({"lp": np.asarray(log_probs, dtype=np.float64)}, root=node))
+    node = build(g, lp, g.int_leaf("y"), **kwargs)
+    return float(g.forward({"lp": np.asarray(log_probs, dtype=np.float64), "y": targets},
+                           root=node))
 
 
 def rows_from_probs(probs):
@@ -244,9 +245,10 @@ def mlp_loss_graph(spec, seed, n=6, widths=(2, 5, 3)):
     logits = logits_graph(g, x, params.n_layers)
     lp = g.log_softmax(logits)
     targets = rng.integers(0, widths[-1], size=n)
-    total_loss(g, lp, targets, spec, widths[-1])
+    total_loss(g, lp, g.int_leaf("y"), spec, widths[-1])
     bindings = param_bindings(params)
     bindings["x"] = rng.uniform(-2, 2, size=(n, widths[0]))
+    bindings["y"] = targets
     return g, bindings
 
 

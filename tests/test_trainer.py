@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from calprune import trainer
-from calprune.data import (Dataset, generate_gaussian_mixture, mixture_posterior,
-                           stratified_split)
-from calprune.losses import AuxSpec, LossSpec
-from calprune.mlp import forward_logits, init_mlp, predict
-from calprune.pruning import PruneSchedule, update_ema
+from calprune.autodiff import Graph
+from calprune.data import (Dataset, generate_gaussian_mixture, minibatches,
+                           mixture_posterior, stratified_split)
+from calprune.losses import AUX_LOSSES, CLASSIFICATION_LOSSES, AuxSpec, LossSpec, total_loss
+from calprune.mlp import forward_logits, init_mlp, logits_graph, param_bindings, predict
+from calprune.pruning import PruneSchedule, prune_using_ema, update_ema
 from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               fit_temperature, fit_temperature_on_logits,
                               lr_at_epoch, mean_nll, sgd_update,
@@ -151,6 +152,65 @@ def test_training_is_bitwise_deterministic():
     assert a.prune_events == b.prune_events
     assert a.report == b.report
     assert a.total_sample_updates == b.total_sample_updates
+
+
+def graph_per_batch_training(train, params, config):
+    """Reference loop: the training procedure with a fresh graph per minibatch."""
+    bindings = {name: np.array(arr) for name, arr in param_bindings(params).items()}
+    velocity = {name: np.zeros_like(arr) for name, arr in bindings.items()}
+    survivors = train
+    for epoch in range(1, config.max_epochs + 1):
+        lr = lr_at_epoch(epoch, config)
+        confidences = np.full(len(survivors), np.nan)
+        for block in minibatches(survivors, config.batch_size, epoch, config.seed):
+            g = Graph()
+            x, y = g.leaf("x", param=False), g.int_leaf("y")
+            log_probs = g.log_softmax(logits_graph(g, x, params.n_layers))
+            root = total_loss(g, log_probs, y, config.loss, params.n_classes)
+            g.forward({**bindings, "x": survivors.x[block], "y": survivors.y[block]},
+                      root=root)
+            sgd_update(bindings, g.backward(root=root), velocity, lr, config.momentum,
+                       config.weight_decay)
+            confidences[block] = np.exp(np.max(log_probs.value, axis=1))
+        survivors = update_ema(survivors, confidences, config.prune.ema_factor)
+        if epoch in config.prune.epochs:
+            survivors = prune_using_ema(survivors, config.prune.percent)
+    return bindings
+
+
+@pytest.mark.parametrize("aux", [None, *AUX_LOSSES])
+@pytest.mark.parametrize("kind", list(CLASSIFICATION_LOSSES))
+def test_one_graph_run_matches_graph_per_batch_bitwise(kind, aux):
+    train, _, test = small_experiment(n_classes=3, per_class=50, noise=0.1, seed=21)
+    cfg = TrainConfig(max_epochs=4, batch_size=40, learning_rate=0.1, lr_milestones=[3],
+                      seed=4, loss=LossSpec(kind=kind, gamma=2.0, smoothing=0.1,
+                                            aux=aux and AuxSpec(kind=aux, weight=3.0)),
+                      prune=PruneSchedule(percent=20.0, epochs={2}))
+    assert len(train) % cfg.batch_size != 0  # every epoch ends on a short batch
+    params = init_mlp([2, 8, 3], seed=4)
+    result = train_with_pruning(train, test, params, cfg)
+    assert [p.epoch for p in result.prune_events] == [2]
+    reference = graph_per_batch_training(train, params, cfg)
+    for i in range(params.n_layers):
+        assert np.array_equal(result.params.weights[i], reference[f"w{i}"]), f"w{i}"
+        assert np.array_equal(result.params.biases[i], reference[f"b{i}"]), f"b{i}"
+
+
+def test_one_graph_per_training_run(monkeypatch):
+    built = []
+
+    class CountingGraph(Graph):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(trainer, "Graph", CountingGraph)
+    train, _, test = small_experiment(noise=0.1, seed=6)
+    cfg = TrainConfig(max_epochs=3, batch_size=32, learning_rate=0.05, lr_milestones=[],
+                      seed=7, loss=LossSpec(kind="flsd", aux=AuxSpec()),
+                      prune=PruneSchedule(percent=10.0, epochs={2}))
+    train_with_pruning(train, test, init_mlp([2, 8, 2], seed=7), cfg)
+    assert len(built) == 1
 
 
 def test_ema_log_matches_closed_form(monkeypatch):
