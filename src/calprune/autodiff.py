@@ -61,6 +61,8 @@ def _zero_view(shape):
 
 def _unbroadcast(adj, shape):
     """Sum an adjoint back down to `shape` after numpy broadcasting."""
+    if adj.shape == shape:
+        return adj
     for _ in range(adj.ndim - len(shape)):
         adj = adj.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -102,7 +104,7 @@ def _mean(node, x):
         raise GraphError("mean needs an input with a leading axis, got a scalar")
     if x.shape[0] == 0:
         raise GraphError("mean over an empty leading axis")
-    return np.mean(x, axis=0)
+    return np.add.reduce(x, axis=0) / x.shape[0]
 
 
 def _huber(node, x):

@@ -163,6 +163,12 @@ def resolve_config(user):
     if seed < 0:  # numpy's seed sequences take no negative entropy
         raise ConfigError("config key dataset.seed must be of type non-negative integer, "
                           f"got integer {seed}")
+    bins = cfg["eval"]["bins"]
+    if bins < 1:
+        raise ConfigError(f"config key eval.bins must be >= 1, got {bins}")
+    for i, delta in enumerate(cfg["eval"]["deltas"]):
+        if not 0.0 < delta <= 1.0:  # also false for NaN
+            raise ConfigError(f"config key eval.deltas[{i}] must be in (0, 1], got {delta}")
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
     return cfg

@@ -143,7 +143,7 @@ def load_idx_pair(images_path, labels_path, n_classes=None):
         raise ValueError(
             f"count mismatch: {images_path} holds {count} images but "
             f"{labels_path} holds {label_count} labels")
-    x = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    x = np.divide(pixels.reshape(count, rows * cols), 255.0, dtype=np.float64)
     y = labels.astype(np.int64)
     if n_classes is None:
         n_classes = int(y.max()) + 1 if count else 2

@@ -273,6 +273,35 @@ def test_existing_output_dir_fails_before_any_work(trained, tmp_path, monkeypatc
     assert not any(existing.iterdir())
 
 
+@pytest.mark.parametrize("assignment, key", [
+    ("eval.bins=0", "eval.bins"),
+    ("eval.bins=-3", "eval.bins"),
+    ("eval.deltas=[2]", "eval.deltas[0]"),
+    ("eval.deltas=[0.9, 0]", "eval.deltas[1]"),
+    ("eval.deltas=[NaN]", "eval.deltas[0]"),
+])
+def test_bad_eval_settings_name_their_key_before_any_work(trained, tmp_path, monkeypatch,
+                                                          capsys, assignment, key):
+    """train, evaluate and calibrate reject an out-of-range eval.bins or
+    eval.deltas entry at config load, before any data is built."""
+    config_path, out = trained
+
+    def never(*args, **kwargs):
+        raise AssertionError("called although the config is invalid")
+
+    monkeypatch.setattr(cli, "build_datasets", never)
+    common = ["--config", str(config_path), "--set", assignment]
+    checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
+    for argv in (["train", *common, "--set", f"output_dir={tmp_path / 'run'}"],
+                 ["evaluate", *common, *checkpoint, "--out", str(tmp_path / "eval")],
+                 ["calibrate", *common, *checkpoint]):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config key {key} must "), argv[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+
+
 def test_evaluate_reproduces_training_report(trained, tmp_path):
     config_path, out = trained
     eval_out = tmp_path / "eval"

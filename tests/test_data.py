@@ -74,6 +74,16 @@ def test_idx_roundtrip(tmp_path):
     np.testing.assert_array_equal(data.y, [0, 1, 0])
 
 
+def test_idx_decodes_every_byte_value_bitwise(tmp_path):
+    """Each pixel byte v decodes to exactly v / 255.0 as a float64."""
+    values = np.arange(256, dtype=np.uint8)
+    images, labels = idx_fixture(tmp_path, values.reshape(4, 8, 8), [0, 1, 2, 3])
+    data = load_idx_pair(images, labels)
+    assert data.x.shape == (4, 64) and data.x.dtype == np.float64
+    expected = [value / 255.0 for value in range(256)]
+    assert data.x.ravel().tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
 def test_idx_wrong_magic_in_labels_slot(tmp_path):
     pixels = np.zeros((2, 2, 2), dtype=np.uint8)
     images, labels = idx_fixture(tmp_path, pixels, [0, 1], label_magic=0x803)

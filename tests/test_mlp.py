@@ -2,14 +2,15 @@
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from calprune.autodiff import Graph, log_softmax
-from calprune.mlp import (MlpParams, checkpoint_text, forward_logits, init_mlp,
-                          load_checkpoint, logits_graph, param_bindings, predict,
-                          save_checkpoint)
+from calprune.mlp import (FORWARD_BLOCK_ROWS, MlpParams, checkpoint_text, forward_logits,
+                          init_mlp, load_checkpoint, logits_graph, param_bindings,
+                          predict, save_checkpoint)
 
 
 def test_init_shapes_and_zero_biases():
@@ -126,6 +127,55 @@ def test_forward_matches_out_of_place_reference_bitwise(widths):
             h = np.maximum(h, 0.0)
     assert forward_logits(params, batch).tobytes() == h.tobytes()
     assert batch.tobytes() == kept.tobytes()
+
+
+def _whole_batch_reference(params, batch):
+    h = batch
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if i < params.n_layers - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def _params_with_biases(widths, seed):
+    params = init_mlp(widths, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    return params
+
+
+@pytest.mark.parametrize("widths, n", [
+    *[pytest.param([2, 64, 64, 4], n, id=f"quickstart_{n}")
+      for n in (0, 1, 16383, 16384, 16385, 100_000)],
+    pytest.param([784, 256, 256, 10], 20_000, id="mnist_shaped_20000"),
+])
+def test_blocked_forward_matches_whole_batch_bitwise(widths, n):
+    """Row blocks give the bits of the whole-batch product, on either side of
+    the one-block limit 2 * FORWARD_BLOCK_ROWS, and leave the batch alone."""
+    params = _params_with_biases(widths, seed=4)
+    batch = np.random.default_rng(n).normal(size=(n, widths[0]))
+    kept = batch.copy()
+    logits = forward_logits(params, batch)
+    assert logits.shape == (n, widths[-1])
+    assert logits.tobytes() == _whole_batch_reference(params, batch).tobytes()
+    assert batch.tobytes() == kept.tobytes()
+
+
+def test_blocked_forward_memory_is_bounded():
+    """A 100k-row forward keeps at most two blocks' activations alive, not two
+    whole-set ones (2 x 51 MB at this width)."""
+    params = _params_with_biases([2, 64, 64, 4], seed=4)
+    batch = np.random.default_rng(0).normal(size=(100_000, 2))
+    assert len(batch) > 2 * FORWARD_BLOCK_ROWS  # several blocks
+    tracemalloc.start()
+    try:
+        forward_logits(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def _v1_doc(params):
