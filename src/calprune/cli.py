@@ -13,6 +13,7 @@ from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_con
     load_config, model_widths
 from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
+from .ranges import check_setting
 from .reporting import (CHECKPOINT_JSON, bundle_texts, check_output_dir, fmt_sig,
                         run_result_doc, write_bundle)
 from .trainer import (TrainingDiverged, evaluate_model, fit_temperature,
@@ -74,11 +75,13 @@ def _load_checkpoint_for(cfg, checkpoint_path, test):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, overrides=args.set or ())
+    bins = args.bins if args.bins is not None else cfg["eval"]["bins"]
+    deltas = args.delta if args.delta is not None else cfg["eval"]["deltas"]
+    check_setting("eval.bins", bins, "argument --bins", ConfigError)
+    check_setting("eval.deltas", deltas, "argument --delta", ConfigError)
     check_output_dir(args.out)
     _, _, test = build_datasets(cfg)
     params = _load_checkpoint_for(cfg, args.checkpoint, test)
-    bins = args.bins if args.bins is not None else cfg["eval"]["bins"]
-    deltas = args.delta if args.delta is not None else cfg["eval"]["deltas"]
     report = evaluate_model(params, test, bins, deltas)
     write_bundle(args.out, bundle_texts(report))
     for line in _print_report(report):

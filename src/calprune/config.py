@@ -13,6 +13,7 @@ import os
 from .data import generate_gaussian_mixture, load_csv, load_idx_pair, stratified_split
 from .losses import AuxSpec, LossSpec
 from .pruning import PruneSchedule
+from .ranges import SETTINGS, check_setting
 from .trainer import TrainConfig
 
 OUTPUT_DIR_ENV = "CALPRUNE_OUTPUT_DIR"
@@ -141,8 +142,16 @@ def _merge_strict(defaults, user, prefix=""):
     return merged
 
 
+def _value(cfg, key):
+    """The value at dotted `key`, or None below a null section."""
+    for part in key.split("."):
+        cfg = None if cfg is None else cfg[part]
+    return cfg
+
+
 def resolve_config(user):
-    """Merge a user config dict over the documented defaults, strictly."""
+    """Merge a user config dict over the documented defaults, strictly, and
+    check every key in ranges.SETTINGS against its rule."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge_strict(DEFAULTS, user)
@@ -159,16 +168,9 @@ def resolve_config(user):
     if missing:
         raise ConfigError(
             f"dataset source {source!r} requires config key dataset.{sorted(missing)[0]}")
-    seed = cfg["dataset"]["seed"]
-    if seed < 0:  # numpy's seed sequences take no negative entropy
-        raise ConfigError("config key dataset.seed must be of type non-negative integer, "
-                          f"got integer {seed}")
-    bins = cfg["eval"]["bins"]
-    if bins < 1:
-        raise ConfigError(f"config key eval.bins must be >= 1, got {bins}")
-    for i, delta in enumerate(cfg["eval"]["deltas"]):
-        if not 0.0 < delta <= 1.0:  # also false for NaN
-            raise ConfigError(f"config key eval.deltas[{i}] must be in (0, 1], got {delta}")
+    for key in SETTINGS:  # a null section or null-default key has nothing to check
+        if (value := _value(cfg, key)) is not None:
+            check_setting(key, value, f"config key {key}", ConfigError)
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
     return cfg
@@ -230,14 +232,15 @@ def build_datasets(cfg):
     return train, val, test
 
 
+def _build(owner, cfg, **fields):
+    """`owner` from the config keys that feed its fields, overridden by `fields`."""
+    return owner(**{**{s.field: _value(cfg, key) for key, s in SETTINGS.items()
+                       if s.owner == owner.__name__}, **fields})
+
+
 def build_loss_spec(cfg):
-    loss = cfg["loss"]
-    aux = None
-    if loss["aux"] is not None:
-        aux = AuxSpec(kind=loss["aux"]["kind"], alpha=loss["aux"]["alpha"],
-                      weight=loss["aux"]["weight"])
-    return LossSpec(kind=loss["kind"], gamma=loss["gamma"],
-                    smoothing=loss["smoothing"], aux=aux)
+    aux = None if cfg["loss"]["aux"] is None else _build(AuxSpec, cfg)
+    return _build(LossSpec, cfg, aux=aux)
 
 
 def build_prune_schedule(cfg):
@@ -253,40 +256,16 @@ def build_prune_schedule(cfg):
     if warmup is None:
         milestones = cfg["train"]["lr_milestones"]
         warmup = min(milestones) if milestones else 0
-    elif warmup < 0:
-        raise ConfigError(f"config key prune.warmup_epochs must be >= 0, got {warmup}")
     last = cfg["train"]["max_epochs"]
     epochs = p["epochs"]
     if epochs is None:
-        if p["interval"] < 1:
-            raise ConfigError(f"config key prune.interval must be >= 1, got {p['interval']}")
         epochs = range(p["interval"], last + 1, p["interval"])
-    elif any(e < 1 for e in epochs):
-        raise ConfigError(f"config key prune.epochs must hold epochs >= 1, got {epochs}")
-    return PruneSchedule(percent=p["percent"], ema_factor=p["ema_factor"],
-                         epochs=(e for e in epochs if warmup <= e <= last))
+    return _build(PruneSchedule, cfg, epochs=(e for e in epochs if warmup <= e <= last))
 
 
 def build_train_config(cfg):
-    t = cfg["train"]
-    return TrainConfig(
-        max_epochs=t["max_epochs"],
-        batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"],
-        lr_milestones=list(t["lr_milestones"]),
-        lr_decay_factor=t["lr_decay_factor"],
-        momentum=t["momentum"],
-        weight_decay=t["weight_decay"],
-        seed=t["seed"],
-        loss=build_loss_spec(cfg),
-        prune=build_prune_schedule(cfg),
-        eval_deltas=list(cfg["eval"]["deltas"]),
-        n_bins=cfg["eval"]["bins"],
-    )
+    return _build(TrainConfig, cfg, loss=build_loss_spec(cfg), prune=build_prune_schedule(cfg))
 
 
 def model_widths(cfg, input_dim, n_classes):
-    hidden = cfg["model"]["hidden"]
-    if any(h < 1 for h in hidden):
-        raise ConfigError("config key model.hidden must hold positive layer sizes")
-    return [input_dim, *hidden, n_classes]
+    return [input_dim, *cfg["model"]["hidden"], n_classes]

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ranges import check
+
 MIXTURE_RADIUS = 3.0
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -69,13 +71,13 @@ def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
     seed yields identical point clouds at every noise level. A flipped label
     moves to a uniformly random other class.
     """
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
+    check("dataset.classes", n_classes)
     sizes = [per_class] * n_classes if np.isscalar(per_class) else list(per_class)
-    if len(sizes) != n_classes or any(s <= 0 for s in sizes):
-        raise ValueError(f"per-class sizes must be {n_classes} positive ints, got {sizes}")
-    if not 0 <= noise < 0.5:
-        raise ValueError(f"label-flip probability must be in [0, 0.5), got {noise}")
+    if len(sizes) != n_classes:
+        raise ValueError(f"need {n_classes} per-class sizes, got {sizes}")
+    for size in sizes:
+        check("dataset.train_per_class", size)
+    check("dataset.noise", noise)
     point_seed, flip_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(point_seed)
     means = mixture_means(n_classes)
@@ -173,11 +175,14 @@ def load_csv(path, label_column, n_classes=None):
             values = []
             for col, cell in enumerate(row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_no}, "
-                        f"column {header[col]!r}") from None
+                    value = None
+                if value is None or not np.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise ValueError(f"{path}: {kind} cell {cell!r} at row {row_no}, "
+                                     f"column {header[col]!r}")
+                values.append(value)
             label = values[label_idx]
             if label != int(label):
                 raise ValueError(
@@ -204,8 +209,7 @@ def stratified_split(data, train_fraction, seed):
     `data`, with every EMA score at 0. The floor uses exact rational
     arithmetic over the double value of train_fraction.
     """
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
+    check("dataset.train_fraction", train_fraction)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     train_parts, val_parts = [], []
     for k in range(data.n_classes):
@@ -230,8 +234,7 @@ def minibatches(dataset, batch_size, epoch, seed):
     The permutation is seeded by the (seed, epoch) pair; the final partial
     block is kept.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    check("train.batch_size", batch_size)
     n = len(dataset)
     perm = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]

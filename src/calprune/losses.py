@@ -14,7 +14,7 @@ value is >= 0 and minimisation is meaningful.
 
 from dataclasses import dataclass
 
-import numpy as np
+from .ranges import check, check_fields
 
 FLSD_LOW_CONFIDENCE_GAMMA = 5.0
 FLSD_HIGH_CONFIDENCE_GAMMA = 3.0
@@ -29,12 +29,7 @@ class AuxSpec:
     weight: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in AUX_LOSSES:
-            raise ValueError(f"unknown aux loss kind {self.kind!r}")
-        if not 0 <= self.weight < np.inf:
-            raise ValueError(f"aux weight must be finite and >= 0, got {self.weight}")
-        if self.kind == "huber" and not 0 < self.alpha < np.inf:
-            raise ValueError(f"huber alpha must be finite and > 0, got {self.alpha}")
+        check_fields(self)
 
 
 @dataclass
@@ -46,12 +41,7 @@ class LossSpec:
     aux: AuxSpec = None
 
     def __post_init__(self):
-        if self.kind not in CLASSIFICATION_LOSSES:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not 0 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not 0 <= self.smoothing < 1:
-            raise ValueError(f"smoothing must be in [0, 1), got {self.smoothing}")
+        check_fields(self)
 
 
 def nll_loss(g, log_probs, targets):
@@ -62,8 +52,7 @@ def nll_loss(g, log_probs, targets):
 
 def focal_loss(g, log_probs, targets, gamma):
     """Mean of -(1 - p_target)^gamma * log p_target."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check("loss.gamma", gamma)
     picked = g.gather_rows(log_probs, targets)
     p = g.exp(picked)
     weight = g.pow_const(g.sub(g.const(1.0), p), gamma)
@@ -90,8 +79,7 @@ def flsd_loss(g, log_probs, targets):
 
 def huber_value(x, alpha):
     """Plain-number Huber, for tests and direct evaluation."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    check("loss.aux.alpha", alpha)
     x = float(x)
     if abs(x) <= alpha:
         return 0.5 * x * x
@@ -134,8 +122,7 @@ def brier_loss(g, log_probs, targets, n_classes):
 
 def label_smoothing_loss(g, log_probs, targets, smoothing, n_classes):
     """Cross-entropy against (1 - eps) on the true class, eps/(K-1) elsewhere."""
-    if not 0 <= smoothing < 1:
-        raise ValueError(f"smoothing must be in [0, 1), got {smoothing}")
+    check("loss.smoothing", smoothing)
     soft = g.one_hot(targets, n_classes, on=1.0 - smoothing, off=smoothing / (n_classes - 1))
     return g.mul(g.per_row(targets, -1.0), g.sum(g.mul(soft, log_probs)))
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranges import check
+
 
 @dataclass
 class ReliabilityBin:
@@ -57,8 +59,7 @@ def binned_ece(conf, correct, n_bins):
     `conf` and `correct` are equal-length float64 arrays: each record's
     confidence in [0, 1] and 1.0 where its prediction was right, else 0.0.
     """
-    if n_bins < 1:
-        raise ValueError(f"need at least 1 bin, got {n_bins}")
+    check("eval.bins", n_bins)
     if not len(conf):
         raise ValueError("binned_ece requires at least one record")
     outside = conf[~((conf >= 0.0) & (conf <= 1.0))]
@@ -87,8 +88,7 @@ def binned_ece(conf, correct, n_bins):
 
 def high_confidence_subset(conf, correct, delta):
     """The records with confidence >= delta, plus the subset size as a percentage."""
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    check("eval.deltas", delta, "delta")
     keep = conf >= delta
     fraction_pct = 100.0 * int(keep.sum()) / len(conf) if len(conf) else 0.0
     return conf[keep], correct[keep], fraction_pct

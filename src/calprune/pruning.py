@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ranges import check, check_fields
+
 
 @dataclass
 class PruneSchedule:
@@ -22,13 +24,8 @@ class PruneSchedule:
     epochs: frozenset = field(kw_only=True)
 
     def __post_init__(self):
-        if not 0 < self.percent < 100:
-            raise ValueError(f"prune percent must be in (0, 100), got {self.percent}")
-        if not 0 <= self.ema_factor <= 1:
-            raise ValueError(f"ema factor must be in [0, 1], got {self.ema_factor}")
-        self.epochs = frozenset(int(e) for e in self.epochs)
-        if any(e < 1 for e in self.epochs):
-            raise ValueError("prune epochs must be >= 1")
+        self.epochs = frozenset(self.epochs)
+        check_fields(self)
 
 
 def prune_count(percent, n):
@@ -46,8 +43,7 @@ def update_ema(dataset, confidences, ema_factor):
     `confidences` holds one value in [0, 1] per instance, by position; a NaN
     (an instance never visited this epoch) is an error.
     """
-    if not 0 <= ema_factor <= 1:
-        raise ValueError(f"ema factor must be in [0, 1], got {ema_factor}")
+    check("prune.ema_factor", ema_factor)
     if ema_factor == 0:
         warnings.warn("ema factor 0 keeps all scores frozen forever", stacklevel=2)
     if confidences.shape != (len(dataset),):
@@ -67,8 +63,7 @@ def prune_using_ema(dataset, percent):
     Survivors keep their relative order within a class; classes are
     concatenated in ascending index order. Surviving EMA scores are untouched.
     """
-    if not 0 < percent < 100:
-        raise ValueError(f"prune percent must be in (0, 100), got {percent}")
+    check("prune.percent", percent)
     keep_parts = []
     for k in range(dataset.n_classes):
         positions = np.flatnonzero(dataset.y == k)

@@ -20,6 +20,7 @@ from .metrics import build_report
 from .mlp import (forward_logits, logits_graph, param_bindings, params_from_bindings,
                   predict)
 from .pruning import PruneSchedule, prune_using_ema, update_ema
+from .ranges import check_fields
 
 TEMPERATURE_LO, TEMPERATURE_HI = 0.05, 10.0  # golden-section search bracket
 TEMPERATURE_RESOLUTION = 1e-3
@@ -45,26 +46,7 @@ class TrainConfig:
     n_bins: int = 10
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        # written as `not ...` so that NaN fails every range check
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 < self.lr_decay_factor < np.inf:
-            raise ValueError(
-                f"lr_decay_factor must be finite and > 0, got {self.lr_decay_factor}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
-        if any(not 0 < d <= 1 for d in self.eval_deltas):
-            raise ValueError(f"eval deltas must lie in (0, 1], got {self.eval_deltas}")
+        check_fields(self)
 
 
 @dataclass

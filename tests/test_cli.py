@@ -3,7 +3,9 @@
 import base64
 import importlib.util
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datase
                              model_widths, resolve_config)
 from calprune.losses import AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings
+from calprune.ranges import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -98,7 +101,6 @@ def test_config_value_types_checked(tmp_path, capsys):
     ('model.hidden=["x"]', "model.hidden[0]", "string 'x'"),
     ("model.hidden=[2.5]", "model.hidden[0]", "number 2.5"),
     ("dataset.images=5", "dataset.images", "integer 5"),
-    ("dataset.seed=-1", "dataset.seed", "integer -1"),
 ])
 def test_config_array_elements_and_null_defaults_typed(tmp_path, capsys, assignment, key,
                                                        element):
@@ -132,10 +134,11 @@ def test_null_section_rejected_unless_optional(tmp_path, capsys, section, code):
     ("train.lr_decay_factor", "lr_decay_factor"), ("loss.gamma", "gamma"),
     ("loss.aux.alpha", "huber alpha"), ("loss.aux.weight", "aux weight")])
 def test_non_finite_float_settings_rejected(tmp_path, capsys, key, name, value):
+    """Each case exits 2 naming its config key; `name` only labels the case."""
     path = write_config(tmp_path, tmp_path / "out")
-    assert main(["train", "--config", str(path), "--set", f"{key}={value}"]) == 1
+    assert main(["train", "--config", str(path), "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and "Traceback" not in err
+    assert err.startswith(f"config error: config key {key} must ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -194,6 +197,150 @@ def test_bad_prune_schedule_names_its_key(tmp_path, capsys, assignments, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config key {key} must ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# Each constrained numeric setting's range, stated here apart from
+# calprune.ranges: "int" marks an integer; an open bound at inf means finite.
+BOUNDS = {
+    "dataset.classes": "int [2, inf)", "dataset.train_per_class": "int [1, inf)",
+    "dataset.test_per_class": "int [1, inf)", "dataset.noise": "[0, 0.5)",
+    "dataset.seed": "int [0, inf)", "dataset.train_fraction": "(0, 1)",
+    "model.hidden": "int [1, inf)",
+    "train.max_epochs": "int [1, inf)", "train.batch_size": "int [1, inf)",
+    "train.learning_rate": "(0, inf)", "train.lr_milestones": "int [1, inf)",
+    "train.lr_decay_factor": "(0, inf)", "train.momentum": "[0, 1)",
+    "train.weight_decay": "[0, inf)", "train.seed": "int [0, inf)",
+    "loss.gamma": "[0, inf)", "loss.smoothing": "[0, 1)",
+    "loss.aux.alpha": "(0, inf)", "loss.aux.weight": "[0, inf)",
+    "prune.percent": "(0, 100)", "prune.ema_factor": "[0, 1]",
+    "prune.interval": "int [1, inf)", "prune.epochs": "int [1, inf)",
+    "prune.warmup_epochs": "int [0, inf)",
+    "eval.bins": "int [1, inf)", "eval.deltas": "(0, 1]",
+}
+# stand-ins for the null-default numeric keys, which DEFAULTS leaves null
+NULL_DEFAULT_VALUES = {"prune.epochs": [5, 10], "prune.warmup_epochs": 0}
+
+
+def _numeric_settings(node=DEFAULTS, prefix=""):
+    """(key, element index or None) for every numeric leaf and array element."""
+    found = []
+    for name, value in node.items():
+        key = prefix + name
+        value = NULL_DEFAULT_VALUES.get(key, value)
+        if isinstance(value, dict):
+            found += _numeric_settings(value, key + ".")
+        elif isinstance(value, list):
+            found += [(key, i) for i in range(len(value))]
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append((key, None))
+    return found
+
+
+NUMERIC_SETTINGS = _numeric_settings()
+
+
+def _parse_bounds(text):
+    integer, low_bracket, low, high, high_bracket = re.fullmatch(
+        r"(int )?([\[(])(\S+), (\S+)([\])])", text).groups()
+    return bool(integer), float(low), low_bracket == "[", float(high), high_bracket == "]"
+
+
+def _in_bounds(text, value):
+    integer, low, low_closed, high, high_closed = _parse_bounds(text)
+    if integer and not isinstance(value, int):
+        return False
+    return ((low < value or (low_closed and low == value))
+            and (value < high or (high_closed and value == high)))
+
+
+def _edge_values(text):
+    """Each finite end of the bounds and its nearest neighbours on both sides."""
+    integer, low, _, high, _ = _parse_bounds(text)
+    if integer:  # integer settings have a closed low end and no high end
+        return [int(low) - 1, int(low)]
+    return [v for end in (low, high) if math.isfinite(end)
+            for v in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
+
+
+def _with_value(key, index, value):
+    """The value of `key` with `value` in place (at `index` of its array)."""
+    if index is None:
+        return value
+    node = DEFAULTS
+    for part in key.split("."):
+        node = node[part]
+    array = list(NULL_DEFAULT_VALUES.get(key, node))
+    array[index] = value
+    return array
+
+
+def _nested(key, value):
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
+def test_every_setting_is_walked():
+    walked = {key for key, _ in NUMERIC_SETTINGS}
+    assert walked == set(BOUNDS)
+    assert walked | {"loss.kind", "loss.aux.kind"} == set(SETTINGS)
+
+
+@pytest.mark.parametrize("key, index", NUMERIC_SETTINGS,
+                         ids=[key if i is None else f"{key}[{i}]" for key, i in NUMERIC_SETTINGS])
+def test_out_of_range_setting_exits_2_naming_its_key(tmp_path, monkeypatch, capsys, key,
+                                                     index):
+    """Of 0, -1, NaN, Infinity, 1e308, 2.5 and the values at each end of the
+    setting's bounds, each value outside the bounds makes train exit 2 naming
+    the key (and element) before any data is built, and every other value
+    resolves. Pruning is off, so the prune keys are checked although unused."""
+    def never(*args, **kwargs):
+        raise AssertionError("called although the config is invalid")
+
+    monkeypatch.setattr(cli, "build_datasets", never)
+    path = write_config(tmp_path, tmp_path / "out", prune={"enabled": False})
+    element = "" if index is None else rf"\[{index}\]"
+    if key == "prune.epochs":  # the set's range rule names it whole, its type check by element
+        element = f"({element})?"
+    for value in (0, -1, math.nan, math.inf, 1e308, 2.5, *_edge_values(BOUNDS[key])):
+        setting = _with_value(key, index, value)
+        if _in_bounds(BOUNDS[key], value):
+            resolve_config(_nested(key, setting))
+            continue
+        code = main(["train", "--config", str(path), "--set", f"{key}={json.dumps(setting)}"])
+        err = capsys.readouterr().err
+        assert code == 2, (value, err)
+        assert re.match(rf"config error: config key {re.escape(key)}{element} must ", err), err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["loss.kind", "loss.aux.kind"])
+def test_unknown_loss_kind_exits_2_naming_its_key(tmp_path, capsys, key):
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path), "--set", f"{key}=foo"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key {key} must be one of ")
+    assert err.endswith("got 'foo'\n") and not (tmp_path / "out").exists()
+
+
+def test_readme_states_every_setting_range():
+    """README's "Config file" defaults block is DEFAULTS with comments, and
+    each key in ranges.SETTINGS has its own line whose comment states its rule."""
+    section = (ROOT / "README.md").read_text().split("## Config file\n", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert json.loads(re.sub(r"//.*", "", block)) == DEFAULTS
+    comments, sections = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("//")
+        opened = re.match(r'\s*"(\w+)": (\{)?', code)
+        if opened:
+            comments[".".join([*sections, opened.group(1)])] = comment
+            if opened.group(2) and "}" not in code:
+                sections.append(opened.group(1))
+        elif code.strip().startswith("}") and sections:
+            sections.pop()
+    for key, setting in SETTINGS.items():
+        assert setting.rule.text in comments.get(key, ""), key
 
 
 def test_train_smoke_writes_bundle(tmp_path, capsys):
@@ -279,25 +426,34 @@ def test_existing_output_dir_fails_before_any_work(trained, tmp_path, monkeypatc
     ("eval.deltas=[2]", "eval.deltas[0]"),
     ("eval.deltas=[0.9, 0]", "eval.deltas[1]"),
     ("eval.deltas=[NaN]", "eval.deltas[0]"),
+    ("--bins=0", "argument --bins"),
+    ("--delta=2", "argument --delta[0]"),
 ])
 def test_bad_eval_settings_name_their_key_before_any_work(trained, tmp_path, monkeypatch,
                                                           capsys, assignment, key):
     """train, evaluate and calibrate reject an out-of-range eval.bins or
-    eval.deltas entry at config load, before any data is built."""
+    eval.deltas entry at config load, and evaluate an out-of-range --bins or
+    --delta flag, before any data is built."""
     config_path, out = trained
 
     def never(*args, **kwargs):
         raise AssertionError("called although the config is invalid")
 
     monkeypatch.setattr(cli, "build_datasets", never)
-    common = ["--config", str(config_path), "--set", assignment]
     checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
-    for argv in (["train", *common, "--set", f"output_dir={tmp_path / 'run'}"],
-                 ["evaluate", *common, *checkpoint, "--out", str(tmp_path / "eval")],
-                 ["calibrate", *common, *checkpoint]):
+    if assignment.startswith("--"):
+        runs = [["evaluate", "--config", str(config_path), *checkpoint, assignment,
+                 "--out", str(tmp_path / "eval")]]
+    else:
+        common = ["--config", str(config_path), "--set", assignment]
+        key = f"config key {key}"
+        runs = [["train", *common, "--set", f"output_dir={tmp_path / 'run'}"],
+                ["evaluate", *common, *checkpoint, "--out", str(tmp_path / "eval")],
+                ["calibrate", *common, *checkpoint]]
+    for argv in runs:
         assert main(argv) == 2, argv[0]
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"config error: config key {key} must "), argv[0]
+        assert captured.err.startswith(f"config error: {key} must "), argv[0]
         assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
@@ -503,6 +659,66 @@ def test_csv_class_count(tmp_path, capsys, classes, code, recorded):
     doc = json.loads((tmp_path / "out" / "run.json").read_text())
     assert doc["config"]["dataset"]["classes"] == recorded
     assert json.loads((tmp_path / "out" / "checkpoint.json").read_text())["widths"][-1] == 3
+
+
+def _input_config(tmp_path, dataset):
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"dataset": dataset, "model": {"hidden": [4]},
+                                "train": {"max_epochs": 1, "batch_size": 8,
+                                          "lr_milestones": []},
+                                "output_dir": str(tmp_path / "out")}))
+    build_datasets(load_config(path, env={}))  # the uncorrupted inputs load
+    return path
+
+
+def _assert_input_error_names(tmp_path, capsys, config, bad_file):
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad_file) in err, err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_truncated_idx_file_names_its_path(tmp_path, capsys):
+    """Each file of a valid train and test IDX pair, cut at every header
+    offset and once inside its payload."""
+    files = [*write_idx(tmp_path, "train", np.repeat([0, 1, 2], 4), seed=0),
+             *write_idx(tmp_path, "test", [0, 1, 2, 0], seed=1)]
+    config = _input_config(tmp_path, dict(zip(
+        ("source", "images", "labels", "test_images", "test_labels"), ["idx_pair", *files])))
+    for path, header_bytes in zip(map(Path, files), (16, 8, 16, 8)):
+        whole = path.read_bytes()
+        for size in [*range(header_bytes), (header_bytes + len(whole)) // 2]:
+            path.write_bytes(whole[:size])
+            _assert_input_error_names(tmp_path, capsys, config, path)
+        path.write_bytes(whole)
+
+
+@pytest.mark.parametrize("bad, labels_only", [
+    ("nan", False), ("inf", False), ("-inf", False), ("1e400", False), ("", False),
+    ("x", False), ("0.5", True), ("-1", True), ("3", True)])
+def test_corrupt_csv_cell_names_its_path(tmp_path, capsys, bad, labels_only):
+    """Each cell of a valid 3-class train and test CSV, corrupted one at a
+    time; "3" is a label out of range for the declared 3 classes."""
+    rows = {"train": [[f"{v:.3f}" for v in row] + [str(y)] for row, y in
+                      zip(np.random.default_rng(0).normal(size=(6, 2)), [0, 1, 2] * 2)],
+            "test": [["0.5", "-0.5", "1"], ["1.5", "0.0", "2"]]}
+
+    def write(name, table):
+        (tmp_path / f"{name}.csv").write_text(
+            "\n".join(",".join(row) for row in [["a", "b", "y"], *table]) + "\n")
+
+    for name, table in rows.items():
+        write(name, table)
+    config = _input_config(tmp_path, {"source": "csv", "path": str(tmp_path / "train.csv"),
+                                      "test_path": str(tmp_path / "test.csv"),
+                                      "label_column": "y", "classes": 3})
+    for name, table in rows.items():
+        for r, row in enumerate(table):
+            for c in [2] if labels_only else range(3):
+                write(name, [[bad if (i, j) == (r, c) else cell for j, cell in enumerate(line)]
+                             for i, line in enumerate(table)])
+                _assert_input_error_names(tmp_path, capsys, config, tmp_path / f"{name}.csv")
+        write(name, table)
 
 
 def _nan_first_weight(doc):
