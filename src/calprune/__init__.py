@@ -12,6 +12,7 @@ from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict, 
     save_checkpoint
 from .pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 from .trainer import (RunResult, TrainConfig, TrainingDiverged, evaluate_model,
-                      fit_temperature, lr_at_epoch, sgd_update, train_with_pruning)
+                      fit_temperature, lr_at_epoch, sgd_state, sgd_update,
+                      train_with_pruning)
 
 __version__ = "0.1.0"

@@ -47,11 +47,13 @@ class Node:
 
 def log_softmax(x):
     """Log-softmax over the last axis, stabilised by the row max."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 _ZERO = bytes(8)  # one float64 0.0: the buffer of every read-only zero adjoint
+_ONE = np.ones(())  # the root's adjoint; read-only, since vjps never write into adj
+_ONE.flags.writeable = False
 
 
 def _zero_view(shape):
@@ -64,10 +66,10 @@ def _unbroadcast(adj, shape):
     if adj.shape == shape:
         return adj
     for _ in range(adj.ndim - len(shape)):
-        adj = adj.sum(axis=0)
+        adj = np.add.reduce(adj, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and adj.shape[axis] != 1:
-            adj = adj.sum(axis=axis, keepdims=True)
+            adj = np.add.reduce(adj, axis=axis, keepdims=True)
     return adj
 
 
@@ -155,8 +157,11 @@ def _focal_power(node, x):
 # ---- per-input adjoint rules: fn(adj, node, *input_values) -> contribution --
 
 def _scatter_rows(adj, x, columns):
-    grad = np.zeros_like(x)
-    np.add.at(grad, (np.arange(grad.shape[0]), columns), adj)
+    """Zeros shaped like 2-d `x` plus `adj[i]` at `[i, columns[i]]`; one column
+    per row, so a flat-index `+=` equals `np.add.at` bit for bit."""
+    rows, width = x.shape
+    grad = np.zeros(x.shape)
+    grad.reshape(-1)[np.arange(rows) * width + columns] += adj
     return grad
 
 
@@ -180,10 +185,11 @@ RULES = {
     "mul": (_broadcasting(np.multiply),
             (lambda adj, node, a, b: _unbroadcast(adj * b, a.shape),
              lambda adj, node, a, b: _unbroadcast(adj * a, b.shape))),
-    "relu": (lambda node, x: np.maximum(x, 0.0), (lambda adj, node, x: adj * (x > 0),)),
+    "relu": (lambda node, x: np.maximum(x, 0.0),
+             (lambda adj, node, x: adj * (x > 0).astype(np.float64),)),
     "log_softmax": (lambda node, x: log_softmax(x),
-                    (lambda adj, node, x:
-                     adj - np.exp(node.value) * np.sum(adj, axis=-1, keepdims=True),)),
+                    (lambda adj, node, x: adj - np.exp(node.value)
+                     * np.add.reduce(adj, axis=-1, keepdims=True),)),
     "exp": (lambda node, x: np.exp(x), (lambda adj, node, x: adj * node.value,)),
     "pow_const": (lambda node, x: x ** node.aux,
                   (lambda adj, node, x: adj * node.aux * x ** (node.aux - 1.0),)),
@@ -415,7 +421,8 @@ class Graph:
         of place, because a contribution may alias another node's adjoint. Every
         node up to `root` ends with an adjoint of its value's shape: a node that
         got no contribution holds a read-only zero view, or fresh zeros if it
-        is a parameter leaf. The returned gradients are the leaves' adjoints.
+        is a parameter leaf. The root's adjoint is a shared read-only 1.0. The
+        returned gradients are the leaves' adjoints.
         """
         root = root if root is not None else self.nodes[-1]
         if root.value is None:
@@ -423,7 +430,7 @@ class Graph:
         if root.value.shape != ():
             raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
         plan = self._plan(root)
-        root.adjoint = np.ones_like(root.value)
+        root.adjoint = _ONE
         for node, inputs, calls in plan.backward:
             adj = node.adjoint
             values = [inp.value for inp in inputs]

@@ -64,13 +64,9 @@ def mixture_means(n_classes):
     return MIXTURE_RADIUS * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
-    """Labeled 2-d points from K unit-covariance Gaussians, optional label flips.
-
-    Points and flip decisions come from separate child seeds, so the same
-    seed yields identical point clouds at every noise level. A flipped label
-    moves to a uniformly random other class.
-    """
+def _class_sizes(n_classes, per_class, noise):
+    """The K per-class sizes of a scalar or per-class `per_class`, after
+    checking every generator argument against its range entry."""
     check("dataset.classes", n_classes)
     sizes = [per_class] * n_classes if np.isscalar(per_class) else list(per_class)
     if len(sizes) != n_classes:
@@ -78,6 +74,17 @@ def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
     for size in sizes:
         check("dataset.train_per_class", size)
     check("dataset.noise", noise)
+    return sizes
+
+
+def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
+    """Labeled 2-d points from K unit-covariance Gaussians, optional label flips.
+
+    Points and flip decisions come from separate child seeds, so the same
+    seed yields identical point clouds at every noise level. A flipped label
+    moves to a uniformly random other class.
+    """
+    sizes = _class_sizes(n_classes, per_class, noise)
     point_seed, flip_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(point_seed)
     means = mixture_means(n_classes)
@@ -98,8 +105,7 @@ def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
 def mixture_posterior(x, n_classes, per_class, noise=0.0):
     """Exact class posterior of the generator, including the label-flip channel."""
     x = np.asarray(x, dtype=np.float64)
-    sizes = np.asarray([per_class] * n_classes if np.isscalar(per_class) else per_class,
-                       dtype=np.float64)
+    sizes = np.asarray(_class_sizes(n_classes, per_class, noise), dtype=np.float64)
     prior = sizes / sizes.sum()
     means = mixture_means(n_classes)
     sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)

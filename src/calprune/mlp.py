@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph, log_softmax
+from .ranges import check_setting
 
 CHECKPOINT_MAGIC = "calprune-mlp"
 CHECKPOINT_VERSION = 2
@@ -36,8 +37,9 @@ class MlpParams:
 
 def init_mlp(widths, seed):
     """Glorot-uniform weights, zero biases, drawn layer by layer from PCG64(seed)."""
+    check_setting("model.hidden", widths, "widths")
     widths = [int(w) for w in widths]
-    if len(widths) < 2 or any(w <= 0 for w in widths):
+    if len(widths) < 2:
         raise ValueError(f"widths must hold >= 2 positive layer sizes, got {widths}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -126,13 +128,6 @@ def param_bindings(params):
         out[f"w{i}"] = w
         out[f"b{i}"] = b
     return out
-
-
-def params_from_bindings(widths, bindings):
-    n_layers = len(widths) - 1
-    weights = [bindings[f"w{i}"] for i in range(n_layers)]
-    biases = [bindings[f"b{i}"] for i in range(n_layers)]
-    return MlpParams(list(widths), weights, biases)
 
 
 def _is_count(value):

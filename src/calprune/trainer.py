@@ -9,6 +9,7 @@ deterministic given the config seed; a non-finite loss aborts loudly.
 
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +18,7 @@ from .autodiff import Graph, log_softmax
 from .data import minibatches
 from .losses import LossSpec, total_loss
 from .metrics import build_report
-from .mlp import (forward_logits, logits_graph, param_bindings, params_from_bindings,
-                  predict)
+from .mlp import MlpParams, forward_logits, logits_graph, param_bindings, predict
 from .pruning import PruneSchedule, prune_using_ema, update_ema
 from .ranges import check_fields
 
@@ -74,25 +74,47 @@ class RunResult:
     survivors: object = None  # the final surviving Dataset, EMA scores included
 
 
-def sgd_update(params, grads, velocity, lr, momentum, weight_decay):
-    """One SGD step in place: g' = g + wd*theta; v = momentum*v + g'; theta -= lr*v.
+# flat float64 vectors of one length, and name -> view of `scratch`
+SgdState = namedtuple("SgdState", "theta velocity scratch slots")
 
-    Updates the `params` and `velocity` arrays themselves and returns the two
-    dicts. Shapes are checked before any array is written.
+
+def sgd_state(arrays):
+    """SgdState for name -> array `arrays`, and name -> view of its `theta`.
+
+    `theta` holds a float64 copy of the arrays back to back and `velocity`
+    starts at zero; each slot is the view of `scratch` at the offsets of the
+    parameter of its name. The arrays themselves are never written.
     """
-    for name, theta in params.items():
+    theta = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+    scratch = np.empty_like(theta)
+    views, slots, start = {}, {}, 0
+    for name, a in arrays.items():
+        stop = start + np.size(a)
+        views[name] = theta[start:stop].reshape(np.shape(a))
+        slots[name] = scratch[start:stop].reshape(np.shape(a))
+        start = stop
+    return SgdState(theta, np.zeros_like(theta), scratch, slots), views
+
+
+def sgd_update(state, grads, lr, momentum, weight_decay):
+    """One SGD step in place over the flat vectors of `state`, allocating nothing.
+
+    s = wd*theta + g; v = momentum*v + s; theta -= lr*v. Each gradient is
+    added into its own slot of s, its shape checked first, so a mismatch
+    raises before the velocity or theta is written.
+    """
+    theta, v, s, slots = state
+    np.multiply(theta, weight_decay, out=s)
+    for name, slot in slots.items():
         g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape}"
+        if g.shape != slot.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {slot.shape}"
                              f" for {name!r}")
-    for name, theta in params.items():
-        step = weight_decay * theta
-        step += grads[name]
-        v = velocity[name]
-        v *= momentum
-        v += step
-        theta -= lr * v
-    return params, velocity
+        np.add(slot, g, out=slot)
+    v *= momentum
+    v += s
+    np.multiply(v, lr, out=s)
+    theta -= s
 
 
 def lr_at_epoch(epoch, config):
@@ -114,10 +136,8 @@ def train_with_pruning(train, test, params, config):
             f"batch size {config.batch_size} < 10*K={10 * n_classes}: minibatches may "
             "not represent every class while pruning", stacklevel=2)
 
-    # copied once: sgd_update writes into these, never into the caller's arrays
-    bindings = {name: np.array(arr, dtype=np.float64)
-                for name, arr in param_bindings(params).items()}
-    velocity = {name: np.zeros_like(arr) for name, arr in bindings.items()}
+    # every parameter is a view of state.theta, which sgd_update steps in place
+    state, feed = sgd_state(param_bindings(params))
     survivors = train
     epoch_log, prune_events = [], []
     total_updates = 0
@@ -128,7 +148,6 @@ def train_with_pruning(train, test, params, config):
     y = graph.int_leaf("y")
     log_probs = graph.log_softmax(logits_graph(graph, x, params.n_layers))
     loss_node = total_loss(graph, log_probs, y, config.loss, n_classes)
-    feed = dict(bindings)  # the same parameter arrays, which sgd_update steps in place
 
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(epoch, config)
@@ -145,8 +164,8 @@ def train_with_pruning(train, test, params, config):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
             grads = graph.backward(root=loss_node)
-            sgd_update(bindings, grads, velocity, lr, config.momentum, config.weight_decay)
-            epoch_conf[block] = np.exp(np.max(log_probs.value, axis=1))
+            sgd_update(state, grads, lr, config.momentum, config.weight_decay)
+            epoch_conf[block] = np.exp(np.maximum.reduce(log_probs.value, axis=1))
             loss_sum += loss_value * len(block)
 
         n_surviving = len(survivors)
@@ -163,7 +182,9 @@ def train_with_pruning(train, test, params, config):
                 prune_events.append(PruneEvent(epoch, (before - after).tolist(),
                                                len(survivors)))
 
-    final_params = params_from_bindings(params.widths, bindings)
+    layers = range(params.n_layers)
+    final_params = MlpParams(list(params.widths), [feed[f"w{i}"] for i in layers],
+                             [feed[f"b{i}"] for i in layers])
     report = evaluate_model(final_params, test, config.n_bins, config.eval_deltas)
     return RunResult(final_params, epoch_log, prune_events, report, total_updates,
                      time.perf_counter() - started, survivors)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from calprune.autodiff import RULES, Graph, GraphError, grad_check
+from calprune.autodiff import (RULES, Graph, GraphError, Node, _scatter_rows, _unbroadcast,
+                               grad_check, log_softmax)
 from calprune.losses import AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 
@@ -407,3 +408,53 @@ def test_int_leaf_keeps_its_dtype_and_inputs_must_be_nodes():
         g.forward({"x": np.ones((2, 3)), "t": [3, 0]})
     with pytest.raises(GraphError, match="graph nodes, got list"):
         g.gather_rows(x, [0, 1])
+
+
+def _fast_path_inputs():
+    """(x, adj) pairs: a full batch, a short last batch and a single row.
+
+    x holds rows with tied maxima, all-equal rows and signed zeros; adj holds
+    -0.0 and +0.0 entries next to ordinary values."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(128, 4)) * 3.0
+    x[::7, 2] = x[::7, 0] = x[::7].max(axis=1)  # two columns tie for the max
+    x[3::11] = 0.0
+    x[5::13, 1] = -0.0
+    adj = rng.normal(size=x.shape)
+    adj[::3] = -0.0
+    adj[1::5, 2] = 0.0
+    return [(x, adj), (x[:19], adj[:19]), (x[:1], adj[:1])]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["batch", "short_batch", "one_row"])
+def test_log_softmax_fast_paths_match_wrapper_forms_bitwise(case):
+    x, adj = _fast_path_inputs()[case]
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    wrapper = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    assert log_softmax(x).tobytes() == wrapper.tobytes()
+    node = Node("log_softmax")
+    node.value = wrapper
+    [vjp] = RULES["log_softmax"][1]
+    expected = adj - np.exp(wrapper) * np.sum(adj, axis=-1, keepdims=True)
+    assert vjp(adj, node, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", range(3), ids=["batch", "short_batch", "one_row"])
+def test_scatter_rows_matches_add_at_bitwise(case):
+    x, adj = _fast_path_inputs()[case]
+    columns = np.argmax(x, axis=1)  # ties route to the lowest index
+    for row_adj in (adj[:, 0], adj[:, 1], np.float64(-0.0)):
+        expected = np.zeros_like(x)
+        np.add.at(expected, (np.arange(x.shape[0]), columns), row_adj)
+        assert _scatter_rows(row_adj, x, columns).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", range(3), ids=["batch", "short_batch", "one_row"])
+def test_relu_and_bias_fast_paths_match_bitwise(case):
+    x, adj = _fast_path_inputs()[case]
+    [relu_vjp] = RULES["relu"][1]
+    assert relu_vjp(adj, None, x).tobytes() == (adj * (x > 0)).tobytes()
+    assert _unbroadcast(adj, (4,)).tobytes() == adj.sum(axis=0).tobytes()
+    if adj.shape[0] > 1:  # a (1, 4) adjoint already has the shape and passes through
+        assert (_unbroadcast(adj, (1, 4)).tobytes()
+                == adj.sum(axis=0, keepdims=True).tobytes())

@@ -759,6 +759,21 @@ def test_quickstart_checkpoint_bytes_deterministic(tmp_path):
     assert json.loads(texts[0])["version"] == 2
 
 
+def test_quickstart_checkpoint_invariant_to_blas_threads(tmp_path):
+    """Quickstart-sized products round alike at 1 and 2 OpenBLAS threads, so the
+    checkpoint bytes do not depend on the thread count (README "Determinism")."""
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "calprune", "train", "--config",
+                               str(QUICKSTART), "--set", f"output_dir={out}"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        texts.append((out / "checkpoint.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_module_entry_point_runs_from_checkout(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = [sys.executable, "-m", "calprune"]

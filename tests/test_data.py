@@ -1,6 +1,7 @@
 """Generators, loaders, splitting, and minibatch determinism."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ def test_mixture_posterior_properties():
     from calprune.data import mixture_means
     on_mean = mixture_posterior(mixture_means(4), 4, 50, noise=0.0)
     assert np.argmax(on_mean, axis=1).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("args, problem", [
+    ((1, 10), "n_classes must be an integer >= 2, got 1"),
+    ((2, 0), "per_class must be an integer >= 1, got 0"),
+    ((2, [10]), "need 2 per-class sizes"),
+    ((2, 10, 0.5), r"noise must be in \[0, 0.5\), got 0.5"),
+    ((2, 10, float("nan")), "noise must be"),
+])
+def test_mixture_posterior_checks_its_arguments(args, problem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a bad argument raises, never warns
+        with pytest.raises(ValueError, match=problem):
+            mixture_posterior(np.zeros((1, 2)), *args)
 
 
 def idx_fixture(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,

@@ -39,6 +39,12 @@ def test_init_rejects_bad_widths():
         init_mlp([2, 0, 3], seed=0)
 
 
+@pytest.mark.parametrize("width", [2.7, True, 0, -1])
+def test_init_rejects_non_count_widths_before_casting(width):
+    with pytest.raises(ValueError, match=rf"widths\[1\] must be an integer >= 1, got {width!r}"):
+        init_mlp([2, width, 3], seed=0)
+
+
 def test_zero_params_give_zero_logits():
     params = init_mlp([3, 2], seed=0)
     params.weights[0][:] = 0.0

@@ -1,5 +1,7 @@
 """SGD mechanics, the training loop's accounting, and temperature scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,46 +14,73 @@ from calprune.mlp import forward_logits, init_mlp, logits_graph, param_bindings,
 from calprune.pruning import PruneSchedule, prune_using_ema, update_ema
 from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               fit_temperature, fit_temperature_on_logits,
-                              lr_at_epoch, mean_nll, sgd_update,
+                              lr_at_epoch, mean_nll, sgd_state, sgd_update,
                               train_with_pruning)
 
 
 def test_sgd_plain_step():
-    params = {"w": np.array([1.0, 2.0])}
+    state, params = sgd_state({"w": np.array([1.0, 2.0])})
     grads = {"w": np.array([0.5, -0.5])}
-    vel = {"w": np.zeros(2)}
     theta = params["w"]
-    new, _ = sgd_update(params, grads, vel, lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert new["w"] is theta  # stepped in place
+    sgd_update(state, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
+    assert theta.base is state.theta  # stepped in place
     np.testing.assert_allclose(theta, [0.95, 2.05], atol=1e-15)
 
 
 def test_sgd_decay_only_step():
-    params = {"w": np.array([1.0])}
+    state, params = sgd_state({"w": np.array([1.0])})
     grads = {"w": np.array([0.0])}
-    vel = {"w": np.zeros(1)}
-    new, _ = sgd_update(params, grads, vel, lr=1.0, momentum=0.0, weight_decay=0.1)
-    assert new["w"][0] == pytest.approx(0.9, abs=1e-15)
+    sgd_update(state, grads, lr=1.0, momentum=0.0, weight_decay=0.1)
+    assert params["w"][0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_sgd_momentum_recurrence():
-    params = {"w": np.array([0.0])}
-    vel = {"w": np.zeros(1)}
+    state, params = sgd_state({"w": np.array([0.0])})
     grads = {"w": np.array([1.0])}
-    p1, vel = sgd_update(params, grads, vel, lr=1.0, momentum=0.9, weight_decay=0.0)
-    assert p1["w"][0] == pytest.approx(-1.0)
-    before = p1["w"].copy()  # the step below writes into p1's arrays
-    p2, vel = sgd_update(p1, grads, vel, lr=1.0, momentum=0.9, weight_decay=0.0)
-    assert p2["w"][0] - before[0] == pytest.approx(-1.9)
+    sgd_update(state, grads, lr=1.0, momentum=0.9, weight_decay=0.0)
+    assert params["w"][0] == pytest.approx(-1.0)
+    before = params["w"].copy()  # the step below writes into the same array
+    sgd_update(state, grads, lr=1.0, momentum=0.9, weight_decay=0.0)
+    assert params["w"][0] - before[0] == pytest.approx(-1.9)
 
 
 def test_sgd_shape_mismatch_rejected():
-    params = {"a": np.ones(1), "w": np.zeros(2)}
+    state, params = sgd_state({"a": np.ones(1), "w": np.zeros(2)})
+    state.velocity[:] = [0.5, 0.25, -0.25]
+    theta, velocity = state.theta.copy(), state.velocity.copy()
     with pytest.raises(ValueError, match="shape"):
-        sgd_update(params, {"a": np.ones(1), "w": np.zeros(3)},
-                   {"a": np.zeros(1), "w": np.zeros(2)},
+        sgd_update(state, {"a": np.ones(1), "w": np.zeros(3)},
                    lr=0.1, momentum=0.0, weight_decay=0.0)
     assert params["a"][0] == 1.0  # shapes are checked before any array is stepped
+    assert state.theta.tobytes() == theta.tobytes()
+    assert state.velocity.tobytes() == velocity.tobytes()
+
+
+def test_sgd_state_copies_arrays_into_one_vector():
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}
+    state, params = sgd_state(arrays)
+    assert state.theta.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0]
+    assert not state.velocity.any()
+    for name, a in arrays.items():
+        assert params[name].base is state.theta and params[name].shape == a.shape
+        assert state.slots[name].base is state.scratch and state.slots[name].shape == a.shape
+        assert not np.shares_memory(params[name], a)
+
+
+def test_sgd_update_allocates_nothing_per_step():
+    rng = np.random.default_rng(0)
+    widths = [784, 256, 256, 10]  # the MNIST-shaped model: 2.15 MB of parameters
+    arrays = param_bindings(init_mlp(widths, seed=0))
+    state, _ = sgd_state(arrays)
+    grads = {name: rng.normal(size=a.shape) for name, a in arrays.items()}
+    sgd_update(state, grads, lr=0.1, momentum=0.9, weight_decay=5e-4)  # warm-up
+    tracemalloc.start()
+    try:
+        sgd_update(state, grads, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_lr_schedule():
@@ -155,7 +184,8 @@ def test_training_is_bitwise_deterministic():
 
 
 def graph_per_batch_training(train, params, config):
-    """Reference loop: the training procedure with a fresh graph per minibatch."""
+    """Reference loop: the training procedure with a fresh graph per minibatch,
+    and the SGD step written out per parameter array."""
     bindings = {name: np.array(arr) for name, arr in param_bindings(params).items()}
     velocity = {name: np.zeros_like(arr) for name, arr in bindings.items()}
     survivors = train
@@ -169,8 +199,14 @@ def graph_per_batch_training(train, params, config):
             root = total_loss(g, log_probs, y, config.loss, params.n_classes)
             g.forward({**bindings, "x": survivors.x[block], "y": survivors.y[block]},
                       root=root)
-            sgd_update(bindings, g.backward(root=root), velocity, lr, config.momentum,
-                       config.weight_decay)
+            grads = g.backward(root=root)
+            for name, theta in bindings.items():
+                step = config.weight_decay * theta
+                step += grads[name]
+                v = velocity[name]
+                v *= config.momentum
+                v += step
+                theta -= lr * v
             confidences[block] = np.exp(np.max(log_probs.value, axis=1))
         survivors = update_ema(survivors, confidences, config.prune.ema_factor)
         if epoch in config.prune.epochs:
