@@ -53,6 +53,30 @@ def bin_indices(confidences, n_bins):
     return np.searchsorted(bin_edges(n_bins), confidences, side="left")
 
 
+def _check_correct(correct):
+    """`correct` as a 1-d float64 array holding only 1.0 (right) and 0.0 (wrong).
+
+    Anything else raises a ValueError naming the problem.
+    """
+    correct = np.asarray(correct, dtype=np.float64)
+    if correct.ndim != 1:
+        raise ValueError(f"correct must be a 1-d array, got shape {correct.shape}")
+    wrong = correct[(correct != 0.0) & (correct != 1.0)]
+    if wrong.size:
+        raise ValueError(f"correct must hold only 0.0 and 1.0, got {wrong[0]}")
+    return correct
+
+
+def _check_records(conf, correct):
+    """`conf` and `correct` (checked by _check_correct) as float64 arrays of one length."""
+    correct = _check_correct(correct)
+    conf = np.asarray(conf, dtype=np.float64)
+    if conf.shape != correct.shape:
+        raise ValueError(f"confidences and correct must be 1-d arrays of one length, "
+                         f"got shapes {conf.shape} and {correct.shape}")
+    return conf, correct
+
+
 def binned_ece(conf, correct, n_bins):
     """Equispaced-bin reliability table and its expected calibration error.
 
@@ -60,6 +84,7 @@ def binned_ece(conf, correct, n_bins):
     confidence in [0, 1] and 1.0 where its prediction was right, else 0.0.
     """
     check("eval.bins", n_bins)
+    conf, correct = _check_records(conf, correct)
     if not len(conf):
         raise ValueError("binned_ece requires at least one record")
     outside = conf[~((conf >= 0.0) & (conf <= 1.0))]
@@ -89,6 +114,7 @@ def binned_ece(conf, correct, n_bins):
 def high_confidence_subset(conf, correct, delta):
     """The records with confidence >= delta, plus the subset size as a percentage."""
     check("eval.deltas", delta, "delta")
+    conf, correct = _check_records(conf, correct)
     keep = conf >= delta
     fraction_pct = 100.0 * int(keep.sum()) / len(conf) if len(conf) else 0.0
     return conf[keep], correct[keep], fraction_pct
@@ -111,13 +137,15 @@ def refinement_auroc(conf, correct):
     """P(random correct record outranks a random incorrect one), ties counted 1/2.
 
     Returns None when the ranking is undefined (all correct or all incorrect).
+    Tied confidences share one average rank, so the sort need not be stable.
     """
+    conf, correct = _check_records(conf, correct)
     n = len(conf)
     n_pos = int(correct.sum())
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(conf, kind="mergesort")
+    order = np.argsort(conf)
     sorted_conf = conf[order]
     # each run of equal confidences [start, end) shares its average 1-based rank
     starts = np.flatnonzero(np.r_[True, sorted_conf[1:] != sorted_conf[:-1]])
@@ -130,6 +158,7 @@ def refinement_auroc(conf, correct):
 
 def test_error(correct):
     """Fraction of misclassified records, as a percentage."""
+    correct = _check_correct(correct)
     if not len(correct):
         raise ValueError("test_error requires at least one record")
     return float(100.0 * (1.0 - correct.mean()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, log_softmax
+from .autodiff import Graph
 from .ranges import check_setting
 
 CHECKPOINT_MAGIC = "calprune-mlp"
@@ -70,13 +70,24 @@ def _forward_block(params, block):
     return h
 
 
+def row_blocks(n):
+    """The row slices forward_logits runs, in order, covering range(n).
+
+    Each holds FORWARD_BLOCK_ROWS rows, the remainder joining the last, so
+    every block has 8192 to 16383 rows; n under 16384 (0 included) is one block.
+    """
+    n_blocks = max(n // FORWARD_BLOCK_ROWS, 1)
+    for k in range(n_blocks):
+        start = k * FORWARD_BLOCK_ROWS
+        yield slice(start, n if k == n_blocks - 1 else start + FORWARD_BLOCK_ROWS)
+
+
 def forward_logits(params, batch):
     """Plain numpy forward pass; batch is (n, input_dim), result is (n, K).
 
-    The rows run in blocks of FORWARD_BLOCK_ROWS, the remainder joining the
-    last block, so every block holds 8192 to 16383 rows and a batch under
-    16384 rows is one block. At most two blocks' hidden activations are alive
-    at once, whatever n is; the logits go into one preallocated (n, K) array.
+    The rows run in the blocks of row_blocks(n), so a batch under 16384 rows
+    is one block. At most two blocks' hidden activations are alive at once,
+    whatever n is; the logits go into one preallocated (n, K) array.
     Blocks are never smaller than 8192 rows because below ~1e6 multiply-adds
     per product OpenBLAS switches to a small-matrix kernel that rounds
     differently; at this floor the logits match the whole-batch product
@@ -86,27 +97,32 @@ def forward_logits(params, batch):
     if batch.ndim != 2 or batch.shape[1] != params.widths[0]:
         raise ValueError(
             f"batch shape {batch.shape} does not match input width {params.widths[0]}")
-    n = batch.shape[0]
-    n_blocks = max(n // FORWARD_BLOCK_ROWS, 1)
-    if n_blocks == 1:
+    blocks = list(row_blocks(batch.shape[0]))
+    if len(blocks) == 1:
         return _forward_block(params, batch)
-    logits = np.empty((n, params.n_classes))
-    for k in range(n_blocks):
-        start = k * FORWARD_BLOCK_ROWS
-        stop = n if k == n_blocks - 1 else start + FORWARD_BLOCK_ROWS
-        logits[start:stop] = _forward_block(params, batch[start:stop])
+    logits = np.empty((batch.shape[0], params.n_classes))
+    for rows in blocks:
+        logits[rows] = _forward_block(params, batch[rows])
     return logits
 
 
 def predict(logits):
-    """Per-row argmax labels (ties -> lowest index) and max-prob confidences, as arrays."""
+    """Per-row argmax labels (ties -> lowest index) and max-prob confidences, as arrays.
+
+    The bits of argmax and exp of log_softmax(logits) at the label: the row max
+    is taken column by column (max is exact), and the label's log-probability
+    is exactly -lse, since its shifted logit is the row's largest and that is 0.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {logits.shape}")
-    log_probs = log_softmax(logits)
-    labels = np.argmax(log_probs, axis=1)
-    confidences = np.exp(log_probs[np.arange(len(labels)), labels])
-    return labels, confidences
+    row_max = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    shifted = logits - row_max[:, None]
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    shifted -= lse[:, None]
+    return np.argmax(shifted, axis=1), np.exp(-lse)
 
 
 def logits_graph(graph: Graph, x_node, n_layers):

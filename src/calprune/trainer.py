@@ -18,7 +18,8 @@ from .autodiff import Graph, log_softmax
 from .data import minibatches
 from .losses import LossSpec, total_loss
 from .metrics import build_report
-from .mlp import MlpParams, forward_logits, logits_graph, param_bindings, predict
+from .mlp import (MlpParams, forward_logits, logits_graph, param_bindings, predict,
+                  row_blocks)
 from .pruning import PruneSchedule, prune_using_ema, update_ema
 from .ranges import check_fields
 
@@ -193,13 +194,17 @@ def train_with_pruning(train, test, params, config):
 def records_for(params, data, temperatures=(1.0,)):
     """One (confidence, correct) pair of float64 arrays per temperature.
 
-    Every row of `data` is forwarded once; each temperature divides the same logits.
+    The rows are forwarded once, block by block (mlp.row_blocks), and each
+    temperature divides the same block logits, so no whole-set logits are built.
     """
-    logits = forward_logits(params, data.x)
-    records = []
-    for t in temperatures:
-        labels, confidences = predict(logits / t)
-        records.append((confidences, (labels == data.y).astype(np.float64)))
+    n = len(data)
+    records = [(np.empty(n), np.empty(n)) for _ in temperatures]
+    for rows in row_blocks(n):
+        logits = forward_logits(params, data.x[rows])
+        for t, (confidences, correct) in zip(temperatures, records):
+            # x / 1.0 is x bit for bit, so T = 1 needs no scaled copy
+            labels, confidences[rows] = predict(logits if t == 1.0 else logits / t)
+            correct[rows] = labels == data.y[rows]
     return records
 
 

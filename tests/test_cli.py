@@ -21,7 +21,7 @@ from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datase
                              build_prune_schedule, build_train_config, load_config,
                              model_widths, resolve_config)
 from calprune.losses import AuxSpec, LossSpec, total_loss
-from calprune.mlp import init_mlp, logits_graph, param_bindings
+from calprune.mlp import init_mlp, logits_graph, param_bindings, row_blocks
 from calprune.ranges import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -503,7 +503,9 @@ def test_calibrate_prints_temperature(trained, capsys):
 
 def test_calibrate_forwards_each_split_once(trained, monkeypatch, capsys):
     """calibrate forwards the val rows once (temperature fit) and the test rows
-    once (both ECEs); its ece_before equals evaluate's ece."""
+    once (both ECEs), block by block, so a test set of 16384 rows or more is
+    forwarded in row_blocks whose sizes sum to its length; its ece_before
+    equals evaluate's ece."""
     config_path, out = trained
     forward = trainer.forward_logits
     forwarded = []
@@ -513,14 +515,20 @@ def test_calibrate_forwards_each_split_once(trained, monkeypatch, capsys):
         return forward(params, batch)
 
     monkeypatch.setattr(trainer, "forward_logits", counting_forward)
-    common = ["--config", str(config_path), "--checkpoint", str(out / "checkpoint.json")]
-    assert main(["calibrate", *common]) == 0
-    calibrated = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    _, val, test = build_datasets(load_config(config_path, env={}))
-    assert forwarded == [len(val), len(test)]
-    assert main(["evaluate", *common, "--out", str(out.parent / "eval_once")]) == 0
-    evaluated = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    assert calibrated["ece_before"] == evaluated["ece"]
+    for name, sets in (("small", []), ("large", ["--set", "dataset.test_per_class=20000"])):
+        forwarded.clear()
+        common = ["--config", str(config_path), "--checkpoint",
+                  str(out / "checkpoint.json"), *sets]
+        assert main(["calibrate", *common]) == 0
+        calibrated = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        _, val, test = build_datasets(load_config(config_path, overrides=sets[1::2], env={}))
+        assert forwarded[0] == len(val)
+        assert sum(forwarded[1:]) == len(test)
+        assert forwarded[1:] == [rows.stop - rows.start for rows in row_blocks(len(test))]
+        assert (len(forwarded) > 2) == (len(test) >= 16384) == (name == "large")
+        assert main(["evaluate", *common, "--out", str(out.parent / f"eval_{name}")]) == 0
+        evaluated = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert calibrated["ece_before"] == evaluated["ece"]
 
 
 def test_report_regenerates_artifacts(trained, tmp_path):

@@ -185,6 +185,75 @@ def test_auroc_matches_pairwise_oracle(grid):
     assert fast == pytest.approx((wins + 0.5 * ties) / total, abs=1e-12)
 
 
+def test_auroc_matches_pairwise_oracle_on_heavy_ties():
+    """About 2000 confidences on a 0.01 grid: every positive/negative pair
+    counted, ties as 1/2."""
+    rng = np.random.default_rng(23)
+    conf, correct = random_records(rng, 2000)
+    conf = np.round(conf, 2)
+    pos, neg = conf[correct == 1.0], conf[correct == 0.0]
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    assert ties > len(conf)  # heavily tied
+    expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
+    assert refinement_auroc(conf, correct) == pytest.approx(expected, abs=1e-12)
+
+
+def stable_sort_auroc(conf, correct):
+    """The rank-sum AUROC with a stable sort, tie runs sharing their average rank."""
+    n, n_pos = len(conf), int(correct.sum())
+    order = np.argsort(conf, kind="mergesort")
+    sorted_conf = conf[order]
+    starts = np.flatnonzero(np.r_[True, sorted_conf[1:] != sorted_conf[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    rank_sum = ranks[correct == 1.0].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * (n - n_pos)))
+
+
+def test_auroc_equals_stable_sort_rank_sum_bitwise():
+    """Each tie run gets one shared rank, so the order a sort leaves inside a run
+    cannot change a bit of the result."""
+    rng = np.random.default_rng(24)
+    conf, correct = random_records(rng, 100_000)
+    conf = np.round(conf, 3)
+    conf[:500], conf[500:1000] = 0.0, -0.0  # one tie run holding both zeros
+    fast = refinement_auroc(conf, correct)
+    assert np.float64(fast).tobytes() == np.float64(stable_sort_auroc(conf, correct)).tobytes()
+
+
+@pytest.mark.parametrize("correct, match", [
+    ([2.0, 0.0, 0.0], "0.0 and 1.0, got 2.0"),
+    ([1.0, 0.0, 0.5], "0.0 and 1.0, got 0.5"),
+    ([1.0, np.nan, 0.0], "0.0 and 1.0, got nan"),
+    ([1.0, 0.0], r"one length, got shapes \(3,\) and \(2,\)"),
+    ([1.0, 0.0, 1.0, 0.0], r"one length, got shapes \(3,\) and \(4,\)"),
+    ([[1.0, 0.0, 1.0]], r"correct must be a 1-d array, got shape \(1, 3\)"),
+], ids=["two", "half", "nan", "shorter", "longer", "2d"])
+def test_malformed_correct_rejected(correct, match):
+    """Every metric that reads `correct` names the problem instead of returning
+    an AUROC outside [0, 1], a bin accuracy of 2 or a raw numpy error."""
+    conf, correct = np.array([0.2, 0.8, 0.5]), np.array(correct)
+    for metric in (lambda: binned_ece(conf, correct, 10),
+                   lambda: refinement_auroc(conf, correct),
+                   lambda: high_confidence_subset(conf, correct, 0.5),
+                   lambda: build_report(conf, correct, 10, [0.9])):
+        with pytest.raises(ValueError, match=match):
+            metric()
+    if correct.ndim != 1 or len(correct) != len(conf):
+        return
+    with pytest.raises(ValueError, match=match):
+        error_rate(correct)
+
+
+def test_malformed_confidences_shape_rejected():
+    with pytest.raises(ValueError, match=r"one length, got shapes \(1, 2\) and \(2,\)"):
+        refinement_auroc(np.array([[0.2, 0.8]]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="correct must be a 1-d array"):
+        error_rate(np.ones((2, 2)))
+
+
 def test_test_error_values():
     assert error_rate(np.array([1.0, 1.0, 1.0, 0.0])) == pytest.approx(25.0)
     assert error_rate(np.array([1.0])) == 0.0

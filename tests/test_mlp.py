@@ -10,7 +10,7 @@ import pytest
 from calprune.autodiff import Graph, log_softmax
 from calprune.mlp import (FORWARD_BLOCK_ROWS, MlpParams, checkpoint_text, forward_logits,
                           init_mlp, load_checkpoint, logits_graph, param_bindings,
-                          predict, save_checkpoint)
+                          predict, row_blocks, save_checkpoint)
 
 
 def test_init_shapes_and_zero_biases():
@@ -103,6 +103,73 @@ def test_predict_shift_invariance():
     np.testing.assert_allclose(confidences, confidences_b, rtol=0, atol=1e-9)
 
 
+def reference_predict(logits):
+    """predict's log_softmax form: argmax of the log-probabilities, exp at the label."""
+    log_probs = log_softmax(np.asarray(logits, dtype=np.float64))
+    labels = np.argmax(log_probs, axis=1)
+    return labels, np.exp(log_probs[np.arange(len(labels)), labels])
+
+
+def assert_predict_matches_reference(logits):
+    labels, confidences = predict(logits)
+    ref_labels, ref_confidences = reference_predict(logits)
+    assert labels.dtype == ref_labels.dtype and confidences.dtype == ref_confidences.dtype
+    assert labels.tobytes() == ref_labels.tobytes()
+    assert confidences.tobytes() == ref_confidences.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 10, 16, 129])
+def test_predict_matches_log_softmax_form_bitwise(k):
+    """Column-wise max and exp(-lse) give the bits of log_softmax, argmax and
+    a gathered exp, at every scale and with exact ties of the row max."""
+    rng = np.random.default_rng(k)
+    n = 3000
+    logits = rng.normal(size=(n, k)) * np.exp(rng.uniform(-30, 6, size=(n, 1)))
+    rows = np.arange(0, n, 5)
+    other = rng.integers(0, k, size=len(rows))
+    logits[rows, other] = logits[rows].max(axis=1)  # the max tied in another column
+    logits[1::5] = np.round(logits[1::5])            # integer logits tie often
+    logits[2::5] = logits[2::5, :1]                  # every column tied
+    logits[3::5] += 1e300 * rng.choice([-1.0, 1.0], size=(len(logits[3::5]), 1))
+    assert_predict_matches_reference(logits)
+
+
+def test_predict_near_tie_that_collapses_after_lse_keeps_first_label():
+    """0 - lse and -1e-17 - lse round to the same log-probability, so the tie
+    goes to the first column, as it does in the log_softmax form."""
+    [label], [confidence] = predict(np.array([[0.0, 1e-17]]))
+    assert label == 0
+    assert confidence == 0.5
+    assert_predict_matches_reference(np.array([[0.0, 1e-17], [1e-17, 0.0]]))
+
+
+def test_predict_signed_zeros_and_empty_batch_bitwise():
+    assert_predict_matches_reference(np.array([
+        [0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, -0.0], [-1.0, -0.0, 0.0],
+        [0.0, -800.0, -800.0], [-0.0, -800.0, -800.0]]))
+    labels, confidences = predict(np.zeros((0, 3)))
+    assert labels.shape == confidences.shape == (0,)
+    assert_predict_matches_reference(np.zeros((0, 3)))
+
+
+def test_predict_non_finite_rows_are_nan_where_the_reference_is():
+    """Rows with inf or NaN give the same labels, and NaN confidences exactly
+    where the log_softmax form has them (NaN sign bits may differ); finite
+    confidences keep their bits."""
+    inf, nan = np.inf, np.nan
+    logits = np.array([[inf, 0.0, 1.0], [-inf, 0.0, 1.0], [-inf, -inf, -inf],
+                       [inf, inf, 0.0], [inf, -inf, 0.0], [nan, 0.0, 1.0],
+                       [0.0, nan, inf], [1.0, 2.0, 3.0]])
+    with np.errstate(invalid="ignore"):
+        labels, confidences = predict(logits)
+        ref_labels, ref_confidences = reference_predict(logits)
+    assert labels.tolist() == ref_labels.tolist()
+    nan_rows = np.isnan(ref_confidences)
+    assert np.isnan(confidences).tolist() == nan_rows.tolist()
+    assert nan_rows.any() and not nan_rows.all()
+    assert confidences[~nan_rows].tobytes() == ref_confidences[~nan_rows].tobytes()
+
+
 def test_graph_forward_matches_plain_forward_bitwise():
     params = init_mlp([3, 8, 4], seed=5)
     batch = np.random.default_rng(6).normal(size=(7, 3))
@@ -167,6 +234,20 @@ def test_blocked_forward_matches_whole_batch_bitwise(widths, n):
     assert logits.shape == (n, widths[-1])
     assert logits.tobytes() == _whole_batch_reference(params, batch).tobytes()
     assert batch.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 16383, 16384, 24575, 24576, 100_000])
+def test_row_blocks_partition_rows(n):
+    """Consecutive slices covering range(n), each 8192-16383 rows (one block
+    below 16384 rows), the remainder joining the last."""
+    blocks = list(row_blocks(n))
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert len(blocks) == max(n // FORWARD_BLOCK_ROWS, 1)
+    if n >= FORWARD_BLOCK_ROWS:
+        assert all(FORWARD_BLOCK_ROWS <= size < 2 * FORWARD_BLOCK_ROWS for size in sizes)
+        assert sizes[:-1] == [FORWARD_BLOCK_ROWS] * (len(sizes) - 1)
 
 
 def test_blocked_forward_memory_is_bounded():

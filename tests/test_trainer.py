@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from calprune import trainer
-from calprune.autodiff import Graph
+from calprune.autodiff import Graph, log_softmax
 from calprune.data import (Dataset, generate_gaussian_mixture, minibatches,
                            mixture_posterior, stratified_split)
 from calprune.losses import AUX_LOSSES, CLASSIFICATION_LOSSES, AuxSpec, LossSpec, total_loss
-from calprune.mlp import forward_logits, init_mlp, logits_graph, param_bindings, predict
+from calprune.mlp import (forward_logits, init_mlp, logits_graph, param_bindings, predict,
+                          row_blocks)
 from calprune.pruning import PruneSchedule, prune_using_ema, update_ema
 from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               fit_temperature, fit_temperature_on_logits,
-                              lr_at_epoch, mean_nll, sgd_state, sgd_update,
+                              lr_at_epoch, mean_nll, records_for, sgd_state, sgd_update,
                               train_with_pruning)
 
 
@@ -307,6 +308,73 @@ def test_evaluate_zero_model_predicts_class_zero():
     recomputed = sum(b.count / report.n * abs(b.accuracy - b.confidence)
                      for b in report.bins if b.count)
     assert report.ece == pytest.approx(recomputed, abs=1e-12)
+
+
+def whole_set_records(params, data, temperatures):
+    """records_for's whole-set form: all logits at once, then the log_softmax
+    predict (argmax, exp at the label) per temperature."""
+    logits = forward_logits(params, data.x)
+    records = []
+    for t in temperatures:
+        log_probs = log_softmax(logits / t)
+        labels = np.argmax(log_probs, axis=1)
+        confidences = np.exp(log_probs[np.arange(len(labels)), labels])
+        records.append((confidences, (labels == data.y).astype(np.float64)))
+    return records
+
+
+def params_with_biases(widths, seed):
+    params = init_mlp(widths, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    return params
+
+
+@pytest.mark.parametrize("widths", [[2, 64, 64, 4], [784, 256, 256, 10]],
+                         ids=["quickstart", "mnist_shaped"])
+def test_streaming_records_match_whole_set_bitwise(widths):
+    """Block by block, records_for gives the bits of the whole-set forward and
+    predict, on both sides of each block boundary and for every temperature."""
+    params = params_with_biases(widths, seed=8)
+    temperatures = (1.0, 0.7, 2.5)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40003, widths[0]))
+    y = rng.integers(0, widths[-1], size=len(x))
+    for n in (1, 8191, 16383, 16384, 40003):
+        data = Dataset(x[:n], y[:n], widths[-1])
+        streamed = records_for(params, data, temperatures)
+        reference = whole_set_records(params, data, temperatures)
+        assert len(streamed) == len(temperatures)
+        for (conf, correct), (ref_conf, ref_correct) in zip(streamed, reference):
+            assert conf.dtype == correct.dtype == np.float64
+            assert conf.tobytes() == ref_conf.tobytes()
+            assert correct.tobytes() == ref_correct.tobytes()
+    assert 0.0 < streamed[0][1].mean() < 1.0  # both outcomes occur at n = 40003
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_records_never_build_whole_set_logits():
+    """Beyond its returned arrays, records_for on 100k rows peaks within a
+    quarter of one (n, K) logits array of the forward of its largest block;
+    the whole-set form holds several (n, K) arrays at once."""
+    params = params_with_biases([2, 64, 64, 4], seed=8)
+    rng = np.random.default_rng(10)
+    n, temperatures = 100_000, (1.0, 0.7, 2.5)
+    data = Dataset(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 4)
+    largest = max(rows.stop - rows.start for rows in row_blocks(n))
+    block_peak = traced_peak(lambda: forward_logits(params, data.x[:largest]))
+    peak = traced_peak(lambda: records_for(params, data, temperatures))
+    returned = 2 * n * 8 * len(temperatures)
+    assert peak - returned - block_peak < n * 4 * 8 / 4
 
 
 def calibrated_logits():
