@@ -6,11 +6,11 @@ and exit status 0 means a complete manifest landed on disk.
 """
 
 import argparse
-import json
 import sys
 
 from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_config, \
     load_config, model_widths
+from .data import read_json
 from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
 from .ranges import check_setting
@@ -60,7 +60,7 @@ def cmd_train(args):
     return 0
 
 
-def _load_checkpoint_for(cfg, checkpoint_path, test):
+def _load_checkpoint_for(checkpoint_path, test):
     params = load_checkpoint(checkpoint_path)
     if params.widths[0] != test.x.shape[1]:
         raise ValueError(
@@ -81,7 +81,7 @@ def cmd_evaluate(args):
     check_setting("eval.deltas", deltas, "argument --delta", ConfigError)
     check_output_dir(args.out)
     _, _, test = build_datasets(cfg)
-    params = _load_checkpoint_for(cfg, args.checkpoint, test)
+    params = _load_checkpoint_for(args.checkpoint, test)
     report = evaluate_model(params, test, bins, deltas)
     write_bundle(args.out, bundle_texts(report))
     for line in _print_report(report):
@@ -92,7 +92,7 @@ def cmd_evaluate(args):
 def cmd_calibrate(args):
     cfg = load_config(args.config, overrides=args.set or ())
     _, val, test = build_datasets(cfg)
-    params = _load_checkpoint_for(cfg, args.checkpoint, test)
+    params = _load_checkpoint_for(args.checkpoint, test)
     temperature = fit_temperature(params, val)
     before, after = records_for(params, test, temperatures=(1.0, temperature))
     _, ece_before = binned_ece(*before, cfg["eval"]["bins"])
@@ -105,11 +105,7 @@ def cmd_calibrate(args):
 
 def cmd_report(args):
     check_output_dir(args.out)
-    with open(args.run) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.run}: invalid JSON: {exc}") from None
+    doc = read_json(args.run)
     if not isinstance(doc, dict) or "report" not in doc:
         raise ValueError(f"{args.run}: run document lacks key 'report'")
     try:

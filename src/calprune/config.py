@@ -10,7 +10,8 @@ import copy
 import json
 import os
 
-from .data import generate_gaussian_mixture, load_csv, load_idx_pair, stratified_split
+from .data import (generate_gaussian_mixture, load_csv, load_idx_pair, read_json,
+                   stratified_split)
 from .losses import AuxSpec, LossSpec
 from .pruning import PruneSchedule
 from .ranges import SETTINGS, check_setting
@@ -23,51 +24,19 @@ class ConfigError(ValueError):
     """A config file problem, always naming the offending key."""
 
 
-DEFAULTS = {
-    "dataset": {
-        "source": "gaussian_mixture",
-        "classes": 2,
-        "train_per_class": 500,
-        "test_per_class": 250,
-        "noise": 0.0,
-        "seed": 0,
-        "train_fraction": 0.9,
-        "images": None,
-        "labels": None,
-        "test_images": None,
-        "test_labels": None,
-        "path": None,
-        "test_path": None,
-        "label_column": None,
-    },
-    "model": {"hidden": [64, 64]},
-    "train": {
-        "max_epochs": 60,
-        "batch_size": 128,
-        "learning_rate": 0.1,
-        "lr_milestones": [80, 120],
-        "lr_decay_factor": 0.1,
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "seed": 1,
-    },
-    "loss": {
-        "kind": "flsd",
-        "gamma": 3.0,
-        "smoothing": 0.0,
-        "aux": {"kind": "huber", "alpha": 0.005, "weight": 10.0},
-    },
-    "prune": {
-        "enabled": False,
-        "percent": 10.0,
-        "ema_factor": 0.3,
-        "interval": 5,
-        "epochs": None,
-        "warmup_epochs": None,
-    },
-    "eval": {"bins": 10, "deltas": [0.95, 0.99]},
-    "output_dir": "runs/out",
-}
+def _nested(settings):
+    """The nested dict of every setting's default, sections in table order."""
+    defaults = {}
+    for key, setting in settings.items():
+        *sections, leaf = key.split(".")
+        node = defaults
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = setting.default
+    return defaults
+
+
+DEFAULTS = _nested(SETTINGS)
 
 # keys each dataset source may set beyond "source"; everything else is a typo
 _SOURCE_KEYS = {
@@ -84,51 +53,20 @@ _SOURCE_REQUIRED = {
 }
 
 
-# stand-in defaults that give null-default keys their type; null itself stays allowed
-_NULL_DEFAULT_TYPES = {"prune.epochs": [1], "prune.warmup_epochs": 0, **{
-    f"dataset.{key}": "" for key in ("images", "labels", "test_images", "test_labels",
-                                     "path", "test_path", "label_column")}}
-
-
-def _json_type(value):
-    for kind, types in (("boolean", bool), ("integer", int), ("number", float),
-                        ("string", str), ("array", list), ("object", dict)):
-        if isinstance(value, types):
-            return kind
-    return "null"
-
-
-def _check_type(path, default, value):
-    """Raise ConfigError unless `value` has the JSON type of `default`.
-
-    An integer may stand in for a non-integral number, a boolean never does.
-    Every element of an array must have the type of the default's first one.
-    """
-    expected, actual = _json_type(default), _json_type(value)
-    if expected != actual and (expected, actual) != ("number", "integer"):
-        raise ConfigError(f"config key {path} must be of type {expected}, "
-                          f"got {actual} {value!r}")
-    if expected == "array" and default:
-        for i, element in enumerate(value):
-            _check_type(f"{path}[{i}]", default[0], element)
-
-
 # object-valued sections that may be switched off with null
 _NULLABLE_SECTIONS = {"prune", "loss.aux"}
 
 
 def _merge_strict(defaults, user, prefix=""):
-    """Merge `user` over `defaults`; every leaf must have its default's JSON type.
-
-    A key whose default is None takes None or the type in _NULL_DEFAULT_TYPES;
-    a section takes None only if it is in _NULLABLE_SECTIONS.
-    """
+    """Merge `user` over `defaults`, checking every leaf against its
+    ranges.SETTINGS entry; a section takes None only if it is in
+    _NULLABLE_SECTIONS."""
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         path = f"{prefix}{key}"
         if key not in defaults:
             raise ConfigError(f"unknown config key: {path}")
-        if isinstance(defaults[key], dict) and defaults[key]:
+        if path not in SETTINGS:
             if value is None and path in _NULLABLE_SECTIONS:
                 merged[key] = None
             elif not isinstance(value, dict):
@@ -136,8 +74,7 @@ def _merge_strict(defaults, user, prefix=""):
             else:
                 merged[key] = _merge_strict(defaults[key], value, prefix=path + ".")
         else:
-            if not (value is None and defaults[key] is None):
-                _check_type(path, _NULL_DEFAULT_TYPES.get(path, defaults[key]), value)
+            check_setting(path, value, f"config key {path}", ConfigError)
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -150,8 +87,8 @@ def _value(cfg, key):
 
 
 def resolve_config(user):
-    """Merge a user config dict over the documented defaults, strictly, and
-    check every key in ranges.SETTINGS against its rule."""
+    """Merge a user config dict over the documented defaults, strictly,
+    checking every key the user sets against its ranges.SETTINGS entry."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge_strict(DEFAULTS, user)
@@ -168,9 +105,6 @@ def resolve_config(user):
     if missing:
         raise ConfigError(
             f"dataset source {source!r} requires config key dataset.{sorted(missing)[0]}")
-    for key in SETTINGS:  # a null section or null-default key has nothing to check
-        if (value := _value(cfg, key)) is not None:
-            check_setting(key, value, f"config key {key}", ConfigError)
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
     return cfg
@@ -178,11 +112,7 @@ def resolve_config(user):
 
 def load_config(path, overrides=(), env=None):
     """Read a JSON config file, apply the output-dir env var, then --set overrides."""
-    try:
-        with open(path) as fh:
-            user = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    user = read_json(path, ConfigError)
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     env = os.environ if env is None else env

@@ -1,4 +1,4 @@
-"""Synthetic dataset generation, IDX/CSV ingestion, splitting, minibatching.
+"""Synthetic dataset generation, IDX/CSV/JSON ingestion, splitting, minibatching.
 
 All randomness flows through numpy's PCG64 (np.random.default_rng seeded via
 SeedSequence), so every dataset, split and shuffle is reproducible from the
@@ -8,6 +8,7 @@ posterior available in closed form.
 """
 
 import csv
+import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,40 +162,53 @@ def load_idx_pair(images_path, labels_path, n_classes=None):
     return Dataset(x, y, n_classes)
 
 
+def read_json(path, error=ValueError):
+    """The JSON document in file `path`; malformed JSON or bytes that are not
+    UTF-8 raise `error` naming `path`."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise error(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_csv(path, label_column, n_classes=None):
-    """Rectangular numeric CSV with a header; one integer-valued label column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
-        label_idx = header.index(label_column)
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
-        features, labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}")
-            values = []
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-                if value is None or not np.isfinite(value):
-                    kind = "non-numeric" if value is None else "non-finite"
-                    raise ValueError(f"{path}: {kind} cell {cell!r} at row {row_no}, "
-                                     f"column {header[col]!r}")
-                values.append(value)
-            label = values[label_idx]
-            if label != int(label):
-                raise ValueError(
-                    f"{path}: label {label} at row {row_no} is not integer-valued")
-            labels.append(int(label))
-            features.append([values[i] for i in feature_idx])
+    """Rectangular numeric UTF-8 CSV with a header; one integer-valued label column."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = rows[0]
+    if label_column not in header:
+        raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
+    label_idx = header.index(label_column)
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+    features, labels = [], []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}")
+        values = []
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not np.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: {kind} cell {cell!r} at row {row_no}, "
+                                 f"column {header[col]!r}")
+            values.append(value)
+        label = values[label_idx]
+        if label != int(label):
+            raise ValueError(
+                f"{path}: label {label} at row {row_no} is not integer-valued")
+        labels.append(int(label))
+        features.append([values[i] for i in feature_idx])
     if not labels:
         raise ValueError(f"{path}: no data rows")
     y = np.asarray(labels, dtype=np.int64)

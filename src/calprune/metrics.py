@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranges import check
+from .ranges import COUNT, NON_NEGATIVE_INT, Rule, check, kind_of, require
 
 
 @dataclass
@@ -210,30 +210,23 @@ def report_to_dict(report):
     }
 
 
-_INTEGER = (int,)
-_NUMBER = (int, float)
-_NUMBER_OR_NULL = (int, float, type(None))
-_BOOLEAN = (bool,)
-_TYPE_NAMES = {_INTEGER: "an integer", _NUMBER: "a number",
-               _NUMBER_OR_NULL: "a number or null", _BOOLEAN: "a boolean"}
-_REPORT_FIELDS = (("n", _INTEGER), ("n_bins", _INTEGER), ("ece", _NUMBER_OR_NULL),
-                  ("test_error_pct", _NUMBER), ("auroc", _NUMBER_OR_NULL))
-_BIN_FIELDS = (("lower", _NUMBER), ("upper", _NUMBER), ("count", _INTEGER),
-               ("confidence", _NUMBER_OR_NULL), ("accuracy", _NUMBER_OR_NULL))
-_SUBSET_FIELDS = (("delta", _NUMBER), ("count", _INTEGER), ("fraction_pct", _NUMBER),
-                  ("ece", _NUMBER_OR_NULL), ("empty", _BOOLEAN))
+# the rule each report field must pass; counts take the ranges rules
+_A_NUMBER = Rule("a number", lambda v: kind_of(v) in ("integer", "number"))
+_A_NUMBER_OR_NULL = Rule("a number or null", lambda v: v is None or _A_NUMBER.test(v))
+_A_BOOLEAN = Rule("a boolean", lambda v: kind_of(v) == "boolean")
+_REPORT_FIELDS = (("n", NON_NEGATIVE_INT), ("n_bins", COUNT), ("ece", _A_NUMBER_OR_NULL),
+                  ("test_error_pct", _A_NUMBER), ("auroc", _A_NUMBER_OR_NULL))
+_BIN_FIELDS = (("lower", _A_NUMBER), ("upper", _A_NUMBER), ("count", NON_NEGATIVE_INT),
+               ("confidence", _A_NUMBER_OR_NULL), ("accuracy", _A_NUMBER_OR_NULL))
+_SUBSET_FIELDS = (("delta", _A_NUMBER), ("count", NON_NEGATIVE_INT),
+                  ("fraction_pct", _A_NUMBER), ("ece", _A_NUMBER_OR_NULL), ("empty", _A_BOOLEAN))
 
 
 def _fields(record, fields, where):
-    """The values of `fields` in `record`, in order; a boolean is never a number."""
-    values = []
-    for key, types in fields:
-        value = record[key]
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise ValueError(f"report field {where}{key} must be {_TYPE_NAMES[types]}, "
-                             f"got {value!r}")
-        values.append(value)
-    return values
+    """The values of `fields` in `record`, in order, each passing its rule."""
+    for key, rule in fields:
+        require(rule, record[key], f"report field {where}{key}")
+    return [record[key] for key, _ in fields]
 
 
 def report_from_dict(doc):
@@ -241,6 +234,11 @@ def report_from_dict(doc):
     try:
         bins = [ReliabilityBin(*_fields(b, _BIN_FIELDS, f"bins[{i}]."))
                 for i, b in enumerate(doc["bins"])]
+        for i, b in enumerate(bins):
+            empty = b.count == 0
+            if (b.confidence is None) != empty or (b.accuracy is None) != empty:
+                raise ValueError(f"report field bins[{i}] must have a null confidence and "
+                                 f"accuracy exactly when its count is 0, got {b}")
         subsets = [SubsetCalibration(*_fields(s, _SUBSET_FIELDS, f"subsets[{i}]."))
                    for i, s in enumerate(doc["subsets"])]
         n, n_bins, ece, test_error_pct, auroc = _fields(doc, _REPORT_FIELDS, "")

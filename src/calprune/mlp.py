@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph
-from .ranges import check_setting
+from .data import read_json
+from .ranges import COUNT, NON_NEGATIVE_INT, require
 
 CHECKPOINT_MAGIC = "calprune-mlp"
 CHECKPOINT_VERSION = 2
@@ -37,7 +38,8 @@ class MlpParams:
 
 def init_mlp(widths, seed):
     """Glorot-uniform weights, zero biases, drawn layer by layer from PCG64(seed)."""
-    check_setting("model.hidden", widths, "widths")
+    for i, width in enumerate(widths):
+        require(COUNT, width, f"widths[{i}]")
     widths = [int(w) for w in widths]
     if len(widths) < 2:
         raise ValueError(f"widths must hold >= 2 positive layer sizes, got {widths}")
@@ -146,10 +148,6 @@ def param_bindings(params):
     return out
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _encode_array(a):
     """`{"shape", "data"}`: the C-order little-endian float64 bytes, base64."""
     a = np.ascontiguousarray(a, dtype="<f8")
@@ -159,7 +157,7 @@ def _encode_array(a):
 def _decode_array(entry):
     """Inverse of _encode_array, as an owned, writable, native float64 array."""
     shape = entry["shape"]
-    if not isinstance(shape, list) or not all(_is_count(n) and n >= 0 for n in shape):
+    if not isinstance(shape, list) or not all(map(NON_NEGATIVE_INT.test, shape)):
         raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
     raw = base64.b64decode(entry["data"], validate=True)
     n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
@@ -196,23 +194,18 @@ def load_checkpoint(path):
 
     Any malformed document raises ValueError naming `path`.
     """
-    with open(path, "rb") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     magic = doc.get("magic") if isinstance(doc, dict) else None
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
     version = doc.get("version")
-    decode = _DECODERS.get(version) if _is_count(version) else None
+    decode = _DECODERS.get(version) if NON_NEGATIVE_INT.test(version) else None
     if decode is None:
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         widths = doc["widths"]
         if not (isinstance(widths, list) and len(widths) >= 2
-                and all(_is_count(w) and w > 0 for w in widths)):
+                and all(map(COUNT.test, widths))):
             raise ValueError(f"widths {widths!r} is not a list of >= 2 positive integers")
         layers = doc["layers"]
         if not isinstance(layers, list):

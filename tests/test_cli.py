@@ -165,6 +165,16 @@ def test_config_root_not_an_object(tmp_path, monkeypatch, capsys, how):
     assert err == "config error: config root must be a JSON object\n"
 
 
+@pytest.mark.parametrize("text", [b'{"train": ', b'{"output_dir": "\xff"}'],
+                         ids=["truncated", "not_utf8"])
+def test_unreadable_config_names_its_path(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: invalid JSON: ") and "Traceback" not in err
+
+
 def test_prune_schedule_resolution():
     def epochs(prune, train=None):
         cfg = resolve_config({"prune": {"enabled": True, **prune}, "train": train or {}})
@@ -283,7 +293,9 @@ def _nested(key, value):
 def test_every_setting_is_walked():
     walked = {key for key, _ in NUMERIC_SETTINGS}
     assert walked == set(BOUNDS)
-    assert walked | {"loss.kind", "loss.aux.kind"} == set(SETTINGS)
+    assert walked | {"loss.kind", "loss.aux.kind"} == {key for key, setting in SETTINGS.items()
+                                                       if setting.rule}
+    assert sorted(key for key, _ in _leaves()) == sorted(SETTINGS)  # one entry per leaf
 
 
 @pytest.mark.parametrize("key, index", NUMERIC_SETTINGS,
@@ -314,6 +326,70 @@ def test_out_of_range_setting_exits_2_naming_its_key(tmp_path, monkeypatch, caps
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+# The JSON kind each DEFAULTS leaf takes, read from its default and stated here
+# for the null-default keys; `[kind]` is an array of that element kind.
+NULL_DEFAULT_KINDS = {"prune.epochs": ["integer"], "prune.warmup_epochs": "integer", **{
+    f"dataset.{key}": "string" for key in ("images", "labels", "test_images", "test_labels",
+                                           "path", "test_path", "label_column")}}
+KIND_VALUES = {"string": "x", "boolean": True, "integer": 3, "number": 2.5, "array": [],
+               "object": {}, "null": None}
+
+
+def _leaves(node=DEFAULTS, prefix=""):
+    for name, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + name + ".")
+        else:
+            yield prefix + name, value
+
+
+def _default_kind(key, default):
+    if default is None:
+        return NULL_DEFAULT_KINDS[key]
+    if isinstance(default, list):
+        return [_default_kind(key, default[0])]
+    return {bool: "boolean", int: "integer", float: "number", str: "string"}[type(default)]
+
+
+def _element_indices(key, default):
+    array = NULL_DEFAULT_VALUES.get(key, default)
+    return range(len(array)) if isinstance(array, list) else []
+
+
+TYPED_LEAVES = [(key, index) for key, default in _leaves()
+                for index in [None, *_element_indices(key, default)]]
+
+
+@pytest.mark.parametrize("key, index", TYPED_LEAVES,
+                         ids=[key if i is None else f"{key}[{i}]" for key, i in TYPED_LEAVES])
+def test_wrong_json_kind_exits_2_naming_its_key(tmp_path, monkeypatch, capsys, key, index):
+    """Each JSON kind a leaf (or array element) does not take makes train exit 2
+    naming the key (and element) before any data is built. An integer stands
+    in for a number; null is taken only by a key whose default is null."""
+    def never(*args, **kwargs):
+        raise AssertionError("called although the config is invalid")
+
+    monkeypatch.setattr(cli, "build_datasets", never)
+    path = write_config(tmp_path, tmp_path / "out")
+    default = dict(_leaves())[key]
+    kind = _default_kind(key, default)
+    name = key
+    if index is not None:
+        kind, name = kind[0], f"{key}[{index}]"
+    taken = {"array" if isinstance(kind, list) else kind}
+    taken |= {"integer"} if "number" in taken else set()
+    taken |= {"null"} if default is None and index is None else set()
+    for rejected in sorted(set(KIND_VALUES) - taken):
+        value = KIND_VALUES[rejected]
+        if index is not None:
+            value = _with_value(key, index, value)
+        code = main(["train", "--config", str(path), "--set", f"{key}={json.dumps(value)}"])
+        err = capsys.readouterr().err
+        assert code == 2, (rejected, err)
+        assert err.startswith(f"config error: config key {name} must be of type "), err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["loss.kind", "loss.aux.kind"])
 def test_unknown_loss_kind_exits_2_naming_its_key(tmp_path, capsys, key):
     path = write_config(tmp_path, tmp_path / "out")
@@ -340,7 +416,8 @@ def test_readme_states_every_setting_range():
         elif code.strip().startswith("}") and sections:
             sections.pop()
     for key, setting in SETTINGS.items():
-        assert setting.rule.text in comments.get(key, ""), key
+        if setting.rule:
+            assert setting.rule.text in comments.get(key, ""), key
 
 
 def test_train_smoke_writes_bundle(tmp_path, capsys):
@@ -562,19 +639,29 @@ DROP = object()  # marks a key deleted from run.json rather than given a value
     (("report", "auroc"), "0.5", "report field auroc must be a number or null"),
     (("report", "subsets", 0, "delta"), None, "subsets[0].delta must be a number"),
     (("report", "subsets", 0, "empty"), 0, "subsets[0].empty must be a boolean"),
+    ("not_utf8", None, "invalid JSON"),
+    (("report", "bins", 9, "count"), -5, "bins[9].count must be an integer >= 0, got -5"),
+    (("report", "subsets", 0, "count"), -1, "subsets[0].count must be an integer >= 0"),
+    (("report", "n_bins"), 0, "report field n_bins must be an integer >= 1, got 0"),
+    (("report", "bins", 6, "confidence"), None,
+     "bins[6] must have a null confidence and accuracy exactly when its count is 0"),
+    (("report", "bins", 6, "count"), 0,
+     "bins[6] must have a null confidence and accuracy exactly when its count is 0"),
 ], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated",
         "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
         "accuracy_list", "n_string", "n_bins_float", "ece_boolean", "auroc_string",
-        "delta_null", "empty_integer"])
+        "delta_null", "empty_integer", "not_utf8", "count_negative", "subset_count_negative",
+        "n_bins_zero", "filled_bin_null_confidence", "empty_bin_with_confidence"])
 def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, value, key):
     """`path` is the key path in run.json given `value` (DROP deletes it); None
     wraps the document in a list; "truncated" writes a document cut off after
-    its first key."""
+    its first key and "not_utf8" one holding the byte 0xff."""
     config_path, out = trained
     doc = json.loads((out / "run.json").read_text())
+    assert doc["report"]["bins"][6]["count"] and not doc["report"]["bins"][9]["count"]
     if path is None:
         doc = [doc]
-    elif path != "truncated":
+    elif path not in ("truncated", "not_utf8"):
         node = doc
         for step in path[:-1]:
             node = node[step]
@@ -583,7 +670,8 @@ def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, val
         else:
             node[path[-1]] = value
     bad = tmp_path / "bad_run.json"
-    bad.write_text('{"report": \n' if path == "truncated" else json.dumps(doc))
+    bad.write_bytes({"truncated": b'{"report": \n', "not_utf8": b'{"report": "\xff"}'}.get(
+        path, json.dumps(doc).encode()))
     capsys.readouterr()
     code = main(["report", "--run", str(bad), "--out", str(tmp_path / "regen")])
     err = capsys.readouterr().err
@@ -703,17 +791,19 @@ def test_truncated_idx_file_names_its_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad, labels_only", [
     ("nan", False), ("inf", False), ("-inf", False), ("1e400", False), ("", False),
-    ("x", False), ("0.5", True), ("-1", True), ("3", True)])
+    ("x", False), ("\xff", False), ("0.5", True), ("-1", True), ("3", True)])
 def test_corrupt_csv_cell_names_its_path(tmp_path, capsys, bad, labels_only):
     """Each cell of a valid 3-class train and test CSV, corrupted one at a
-    time; "3" is a label out of range for the declared 3 classes."""
+    time; "3" is a label out of range for the declared 3 classes, and "\\xff"
+    is written as the byte 0xff, which is not UTF-8."""
     rows = {"train": [[f"{v:.3f}" for v in row] + [str(y)] for row, y in
                       zip(np.random.default_rng(0).normal(size=(6, 2)), [0, 1, 2] * 2)],
             "test": [["0.5", "-0.5", "1"], ["1.5", "0.0", "2"]]}
 
     def write(name, table):
         (tmp_path / f"{name}.csv").write_text(
-            "\n".join(",".join(row) for row in [["a", "b", "y"], *table]) + "\n")
+            "\n".join(",".join(row) for row in [["a", "b", "y"], *table]) + "\n",
+            encoding="latin-1")
 
     for name, table in rows.items():
         write(name, table)

@@ -9,6 +9,7 @@ from calprune.losses import (AuxSpec, LossSpec, aux_huber_loss, brier_loss,
                              huber_value, label_smoothing_loss, mdca_aux_loss,
                              nll_loss, total_loss)
 from calprune.mlp import init_mlp, logits_graph, param_bindings
+from calprune.trainer import TrainConfig
 
 
 def eval_loss(build, log_probs, targets, **kwargs):
@@ -235,6 +236,16 @@ def test_spec_validation():
         AuxSpec(kind="huber", alpha=0.0)
     with pytest.raises(ValueError):
         AuxSpec(kind="dca", weight=-2.0)
+    for build, problem in (
+            (lambda: LossSpec(kind=["nll"]), "kind must be of type string, got array"),
+            (lambda: AuxSpec(alpha=None), "alpha must be of type number, got null"),
+            (lambda: TrainConfig(10, 32, "0.1"),
+             "learning_rate must be of type number, got string '0.1'"),
+            (lambda: TrainConfig(10, 32, 0.1, weight_decay=True),
+             "weight_decay must be of type number, got boolean True")):
+        with pytest.raises(ValueError, match=f"^{problem}"):
+            build()
+    assert TrainConfig(10, 32, 0.1, lr_milestones=(4, 8)).lr_milestones == (4, 8)
 
 
 def mlp_loss_graph(spec, seed, n=6, widths=(2, 5, 3)):
