@@ -8,9 +8,8 @@ from pathlib import Path
 
 from calprune.data import generate_gaussian_mixture, stratified_split
 from calprune.losses import LossSpec
-from calprune.metrics import export_reliability_rows
 from calprune.mlp import init_mlp
-from calprune.reporting import bundle_texts, write_bundle
+from calprune.reporting import bundle_texts, export_reliability_rows, write_bundle
 from calprune.trainer import TrainConfig, train_with_pruning
 
 pool = generate_gaussian_mixture(3, 300, noise=0.1, seed=21)

@@ -7,41 +7,57 @@ m/M, so an O(n*M) re-binning oracle using the same edge values agrees
 exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .ranges import COUNT, NON_NEGATIVE_INT, Rule, check, kind_of, require
 
 
+def _number(high, null=False):
+    """Rule: a number in [0, high] (so never NaN or infinite), or also null."""
+    return Rule(f"a number{' or null' if null else ''} in [0, {high:g}]",
+                lambda v: (v is None and null)
+                or (kind_of(v) in ("integer", "number") and 0 <= v <= high))
+
+
+# Each field of a report record declares the rule its JSON value must pass
+# when read back; a list field declares the record type of its elements.
+def _rule(rule):
+    return field(metadata={"rule": rule})
+
+
+_UNIT, _UNIT_OR_NULL, _PERCENT = _number(1), _number(1, null=True), _number(100)
+
+
 @dataclass
 class ReliabilityBin:
-    lower: float
-    upper: float
-    count: int
-    confidence: float   # None when the bin is empty
-    accuracy: float     # None when the bin is empty
+    lower: float = _rule(_UNIT)
+    upper: float = _rule(_UNIT)
+    count: int = _rule(NON_NEGATIVE_INT)
+    confidence: float = _rule(_UNIT_OR_NULL)   # None when the bin is empty
+    accuracy: float = _rule(_UNIT_OR_NULL)     # None when the bin is empty
 
 
 @dataclass
 class SubsetCalibration:
     """Calibration restricted to records with confidence >= delta."""
-    delta: float
-    count: int
-    fraction_pct: float
-    ece: float          # None when the subset is empty
-    empty: bool
+    delta: float = _rule(_UNIT)
+    count: int = _rule(NON_NEGATIVE_INT)
+    fraction_pct: float = _rule(_PERCENT)
+    ece: float = _rule(_UNIT_OR_NULL)          # None when the subset is empty
+    empty: bool = _rule(Rule("a boolean", lambda v: kind_of(v) == "boolean"))
 
 
 @dataclass
 class CalibrationReport:
-    n: int
-    n_bins: int
-    bins: list
-    ece: float
-    subsets: list
-    test_error_pct: float
-    auroc: float        # None when all records are correct or all incorrect
+    n: int = _rule(NON_NEGATIVE_INT)
+    n_bins: int = _rule(COUNT)
+    bins: list = field(metadata={"record": ReliabilityBin})
+    ece: float = _rule(_UNIT_OR_NULL)
+    subsets: list = field(metadata={"record": SubsetCalibration})
+    test_error_pct: float = _rule(_PERCENT)
+    auroc: float = _rule(_UNIT_OR_NULL)        # None when all records are correct or all incorrect
 
 
 def bin_edges(n_bins):
@@ -178,72 +194,50 @@ def build_report(conf, correct, n_bins, deltas):
     )
 
 
-def export_reliability_rows(bins):
-    """One (lower, upper, count, confidence, accuracy, gap) row per bin.
-
-    Empty bins carry count 0 and None markers for confidence/accuracy/gap.
-    """
-    rows = []
-    for b in bins:
-        gap = None if b.count == 0 else b.accuracy - b.confidence
-        rows.append((b.lower, b.upper, b.count, b.confidence, b.accuracy, gap))
-    return rows
+def record_doc(record):
+    """The JSON-ready dict of a dataclass record, field by field; a list field
+    declaring a record type holds its elements' dicts."""
+    doc = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        doc[f.name] = [record_doc(r) for r in value] if "record" in f.metadata else value
+    return doc
 
 
-def report_to_dict(report):
-    return {
-        "n": report.n,
-        "n_bins": report.n_bins,
-        "ece": report.ece,
-        "test_error_pct": report.test_error_pct,
-        "auroc": report.auroc,
-        "bins": [
-            {"lower": b.lower, "upper": b.upper, "count": b.count,
-             "confidence": b.confidence, "accuracy": b.accuracy}
-            for b in report.bins
-        ],
-        "subsets": [
-            {"delta": s.delta, "count": s.count, "fraction_pct": s.fraction_pct,
-             "ece": s.ece, "empty": s.empty}
-            for s in report.subsets
-        ],
-    }
-
-
-# the rule each report field must pass; counts take the ranges rules
-_A_NUMBER = Rule("a number", lambda v: kind_of(v) in ("integer", "number"))
-_A_NUMBER_OR_NULL = Rule("a number or null", lambda v: v is None or _A_NUMBER.test(v))
-_A_BOOLEAN = Rule("a boolean", lambda v: kind_of(v) == "boolean")
-_REPORT_FIELDS = (("n", NON_NEGATIVE_INT), ("n_bins", COUNT), ("ece", _A_NUMBER_OR_NULL),
-                  ("test_error_pct", _A_NUMBER), ("auroc", _A_NUMBER_OR_NULL))
-_BIN_FIELDS = (("lower", _A_NUMBER), ("upper", _A_NUMBER), ("count", NON_NEGATIVE_INT),
-               ("confidence", _A_NUMBER_OR_NULL), ("accuracy", _A_NUMBER_OR_NULL))
-_SUBSET_FIELDS = (("delta", _A_NUMBER), ("count", NON_NEGATIVE_INT),
-                  ("fraction_pct", _A_NUMBER), ("ece", _A_NUMBER_OR_NULL), ("empty", _A_BOOLEAN))
-
-
-def _fields(record, fields, where):
-    """The values of `fields` in `record`, in order, each passing its rule."""
-    for key, rule in fields:
-        require(rule, record[key], f"report field {where}{key}")
-    return [record[key] for key, _ in fields]
+def _read_record(cls, doc, where=""):
+    """The inverse of record_doc for a report record: each field passes its rule."""
+    values = {}
+    for f in fields(cls):
+        value = doc[f.name]
+        if "record" in f.metadata:
+            value = [_read_record(f.metadata["record"], item, f"{where}{f.name}[{i}].")
+                     for i, item in enumerate(value)]
+        else:
+            require(f.metadata["rule"], value, f"report field {where}{f.name}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def report_from_dict(doc):
-    """Rebuild a report from its report_to_dict form; a malformed one raises ValueError."""
+    """Rebuild a report from its record_doc form; a malformed one raises ValueError."""
     try:
-        bins = [ReliabilityBin(*_fields(b, _BIN_FIELDS, f"bins[{i}]."))
-                for i, b in enumerate(doc["bins"])]
-        for i, b in enumerate(bins):
-            empty = b.count == 0
-            if (b.confidence is None) != empty or (b.accuracy is None) != empty:
-                raise ValueError(f"report field bins[{i}] must have a null confidence and "
-                                 f"accuracy exactly when its count is 0, got {b}")
-        subsets = [SubsetCalibration(*_fields(s, _SUBSET_FIELDS, f"subsets[{i}]."))
-                   for i, s in enumerate(doc["subsets"])]
-        n, n_bins, ece, test_error_pct, auroc = _fields(doc, _REPORT_FIELDS, "")
-        return CalibrationReport(n, n_bins, bins, ece, subsets, test_error_pct, auroc)
+        report = _read_record(CalibrationReport, doc)
     except KeyError as exc:
         raise ValueError(f"report lacks key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"malformed report: {exc}") from None
+    for i, b in enumerate(report.bins):
+        empty = b.count == 0
+        if (b.confidence is None) != empty or (b.accuracy is None) != empty:
+            raise ValueError(f"report field bins[{i}] must have a null confidence and "
+                             f"accuracy exactly when its count is 0, got {b}")
+        if b.lower >= b.upper:
+            raise ValueError(f"report field bins[{i}] must have lower < upper, got {b}")
+    if report.n_bins != len(report.bins):
+        raise ValueError(f"report field n_bins must equal the number of bins, "
+                         f"{len(report.bins)}, got {report.n_bins}")
+    total = sum(b.count for b in report.bins)
+    if report.n != total:
+        raise ValueError(f"report field n must equal the sum of the bin counts, "
+                         f"{total}, got {report.n}")
+    return report

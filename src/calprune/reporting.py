@@ -14,7 +14,7 @@ import os
 import shutil
 from pathlib import Path
 
-from .metrics import export_reliability_rows, report_to_dict
+from .metrics import record_doc
 
 RUN_SCHEMA_VERSION = 2
 MANIFEST_SCHEMA_VERSION = 1
@@ -50,11 +50,22 @@ def _csv_cell(value):
     return repr(float(value))
 
 
+def _csv_text(header, rows):
+    return "\n".join([header] + [",".join(map(_csv_cell, row)) for row in rows]) + "\n"
+
+
+def export_reliability_rows(bins):
+    """One (lower, upper, count, confidence, accuracy, gap) row per bin.
+
+    Empty bins carry count 0 and None markers for confidence/accuracy/gap.
+    """
+    return [(b.lower, b.upper, b.count, b.confidence, b.accuracy,
+             None if b.count == 0 else b.accuracy - b.confidence) for b in bins]
+
+
 def reliability_csv_text(bins):
-    lines = ["bin_lower,bin_upper,count,mean_confidence,accuracy,gap"]
-    for row in export_reliability_rows(bins):
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_text("bin_lower,bin_upper,count,mean_confidence,accuracy,gap",
+                     export_reliability_rows(bins))
 
 
 def hist_rows_from_bins(bins, n):
@@ -63,11 +74,7 @@ def hist_rows_from_bins(bins, n):
 
 
 def histogram_csv_text(hist_rows):
-    lines = ["bin_lower,bin_upper,count,fraction"]
-    for lower, upper, count, fraction in hist_rows:
-        lines.append(",".join([_csv_cell(lower), _csv_cell(upper),
-                               str(int(count)), _csv_cell(fraction)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text("bin_lower,bin_upper,count,fraction", hist_rows)
 
 
 # ---- SVG ------------------------------------------------------------------
@@ -84,11 +91,26 @@ def _y(v):
     return _PLOT["top"] + (1.0 - v) * _PLOT["height"]
 
 
-def _svg_open():
+def _rect(kind, lower, upper, low, high, paint):
+    """A `<rect class=kind>` over confidence [lower, upper] and level [low, high]."""
+    left = _x(lower)
+    return (f'<rect class="{kind}" x="{fmt_sig(left)}" y="{fmt_sig(_y(high))}" '
+            f'width="{fmt_sig(_x(upper) - left)}" height="{fmt_sig(_y(low) - _y(high))}" '
+            f'{paint}/>')
+
+
+def _bar(lower, upper, level, fill):
+    return _rect("bar", lower, upper, 0.0, level,
+                 f'fill="{fill}" fill-opacity="0.8" stroke="black" stroke-width="0.5"')
+
+
+def _svg(y_label, shapes):
+    """A diagram over confidence: the frame, both axes, then `shapes`."""
     w = _PLOT["left"] + _PLOT["width"] + _PLOT["right"]
     h = _PLOT["top"] + _PLOT["height"] + _PLOT["bottom"]
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt_sig(w)}" '
-            f'height="{fmt_sig(h)}" viewBox="0 0 {fmt_sig(w)} {fmt_sig(h)}">']
+    return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt_sig(w)}" '
+                      f'height="{fmt_sig(h)}" viewBox="0 0 {fmt_sig(w)} {fmt_sig(h)}">',
+                      *_axes("confidence", y_label), *shapes, "</svg>"]) + "\n"
 
 
 def _axes(x_label, y_label):
@@ -117,48 +139,28 @@ def _axes(x_label, y_label):
 
 def reliability_svg_text(bins):
     """Bar-per-bin reliability diagram with a y=x reference and gap shading."""
-    parts = _svg_open()
-    parts += _axes("confidence", "accuracy")
+    shapes = []
     for b in bins:
-        accuracy = 0.0 if b.count == 0 else b.accuracy
-        left = _x(b.lower)
-        width = _x(b.upper) - left
-        parts.append(f'<rect class="bar" x="{fmt_sig(left)}" y="{fmt_sig(_y(accuracy))}" '
-                     f'width="{fmt_sig(width)}" '
-                     f'height="{fmt_sig(_y(0) - _y(accuracy))}" '
-                     f'fill="#4878b0" fill-opacity="0.8" stroke="black" '
-                     f'stroke-width="0.5"/>')
+        shapes.append(_bar(b.lower, b.upper, 0.0 if b.count == 0 else b.accuracy, "#4878b0"))
         if b.count > 0:
             top = max(b.accuracy, b.confidence)
             bottom = min(b.accuracy, b.confidence)
             # skip sub-pixel shading: float dust is not miscalibration
             if _y(bottom) - _y(top) > 1e-6:
-                parts.append(f'<rect class="gap" x="{fmt_sig(left)}" '
-                             f'y="{fmt_sig(_y(top))}" width="{fmt_sig(width)}" '
-                             f'height="{fmt_sig(_y(bottom) - _y(top))}" '
-                             f'fill="#d64545" fill-opacity="0.35"/>')
-    parts.append(f'<line class="diagonal" x1="{fmt_sig(_x(0))}" y1="{fmt_sig(_y(0))}" '
-                 f'x2="{fmt_sig(_x(1))}" y2="{fmt_sig(_y(1))}" stroke="#555555" '
-                 f'stroke-dasharray="5,4"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                shapes.append(_rect("gap", b.lower, b.upper, bottom, top,
+                                    'fill="#d64545" fill-opacity="0.35"'))
+    shapes.append(f'<line class="diagonal" x1="{fmt_sig(_x(0))}" y1="{fmt_sig(_y(0))}" '
+                  f'x2="{fmt_sig(_x(1))}" y2="{fmt_sig(_y(1))}" stroke="#555555" '
+                  f'stroke-dasharray="5,4"/>')
+    return _svg("accuracy", shapes)
 
 
 def histogram_svg_text(hist_rows):
     """Confidence histogram: bar height proportional to the largest bin count."""
-    parts = _svg_open()
-    parts += _axes("confidence", "fraction of samples")
     peak = max((count for _, _, count, _ in hist_rows), default=0)
-    for lower, upper, count, _fraction in hist_rows:
-        level = 0.0 if peak == 0 else count / peak
-        left = _x(lower)
-        parts.append(f'<rect class="bar" x="{fmt_sig(left)}" y="{fmt_sig(_y(level))}" '
-                     f'width="{fmt_sig(_x(upper) - left)}" '
-                     f'height="{fmt_sig(_y(0) - _y(level))}" '
-                     f'fill="#6aa064" fill-opacity="0.8" stroke="black" '
-                     f'stroke-width="0.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    bars = [_bar(lower, upper, 0.0 if peak == 0 else count / peak, "#6aa064")
+            for lower, upper, count, _ in hist_rows]
+    return _svg("fraction of samples", bars)
 
 
 # ---- run document and bundle ------------------------------------------------
@@ -167,16 +169,9 @@ def run_result_doc(result, config_doc):
     return {
         "schema_version": RUN_SCHEMA_VERSION,
         "config": config_doc,
-        "epochs": [
-            {"epoch": e.epoch, "train_loss": e.train_loss, "surviving": e.surviving}
-            for e in result.epoch_log
-        ],
-        "prune_events": [
-            {"epoch": p.epoch, "removed_per_class": p.removed_per_class,
-             "surviving_total": p.surviving_total}
-            for p in result.prune_events
-        ],
-        "report": report_to_dict(result.report),
+        "epochs": [record_doc(e) for e in result.epoch_log],
+        "prune_events": [record_doc(p) for p in result.prune_events],
+        "report": record_doc(result.report),
         "totals": {
             "sample_updates": result.total_sample_updates,
             "wall_clock_seconds": result.wall_clock_seconds,
@@ -203,7 +198,7 @@ def bundle_texts(report, run_doc=None):
     if run_doc is not None:
         files[RUN_JSON] = dumps_json(run_doc)
     else:
-        files[REPORT_JSON] = dumps_json(report_to_dict(report))
+        files[REPORT_JSON] = dumps_json(record_doc(report))
     return files
 
 

@@ -616,6 +616,8 @@ def test_report_regenerates_artifacts(trained, tmp_path):
     for name in ("reliability.csv", "confidence_histogram.csv",
                  "reliability.svg", "confidence_histogram.svg"):
         assert (report_out / name).read_text() == (out / name).read_text()
+    report_doc = json.loads((report_out / "report.json").read_text())
+    assert report_doc == json.loads((out / "run.json").read_text())["report"]
 
 
 DROP = object()  # marks a key deleted from run.json rather than given a value
@@ -647,11 +649,28 @@ DROP = object()  # marks a key deleted from run.json rather than given a value
      "bins[6] must have a null confidence and accuracy exactly when its count is 0"),
     (("report", "bins", 6, "count"), 0,
      "bins[6] must have a null confidence and accuracy exactly when its count is 0"),
+    (("report", "n_bins"), 3, "report field n_bins must equal the number of bins, 10, got 3"),
+    (("report", "n"), 0, "report field n must equal the sum of the bin counts"),
+    (("report", "bins", 0, "lower"), float("nan"),
+     "report field bins[0].lower must be a number in [0, 1], got nan"),
+    (("report", "bins", 9, "upper"), float("inf"), "bins[9].upper must be a number in [0, 1]"),
+    (("report", "bins", 9, "upper"), 1.5, "bins[9].upper must be a number in [0, 1], got 1.5"),
+    (("report", "bins", 6, "accuracy"), -0.5,
+     "bins[6].accuracy must be a number or null in [0, 1], got -0.5"),
+    (("report", "bins", 6, "confidence"), 1.25, "bins[6].confidence must be a number or null"),
+    (("report", "bins", 0, "lower"), 0.9, "report field bins[0] must have lower < upper"),
+    (("report", "ece"), float("nan"), "report field ece must be a number or null in [0, 1]"),
+    (("report", "test_error_pct"), float("-inf"), "report field test_error_pct must be a number"),
+    (("report", "subsets", 0, "fraction_pct"), float("inf"),
+     "subsets[0].fraction_pct must be a number in [0, 100]"),
 ], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated",
         "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
         "accuracy_list", "n_string", "n_bins_float", "ece_boolean", "auroc_string",
         "delta_null", "empty_integer", "not_utf8", "count_negative", "subset_count_negative",
-        "n_bins_zero", "filled_bin_null_confidence", "empty_bin_with_confidence"])
+        "n_bins_zero", "filled_bin_null_confidence", "empty_bin_with_confidence",
+        "n_bins_not_len_bins", "n_not_sum_of_counts", "lower_nan", "upper_inf",
+        "upper_above_one", "accuracy_negative", "confidence_above_one", "lower_above_upper",
+        "ece_nan", "test_error_minus_inf", "fraction_inf"])
 def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, value, key):
     """`path` is the key path in run.json given `value` (DROP deletes it); None
     wraps the document in a list; "truncated" writes a document cut off after

@@ -1,14 +1,17 @@
 """Calibration metrics against brute-force oracles and the spec'd conventions."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from calprune.metrics import (CalibrationReport, binned_ece, build_report,
-                              ece_on_subset, export_reliability_rows,
-                              high_confidence_subset, refinement_auroc,
-                              report_from_dict, report_to_dict)
+from calprune.metrics import (CalibrationReport, ReliabilityBin, SubsetCalibration,
+                              binned_ece, build_report, ece_on_subset,
+                              high_confidence_subset, record_doc, refinement_auroc,
+                              report_from_dict)
 from calprune.metrics import test_error as error_rate
-from calprune.reporting import hist_rows_from_bins
+from calprune.reporting import dumps_json, export_reliability_rows, hist_rows_from_bins
 
 
 def records(pairs):
@@ -328,10 +331,19 @@ def test_histogram_counts_sum_to_n():
 
 
 def test_report_dict_roundtrip():
+    """Write, dump, load and read back gives the same report, whole; every field
+    of the three report records declares its read-back rule or record type."""
     rng = np.random.default_rng(21)
-    report = build_report(*random_records(rng, 60), 10, [0.95])
-    doc = report_to_dict(report)
-    back = report_from_dict(doc)
-    assert isinstance(back, CalibrationReport)
-    assert back.ece == report.ece
-    assert [b.count for b in back.bins] == [b.count for b in report.bins]
+    conf = rng.uniform(0, 0.9, 60)
+    reports = [build_report(*random_records(rng, 60), 10, [0.95]),
+               build_report(conf, np.ones(60), 10, [0.5, 0.99]),  # every record correct
+               build_report(conf, (rng.random(60) < 0.5).astype(np.float64), 7, [0.99])]
+    assert reports[1].auroc is None and reports[1].subsets[1].empty
+    assert reports[2].subsets[0].empty and not reports[1].subsets[0].empty
+    for report in reports:
+        back = report_from_dict(json.loads(dumps_json(record_doc(report))))
+        assert isinstance(back, CalibrationReport)
+        assert back == report
+    for record in (CalibrationReport, ReliabilityBin, SubsetCalibration):
+        for f in dataclasses.fields(record):
+            assert ("rule" in f.metadata) != ("record" in f.metadata), (record, f.name)

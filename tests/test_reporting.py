@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from calprune.metrics import build_report
+from calprune.metrics import (CalibrationReport, ReliabilityBin, SubsetCalibration,
+                              build_report)
 from calprune.reporting import (HISTOGRAM_CSV, MANIFEST_JSON, RELIABILITY_CSV,
                                 RELIABILITY_SVG, bundle_texts, fmt_sig,
                                 hist_rows_from_bins, histogram_svg_text,
                                 reliability_csv_text, reliability_svg_text,
-                                sha256_hex, stable_run_text, write_bundle)
+                                run_result_doc, sha256_hex, stable_run_text, write_bundle)
+from calprune.trainer import EpochStats, PruneEvent, RunResult
 
 
 def sample_report(seed=0, n=200):
@@ -112,3 +114,42 @@ def test_fmt_sig_six_significant_digits():
     assert fmt_sig(0.123456789) == "0.123457"
     assert fmt_sig(12345678.0) == "1.23457e+07"
     assert fmt_sig(1.0) == "1"
+
+
+def literal_report():
+    """Twelve records, all correct, from literal floats: an empty bin, an
+    empty and a filled subset, and no AUROC."""
+    bins = [ReliabilityBin(0.0, 0.25, 0, None, None),
+            ReliabilityBin(0.25, 0.5, 3, 0.4, 1.0),
+            ReliabilityBin(0.5, 0.75, 5, 0.6125, 1.0),
+            ReliabilityBin(0.75, 1.0, 4, 0.9, 1.0)]
+    subsets = [SubsetCalibration(0.5, 9, 75.0, 0.2597222222222222, False),
+               SubsetCalibration(0.99, 0, 0.0, None, True)]
+    return CalibrationReport(12, 4, bins, 0.3447916666666666, subsets, 0.0, None)
+
+
+# sha256 of each bundle file, fixed when the writers were last changed on purpose
+PINNED_PLOTS = {
+    "confidence_histogram.csv": "a3b90a0017da3b3fb998c29473b3f07378cad8dcd3e6c1ba4ec34f0acb0b0dcb",
+    "confidence_histogram.svg": "ee6d3bed969ea4d2321c68c6d12e4f250d7a7a23d2077b20a4b8b20b353b771c",
+    "reliability.csv": "4cbcf1c8b29a36de84484adc943689d12b9456db1a08e913f8d68a260a7843c5",
+    "reliability.svg": "df45dce1b97c026cedb5e255fdcb68dab3f6ae8f0aba58e6b417104a69097d2c",
+}
+PINNED_REPORT_BUNDLE = {
+    **PINNED_PLOTS,
+    "report.json": "f5645be1ca391da41af094ce5308d3bd2e9448214bda1d67a25827a989b079ee"}
+PINNED_RUN_BUNDLE = {
+    **PINNED_PLOTS,
+    "run.json": "9b978adf976fb9be58a260737dbb6156ba6e50cbfa267b82ecc10dd6f1f6c084"}
+
+
+def test_bundle_bytes_pinned():
+    """Every writer's bytes, pinned; pure-Python floats keep them portable."""
+    report = literal_report()
+    run = RunResult(params=None, epoch_log=[EpochStats(1, 0.75, 12), EpochStats(2, 0.5, 10)],
+                    prune_events=[PruneEvent(1, [1, 1], 10)], report=report,
+                    total_sample_updates=22, wall_clock_seconds=1.5)
+    run_doc = run_result_doc(run, {"output_dir": "runs/pinned"})
+    for doc, pinned in ((None, PINNED_REPORT_BUNDLE), (run_doc, PINNED_RUN_BUNDLE)):
+        files = bundle_texts(report, doc)
+        assert {name: sha256_hex(text) for name, text in files.items()} == pinned
