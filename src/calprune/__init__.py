@@ -8,8 +8,7 @@ from .losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss, flsd_gamma
                      total_loss)
 from .metrics import (CalibrationReport, binned_ece, build_report, ece_on_subset,
                       high_confidence_subset, refinement_auroc, test_error)
-from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict, \
-    save_checkpoint
+from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict
 from .pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 from .trainer import (RunResult, TrainConfig, TrainingDiverged, evaluate_model,
                       fit_temperature, lr_at_epoch, sgd_state, sgd_update,

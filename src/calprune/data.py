@@ -87,19 +87,15 @@ def generate_gaussian_mixture(n_classes, per_class, noise=0.0, seed=0):
     """
     sizes = _class_sizes(n_classes, per_class, noise)
     point_seed, flip_seed = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(point_seed)
-    means = mixture_means(n_classes)
-    parts, labels = [], []
-    for k, size in enumerate(sizes):
-        parts.append(rng.normal(loc=means[k], scale=1.0, size=(size, 2)))
-        labels.append(np.full(size, k, dtype=np.int64))
-    x = np.concatenate(parts)
-    y = np.concatenate(labels)
+    # one standard-normal draw for every class: rng.normal(loc=mean, scale=1.0)
+    # is mean + 1.0 * z on the same z stream, so the bits are those of a draw per class
+    x = np.random.default_rng(point_seed).standard_normal((sum(sizes), 2))
+    x += np.repeat(mixture_means(n_classes), sizes, axis=0)
+    y = np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
     flip_rng = np.random.default_rng(flip_seed)
     u = flip_rng.random(len(y))
     offsets = flip_rng.integers(1, n_classes, size=len(y))
-    flip = u < noise
-    y[flip] = (y[flip] + offsets[flip]) % n_classes
+    y = np.where(u < noise, (y + offsets) % n_classes, y)
     return Dataset(x, y, n_classes)
 
 

@@ -65,8 +65,17 @@ def bin_edges(n_bins):
 
 
 def bin_indices(confidences, n_bins):
-    """Index of the first edge m/M that is >= c; c=0 lands in bin 0."""
-    return np.searchsorted(bin_edges(n_bins), confidences, side="left")
+    """Index of the first edge m/M that is >= c; c=0 lands in bin 0.
+
+    For c in [0, 1] that is the count of the first M-1 edges below c, summed
+    here edge by edge: the indices of searchsorted(bin_edges(M), c,
+    side="left"), faster at the bin counts in use, though the cost grows with M.
+    """
+    confidences = np.asarray(confidences)
+    idx = np.zeros(confidences.shape, dtype=np.intp)
+    for edge in bin_edges(n_bins)[:-1]:
+        idx += confidences > edge
+    return idx
 
 
 def _check_correct(correct):
@@ -233,6 +242,17 @@ def report_from_dict(doc):
                              f"accuracy exactly when its count is 0, got {b}")
         if b.lower >= b.upper:
             raise ValueError(f"report field bins[{i}] must have lower < upper, got {b}")
+        start = report.bins[i - 1].upper if i else 0.0
+        if b.lower != start:
+            raise ValueError(f"report field bins[{i}] must have lower {start} so that "
+                             f"the bins tile [0, 1] in order, got {b}")
+        if i == len(report.bins) - 1 and b.upper != 1.0:
+            raise ValueError(f"report field bins[{i}] must have upper 1.0 so that "
+                             f"the bins tile [0, 1] in order, got {b}")
+    for i, sub in enumerate(report.subsets):
+        if sub.empty != (sub.count == 0) or (sub.ece is None) != sub.empty:
+            raise ValueError(f"report field subsets[{i}] must have empty true and a null "
+                             f"ece exactly when its count is 0, got {sub}")
     if report.n_bins != len(report.bins):
         raise ValueError(f"report field n_bins must equal the number of bins, "
                          f"{len(report.bins)}, got {report.n_bins}")

@@ -623,6 +623,10 @@ def test_report_regenerates_artifacts(trained, tmp_path):
 DROP = object()  # marks a key deleted from run.json rather than given a value
 
 
+class Merge(dict):
+    """Fields merged into the run.json record at a key path, rather than one value."""
+
+
 @pytest.mark.parametrize("path, value, key", [
     (("report",), DROP, "'report'"),
     (("report", "subsets"), DROP, "'subsets'"),
@@ -663,6 +667,15 @@ DROP = object()  # marks a key deleted from run.json rather than given a value
     (("report", "test_error_pct"), float("-inf"), "report field test_error_pct must be a number"),
     (("report", "subsets", 0, "fraction_pct"), float("inf"),
      "subsets[0].fraction_pct must be a number in [0, 100]"),
+    (("report", "subsets", 0), Merge(count=0, ece=None, empty=False),
+     "report field subsets[0] must have empty true and a null ece exactly when its count is 0"),
+    (("report", "subsets", 0, "ece"), 0.1, "report field subsets[0] must have empty true"),
+    (("report", "subsets", 1, "count"), 5, "report field subsets[1] must have empty true"),
+    (("report", "bins", 0), Merge(lower=0.5, upper=0.6),
+     "report field bins[0] must have lower 0.0 so that the bins tile [0, 1] in order"),
+    (("report", "bins", 5, "lower"), 0.55, "report field bins[5] must have lower 0.5 so that"),
+    (("report", "bins", 9, "upper"), 0.95,
+     "report field bins[9] must have upper 1.0 so that"),
 ], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated",
         "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
         "accuracy_list", "n_string", "n_bins_float", "ece_boolean", "auroc_string",
@@ -670,14 +683,18 @@ DROP = object()  # marks a key deleted from run.json rather than given a value
         "n_bins_zero", "filled_bin_null_confidence", "empty_bin_with_confidence",
         "n_bins_not_len_bins", "n_not_sum_of_counts", "lower_nan", "upper_inf",
         "upper_above_one", "accuracy_negative", "confidence_above_one", "lower_above_upper",
-        "ece_nan", "test_error_minus_inf", "fraction_inf"])
+        "ece_nan", "test_error_minus_inf", "fraction_inf", "subset_not_empty_at_count_0",
+        "empty_subset_with_ece", "empty_subset_with_count", "first_bin_not_at_0",
+        "gap_between_bins", "last_bin_short_of_1"])
 def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, value, key):
-    """`path` is the key path in run.json given `value` (DROP deletes it); None
-    wraps the document in a list; "truncated" writes a document cut off after
-    its first key and "not_utf8" one holding the byte 0xff."""
+    """`path` is the key path in run.json given `value` (DROP deletes it, a
+    Merge updates the record there); None wraps the document in a list;
+    "truncated" writes a document cut off after its first key and "not_utf8"
+    one holding the byte 0xff."""
     config_path, out = trained
     doc = json.loads((out / "run.json").read_text())
     assert doc["report"]["bins"][6]["count"] and not doc["report"]["bins"][9]["count"]
+    assert all(sub["empty"] for sub in doc["report"]["subsets"])
     if path is None:
         doc = [doc]
     elif path not in ("truncated", "not_utf8"):
@@ -686,6 +703,8 @@ def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, val
             node = node[step]
         if value is DROP:
             del node[path[-1]]
+        elif isinstance(value, Merge):
+            node[path[-1]].update(value)
         else:
             node[path[-1]] = value
     bad = tmp_path / "bad_run.json"

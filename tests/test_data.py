@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from calprune.data import (Dataset, generate_gaussian_mixture, load_csv,
-                           load_idx_pair, minibatches, mixture_posterior,
+                           load_idx_pair, minibatches, mixture_means, mixture_posterior,
                            stratified_split)
 
 
@@ -30,6 +30,37 @@ def test_mixture_label_flip_fraction():
     assert abs(flipped - 0.2) < 0.01
 
 
+def per_class_mixture(n_classes, sizes, noise, seed):
+    """The generator's per-class form: one rng.normal draw per class, then the
+    flipped labels rewritten through a mask."""
+    point_seed, flip_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(point_seed)
+    means = mixture_means(n_classes)
+    x = np.concatenate([rng.normal(loc=means[k], scale=1.0, size=(size, 2))
+                        for k, size in enumerate(sizes)])
+    y = np.concatenate([np.full(size, k, dtype=np.int64) for k, size in enumerate(sizes)])
+    flip_rng = np.random.default_rng(flip_seed)
+    u = flip_rng.random(len(y))
+    offsets = flip_rng.integers(1, n_classes, size=len(y))
+    flip = u < noise
+    y[flip] = (y[flip] + offsets[flip]) % n_classes
+    return x, y
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 10])
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+def test_mixture_matches_per_class_draws_bitwise(n_classes, noise):
+    """One standard-normal draw plus the repeated means gives the bytes of a
+    draw per class, at equal and unequal class sizes and several seeds."""
+    for seed in (0, 7, 12345):
+        for sizes in ([25] * n_classes, [1 + 17 * k % 40 for k in range(n_classes)]):
+            data = generate_gaussian_mixture(n_classes, sizes, noise=noise, seed=seed)
+            x, y = per_class_mixture(n_classes, sizes, noise, seed)
+            assert data.x.dtype == x.dtype and data.y.dtype == y.dtype
+            assert data.x.tobytes() == x.tobytes()
+            assert data.y.tobytes() == y.tobytes()
+
+
 def test_mixture_rejects_bad_spec():
     with pytest.raises(ValueError):
         generate_gaussian_mixture(1, 100)
@@ -45,7 +76,6 @@ def test_mixture_posterior_properties():
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(post > 0)
     # a point sitting on a class mean should favour that class
-    from calprune.data import mixture_means
     on_mean = mixture_posterior(mixture_means(4), 4, 50, noise=0.0)
     assert np.argmax(on_mean, axis=1).tolist() == [0, 1, 2, 3]
 

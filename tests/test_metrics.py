@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from calprune.metrics import (CalibrationReport, ReliabilityBin, SubsetCalibration,
-                              binned_ece, build_report, ece_on_subset,
+                              bin_edges, bin_indices, binned_ece, build_report, ece_on_subset,
                               high_confidence_subset, record_doc, refinement_auroc,
                               report_from_dict)
 from calprune.metrics import test_error as error_rate
@@ -91,6 +91,22 @@ def test_bin_counts_match_oracle_exactly():
     bins, _ = binned_ece(conf, correct, 10)
     counts, _, _ = oracle_bin_table(conf, correct, 10)
     assert [b.count for b in bins] == counts
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 7, 10, 15, 100])
+def test_bin_indices_match_searchsorted_bitwise(n_bins):
+    """Counting the edges below each confidence gives searchsorted's left
+    indices on [0, 1]: at 0 and 1, on every edge m/M, at each edge's float64
+    neighbours and at random values."""
+    edges = bin_edges(n_bins)
+    conf = np.concatenate([
+        [0.0, 1.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        np.random.default_rng(n_bins).uniform(0.0, 1.0, 5000)])
+    conf = conf[conf <= 1.0]
+    expected = np.searchsorted(edges, conf, side="left")
+    idx = bin_indices(conf, n_bins)
+    assert idx.dtype == expected.dtype
+    assert idx.tobytes() == expected.tobytes()
 
 
 def test_zero_confidence_lands_in_first_bin():
@@ -338,6 +354,8 @@ def test_report_dict_roundtrip():
     reports = [build_report(*random_records(rng, 60), 10, [0.95]),
                build_report(conf, np.ones(60), 10, [0.5, 0.99]),  # every record correct
                build_report(conf, (rng.random(60) < 0.5).astype(np.float64), 7, [0.99])]
+    # the written bins tile [0, 1] at any bin count, so they read back
+    reports += [build_report(*random_records(rng, 60), m, [0.5]) for m in (1, 3, 15, 100)]
     assert reports[1].auroc is None and reports[1].subsets[1].empty
     assert reports[2].subsets[0].empty and not reports[1].subsets[0].empty
     for report in reports:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from calprune.autodiff import Graph, log_softmax
-from calprune.mlp import (FORWARD_BLOCK_ROWS, MlpParams, checkpoint_text, forward_logits,
-                          init_mlp, load_checkpoint, logits_graph, param_bindings,
-                          predict, row_blocks, save_checkpoint)
+from calprune.mlp import (FORWARD_BLOCK_ROWS, MlpParams, _row_sum, checkpoint_text,
+                          forward_logits, init_mlp, load_checkpoint, logits_graph,
+                          param_bindings, predict, row_blocks)
 
 
 def test_init_shapes_and_zero_biases():
@@ -118,7 +118,7 @@ def assert_predict_matches_reference(logits):
     assert confidences.tobytes() == ref_confidences.tobytes()
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 10, 16, 129])
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 10, 16, 129, 300])
 def test_predict_matches_log_softmax_form_bitwise(k):
     """Column-wise max and exp(-lse) give the bits of log_softmax, argmax and
     a gathered exp, at every scale and with exact ties of the row max."""
@@ -132,6 +132,16 @@ def test_predict_matches_log_softmax_form_bitwise(k):
     logits[2::5] = logits[2::5, :1]                  # every column tied
     logits[3::5] += 1e300 * rng.choice([-1.0, 1.0], size=(len(logits[3::5]), 1))
     assert_predict_matches_reference(logits)
+
+
+def test_row_sum_replays_add_reduce_bitwise():
+    """_row_sum over the columns gives np.add.reduce's bits along each row: the
+    left fold under 8 terms, the 8 accumulators up to 128, and the splits above."""
+    rng = np.random.default_rng(5)
+    for k in range(1, 301):
+        terms = np.exp(rng.normal(size=(200, k)) * 20)
+        expected = np.add.reduce(terms, axis=-1)
+        assert _row_sum(np.array(terms.T, order="C")).tobytes() == expected.tobytes(), k
 
 
 def test_predict_near_tie_that_collapses_after_lse_keeps_first_label():
@@ -284,7 +294,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     params = init_mlp([3, 8, 4], seed=5)
     params.biases[0] += np.random.default_rng(1).normal(size=8)
     path = tmp_path / "model.json"
-    save_checkpoint(params, path)
+    path.write_text(checkpoint_text(params))
     text = path.read_text()
     assert json.loads(text)["version"] == 2 and text.endswith("}\n")
     _assert_loads_exactly(load_checkpoint(path), params)
@@ -295,7 +305,7 @@ def test_checkpoint_v1_loads_bit_equal_to_v2(tmp_path):
     params.biases[1] += np.random.default_rng(1).normal(size=4)
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     v1.write_text(json.dumps(_v1_doc(params)))
-    save_checkpoint(params, v2)
+    v2.write_text(checkpoint_text(params))
     _assert_loads_exactly(load_checkpoint(v1), params)
     _assert_loads_exactly(load_checkpoint(v2), params)
 
@@ -307,7 +317,7 @@ def test_checkpoint_v2_roundtrips_strided_and_big_endian_arrays(tmp_path):
                        [np.linspace(-1.0, 1.0, 16)[::2], base.biases[1].astype(">f8") + 0.5])
     assert not params.weights[0].flags.c_contiguous and not params.biases[0].flags.contiguous
     path = tmp_path / "model.json"
-    save_checkpoint(params, path)
+    path.write_text(checkpoint_text(params))
     _assert_loads_exactly(load_checkpoint(path), params)
 
 
@@ -376,7 +386,7 @@ def _assert_rejected(tmp_path, doc, mutate, problem):
 @MALFORMED
 def test_checkpoint_malformed_documents_rejected(tmp_path, mutate, problem):
     path = tmp_path / "model.json"
-    save_checkpoint(init_mlp([3, 4, 2], seed=0), path)
+    path.write_text(checkpoint_text(init_mlp([3, 4, 2], seed=0)))
     _assert_rejected(tmp_path, json.loads(path.read_text()), mutate, problem)
 
 
