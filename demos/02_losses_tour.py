@@ -9,8 +9,8 @@ import numpy as np
 
 from calprune.autodiff import Graph
 from calprune.losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss,
-                             flsd_gamma, flsd_loss, focal_loss, mdca_aux_loss,
-                             nll_loss, total_loss)
+                             flsd_loss, focal_loss, mdca_aux_loss, nll_loss,
+                             total_loss)
 
 # rows are [p_target, 1 - p_target]; the first sample is badly underconfident
 probs = np.array([[0.10, 0.90], [0.55, 0.45], [0.95, 0.05], [0.70, 0.30]])
@@ -18,19 +18,27 @@ log_probs = np.log(probs)
 targets = np.array([0, 0, 0, 0])
 
 
-def value(build, **kw):
+def evaluated(build, **kw):
     g = Graph()
     node = build(g, g.leaf("lp"), g.int_leaf("y"), **kw)
-    return float(g.forward({"lp": log_probs, "y": targets}, root=node))
+    g.forward({"lp": log_probs, "y": targets}, root=node)
+    return g, node
+
+
+def value(build, **kw):
+    return float(evaluated(build, **kw)[1].value)
 
 
 print("nll:                ", value(nll_loss))
 for gamma in (0.0, 1.0, 3.0):
     print(f"focal gamma={gamma}:     ", value(focal_loss, gamma=gamma))
 
-# the sample-dependent schedule bumps gamma to 5 when the target prob is low
-print("flsd per-sample gammas:", [flsd_gamma(p) for p in probs[:, 0]])
-print("flsd:               ", value(flsd_loss))
+# the sample-dependent schedule bumps gamma to 5 when the target prob is below
+# 0.2; the focal_power node saves the exponents it chose in its forward
+g, flsd = evaluated(flsd_loss)
+gammas, _ = next(node.saved for node in g.nodes if node.op == "focal_power")
+print("flsd per-sample gammas:", gammas.tolist())
+print("flsd:               ", float(flsd.value))
 
 # auxiliary calibration terms penalise the batch confidence-accuracy gap
 print("aux huber (a=0.005):", value(aux_huber_loss, alpha=0.005))

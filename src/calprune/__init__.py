@@ -3,9 +3,8 @@
 from .autodiff import Graph, GraphError, grad_check
 from .data import (Dataset, generate_gaussian_mixture, load_csv, load_idx_pair,
                    minibatches, mixture_posterior, stratified_split)
-from .losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss, flsd_gamma,
-                     flsd_loss, focal_loss, huber_value, mdca_aux_loss, nll_loss,
-                     total_loss)
+from .losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss, flsd_loss,
+                     focal_loss, mdca_aux_loss, nll_loss, total_loss)
 from .metrics import (CalibrationReport, binned_ece, build_report, ece_on_subset,
                       high_confidence_subset, refinement_auroc, test_error)
 from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict

@@ -148,10 +148,11 @@ def _per_row(node, batch):
     return np.asarray(node.aux / batch.shape[0])
 
 
-def _focal_power(node, x):
+def _focal_power(node, p):
     threshold, gamma_below, gamma_above = node.aux
-    node.saved = np.where(1.0 - x < threshold, gamma_below, gamma_above)
-    return x ** node.saved
+    gamma, q = np.where(p < threshold, gamma_below, gamma_above), 1.0 - p
+    node.saved = gamma, q
+    return q ** gamma
 
 
 # ---- per-input adjoint rules: fn(adj, node, *input_values) -> contribution --
@@ -169,6 +170,11 @@ def _huber_vjp(adj, node, x):
     x = float(x)
     alpha = node.aux
     return adj * (x if abs(x) <= alpha else alpha * np.sign(x))
+
+
+def _focal_power_vjp(adj, node, p):
+    gamma, q = node.saved
+    return -(adj * gamma * q ** (gamma - 1.0))
 
 
 # op kind -> (forward rule, adjoint rules for its leading inputs). An input
@@ -204,8 +210,7 @@ RULES = {
     "correct_indicator": (_correct_indicator, ()),
     "one_hot": (_one_hot, ()),
     "per_row": (_per_row, ()),
-    "focal_power": (_focal_power,
-                    (lambda adj, node, x: adj * node.saved * x ** (node.saved - 1.0),)),
+    "focal_power": (_focal_power, (_focal_power_vjp,)),
 }
 
 
@@ -355,7 +360,7 @@ class Graph:
 
     def huber(self, a, alpha):
         """Huber function of a scalar: x^2/2 inside |x|<=alpha, linear outside."""
-        if alpha <= 0:
+        if not alpha > 0:
             raise GraphError(f"huber alpha must be > 0, got {alpha}")
         return self._append(Node("huber", (a,), aux=float(alpha)))
 
@@ -383,14 +388,14 @@ class Graph:
         """The scalar factor / n for the n rows of `batch`; it has no adjoint rule."""
         return self._append(Node("per_row", (batch,), aux=float(factor)))
 
-    def focal_power(self, a, gamma_below=5.0, gamma_above=3.0, threshold=0.2):
-        """a**gamma with gamma chosen per element from the current forward value.
+    def focal_power(self, p, gamma_below, gamma_above, threshold):
+        """(1 - p)**gamma of a probability p, with gamma = gamma_below where
+        p < threshold and gamma_above elsewhere (so at the threshold too).
 
-        Input a = 1 - p for a probability p; gamma = gamma_below where
-        p < threshold, else gamma_above. The exponent is recomputed on every
-        forward pass and carries no gradient of its own.
+        The exponent is chosen per element on every forward pass and carries
+        no gradient of its own.
         """
-        return self._append(Node("focal_power", (a,),
+        return self._append(Node("focal_power", (p,),
                                  aux=(float(threshold), float(gamma_below), float(gamma_above))))
 
     # ---- evaluation -------------------------------------------------------

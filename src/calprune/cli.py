@@ -13,7 +13,6 @@ from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_con
 from .data import read_json
 from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
-from .ranges import check_setting
 from .reporting import (CHECKPOINT_JSON, bundle_texts, check_output_dir, fmt_sig,
                         run_result_doc, write_bundle)
 from .trainer import (TrainingDiverged, evaluate_model, fit_temperature,
@@ -75,14 +74,10 @@ def _load_checkpoint_for(checkpoint_path, test):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, overrides=args.set or ())
-    bins = args.bins if args.bins is not None else cfg["eval"]["bins"]
-    deltas = args.delta if args.delta is not None else cfg["eval"]["deltas"]
-    check_setting("eval.bins", bins, "argument --bins", ConfigError)
-    check_setting("eval.deltas", deltas, "argument --delta", ConfigError)
     check_output_dir(args.out)
     _, _, test = build_datasets(cfg)
     params = _load_checkpoint_for(args.checkpoint, test)
-    report = evaluate_model(params, test, bins, deltas)
+    report = evaluate_model(params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
     write_bundle(args.out, bundle_texts(report))
     for line in _print_report(report):
         print(line)
@@ -135,9 +130,6 @@ def build_parser():
     evaluate.add_argument("--checkpoint", required=True)
     evaluate.add_argument("--out", required=True, help="bundle output directory")
     evaluate.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
-    evaluate.add_argument("--bins", type=int, default=None)
-    evaluate.add_argument("--delta", type=float, action="append", default=None,
-                          help="high-confidence threshold (repeatable)")
     evaluate.set_defaults(func=cmd_evaluate)
 
     calibrate = sub.add_parser("calibrate",

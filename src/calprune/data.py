@@ -121,6 +121,12 @@ def _read_exact(fh, n, path, what, offset):
     return data
 
 
+def _require_two_classes(path, n_classes):
+    if n_classes < 2:
+        raise ValueError(f"{path}: the labels hold {n_classes} class; a classifier "
+                         "needs at least 2")
+
+
 def load_idx_pair(images_path, labels_path, n_classes=None):
     """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened.
 
@@ -155,6 +161,7 @@ def load_idx_pair(images_path, labels_path, n_classes=None):
     elif count and y.max() >= n_classes:
         raise ValueError(
             f"{labels_path}: label {int(y.max())} out of range for {n_classes} classes")
+    _require_two_classes(labels_path, n_classes)
     return Dataset(x, y, n_classes)
 
 
@@ -215,6 +222,7 @@ def load_csv(path, label_column, n_classes=None):
     elif y.max() >= n_classes:
         raise ValueError(
             f"{path}: label {int(y.max())} out of range for declared {n_classes} classes")
+    _require_two_classes(path, n_classes)
     return Dataset(np.asarray(features, dtype=np.float64), y, n_classes)
 
 

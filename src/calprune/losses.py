@@ -59,31 +59,13 @@ def focal_loss(g, log_probs, targets, gamma):
     return g.scale(g.mean(g.mul(weight, picked)), -1.0)
 
 
-def flsd_gamma(p_target):
-    """Sample-dependent focal exponent: 5 below confidence 0.2, else 3."""
-    if not 0.0 <= p_target <= 1.0:
-        raise ValueError(f"p_target must be in [0, 1], got {p_target}")
-    return FLSD_LOW_CONFIDENCE_GAMMA if p_target < FLSD_THRESHOLD else FLSD_HIGH_CONFIDENCE_GAMMA
-
-
 def flsd_loss(g, log_probs, targets):
-    """Focal loss whose gamma is recomputed per sample on every forward pass."""
+    """Focal loss whose gamma is chosen per sample on every forward pass:
+    5 where the target probability is below 0.2, else 3."""
     picked = g.gather_rows(log_probs, targets)
-    p = g.exp(picked)
-    weight = g.focal_power(g.sub(g.const(1.0), p),
-                           gamma_below=FLSD_LOW_CONFIDENCE_GAMMA,
-                           gamma_above=FLSD_HIGH_CONFIDENCE_GAMMA,
-                           threshold=FLSD_THRESHOLD)
+    weight = g.focal_power(g.exp(picked), FLSD_LOW_CONFIDENCE_GAMMA,
+                           FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_THRESHOLD)
     return g.scale(g.mean(g.mul(weight, picked)), -1.0)
-
-
-def huber_value(x, alpha):
-    """Plain-number Huber, for tests and direct evaluation."""
-    check("loss.aux.alpha", alpha)
-    x = float(x)
-    if abs(x) <= alpha:
-        return 0.5 * x * x
-    return alpha * (abs(x) - 0.5 * alpha)
 
 
 def _confidence_gap(g, log_probs, targets):
@@ -99,6 +81,7 @@ def aux_huber_loss(g, log_probs, targets, alpha):
     The accuracy mean is frozen through stop-gradient: the correctness
     indicator is piecewise constant, so only the confidences carry gradient.
     """
+    check("loss.aux.alpha", alpha)
     return g.huber(_confidence_gap(g, log_probs, targets), alpha)
 
 

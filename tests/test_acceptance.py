@@ -31,8 +31,8 @@ import pytest
 from calprune.autodiff import Graph, grad_check
 from calprune.cli import main as cli_main
 from calprune.data import Dataset, generate_gaussian_mixture, stratified_split
-from calprune.losses import (AuxSpec, LossSpec, focal_loss, huber_value,
-                             label_smoothing_loss, nll_loss, total_loss)
+from calprune.losses import (AuxSpec, LossSpec, focal_loss, label_smoothing_loss,
+                             nll_loss, total_loss)
 from calprune.metrics import binned_ece, ece_on_subset
 from calprune.mlp import forward_logits, init_mlp, predict
 from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
@@ -279,12 +279,16 @@ def test_criterion_05_reductions():
                     aux=AuxSpec(kind="huber", alpha=0.005, weight=0.0))
     total0 = _loss_value(total_loss, lp, targets, spec=spec, n_classes=5)
     alone = _loss_value(focal_loss, lp, targets, gamma=3.0)
-    even_worst = max(abs(huber_value(x, 0.005) - huber_value(-x, 0.005))
-                     for x in rng.uniform(-1, 1, 200))
+    g = Graph()
+    huber = g.huber(g.leaf("x"), 0.005)
+
+    def huber_at(x):
+        return float(g.forward({"x": x}, root=huber))
+
+    even_worst = max(abs(huber_at(x) - huber_at(-x)) for x in rng.uniform(-1, 1, 200))
     h = 1e-7
     smooth_worst = max(
-        abs((huber_value(x0 + h, 0.005) - huber_value(x0, 0.005)) / h
-            - (huber_value(x0, 0.005) - huber_value(x0 - h, 0.005)) / h)
+        abs((huber_at(x0 + h) - huber_at(x0)) / h - (huber_at(x0) - huber_at(x0 - h)) / h)
         for x0 in (0.005, -0.005))
     ok = (abs(focal0 - nll) <= 1e-12 and abs(smooth0 - nll) <= 1e-12
           and total0 == alone and even_worst <= 1e-15 and smooth_worst <= 1e-6)

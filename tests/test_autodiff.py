@@ -5,7 +5,8 @@ import pytest
 
 from calprune.autodiff import (RULES, Graph, GraphError, Node, _scatter_rows, _unbroadcast,
                                grad_check, log_softmax)
-from calprune.losses import AuxSpec, LossSpec, total_loss
+from calprune.losses import (FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_LOW_CONFIDENCE_GAMMA,
+                             FLSD_THRESHOLD, AuxSpec, LossSpec, total_loss)
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 
 
@@ -208,10 +209,11 @@ def _op_cases(rng):
     cases["one_hot_per_row"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [2, 0, 1, 2]})
 
     g = Graph()
-    g.sum(g.focal_power(g.leaf("x")))
-    low = rng.uniform(0.05, 0.7, 4)    # p >= 0.3: exponent 3
-    high = rng.uniform(0.85, 0.99, 4)  # p < 0.15: exponent 5
-    cases["focal_power"] = (g, {"x": np.concatenate([low, high])})
+    g.sum(g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
+                        FLSD_THRESHOLD))
+    high = rng.uniform(0.3, 0.95, 4)  # p >= 0.3: exponent 3
+    low = rng.uniform(0.01, 0.15, 4)  # p < 0.15: exponent 5
+    cases["focal_power"] = (g, {"p": np.concatenate([high, low])})
 
     # the second operand broadcasts, so its adjoint is summed down to (1, 4)
     for op in ("sub", "mul"):
@@ -253,8 +255,9 @@ def test_grad_check_fails_a_nan_gradient():
 
 def test_focal_power_switches_exponent():
     g = Graph()
-    out = g.focal_power(g.leaf("x"))
-    value = g.forward({"x": np.array([0.5, 0.9])}, root=out)
+    out = g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
+                        FLSD_THRESHOLD)
+    value = g.forward({"p": np.array([0.5, 0.1])}, root=out)
     np.testing.assert_allclose(value, [0.5 ** 3, 0.9 ** 5], rtol=1e-15)
 
 

@@ -503,14 +503,11 @@ def test_existing_output_dir_fails_before_any_work(trained, tmp_path, monkeypatc
     ("eval.deltas=[2]", "eval.deltas[0]"),
     ("eval.deltas=[0.9, 0]", "eval.deltas[1]"),
     ("eval.deltas=[NaN]", "eval.deltas[0]"),
-    ("--bins=0", "argument --bins"),
-    ("--delta=2", "argument --delta[0]"),
 ])
 def test_bad_eval_settings_name_their_key_before_any_work(trained, tmp_path, monkeypatch,
                                                           capsys, assignment, key):
     """train, evaluate and calibrate reject an out-of-range eval.bins or
-    eval.deltas entry at config load, and evaluate an out-of-range --bins or
-    --delta flag, before any data is built."""
+    eval.deltas entry at config load, before any data is built."""
     config_path, out = trained
 
     def never(*args, **kwargs):
@@ -518,19 +515,14 @@ def test_bad_eval_settings_name_their_key_before_any_work(trained, tmp_path, mon
 
     monkeypatch.setattr(cli, "build_datasets", never)
     checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
-    if assignment.startswith("--"):
-        runs = [["evaluate", "--config", str(config_path), *checkpoint, assignment,
-                 "--out", str(tmp_path / "eval")]]
-    else:
-        common = ["--config", str(config_path), "--set", assignment]
-        key = f"config key {key}"
-        runs = [["train", *common, "--set", f"output_dir={tmp_path / 'run'}"],
-                ["evaluate", *common, *checkpoint, "--out", str(tmp_path / "eval")],
-                ["calibrate", *common, *checkpoint]]
+    common = ["--config", str(config_path), "--set", assignment]
+    runs = [["train", *common, "--set", f"output_dir={tmp_path / 'run'}"],
+            ["evaluate", *common, *checkpoint, "--out", str(tmp_path / "eval")],
+            ["calibrate", *common, *checkpoint]]
     for argv in runs:
         assert main(argv) == 2, argv[0]
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"config error: {key} must "), argv[0]
+        assert captured.err.startswith(f"config error: config key {key} must "), argv[0]
         assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
@@ -857,6 +849,32 @@ def test_corrupt_csv_cell_names_its_path(tmp_path, capsys, bad, labels_only):
         write(name, table)
 
 
+@pytest.mark.parametrize("source", ["csv", "idx_pair"])
+def test_one_class_training_labels_name_their_file(tmp_path, capsys, source):
+    """A source whose training labels are all 0 counts one class; label
+    smoothing, which divides by K - 1, is never reached."""
+    if source == "csv":
+        for name in ("train", "test"):
+            rows = [f"{a:.3f},{b:.3f},0" for a, b in np.random.default_rng(0).normal(size=(8, 2))]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["a,b,y", *rows]) + "\n")
+        dataset = {"source": "csv", "path": str(tmp_path / "train.csv"),
+                   "test_path": str(tmp_path / "test.csv"), "label_column": "y"}
+        bad = tmp_path / "train.csv"
+    else:
+        files = [*write_idx(tmp_path, "train", [0] * 8, seed=0),
+                 *write_idx(tmp_path, "test", [0] * 4, seed=1)]
+        dataset = dict(zip(("source", "images", "labels", "test_images", "test_labels"),
+                           [source, *files]))
+        bad = files[1]
+    path = tmp_path / "one_class.json"
+    path.write_text(json.dumps({"dataset": dataset, "model": {"hidden": [4]},
+                                "train": {"max_epochs": 1, "batch_size": 8,
+                                          "lr_milestones": []},
+                                "loss": {"kind": "label_smoothing", "smoothing": 0.1},
+                                "output_dir": str(tmp_path / "out")}))
+    _assert_input_error_names(tmp_path, capsys, path, bad)
+
+
 def _nan_first_weight(doc):
     weight = doc["layers"][0]["weight"]
     values = np.frombuffer(base64.b64decode(weight["data"]), dtype="<f8").copy()
@@ -951,7 +969,7 @@ def test_traced_benchmark_reads_graph_after_backward():
     g.forward(bindings, root=root)
     g.backward(root=root)
     stats = load_tracing().graph_stats(g, root)
-    assert stats["nodes"] == 35  # 34 ops plus the int64 label leaf
+    assert stats["nodes"] == 33  # 8 leaves (x, y and six parameters) and 25 ops
     assert 0 < stats["useful_adjoint_frac"] <= 1
 
 
@@ -971,7 +989,7 @@ def test_traced_training_sees_one_graph_shape_per_step():
     finally:
         restore()
     assert len(tracer.steps) == 3 * -(-len(train) // config.batch_size)
-    assert {step["nodes"] for step in tracer.steps} == {35}
+    assert {step["nodes"] for step in tracer.steps} == {33}
     assert {step["ops"]["leaf"] for step in tracer.steps} == {8}  # x, y and six parameters
     for a, b in zip(plain.params.weights + plain.params.biases,
                     traced.params.weights + traced.params.biases):

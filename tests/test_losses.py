@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from calprune.autodiff import Graph, grad_check
-from calprune.losses import (AuxSpec, LossSpec, aux_huber_loss, brier_loss,
-                             dca_aux_loss, flsd_gamma, flsd_loss, focal_loss,
-                             huber_value, label_smoothing_loss, mdca_aux_loss,
-                             nll_loss, total_loss)
+from calprune.losses import (FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_LOW_CONFIDENCE_GAMMA,
+                             FLSD_THRESHOLD, AuxSpec, LossSpec, aux_huber_loss,
+                             brier_loss, dca_aux_loss, flsd_loss, focal_loss,
+                             label_smoothing_loss, mdca_aux_loss, nll_loss, total_loss)
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 from calprune.trainer import TrainConfig
 
@@ -77,9 +77,22 @@ def test_focal_monotone_nonincreasing_in_target_probability():
 
 
 def test_flsd_gamma_schedule():
-    assert flsd_gamma(0.1) == 5.0
-    assert flsd_gamma(0.3) == 3.0
-    assert flsd_gamma(0.2) == 3.0  # boundary is inclusive on the low-gamma side
+    """The exponents focal_power saves in its forward: 5 below p = 0.2, and 3
+    from 0.2 up, the threshold itself included."""
+    g = Graph()
+    node = g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
+                         FLSD_THRESHOLD)
+    g.forward({"p": [0.1, 0.3, 0.2, np.nextafter(0.2, 0.0)]}, root=node)
+    gamma, _ = node.saved
+    assert gamma.tolist() == [5.0, 3.0, 3.0, 5.0]
+
+
+def test_flsd_value_at_the_threshold():
+    assert np.exp(np.log(0.2)) == 0.2  # the graph reads p = 0.2 exactly
+    expected = 0.8 ** 3 * np.log(5.0)
+    assert eval_loss(flsd_loss, rows_from_probs([[0.2, 0.8]]), [0]) == pytest.approx(
+        expected, abs=1e-12)
+    assert expected == pytest.approx(0.8240, abs=1e-4)
 
 
 def test_flsd_collapses_to_fixed_gamma():
@@ -100,26 +113,41 @@ def test_flsd_mixed_batch_hand_value():
     assert expected == pytest.approx(0.7232, abs=1e-4)
 
 
+def huber_at(x, alpha):
+    """Graph.huber of one scalar leaf bound to `x`."""
+    g = Graph()
+    node = g.huber(g.leaf("x"), alpha)
+    return float(g.forward({"x": x}, root=node))
+
+
 def test_huber_values():
-    assert huber_value(0.0, 1.0) == 0.0
-    assert huber_value(0.0, 0.005) == 0.0
-    assert huber_value(0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
-    assert huber_value(0.1, 0.005) == pytest.approx(4.875e-4, abs=1e-12)
+    assert huber_at(0.0, 1.0) == 0.0
+    assert huber_at(0.0, 0.005) == 0.0
+    assert huber_at(0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
+    assert huber_at(0.1, 0.005) == pytest.approx(4.875e-4, abs=1e-12)
 
 
 def test_huber_even():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-1, 1, 50):
-        assert huber_value(x, 0.005) == pytest.approx(huber_value(-x, 0.005), abs=1e-15)
+        assert huber_at(x, 0.005) == pytest.approx(huber_at(-x, 0.005), abs=1e-15)
 
 
 def test_huber_c1_at_transition():
     # one-sided difference quotients agree at |x| = alpha
     alpha, h = 0.005, 1e-7
     for x0 in (alpha, -alpha):
-        left = (huber_value(x0, alpha) - huber_value(x0 - h, alpha)) / h
-        right = (huber_value(x0 + h, alpha) - huber_value(x0, alpha)) / h
+        left = (huber_at(x0, alpha) - huber_at(x0 - h, alpha)) / h
+        right = (huber_at(x0 + h, alpha) - huber_at(x0, alpha)) / h
         assert abs(left - right) < 1e-6
+
+
+def test_huber_rejects_nan_alpha():
+    g = Graph()
+    with pytest.raises(ValueError, match="alpha"):
+        aux_huber_loss(g, g.leaf("lp"), g.int_leaf("y"), float("nan"))
+    with pytest.raises(ValueError, match="alpha"):
+        g.huber(g.leaf("x"), float("nan"))
 
 
 def _two_class_rows(confidences, predicted_correct):
