@@ -142,12 +142,6 @@ def _one_hot(node, targets):
     return out
 
 
-def _per_row(node, batch):
-    if batch.ndim == 0 or batch.shape[0] == 0:
-        raise GraphError(f"per_row needs a nonempty leading axis, got shape {batch.shape}")
-    return np.asarray(node.aux / batch.shape[0])
-
-
 def _focal_power(node, p):
     threshold, gamma_below, gamma_above = node.aux
     gamma, q = np.where(p < threshold, gamma_below, gamma_above), 1.0 - p
@@ -209,7 +203,6 @@ RULES = {
     "row_max": (_row_max, (lambda adj, node, x: _scatter_rows(adj, x, node.saved),)),
     "correct_indicator": (_correct_indicator, ()),
     "one_hot": (_one_hot, ()),
-    "per_row": (_per_row, ()),
     "focal_power": (_focal_power, (_focal_power_vjp,)),
 }
 
@@ -383,10 +376,6 @@ class Graph:
         """
         return self._append(Node("one_hot", (targets,),
                                  aux=(int(n_classes), float(on), float(off))))
-
-    def per_row(self, batch, factor=1.0):
-        """The scalar factor / n for the n rows of `batch`; it has no adjoint rule."""
-        return self._append(Node("per_row", (batch,), aux=float(factor)))
 
     def focal_power(self, p, gamma_below, gamma_above, threshold):
         """(1 - p)**gamma of a probability p, with gamma = gamma_below where

@@ -38,19 +38,14 @@ def _nested(settings):
 
 DEFAULTS = _nested(SETTINGS)
 
-# keys each dataset source may set beyond "source"; everything else is a typo
-_SOURCE_KEYS = {
-    "gaussian_mixture": {"classes", "train_per_class", "test_per_class", "noise",
-                         "seed", "train_fraction"},
-    "idx_pair": {"images", "labels", "test_images", "test_labels", "seed",
-                 "train_fraction"},
-    "csv": {"path", "test_path", "label_column", "classes", "seed", "train_fraction"},
+# dataset source -> (keys it requires, keys it may also set); the keys in
+# _ANY_SOURCE apply to every source, and any other dataset key is a typo
+_SOURCES = {
+    "gaussian_mixture": (set(), {"classes", "train_per_class", "test_per_class", "noise"}),
+    "idx_pair": ({"images", "labels", "test_images", "test_labels"}, set()),
+    "csv": ({"path", "test_path", "label_column"}, {"classes"}),
 }
-_SOURCE_REQUIRED = {
-    "gaussian_mixture": set(),
-    "idx_pair": {"images", "labels", "test_images", "test_labels"},
-    "csv": {"path", "test_path", "label_column"},
-}
+_ANY_SOURCE = {"source", "seed", "train_fraction"}
 
 
 # object-valued sections that may be switched off with null
@@ -93,15 +88,15 @@ def resolve_config(user):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge_strict(DEFAULTS, user)
     source = cfg["dataset"]["source"]
-    if source not in _SOURCE_KEYS:
+    if source not in _SOURCES:
         raise ConfigError(f"unknown config value: dataset.source={source!r}")
-    user_dataset_keys = set(user.get("dataset", {})) - {"source"}
-    stray = user_dataset_keys - _SOURCE_KEYS[source]
+    required, optional = _SOURCES[source]
+    user_dataset_keys = set(user.get("dataset", {}))
+    stray = user_dataset_keys - required - optional - _ANY_SOURCE
     if stray:
         raise ConfigError(
             f"config key dataset.{sorted(stray)[0]} does not apply to source {source!r}")
-    missing = _SOURCE_REQUIRED[source] - {k for k in user_dataset_keys
-                                          if cfg["dataset"][k] is not None}
+    missing = required - {k for k in user_dataset_keys if cfg["dataset"][k] is not None}
     if missing:
         raise ConfigError(
             f"dataset source {source!r} requires config key dataset.{sorted(missing)[0]}")

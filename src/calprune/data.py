@@ -9,6 +9,7 @@ posterior available in closed form.
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,66 +114,72 @@ def mixture_posterior(x, n_classes, per_class, noise=0.0):
     return (1.0 - noise) * clean + noise * (1.0 - clean) / (n_classes - 1)
 
 
-def _read_exact(fh, n, path, what, offset):
-    data = fh.read(n)
-    if len(data) != n:
+def _read_idx(path, magic, what):
+    """(dimensions, uint8 payload) of the IDX file at `path`, read whole. The
+    low byte of `magic` counts the dimensions; a short header, another magic
+    or a payload shorter than the dimensions claim raise naming `path`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = 4 * (1 + (magic & 0xFF))
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated {what} header: expected {start} bytes at "
+                         f"offset 0, got {len(data)}")
+    found, *dims = struct.unpack_from(f">{start // 4}I", data)
+    if found != magic:
+        raise ValueError(f"{path}: expected {what} magic 0x{magic:08x} at offset 0, "
+                         f"found 0x{found:08x}")
+    size = math.prod(dims)
+    if len(data) - start < size:
+        raise ValueError(f"{path}: truncated {what} data: expected {size} bytes at "
+                         f"offset {start}, got {len(data) - start}")
+    return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
+
+
+def _labeled(path, x, y, n_classes):
+    """Dataset of `x` and int64 labels `y` read from `path`, whose label rules
+    raise naming `path`; `n_classes` defaults to the largest label plus one."""
+    if y.size and y.min() < 0:
+        raise ValueError(f"{path}: negative label {y.min()}")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1 if y.size else 0
+    elif y.size and y.max() >= n_classes:
         raise ValueError(
-            f"{path}: truncated {what}: expected {n} bytes at offset {offset}, got {len(data)}")
-    return data
-
-
-def _require_two_classes(path, n_classes):
+            f"{path}: label {int(y.max())} out of range for declared {n_classes} classes")
     if n_classes < 2:
-        raise ValueError(f"{path}: the labels hold {n_classes} class; a classifier "
+        raise ValueError(f"{path}: the labels hold {n_classes} class(es); a classifier "
                          "needs at least 2")
+    return Dataset(x, y, n_classes)
 
 
 def load_idx_pair(images_path, labels_path, n_classes=None):
-    """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened.
-
-    `n_classes` defaults to the largest label plus one.
-    """
-    with open(images_path, "rb") as fh:
-        header = _read_exact(fh, 16, images_path, "image header", 0)
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"{images_path}: expected image magic 0x{IDX_IMAGES_MAGIC:08x} at offset 0, "
-                f"found 0x{magic:08x}")
-        payload = _read_exact(fh, count * rows * cols, images_path, "pixel data", 16)
-        pixels = np.frombuffer(payload, dtype=np.uint8)
-    with open(labels_path, "rb") as fh:
-        header = _read_exact(fh, 8, labels_path, "label header", 0)
-        magic, label_count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"{labels_path}: expected label magic 0x{IDX_LABELS_MAGIC:08x} at offset 0, "
-                f"found 0x{magic:08x}")
-        labels = np.frombuffer(
-            _read_exact(fh, label_count, labels_path, "label data", 8), dtype=np.uint8)
+    """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened."""
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
     if count != label_count:
         raise ValueError(
             f"count mismatch: {images_path} holds {count} images but "
             f"{labels_path} holds {label_count} labels")
     x = np.divide(pixels.reshape(count, rows * cols), 255.0, dtype=np.float64)
-    y = labels.astype(np.int64)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1 if count else 2
-    elif count and y.max() >= n_classes:
-        raise ValueError(
-            f"{labels_path}: label {int(y.max())} out of range for {n_classes} classes")
-    _require_two_classes(labels_path, n_classes)
-    return Dataset(x, y, n_classes)
+    return _labeled(labels_path, x, labels.astype(np.int64), n_classes)
+
+
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def read_json(path, error=ValueError):
-    """The JSON document in file `path`; malformed JSON or bytes that are not
-    UTF-8 raise `error` naming `path`."""
+    """The JSON document in file `path`; malformed JSON, a key repeated in
+    any object, or bytes that are not UTF-8 raise `error` naming `path`."""
     with open(path, "rb") as fh:
         text = fh.read()
     try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a repeated key
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -214,22 +221,15 @@ def load_csv(path, label_column, n_classes=None):
         features.append([values[i] for i in feature_idx])
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.min() < 0:
-        raise ValueError(f"{path}: negative label {y.min()}")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    elif y.max() >= n_classes:
-        raise ValueError(
-            f"{path}: label {int(y.max())} out of range for declared {n_classes} classes")
-    _require_two_classes(path, n_classes)
-    return Dataset(np.asarray(features, dtype=np.float64), y, n_classes)
+    return _labeled(path, np.asarray(features, dtype=np.float64),
+                    np.asarray(labels, dtype=np.int64), n_classes)
 
 
 def stratified_split(data, train_fraction, seed):
     """Per-class seeded shuffle, then a floor(train_fraction * n_k) split.
 
-    Returns (train, validation) Datasets whose ids are the rows' positions in
+    A class with fewer than 2 rows, or whose floor is 0, raises a ValueError
+    naming the class. Returns (train, validation) Datasets whose ids are the rows' positions in
     `data`, with every EMA score at 0. The floor uses exact rational
     arithmetic over the double value of train_fraction.
     """
@@ -242,6 +242,9 @@ def stratified_split(data, train_fraction, seed):
             raise ValueError(f"class {k} has {positions.size} instance(s); need >= 2 to split")
         shuffled = positions[rng.permutation(positions.size)]
         take = int(Fraction(train_fraction) * positions.size)
+        if take == 0:
+            raise ValueError(f"class {k} has {positions.size} rows; train_fraction "
+                             f"{train_fraction} puts none of them in training")
         train_parts.append(shuffled[:take])
         val_parts.append(shuffled[take:])
     train_idx, val_idx = np.concatenate(train_parts), np.concatenate(val_parts)

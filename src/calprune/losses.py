@@ -3,8 +3,8 @@
 Every loss takes a log-probability node (the output of a log-softmax) plus
 a node of integer targets (an int_leaf bound per batch) and returns a scalar
 graph node, so gradients come from the autodiff module. Whatever depends on
-the labels or the batch size (one-hot rows, class frequencies, a 1/n scale)
-is an op of the targets node, so one built graph serves every batch,
+the labels (one-hot rows, class frequencies) is an op of the targets node, and
+every batch average is a `mean` node, so one built graph serves every batch,
 including a short final one. Probabilities are always read back via exp() of
 log-softmax output; no raw softmax of large logits anywhere.
 
@@ -69,17 +69,16 @@ def flsd_loss(g, log_probs, targets):
 
 
 def _confidence_gap(g, log_probs, targets):
-    # batch mean confidence minus (frozen) batch accuracy
+    # batch mean confidence minus batch accuracy; the accuracy carries no gradient
     conf_mean = g.mean(g.exp(g.row_max(log_probs)))
-    acc_mean = g.stop_gradient(g.mean(g.correct_indicator(log_probs, targets)))
-    return g.sub(conf_mean, acc_mean)
+    return g.sub(conf_mean, g.mean(g.correct_indicator(log_probs, targets)))
 
 
 def aux_huber_loss(g, log_probs, targets, alpha):
     """Huber of (mean confidence - mean accuracy) over the batch.
 
-    The accuracy mean is frozen through stop-gradient: the correctness
-    indicator is piecewise constant, so only the confidences carry gradient.
+    The correctness indicator is piecewise constant and has no adjoint rule,
+    so only the confidences carry gradient.
     """
     check("loss.aux.alpha", alpha)
     return g.huber(_confidence_gap(g, log_probs, targets), alpha)
@@ -100,14 +99,14 @@ def mdca_aux_loss(g, log_probs, targets, n_classes):
 def brier_loss(g, log_probs, targets, n_classes):
     """Squared error against the one-hot target, summed over classes, batch mean."""
     diff = g.sub(g.exp(log_probs), g.one_hot(targets, n_classes))
-    return g.mul(g.per_row(targets), g.sum(g.pow_const(diff, 2.0)))
+    return g.sum(g.mean(g.pow_const(diff, 2.0)))
 
 
 def label_smoothing_loss(g, log_probs, targets, smoothing, n_classes):
     """Cross-entropy against (1 - eps) on the true class, eps/(K-1) elsewhere."""
     check("loss.smoothing", smoothing)
     soft = g.one_hot(targets, n_classes, on=1.0 - smoothing, off=smoothing / (n_classes - 1))
-    return g.mul(g.per_row(targets, -1.0), g.sum(g.mul(soft, log_probs)))
+    return g.scale(g.sum(g.mean(g.mul(soft, log_probs))), -1.0)
 
 
 # kind -> builder(g, log_probs, targets, spec, n_classes), one table per loss family

@@ -28,7 +28,7 @@ TEMPERATURE_RESOLUTION = 1e-3
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss turns non-finite or pruning empties the data."""
+    """Raised when the loss turns non-finite."""
 
 
 @dataclass
@@ -132,6 +132,8 @@ def train_with_pruning(train, test, params, config):
     n_classes = params.n_classes
     if train.n_classes != n_classes or test.n_classes != n_classes:
         raise ValueError("dataset class counts disagree with the model's output width")
+    if len(train) == 0:
+        raise ValueError("cannot train on an empty dataset")
     if config.prune is not None and config.batch_size < 10 * n_classes:
         warnings.warn(
             f"batch size {config.batch_size} < 10*K={10 * n_classes}: minibatches may "
@@ -152,8 +154,6 @@ def train_with_pruning(train, test, params, config):
 
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(epoch, config)
-        if len(survivors) == 0:
-            raise TrainingDiverged(f"no training instances left at epoch {epoch}")
         blocks = minibatches(survivors, config.batch_size, epoch, config.seed)
         epoch_conf = np.full(len(survivors), np.nan)  # by survivor position
         loss_sum = 0.0
@@ -177,10 +177,7 @@ def train_with_pruning(train, test, params, config):
             if epoch in config.prune.epochs:
                 before = survivors.class_sizes()
                 survivors = prune_using_ema(survivors, config.prune.percent)
-                after = survivors.class_sizes()
-                if len(survivors) == 0 or (after == 0).any():
-                    raise TrainingDiverged(f"pruning emptied a class at epoch {epoch}")
-                prune_events.append(PruneEvent(epoch, (before - after).tolist(),
+                prune_events.append(PruneEvent(epoch, (before - survivors.class_sizes()).tolist(),
                                                len(survivors)))
 
     layers = range(params.n_layers)

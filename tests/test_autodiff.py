@@ -202,11 +202,10 @@ def _op_cases(rng):
     g.mean(g.correct_indicator(g.leaf("z"), g.int_leaf("t")))
     cases["correct_indicator"] = (g, {"z": z, "t": [0, 1, 2, 0]})
 
-    # one-hot rows and the 1/n factor are functions of the labels alone
+    # one-hot rows are a function of the labels alone
     g = Graph()
-    t = g.int_leaf("t")
-    g.mul(g.per_row(t, -2.0), g.sum(g.mul(g.one_hot(t, 3, on=0.8, off=0.1), g.leaf("x"))))
-    cases["one_hot_per_row"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [2, 0, 1, 2]})
+    g.sum(g.mean(g.mul(g.one_hot(g.int_leaf("t"), 3, on=0.8, off=0.1), g.leaf("x"))))
+    cases["one_hot"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [2, 0, 1, 2]})
 
     g = Graph()
     g.sum(g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,

@@ -175,6 +175,20 @@ def test_unreadable_config_names_its_path(tmp_path, capsys, text):
     assert err.startswith(f"config error: {path}: invalid JSON: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("repeat, key", [
+    ('"train": {"max_epochs": 2}, "train": {', "train"),
+    ('"train": {"max_epochs": 2, ', "max_epochs")], ids=["top_level", "nested"])
+def test_repeated_config_key_exits_2_naming_it(tmp_path, capsys, repeat, key):
+    """A repeated key would silently drop the first value (or section)."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, out)
+    path.write_text(path.read_text().replace('"train": {', repeat, 1))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and f"repeated key {key!r}" in err
+    assert not out.exists()
+
+
 def test_prune_schedule_resolution():
     def epochs(prune, train=None):
         cfg = resolve_config({"prune": {"enabled": True, **prune}, "train": train or {}})
@@ -819,6 +833,39 @@ def test_truncated_idx_file_names_its_path(tmp_path, capsys):
         path.write_bytes(whole)
 
 
+def test_idx_header_claiming_more_than_the_file_names_its_path(tmp_path, capsys):
+    """Three 0xFFFFFFFF image dimensions claim ~7.9e28 bytes: the claim is
+    checked against the bytes in the file, and no read is sized by it."""
+    files = [*write_idx(tmp_path, "train", np.repeat([0, 1, 2], 4), seed=0),
+             *write_idx(tmp_path, "test", [0, 1, 2, 0], seed=1)]
+    config = _input_config(tmp_path, dict(zip(
+        ("source", "images", "labels", "test_images", "test_labels"), ["idx_pair", *files])))
+    images = Path(files[0])
+    whole = images.read_bytes()
+    images.write_bytes(whole[:4] + struct.pack(">III", *[0xFFFFFFFF] * 3) + whole[16:])
+    _assert_input_error_names(tmp_path, capsys, config, images)
+
+
+def test_split_leaving_a_class_out_of_training_exits_1(tmp_path, capsys):
+    """train_fraction 0.4 of class 1's 2 rows floors to 0: training would see
+    class 0 alone, so the split names the class instead."""
+    rows = [f"{v:.3f},{y}" for v, y in zip(np.linspace(-1, 1, 12), [0] * 10 + [1] * 2)]
+    for name in ("train", "test"):
+        (tmp_path / f"{name}.csv").write_text("\n".join(["a,y", *rows]) + "\n")
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({
+        "dataset": {"source": "csv", "path": str(tmp_path / "train.csv"),
+                    "test_path": str(tmp_path / "test.csv"), "label_column": "y",
+                    "train_fraction": 0.4},
+        "model": {"hidden": [4]},
+        "train": {"max_epochs": 1, "batch_size": 8, "lr_milestones": []},
+        "output_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: class 1 has 2 rows") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad, labels_only", [
     ("nan", False), ("inf", False), ("-inf", False), ("1e400", False), ("", False),
     ("x", False), ("\xff", False), ("0.5", True), ("-1", True), ("3", True)])
@@ -903,6 +950,19 @@ def test_evaluate_malformed_checkpoint_exits_cleanly(trained, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, flag", [("checkpoint.json", "--checkpoint"), ("run.json", "--run")])
+def test_repeated_key_in_a_run_file_exits_1(trained, tmp_path, capsys, name, flag):
+    config_path, out = trained
+    bad = tmp_path / f"repeated_{name}"
+    bad.write_text((out / name).read_text().replace("{", '{"repeated": 0, "repeated": 1, ', 1))
+    command = {"--checkpoint": ["evaluate", "--config", str(config_path)], "--run": ["report"]}
+    capsys.readouterr()
+    code = main([*command[flag], flag, str(bad), "--out", str(tmp_path / "bundle")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {bad}: ") and "repeated key 'repeated'" in err
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_quickstart_checkpoint_bytes_deterministic(tmp_path):
     texts = []
     for name in ("a", "b"):
@@ -969,7 +1029,7 @@ def test_traced_benchmark_reads_graph_after_backward():
     g.forward(bindings, root=root)
     g.backward(root=root)
     stats = load_tracing().graph_stats(g, root)
-    assert stats["nodes"] == 33  # 8 leaves (x, y and six parameters) and 25 ops
+    assert stats["nodes"] == 32  # 8 leaves (x, y and six parameters) and 24 ops
     assert 0 < stats["useful_adjoint_frac"] <= 1
 
 
@@ -989,7 +1049,7 @@ def test_traced_training_sees_one_graph_shape_per_step():
     finally:
         restore()
     assert len(tracer.steps) == 3 * -(-len(train) // config.batch_size)
-    assert {step["nodes"] for step in tracer.steps} == {33}
+    assert {step["nodes"] for step in tracer.steps} == {32}
     assert {step["ops"]["leaf"] for step in tracer.steps} == {8}  # x, y and six parameters
     for a, b in zip(plain.params.weights + plain.params.biases,
                     traced.params.weights + traced.params.biases):

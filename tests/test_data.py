@@ -234,6 +234,13 @@ def test_stratified_split_rejects_tiny_class():
         stratified_split(data, 0.9, seed=0)
 
 
+def test_stratified_split_rejects_a_class_left_out_of_training():
+    """floor(0.4 * 2) = 0: none of class 1's rows would train."""
+    data = Dataset(np.zeros((12, 2)), np.array([0] * 10 + [1] * 2), 2)
+    with pytest.raises(ValueError, match=r"class 1 has 2 rows; train_fraction 0\.4"):
+        stratified_split(data, 0.4, seed=0)
+
+
 def test_dataset_defaults_ids_and_ema():
     data = Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2)
     assert data.ids.dtype == np.int64 and data.ids.tolist() == [0, 1, 2]

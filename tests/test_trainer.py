@@ -288,6 +288,19 @@ def test_nan_aborts_loudly():
         train_with_pruning(train, test, params, cfg)
 
 
+def test_empty_training_set_raises_before_the_graph_is_built(monkeypatch):
+    _, _, test = small_experiment(seed=8)
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+    cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05, lr_milestones=[])
+
+    def no_graph():
+        raise AssertionError("the loss graph was built")
+
+    monkeypatch.setattr(trainer, "Graph", no_graph)
+    with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+        train_with_pruning(empty, test, init_mlp([2, 4, 2], seed=1), cfg)
+
+
 def test_batch_size_warning_with_pruning():
     train, _, test = small_experiment(seed=12)
     cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05,
