@@ -8,7 +8,8 @@ softmax temperature is fitted on the validation split.
 from calprune.data import generate_gaussian_mixture, stratified_split
 from calprune.losses import AuxSpec, LossSpec
 from calprune.mlp import forward_logits, init_mlp, predict
-from calprune.trainer import TrainConfig, fit_temperature, mean_nll, train_with_pruning
+from calprune.trainer import (TrainConfig, evaluate_model, fit_temperature, mean_nll,
+                              train_with_pruning)
 
 pool = generate_gaussian_mixture(4, 500, noise=0.15, seed=42)
 train, val = stratified_split(pool, 0.9, seed=42)
@@ -22,10 +23,10 @@ for name, loss in [("nll", LossSpec(kind="nll")),
                                                        weight=10.0)))]:
     cfg = TrainConfig(max_epochs=40, batch_size=128, learning_rate=0.1,
                       lr_milestones=[20, 30], momentum=0.9, weight_decay=5e-4,
-                      seed=1, loss=loss, eval_deltas=[0.95], n_bins=10)
-    result = train_with_pruning(train, test, init_mlp([2, 32, 32, 4], 1), cfg)
+                      seed=1, loss=loss)
+    result = train_with_pruning(train, init_mlp([2, 32, 32, 4], 1), cfg)
     results[name] = result
-    rep = result.report
+    rep = evaluate_model(result.params, test, n_bins=10, deltas=[0.95])
     mean_conf = sum(b.count * b.confidence for b in rep.bins if b.count) / rep.n
     print(f"{name:11s} ece={rep.ece:.4f} test_error={rep.test_error_pct:.1f}% "
           f"auroc={rep.auroc:.3f} mean_confidence={mean_conf:.3f}")

@@ -13,14 +13,12 @@ from calprune.trainer import TrainConfig, train_with_pruning
 
 pool = generate_gaussian_mixture(4, 500, noise=0.15, seed=7)
 train, _ = stratified_split(pool, 0.9, seed=7)
-test = generate_gaussian_mixture(4, 250, noise=0.15, seed=8)
 
 schedule = PruneSchedule(percent=10.0, ema_factor=0.3, epochs=range(20, 61, 5))
 cfg = TrainConfig(max_epochs=60, batch_size=128, learning_rate=0.1,
                   lr_milestones=[30, 45], momentum=0.9, weight_decay=5e-4, seed=3,
-                  loss=LossSpec(kind="flsd", aux=AuxSpec()), prune=schedule,
-                  eval_deltas=[0.95], n_bins=10)
-result = train_with_pruning(train, test, init_mlp([2, 32, 32, 4], 3), cfg)
+                  loss=LossSpec(kind="flsd", aux=AuxSpec()), prune=schedule)
+result = train_with_pruning(train, init_mlp([2, 32, 32, 4], 3), cfg)
 
 print("prune events (epoch, removed per class, surviving):")
 for event in result.prune_events:

@@ -45,12 +45,12 @@ def cmd_train(args):
     widths = model_widths(cfg, train.x.shape[1], train.n_classes)
     train_config = build_train_config(cfg)
     params = init_mlp(widths, train_config.seed)
-    result = train_with_pruning(train, test, params, train_config)
-    doc = run_result_doc(result, cfg)
-    files = bundle_texts(result.report, run_doc=doc)
+    result = train_with_pruning(train, params, train_config)
+    report = evaluate_model(result.params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
+    files = bundle_texts(report, run_doc=run_result_doc(result, report, cfg))
     write_bundle(cfg["output_dir"], files,
                  extra_files={CHECKPOINT_JSON: checkpoint_text(result.params)})
-    for line in _print_report(result.report):
+    for line in _print_report(report):
         print(line)
     print(_metric_line("sample_updates", result.total_sample_updates))
     print(_metric_line("sample_updates_full",

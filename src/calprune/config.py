@@ -153,6 +153,10 @@ def build_datasets(cfg):
     else:
         pool = load_csv(d["path"], d["label_column"], n_classes=d["classes"])
         test = load_csv(d["test_path"], d["label_column"], n_classes=pool.n_classes)
+    width, test_width = pool.x.shape[1], test.x.shape[1]
+    if test_width != width:  # a mixture's test set is always 2-d, like its pool
+        raise ValueError(f"{d['test_images'] or d['test_path']}: {test_width} features "
+                         f"per row, the training source has {width}")
     train, val = stratified_split(pool, d["train_fraction"], seed=[d["seed"], 2])
     return train, val, test
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,18 +136,23 @@ def _read_idx(path, magic, what):
     return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
 
 
-def _labeled(path, x, y, n_classes):
-    """Dataset of `x` and int64 labels `y` read from `path`, whose label rules
-    raise naming `path`; `n_classes` defaults to the largest label plus one."""
-    if y.size and y.min() < 0:
-        raise ValueError(f"{path}: negative label {y.min()}")
+def _labeled(x_path, x, y_path, y, n_classes):
+    """Dataset of features `x` read from `x_path` and int64 labels `y` read
+    from `y_path`, whose rules raise naming the file that breaks them;
+    `n_classes` defaults to the largest label plus one."""
+    if not y.size:
+        raise ValueError(f"{y_path}: no data rows")
+    if not x.shape[1]:
+        raise ValueError(f"{x_path}: no feature columns")
+    if y.min() < 0:
+        raise ValueError(f"{y_path}: negative label {y.min()}")
     if n_classes is None:
-        n_classes = int(y.max()) + 1 if y.size else 0
-    elif y.size and y.max() >= n_classes:
+        n_classes = int(y.max()) + 1
+    elif y.max() >= n_classes:
         raise ValueError(
-            f"{path}: label {int(y.max())} out of range for declared {n_classes} classes")
+            f"{y_path}: label {int(y.max())} out of range for declared {n_classes} classes")
     if n_classes < 2:
-        raise ValueError(f"{path}: the labels hold {n_classes} class(es); a classifier "
+        raise ValueError(f"{y_path}: the labels hold {n_classes} class(es); a classifier "
                          "needs at least 2")
     return Dataset(x, y, n_classes)
 
@@ -160,7 +166,7 @@ def load_idx_pair(images_path, labels_path, n_classes=None):
             f"count mismatch: {images_path} holds {count} images but "
             f"{labels_path} holds {label_count} labels")
     x = np.divide(pixels.reshape(count, rows * cols), 255.0, dtype=np.float64)
-    return _labeled(labels_path, x, labels.astype(np.int64), n_classes)
+    return _labeled(images_path, x, labels_path, labels.astype(np.int64), n_classes)
 
 
 def _unique_keys(pairs):
@@ -193,6 +199,9 @@ def load_csv(path, label_column, n_classes=None):
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{path}: header names column {repeated[0]!r} more than once")
     if label_column not in header:
         raise ValueError(f"{path}: no column named {label_column!r} in header {header}")
     label_idx = header.index(label_column)
@@ -219,10 +228,8 @@ def load_csv(path, label_column, n_classes=None):
                 f"{path}: label {label} at row {row_no} is not integer-valued")
         labels.append(int(label))
         features.append([values[i] for i in feature_idx])
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
     return _labeled(path, np.asarray(features, dtype=np.float64),
-                    np.asarray(labels, dtype=np.int64), n_classes)
+                    path, np.asarray(labels, dtype=np.int64), n_classes)
 
 
 def stratified_split(data, train_fraction, seed):

@@ -114,8 +114,8 @@ SETTINGS = {
         f"a set of epochs, each {COUNT.text}", lambda v: all(map(COUNT.test, v)))),
     "prune.warmup_epochs": Setting(None, "integer", "build_prune_schedule",
                                    "warmup_epochs", NON_NEGATIVE_INT),
-    "eval.bins": Setting(10, "integer", "TrainConfig", "n_bins", COUNT),
-    "eval.deltas": Setting([0.95, 0.99], ["number"], "TrainConfig", "eval_deltas",
+    "eval.bins": Setting(10, "integer", "build_report", "n_bins", COUNT),
+    "eval.deltas": Setting([0.95, 0.99], ["number"], "build_report", "deltas",
                            _interval(0, 1, "(]"), True),
     "output_dir": Setting("runs/out", "string", "write_bundle", "out_dir"),
 }

@@ -165,13 +165,14 @@ def histogram_svg_text(hist_rows):
 
 # ---- run document and bundle ------------------------------------------------
 
-def run_result_doc(result, config_doc):
+def run_result_doc(result, report, config_doc):
+    """The run JSON of a training `result` and the `report` of its model."""
     return {
         "schema_version": RUN_SCHEMA_VERSION,
         "config": config_doc,
         "epochs": [record_doc(e) for e in result.epoch_log],
         "prune_events": [record_doc(p) for p in result.prune_events],
-        "report": record_doc(result.report),
+        "report": record_doc(report),
         "totals": {
             "sample_updates": result.total_sample_updates,
             "wall_clock_seconds": result.wall_clock_seconds,

@@ -43,8 +43,6 @@ class TrainConfig:
     seed: int = 0
     loss: LossSpec = field(default_factory=LossSpec)
     prune: PruneSchedule = None
-    eval_deltas: list = field(default_factory=lambda: [0.95, 0.99])
-    n_bins: int = 10
 
     def __post_init__(self):
         check_fields(self)
@@ -69,9 +67,8 @@ class RunResult:
     params: object
     epoch_log: list
     prune_events: list
-    report: object
     total_sample_updates: int
-    wall_clock_seconds: float
+    wall_clock_seconds: float  # training alone; evaluating the model is not timed
     survivors: object = None  # the final surviving Dataset, EMA scores included
 
 
@@ -126,11 +123,11 @@ def lr_at_epoch(epoch, config):
     return config.learning_rate * config.lr_decay_factor ** passed
 
 
-def train_with_pruning(train, test, params, config):
-    """Run the full training procedure and evaluate on the test set."""
+def train_with_pruning(train, params, config):
+    """Run the full training procedure; evaluating the model is the caller's step."""
     started = time.perf_counter()
     n_classes = params.n_classes
-    if train.n_classes != n_classes or test.n_classes != n_classes:
+    if train.n_classes != n_classes:
         raise ValueError("dataset class counts disagree with the model's output width")
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -183,8 +180,7 @@ def train_with_pruning(train, test, params, config):
     layers = range(params.n_layers)
     final_params = MlpParams(list(params.widths), [feed[f"w{i}"] for i in layers],
                              [feed[f"b{i}"] for i in layers])
-    report = evaluate_model(final_params, test, config.n_bins, config.eval_deltas)
-    return RunResult(final_params, epoch_log, prune_events, report, total_updates,
+    return RunResult(final_params, epoch_log, prune_events, total_updates,
                      time.perf_counter() - started, survivors)
 
 
@@ -207,6 +203,8 @@ def records_for(params, data, temperatures=(1.0,)):
 
 def evaluate_model(params, data, n_bins, deltas):
     """Forward + predict the whole dataset, then assemble the calibration report."""
+    if data.n_classes != params.n_classes:
+        raise ValueError("dataset class counts disagree with the model's output width")
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     [(confidences, correct)] = records_for(params, data)

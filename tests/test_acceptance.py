@@ -23,6 +23,7 @@ by an order of magnitude in every seed. All other criteria pass.
 
 import json
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,7 @@ from calprune.metrics import binned_ece, ece_on_subset
 from calprune.mlp import forward_logits, init_mlp, predict
 from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 from calprune.reporting import stable_run_text
-from calprune.trainer import (TrainConfig, fit_temperature, mean_nll,
+from calprune.trainer import (TrainConfig, evaluate_model, fit_temperature, mean_nll,
                               train_with_pruning)
 
 SEEDS = [1, 2, 3, 4, 5]
@@ -318,14 +319,19 @@ def _experiment_data(seed):
     return train, val, test
 
 
+# what criteria 6-9 read of one trained arm: its model, its cost and its test report
+Arm = namedtuple("Arm", "params total_sample_updates report")
+
+
 def _run_experiment(seed, loss, prune=None):
     train, _, test = _experiment_data(seed)
     cfg = TrainConfig(max_epochs=60, batch_size=128, learning_rate=0.1,
                       lr_milestones=[30, 45], lr_decay_factor=0.1, momentum=0.9,
-                      weight_decay=5e-4, seed=seed, loss=loss, prune=prune,
-                      eval_deltas=[0.95, 0.99], n_bins=10)
+                      weight_decay=5e-4, seed=seed, loss=loss, prune=prune)
     params = init_mlp([2, 64, 64, 4], seed=seed)
-    return train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
+    return Arm(result.params, result.total_sample_updates,
+               evaluate_model(result.params, test, 10, [0.95, 0.99]))
 
 
 @pytest.fixture(scope="module")

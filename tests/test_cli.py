@@ -744,11 +744,12 @@ def test_two_runs_identical_modulo_wall_clock(tmp_path):
             assert ma[name] == mb[name]
 
 
-def write_idx(directory, name, labels, seed):
+def write_idx(directory, name, labels, seed, side=2):
     labels = np.asarray(labels, dtype=np.uint8)
-    pixels = np.random.default_rng(seed).integers(0, 256, (len(labels), 2, 2), dtype=np.uint8)
+    pixels = np.random.default_rng(seed).integers(0, 256, (len(labels), side, side),
+                                                  dtype=np.uint8)
     images = directory / f"{name}-images.idx"
-    images.write_bytes(struct.pack(">IIII", 0x803, len(labels), 2, 2) + pixels.tobytes())
+    images.write_bytes(struct.pack(">IIII", 0x803, len(labels), side, side) + pixels.tobytes())
     label_file = directory / f"{name}-labels.idx"
     label_file.write_bytes(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
     return str(images), str(label_file)
@@ -922,6 +923,60 @@ def test_one_class_training_labels_name_their_file(tmp_path, capsys, source):
     _assert_input_error_names(tmp_path, capsys, path, bad)
 
 
+def write_csv(path, header, labels, seed):
+    """A CSV with `header`; each column named y holds the label, the rest features."""
+    rng = np.random.default_rng(seed)
+    rows = [[str(y) if name == "y" else f"{rng.normal():.3f}" for name in header]
+            for y in labels]
+    path.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    return str(path)
+
+
+def _idx_dataset(tmp_path, test_labels, test_side=2):
+    files = [*write_idx(tmp_path, "train", np.repeat([0, 1, 2], 4), seed=0),
+             *write_idx(tmp_path, "test", test_labels, seed=1, side=test_side)]
+    return dict(zip(("source", "images", "labels", "test_images", "test_labels"),
+                    ["idx_pair", *files]))
+
+
+def _csv_dataset(tmp_path, header, test_header):
+    return {"source": "csv", "label_column": "y",
+            "path": write_csv(tmp_path / "train.csv", header, np.repeat([0, 1, 2], 4), 0),
+            "test_path": write_csv(tmp_path / "test.csv", test_header, [0, 1, 2, 0], 1)}
+
+
+@pytest.mark.parametrize("dataset, bad_key, message", [
+    (lambda tmp: _idx_dataset(tmp, []), "test_labels", "no data rows"),
+    (lambda tmp: _csv_dataset(tmp, ["y"], ["y"]), "path", "no feature columns"),
+    (lambda tmp: _idx_dataset(tmp, [0, 1, 2, 0], test_side=3), "test_images",
+     "9 features per row, the training source has 4"),
+    (lambda tmp: _csv_dataset(tmp, ["a", "y"], ["a", "b", "y"]), "test_path",
+     "2 features per row, the training source has 1"),
+    (lambda tmp: _csv_dataset(tmp, ["a", "y", "y"], ["a", "y"]), "path",
+     "header names column 'y' more than once"),
+], ids=["idx_test_without_rows", "csv_without_features", "idx_test_images_wider",
+        "csv_test_wider", "csv_header_repeats_a_column"])
+def test_unusable_source_exits_1_naming_its_file_before_any_epoch(tmp_path, capsys,
+                                                                  monkeypatch, dataset,
+                                                                  bad_key, message):
+    """An input that no model could train or be scored on is rejected where
+    the data is built, naming its file, and no epoch runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("an epoch ran although an input is unusable")
+
+    monkeypatch.setattr(cli, "train_with_pruning", never)
+    dataset = dataset(tmp_path)
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"dataset": dataset, "model": {"hidden": [8]},
+                                "train": {"max_epochs": 3, "batch_size": 8,
+                                          "lr_milestones": []},
+                                "output_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {dataset[bad_key]}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _nan_first_weight(doc):
     weight = doc["layers"][0]["weight"]
     values = np.frombuffer(base64.b64decode(weight["data"]), dtype="<f8").copy()
@@ -1038,14 +1093,14 @@ def test_traced_training_sees_one_graph_shape_per_step():
     reads the int64 label leaf, every step has the same node count, and the
     traced run trains the same bits as the untraced one."""
     cfg = load_config(QUICKSTART, overrides=["train.max_epochs=3"])
-    train, _, test = build_datasets(cfg)
+    train, _, _ = build_datasets(cfg)
     config = build_train_config(cfg)
     widths = model_widths(cfg, train.x.shape[1], train.n_classes)
-    plain = trainer.train_with_pruning(train, test, init_mlp(widths, config.seed), config)
+    plain = trainer.train_with_pruning(train, init_mlp(widths, config.seed), config)
     tracer = load_tracing().Tracer()
     restore = tracer.install()
     try:
-        traced = trainer.train_with_pruning(train, test, init_mlp(widths, config.seed), config)
+        traced = trainer.train_with_pruning(train, init_mlp(widths, config.seed), config)
     finally:
         restore()
     assert len(tracer.steps) == 3 * -(-len(train) // config.batch_size)

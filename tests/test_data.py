@@ -1,11 +1,13 @@
 """Generators, loaders, splitting, and minibatch determinism."""
 
+import re
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from calprune.config import build_datasets, resolve_config
 from calprune.data import (Dataset, generate_gaussian_mixture, load_csv,
                            load_idx_pair, minibatches, mixture_means, mixture_posterior,
                            stratified_split)
@@ -195,6 +197,51 @@ def test_csv_rejects_bad_files(tmp_path):
     frac.write_text("x0,y\n1.0,0.5\n")
     with pytest.raises(ValueError, match="integer-valued"):
         load_csv(frac, "y")
+
+
+def test_sources_without_rows_or_features_name_their_file(tmp_path):
+    images, labels = idx_fixture(tmp_path, np.zeros((0, 2, 2)), [])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(labels))}: no data rows$"):
+        load_idx_pair(images, labels, n_classes=3)
+    images, labels = idx_fixture(tmp_path, np.zeros((2, 0, 2)), [0, 1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(images))}: no feature columns$"):
+        load_idx_pair(images, labels)
+    path = tmp_path / "data.csv"
+    path.write_text("x0,y\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no data rows$"):
+        load_csv(path, "y", n_classes=2)
+    path.write_text("y\n0\n1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no feature columns$"):
+        load_csv(path, "y")
+
+
+def test_csv_header_naming_a_column_twice_is_rejected(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,label,label\n0.5,0,0\n1.5,1,1\n")
+    message = f"^{re.escape(str(path))}: header names column 'label' more than once$"
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("source", ["csv", "idx_pair"])
+def test_test_source_must_have_the_training_feature_count(tmp_path, source):
+    if source == "csv":
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("a,y\n0.5,0\n1.5,1\n-0.5,0\n-1.5,1\n")
+        test.write_text("a,b,y\n0.5,0.0,0\n1.5,1.0,1\n")
+        dataset = {"path": str(train), "test_path": str(test), "label_column": "y"}
+        bad, widths = test, "2 features per row, the training source has 1"
+    else:
+        (tmp_path / "train").mkdir()
+        (tmp_path / "test").mkdir()
+        train = idx_fixture(tmp_path / "train", np.zeros((4, 4, 4)), [0, 1, 0, 1])
+        test = idx_fixture(tmp_path / "test", np.zeros((2, 5, 5)), [0, 1])
+        dataset = dict(zip(("images", "labels", "test_images", "test_labels"),
+                           map(str, (*train, *test))))
+        bad, widths = test[0], "25 features per row, the training source has 16"
+    cfg = resolve_config({"dataset": {"source": source, "train_fraction": 0.5, **dataset}})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {widths}$"):
+        build_datasets(cfg)
 
 
 def test_stratified_split_fractions():

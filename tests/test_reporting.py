@@ -147,9 +147,9 @@ def test_bundle_bytes_pinned():
     """Every writer's bytes, pinned; pure-Python floats keep them portable."""
     report = literal_report()
     run = RunResult(params=None, epoch_log=[EpochStats(1, 0.75, 12), EpochStats(2, 0.5, 10)],
-                    prune_events=[PruneEvent(1, [1, 1], 10)], report=report,
+                    prune_events=[PruneEvent(1, [1, 1], 10)],
                     total_sample_updates=22, wall_clock_seconds=1.5)
-    run_doc = run_result_doc(run, {"output_dir": "runs/pinned"})
+    run_doc = run_result_doc(run, report, {"output_dir": "runs/pinned"})
     for doc, pinned in ((None, PINNED_REPORT_BUNDLE), (run_doc, PINNED_RUN_BUNDLE)):
         files = bundle_texts(report, doc)
         assert {name: sha256_hex(text) for name, text in files.items()} == pinned

@@ -1,12 +1,14 @@
 """SGD mechanics, the training loop's accounting, and temperature scaling."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from calprune import trainer
 from calprune.autodiff import Graph, log_softmax
+from calprune.config import build_datasets, build_train_config, load_config, model_widths
 from calprune.data import (Dataset, generate_gaussian_mixture, minibatches,
                            mixture_posterior, stratified_split)
 from calprune.losses import AUX_LOSSES, CLASSIFICATION_LOSSES, AuxSpec, LossSpec, total_loss
@@ -17,6 +19,8 @@ from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               fit_temperature, fit_temperature_on_logits,
                               lr_at_epoch, mean_nll, records_for, sgd_state, sgd_update,
                               train_with_pruning)
+
+QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "quickstart_config.json"
 
 
 def test_sgd_plain_step():
@@ -108,28 +112,28 @@ def test_plain_loop_keeps_all_survivors_and_learns():
                       lr_milestones=[], momentum=0.9, weight_decay=0.0, seed=1,
                       loss=LossSpec(kind="nll"))
     params = init_mlp([2, 16, 2], seed=1)
-    result = train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
+    report = evaluate_model(result.params, test, 10, [0.95, 0.99])
     assert [e.surviving for e in result.epoch_log] == [len(train)] * 10
     assert result.total_sample_updates == 10 * len(train)
     # separable data: the loss must come down
     assert result.epoch_log[9].train_loss < result.epoch_log[0].train_loss
-    assert result.report.test_error_pct < 10.0
+    assert report.test_error_pct < 10.0
 
 
 def test_training_leaves_caller_params_unchanged():
-    train, _, test = small_experiment(noise=0.1, seed=4)
+    train, _, _ = small_experiment(noise=0.1, seed=4)
     cfg = TrainConfig(max_epochs=3, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=5, loss=LossSpec(kind="flsd", aux=AuxSpec()))
     params = init_mlp([2, 8, 2], seed=5)
     before = [a.tobytes() for a in params.weights + params.biases]
-    result = train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
     assert [a.tobytes() for a in params.weights + params.biases] == before
     assert all(not np.shares_memory(a, b) for a, b in
                zip(params.weights + params.biases, result.params.weights + result.params.biases))
 
 
 def test_pruned_loop_survivor_arithmetic():
-    _, _, test = small_experiment(per_class=1000, seed=9)
     # stratified split of 1000/class at 0.9 leaves 900/class; use the pool directly
     train = generate_gaussian_mixture(2, 1000, noise=0.0, seed=9)
     cfg = TrainConfig(max_epochs=20, batch_size=256, learning_rate=0.05,
@@ -137,7 +141,7 @@ def test_pruned_loop_survivor_arithmetic():
                       prune=PruneSchedule(percent=10.0, ema_factor=0.3,
                                           epochs=range(5, 21, 5)))
     params = init_mlp([2, 8, 2], seed=2)
-    result = train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
     # per-class sizes after each prune: 1000 -> 900 -> 810 -> 729 -> 657
     assert [p.surviving_total for p in result.prune_events] == [1800, 1620, 1458, 1314]
     assert [p.epoch for p in result.prune_events] == [5, 10, 15, 20]
@@ -151,7 +155,7 @@ def test_pruned_loop_survivor_arithmetic():
 
 def test_pruned_run_never_revalidates(monkeypatch):
     # the EMA blends and prunes derive records from checked ones: no check reruns
-    train, _, test = small_experiment(noise=0.1, seed=6)
+    train, _, _ = small_experiment(noise=0.1, seed=6)
     calls = []
     check = Dataset.__post_init__
     monkeypatch.setattr(Dataset, "__post_init__",
@@ -159,7 +163,7 @@ def test_pruned_run_never_revalidates(monkeypatch):
     cfg = TrainConfig(max_epochs=8, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, epochs={4, 8}))
-    result = train_with_pruning(train, test, init_mlp([2, 8, 2], seed=7), cfg)
+    result = train_with_pruning(train, init_mlp([2, 8, 2], seed=7), cfg)
     assert [p.epoch for p in result.prune_events] == [4, 8]
     assert calls == []
 
@@ -170,17 +174,18 @@ def test_training_is_bitwise_deterministic():
                       lr_milestones=[3], seed=5,
                       loss=LossSpec(kind="flsd", aux=AuxSpec()),
                       prune=PruneSchedule(percent=10.0, epochs={3, 6}))
-    runs = []
+    runs, reports = [], []
     for _ in range(2):
         params = init_mlp([2, 8, 2], seed=5)
-        runs.append(train_with_pruning(train, test, params, cfg))
+        runs.append(train_with_pruning(train, params, cfg))
+        reports.append(evaluate_model(runs[-1].params, test, 10, [0.95, 0.99]))
     a, b = runs
     for wa, wb in zip(a.params.weights + a.params.biases,
                       b.params.weights + b.params.biases):
         assert wa.tobytes() == wb.tobytes()
     assert a.epoch_log == b.epoch_log
     assert a.prune_events == b.prune_events
-    assert a.report == b.report
+    assert reports[0] == reports[1]
     assert a.total_sample_updates == b.total_sample_updates
 
 
@@ -218,14 +223,14 @@ def graph_per_batch_training(train, params, config):
 @pytest.mark.parametrize("aux", [None, *AUX_LOSSES])
 @pytest.mark.parametrize("kind", list(CLASSIFICATION_LOSSES))
 def test_one_graph_run_matches_graph_per_batch_bitwise(kind, aux):
-    train, _, test = small_experiment(n_classes=3, per_class=50, noise=0.1, seed=21)
+    train, _, _ = small_experiment(n_classes=3, per_class=50, noise=0.1, seed=21)
     cfg = TrainConfig(max_epochs=4, batch_size=40, learning_rate=0.1, lr_milestones=[3],
                       seed=4, loss=LossSpec(kind=kind, gamma=2.0, smoothing=0.1,
                                             aux=aux and AuxSpec(kind=aux, weight=3.0)),
                       prune=PruneSchedule(percent=20.0, epochs={2}))
     assert len(train) % cfg.batch_size != 0  # every epoch ends on a short batch
     params = init_mlp([2, 8, 3], seed=4)
-    result = train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
     assert [p.epoch for p in result.prune_events] == [2]
     reference = graph_per_batch_training(train, params, cfg)
     for i in range(params.n_layers):
@@ -242,16 +247,16 @@ def test_one_graph_per_training_run(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(trainer, "Graph", CountingGraph)
-    train, _, test = small_experiment(noise=0.1, seed=6)
+    train, _, _ = small_experiment(noise=0.1, seed=6)
     cfg = TrainConfig(max_epochs=3, batch_size=32, learning_rate=0.05, lr_milestones=[],
                       seed=7, loss=LossSpec(kind="flsd", aux=AuxSpec()),
                       prune=PruneSchedule(percent=10.0, epochs={2}))
-    train_with_pruning(train, test, init_mlp([2, 8, 2], seed=7), cfg)
+    train_with_pruning(train, init_mlp([2, 8, 2], seed=7), cfg)
     assert len(built) == 1
 
 
 def test_ema_log_matches_closed_form(monkeypatch):
-    train, _, test = small_experiment(noise=0.1, seed=6)
+    train, _, _ = small_experiment(noise=0.1, seed=6)
     kappa = 0.3
     logged = []  # per-epoch (original ids, confidences) arrays, seen by update_ema
 
@@ -264,7 +269,7 @@ def test_ema_log_matches_closed_form(monkeypatch):
                       lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, ema_factor=kappa, epochs={4, 8}))
     params = init_mlp([2, 8, 2], seed=7)
-    result = train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
     assert len(logged) == 8
     assert all(np.all((0.0 <= c) & (c <= 1.0)) for _, c in logged)
     by_id = [dict(zip(ids.tolist(), c.tolist())) for ids, c in logged]
@@ -279,17 +284,16 @@ def test_ema_log_matches_closed_form(monkeypatch):
 
 
 def test_nan_aborts_loudly():
-    train, _, test = small_experiment(seed=8)
+    train, _, _ = small_experiment(seed=8)
     cfg = TrainConfig(max_epochs=5, batch_size=32, learning_rate=1e155,
                       lr_milestones=[], momentum=0.0, weight_decay=0.0, seed=8,
                       loss=LossSpec(kind="nll"))
     params = init_mlp([2, 8, 2], seed=8)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
-        train_with_pruning(train, test, params, cfg)
+        train_with_pruning(train, params, cfg)
 
 
 def test_empty_training_set_raises_before_the_graph_is_built(monkeypatch):
-    _, _, test = small_experiment(seed=8)
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
     cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05, lr_milestones=[])
 
@@ -298,17 +302,45 @@ def test_empty_training_set_raises_before_the_graph_is_built(monkeypatch):
 
     monkeypatch.setattr(trainer, "Graph", no_graph)
     with pytest.raises(ValueError, match="cannot train on an empty dataset"):
-        train_with_pruning(empty, test, init_mlp([2, 4, 2], seed=1), cfg)
+        train_with_pruning(empty, init_mlp([2, 4, 2], seed=1), cfg)
+
+
+def test_class_count_must_match_the_model_output_width():
+    """Training checks the model against its training set, evaluation against
+    the set it scores."""
+    train, _, test = small_experiment(n_classes=3, per_class=20, seed=8)
+    cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05, lr_milestones=[])
+    with pytest.raises(ValueError, match="class counts disagree"):
+        train_with_pruning(train, init_mlp([2, 4, 2], seed=1), cfg)
+    with pytest.raises(ValueError, match="class counts disagree"):
+        evaluate_model(init_mlp([2, 4, 4], seed=1), test, 10, [0.95])
+
+
+def test_training_evaluates_nothing(monkeypatch):
+    """A quickstart-shaped run trains without forwarding, predicting or
+    scoring anything outside its loss graph."""
+    cfg = load_config(QUICKSTART, overrides=["train.max_epochs=2"], env={})
+    train, _, _ = build_datasets(cfg)
+    config = build_train_config(cfg)
+    params = init_mlp(model_widths(cfg, train.x.shape[1], train.n_classes), config.seed)
+
+    def never(*args, **kwargs):
+        raise AssertionError("training evaluated the model")
+
+    for name in ("evaluate_model", "records_for", "forward_logits", "predict", "build_report"):
+        monkeypatch.setattr(trainer, name, never)
+    result = train_with_pruning(train, params, config)
+    assert [e.epoch for e in result.epoch_log] == [1, 2]
 
 
 def test_batch_size_warning_with_pruning():
-    train, _, test = small_experiment(seed=12)
+    train, _, _ = small_experiment(seed=12)
     cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05,
                       lr_milestones=[], seed=1, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, epochs={1}))
     params = init_mlp([2, 4, 2], seed=1)
     with pytest.warns(UserWarning, match="10\\*K"):
-        train_with_pruning(train, test, params, cfg)
+        train_with_pruning(train, params, cfg)
 
 
 def test_evaluate_zero_model_predicts_class_zero():
@@ -427,7 +459,7 @@ def test_temperature_preserves_argmax():
     cfg = TrainConfig(max_epochs=5, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=3, loss=LossSpec(kind="nll"))
     params = init_mlp([2, 8, 2], seed=3)
-    result = train_with_pruning(train, test, params, cfg)
+    result = train_with_pruning(train, params, cfg)
     temperature = fit_temperature(result.params, val)
     logits = forward_logits(result.params, test.x)
     before, _ = predict(logits)
