@@ -45,10 +45,28 @@ class Node:
         return f"Node({self.op}{tag})"
 
 
+def _fold_max(columns):
+    """np.maximum folded over the rows of `columns`: the row max of the (n, k)
+    array whose columns they are, with np.maximum.reduce's values except
+    perhaps the sign of a zero max."""
+    out = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(out, column, out=out)
+    return out
+
+
 def log_softmax(x):
-    """Log-softmax over the last axis, stabilised by the row max."""
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    """Log-softmax over the last axis, stabilised by the row max.
+
+    The row max is folded over the K columns (_fold_max): numpy reduces a
+    short row slowly, and max is exact. Where the fold differs from
+    np.maximum.reduce, only in the sign of a zero max, a second zero in the
+    row makes its lse nonzero, so the log-probabilities keep their bits.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    shifted = rows - _fold_max(rows.T)[:, None]
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return log_probs.reshape(x.shape)
 
 
 _ZERO = bytes(8)  # one float64 0.0: the buffer of every read-only zero adjoint
@@ -59,6 +77,20 @@ _ONE.flags.writeable = False
 def _zero_view(shape):
     """A read-only all-zero float64 array of `shape` that allocates no data."""
     return np.ndarray(shape, np.float64, _ZERO, 0, (0,) * len(shape))
+
+
+def _int_value(name, value):
+    """The binding of int leaf `name` as int64; a float must be a whole number
+    in the int64 range. An int64 array passes as it is."""
+    if type(value) is np.ndarray and value.dtype == np.int64:
+        return value
+    value = np.asarray(value)
+    if value.dtype.kind == "f":
+        whole = (np.trunc(value) == value) & (np.abs(value) < 2.0 ** 63)
+        if not whole.all():
+            raise GraphError(f"int leaf {name!r} got {value[~whole][0]}, "
+                             "which is not a whole number in the int64 range")
+    return value.astype(np.int64, copy=False)
 
 
 def _unbroadcast(adj, shape):
@@ -73,13 +105,30 @@ def _unbroadcast(adj, shape):
     return adj
 
 
-# ---- per-op forward rules: fn(node, *input_values) -> value ----------------
-
-def _matmul(node, a, b):
+def _product(op, a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise GraphError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
+        raise GraphError(f"{op}: shapes {a.shape} and {b.shape} are incompatible")
     return a @ b
 
+
+def dense_layer(h, w, b, relu):
+    """One MLP layer: relu(h @ w + b), or h @ w + b without relu; the bias is
+    a vector with one entry per output column.
+
+    Only the product is allocated; the bias and relu are applied in place, so
+    neither `h` nor the parameters are written.
+    """
+    z = _product("dense", h, w)
+    if b.shape != z.shape[1:]:
+        raise GraphError(f"dense: bias shape {b.shape} does not match the "
+                         f"{z.shape[1]} output columns")
+    z += b
+    if relu:
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+# ---- per-op forward rules: fn(node, *input_values) -> value ----------------
 
 def _broadcasting(ufunc):
     def evaluate(node, a, b):
@@ -112,7 +161,7 @@ def _mean(node, x):
 def _huber(node, x):
     if x.shape != ():
         raise GraphError(f"huber expects a scalar, got shape {x.shape}")
-    alpha = node.aux
+    x, alpha = float(x), node.aux
     if abs(x) <= alpha:
         return np.asarray(0.5 * x * x)
     return np.asarray(alpha * (abs(x) - 0.5 * alpha))
@@ -160,6 +209,22 @@ def _scatter_rows(adj, x, columns):
     return grad
 
 
+def _dense_delta(adj, node):
+    """The adjoint of a dense layer's pre-activation: adj, or with relu
+    adj * (z > 0), z being the output, positive exactly where the
+    pre-activation is (a float64 mask: the bits of a bool one, multiplied faster).
+
+    Built once per adjoint and shared by the layer's three rules; holding adj
+    in node.saved keeps its identity from passing to a later adjoint.
+    """
+    if not node.aux:
+        return adj
+    saved = node.saved
+    if saved is None or saved[0] is not adj:
+        saved = node.saved = adj, adj * (node.value > 0).astype(np.float64)
+    return saved[1]
+
+
 def _huber_vjp(adj, node, x):
     x = float(x)
     alpha = node.aux
@@ -176,8 +241,13 @@ def _focal_power_vjp(adj, node, p):
 RULES = {
     "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
     "const": (lambda node: node.aux, ()),
-    "matmul": (_matmul, (lambda adj, node, a, b: adj @ b.T,
-                         lambda adj, node, a, b: a.T @ adj)),
+    "matmul": (lambda node, a, b: _product("matmul", a, b),
+               (lambda adj, node, a, b: adj @ b.T,
+                lambda adj, node, a, b: a.T @ adj)),
+    "dense": (lambda node, h, w, b: dense_layer(h, w, b, node.aux),
+              (lambda adj, node, h, w, b: _dense_delta(adj, node) @ w.T,
+               lambda adj, node, h, w, b: h.T @ _dense_delta(adj, node),
+               lambda adj, node, h, w, b: np.add.reduce(_dense_delta(adj, node), axis=0))),
     "add": (_broadcasting(np.add), (lambda adj, node, a, b: _unbroadcast(adj, a.shape),
                                     lambda adj, node, a, b: _unbroadcast(adj, b.shape))),
     "sub": (_broadcasting(np.subtract), (lambda adj, node, a, b: _unbroadcast(adj, a.shape),
@@ -207,11 +277,17 @@ RULES = {
 }
 
 
+def _single(node):
+    return node.inputs[0] if len(node.inputs) == 1 else None
+
+
 class _Plan:
     """One root's evaluation order, compiled once from the node list.
 
-    forward: (node, rule, inputs) for every non-leaf node up to the root.
-    backward: (node, inputs, ((input, vjp, first), ...)) in reverse order, for
+    forward: (node, rule, inputs, single) for every non-leaf node up to the
+    root; `single` is the input of a one-input node, else None, and spares the
+    sweep a list of input values.
+    backward: (node, inputs, single, ((input, vjp, first), ...)) in reverse order, for
     every node that receives an adjoint and passes it on; `first` marks the
     contribution that becomes the input's adjoint, later ones are added to it.
     zeros: the nodes up to the root that receive no contribution.
@@ -225,7 +301,7 @@ class _Plan:
         except ValueError:
             raise GraphError(f"{root!r} is not a node of this graph") from None
         active = nodes[: stop + 1]
-        self.forward = tuple((node, RULES[node.op][0], node.inputs)
+        self.forward = tuple((node, RULES[node.op][0], node.inputs, _single(node))
                              for node in active if node.op != "leaf")
         reached, backward = {root}, []
         for node in reversed(active):
@@ -237,7 +313,7 @@ class _Plan:
                     calls.append((inp, vjp, inp not in reached))
                     reached.add(inp)
             if calls:
-                backward.append((node, node.inputs, tuple(calls)))
+                backward.append((node, node.inputs, _single(node), tuple(calls)))
         self.backward = tuple(backward)
         self.zeros = tuple(node for node in active if node not in reached)
         self.params = tuple(node for node in active if node.is_param)
@@ -298,6 +374,11 @@ class Graph:
 
     def matmul(self, a, b):
         return self._append(Node("matmul", (a, b)))
+
+    def dense(self, h, w, b, relu):
+        """One MLP layer, dense_layer(h, w, b, relu): relu(h @ w + b), or the
+        affine map alone when `relu` is false."""
+        return self._append(Node("dense", (h, w, b), aux=bool(relu)))
 
     def add(self, a, b):
         """Elementwise add; broadcasts over leading batch axes (e.g. bias)."""
@@ -392,7 +473,8 @@ class Graph:
     def forward(self, bindings, root=None):
         """Evaluate all nodes up to `root` (default: last built) and return its value.
 
-        Every leaf is bound, as an array of its declared dtype.
+        Every leaf is bound, as an array of its declared dtype; an int leaf
+        takes floats only when they are whole numbers in the int64 range.
         """
         leaves = self._leaf_names
         if bindings.keys() != leaves.keys():
@@ -402,10 +484,15 @@ class Graph:
             missing = set(leaves) - set(bindings)
             raise GraphError(f"missing binding(s) for leaf(s): {sorted(missing)}")
         for name, node in leaves.items():
-            node.value = np.asarray(bindings[name], dtype=node.aux)
+            value = bindings[name]
+            if node.aux is np.int64:
+                node.value = _int_value(name, value)
+            else:
+                node.value = np.asarray(value, dtype=np.float64)
         root = root if root is not None else self.nodes[-1]
-        for node, rule, inputs in self._plan(root).forward:
-            node.value = rule(node, *[inp.value for inp in inputs])
+        for node, rule, inputs, single in self._plan(root).forward:
+            node.value = (rule(node, single.value) if single is not None
+                          else rule(node, *[inp.value for inp in inputs]))
         return root.value
 
     def backward(self, root=None):
@@ -425,15 +512,18 @@ class Graph:
             raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
         plan = self._plan(root)
         root.adjoint = _ONE
-        for node, inputs, calls in plan.backward:
+        for node, inputs, single, calls in plan.backward:
             adj = node.adjoint
-            values = [inp.value for inp in inputs]
+            values = (single.value,) if single is not None else [inp.value for inp in inputs]
             for inp, vjp, first in calls:
                 grad = vjp(adj, node, *values)
                 inp.adjoint = grad if first else inp.adjoint + grad
         for node in plan.zeros:
-            node.adjoint = (np.zeros_like(node.value) if node.is_param
-                            else _zero_view(node.value.shape))
+            if node.is_param:
+                node.adjoint = np.zeros_like(node.value)
+            elif (node.adjoint is None or node.adjoint.base is not _ZERO
+                  or node.adjoint.shape != node.value.shape):
+                node.adjoint = _zero_view(node.value.shape)  # else the last one still fits
         return {node.name: node.adjoint for node in plan.params}
 
 

@@ -2,9 +2,10 @@
 
 Parameters are Glorot-uniform initialised from a seeded PCG64 generator;
 the forward pass is an affine+relu stack with a final affine layer producing
-logits. Checkpoints are versioned JSON; version 2 stores each array as base64
-of its little-endian float64 bytes and version 1 as nested lists, which
-`load_checkpoint` still reads.
+logits, each layer autodiff.dense_layer, which the training graph's dense
+nodes run too. Checkpoints are versioned JSON; version 2 stores each array as
+base64 of its little-endian float64 bytes and version 1 as nested lists,
+which `load_checkpoint` still reads.
 """
 
 import base64
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, _fold_max, dense_layer
 from .data import read_json
 from .ranges import COUNT, NON_NEGATIVE_INT, require
 
@@ -57,18 +58,11 @@ FORWARD_BLOCK_ROWS = 8192
 
 
 def _forward_block(params, block):
-    """relu(h @ w + b) layer by layer, the last layer without relu.
-
-    Each layer allocates only its product; bias and relu are applied in place,
-    so `block` itself is never written.
-    """
+    """dense_layer for each layer, the last without relu; `block` is never written."""
     h = block
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
-        h += b
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+        h = dense_layer(h, w, b, relu=i < last)
     return h
 
 
@@ -154,10 +148,7 @@ def predict(logits):
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {logits.shape}")
     shifted = np.array(logits.T, order="C")
-    row_max = shifted[0].copy()
-    for column in shifted[1:]:
-        np.maximum(row_max, column, out=row_max)
-    shifted -= row_max
+    shifted -= _fold_max(shifted)
     lse = np.log(_row_sum(np.exp(shifted)))
     shifted -= lse
     labels = np.zeros(len(lse), dtype=np.intp)
@@ -169,14 +160,13 @@ def predict(logits):
 
 
 def logits_graph(graph: Graph, x_node, n_layers):
-    """Build the MLP forward pass as graph nodes over leaves w0,b0,...,w{L-1},b{L-1}."""
+    """Build the MLP forward pass as graph nodes over leaves w0,b0,...,w{L-1},b{L-1}:
+    one dense node per layer, the last without relu, as in forward_logits."""
     h = x_node
     for i in range(n_layers):
         w = graph.leaf(f"w{i}")
         b = graph.leaf(f"b{i}")
-        h = graph.add(graph.matmul(h, w), b)
-        if i < n_layers - 1:
-            h = graph.relu(h)
+        h = graph.dense(h, w, b, relu=i < n_layers - 1)
     return h
 
 

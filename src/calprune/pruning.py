@@ -71,8 +71,9 @@ def prune_using_ema(dataset, percent):
             raise ValueError(f"class {k} has no instances to prune from")
         removed = prune_count(percent, positions.size)
         order = np.lexsort((dataset.ids[positions], dataset.ema[positions]))
-        victims = positions[order[:removed]]
-        keep_parts.append(np.setdiff1d(positions, victims))
+        survives = np.ones(positions.size, dtype=bool)
+        survives[order[:removed]] = False
+        keep_parts.append(positions[survives])
     keep = np.concatenate(keep_parts)
     out = copy.copy(dataset)  # a row subset of a checked record needs no re-check
     out.x, out.y, out.ids, out.ema = (a[keep] for a in (out.x, out.y, out.ids, out.ema))

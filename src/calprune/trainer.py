@@ -7,6 +7,7 @@ those into the EMA scores, and prunes at scheduled epochs. Everything is
 deterministic given the config seed; a non-finite loss aborts loudly.
 """
 
+import math
 import time
 import warnings
 from collections import namedtuple
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, log_softmax
+from .autodiff import Graph, _fold_max, log_softmax
 from .data import minibatches
 from .losses import LossSpec, total_loss
 from .metrics import build_report
@@ -158,12 +159,12 @@ def train_with_pruning(train, params, config):
             feed["x"] = survivors.x[block]
             feed["y"] = survivors.y[block]
             loss_value = float(graph.forward(feed, root=loss_node))
-            if not np.isfinite(loss_value):
+            if not math.isfinite(loss_value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
             grads = graph.backward(root=loss_node)
             sgd_update(state, grads, lr, config.momentum, config.weight_decay)
-            epoch_conf[block] = np.exp(np.maximum.reduce(log_probs.value, axis=1))
+            epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
             loss_sum += loss_value * len(block)
 
         n_surviving = len(survivors)

@@ -1,5 +1,7 @@
 """Graph op semantics, adjoint rules, and finite-difference checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,53 @@ def test_shape_mismatch_diagnostic_names_both_shapes():
         g.forward({"a": np.zeros((2, 3)), "b": np.zeros((4, 5))})
 
 
+def test_dense_shape_errors_name_the_op():
+    g = Graph()
+    g.dense(g.leaf("h"), g.leaf("w"), g.leaf("b"), relu=True)
+    with pytest.raises(GraphError, match=r"dense: shapes \(2, 3\) and \(4, 5\)"):
+        g.forward({"h": np.zeros((2, 3)), "w": np.zeros((4, 5)), "b": np.zeros(5)})
+    for bias in (np.zeros(4), np.zeros((1, 5)), np.zeros(())):
+        with pytest.raises(GraphError, match=re.escape(f"dense: bias shape {bias.shape}")):
+            g.forward({"h": np.zeros((2, 3)), "w": np.zeros((3, 5)), "b": bias})
+
+
+def test_dense_forward_and_gradients_match_the_op_chain_bitwise():
+    """A dense node gives the bits of matmul, add and relu nodes, forward and
+    backward, with and without relu, under a shared adjoint."""
+    rng = np.random.default_rng(3)
+    bindings = {"h": rng.normal(size=(16, 5)), "w": rng.normal(size=(5, 6)),
+                "b": rng.normal(size=6)}
+    bindings["h"][::3] = 0.0  # whole rows at the relu kink
+    for relu in (True, False):
+        dense, chain = Graph(), Graph()
+        h, w, b = (dense.leaf(name) for name in ("h", "w", "b"))
+        out = dense.dense(h, w, b, relu=relu)
+        dense.sum(dense.mul(out, dense.exp(out)))
+        h, w, b = (chain.leaf(name) for name in ("h", "w", "b"))
+        out = chain.add(chain.matmul(h, w), b)
+        out = chain.relu(out) if relu else out
+        chain.sum(chain.mul(out, chain.exp(out)))
+        assert dense.forward(bindings).tobytes() == chain.forward(bindings).tobytes()
+        got, expected = dense.backward(), chain.backward()
+        for name in bindings:
+            assert got[name].tobytes() == expected[name].tobytes(), (relu, name)
+
+
+def test_int_leaf_rejects_fractional_and_non_finite_labels():
+    g = Graph()
+    x, t = g.leaf("x"), g.int_leaf("labels")
+    g.sum(g.gather_rows(x, t))
+    x_val = np.arange(6.0).reshape(3, 2)
+    for bad in ([0.0, 1.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1e30, 1.0]):
+        with pytest.raises(GraphError, match="int leaf 'labels'.*not a whole number"):
+            g.forward({"x": x_val, "labels": np.array(bad)})
+    whole = g.forward({"x": x_val, "labels": np.array([0.0, 1.0, 1.0])})
+    assert whole == g.forward({"x": x_val, "labels": [0, 1, 1]}) == 0.0 + 3.0 + 5.0
+    labels = np.array([1, 0, 1], dtype=np.int64)
+    g.forward({"x": x_val, "labels": labels})
+    assert t.value is labels  # an int64 array is bound as it is
+
+
 def test_unknown_and_missing_leaves_rejected():
     g = Graph()
     g.sum(g.leaf("x"))
@@ -132,6 +181,14 @@ def _op_cases(rng):
     g = Graph()
     g.sum(g.matmul(g.leaf("a"), g.leaf("b")))
     cases["matmul"] = (g, {"a": rng.uniform(-2, 2, (3, 4)), "b": rng.uniform(-2, 2, (4, 2))})
+
+    # every rule of a layer: the input, the weight and the bias, relu kept off its kink
+    for tag, relu in (("dense_relu", True), ("dense_affine", False)):
+        h, w, b = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, 2)
+        assert np.abs(h @ w + b).min() > 1e-2
+        g = Graph()
+        g.sum(g.dense(g.leaf("h"), g.leaf("w"), g.leaf("b"), relu=relu))
+        cases[tag] = (g, {"h": h, "w": w, "b": b})
 
     g = Graph()
     g.sum(g.add(g.leaf("x"), g.leaf("bias")))
@@ -365,6 +422,33 @@ def test_backward_matches_zero_fill_reference(widths, spec, batch):
     assert not x.adjoint.any() and not x.adjoint.flags.writeable
 
 
+def test_zero_adjoint_under_one_root_after_a_real_one_under_another():
+    """backward() keeps the last zero view of a node that gets no contribution
+    only while it still fits; a real adjoint from another root is replaced."""
+    g = Graph()
+    p, q = g.leaf("p"), g.leaf("q", param=False)
+    e = g.exp(g.mul(p, q))
+    through_e = g.sum(e)
+    past_e = g.sum(g.mul(p, p))
+    bindings = {"p": np.array([0.5, -1.0]), "q": np.array([2.0, 3.0])}
+    g.forward(bindings, root=through_e)
+    g.backward(root=through_e)
+    assert e.adjoint.all()
+    g.forward(bindings, root=past_e)
+    g.backward(root=past_e)
+    assert e.adjoint.shape == (2,) and not e.adjoint.any() and not e.adjoint.flags.writeable
+    zeros = q.adjoint
+    g.backward(root=past_e)
+    assert q.adjoint is zeros and e.adjoint.shape == (2,) and not e.adjoint.any()
+    g.forward({"p": np.ones(3), "q": np.ones(3)}, root=past_e)
+    g.backward(root=past_e)
+    assert q.adjoint.shape == e.adjoint.shape == (3,)
+    assert not q.adjoint.any() and not e.adjoint.any()
+    g.forward(bindings, root=through_e)
+    g.backward(root=through_e)
+    np.testing.assert_array_equal(e.adjoint, [1.0, 1.0])
+
+
 def test_appending_after_forward_discards_the_cached_plan():
     g = Graph()
     x = g.leaf("x")
@@ -439,6 +523,25 @@ def test_log_softmax_fast_paths_match_wrapper_forms_bitwise(case):
     [vjp] = RULES["log_softmax"][1]
     expected = adj - np.exp(wrapper) * np.sum(adj, axis=-1, keepdims=True)
     assert vjp(adj, node, x).tobytes() == expected.tobytes()
+
+
+def test_log_softmax_with_the_folded_row_max_keeps_the_row_form_bits():
+    """Folding the row max over the columns gives the bits of
+    np.maximum.reduce's form, also where the row max is a zero of either sign
+    tied across columns, for K above 8 and 128, and for 1-d and 3-d inputs."""
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 4, 9, 10, 130):
+        x = rng.normal(size=(300, k)) * 5.0
+        x[::5] = 0.0
+        x[1::5, : (k + 1) // 2] = -0.0
+        x[1::5, (k + 1) // 2:] = np.where(rng.random((60, k - (k + 1) // 2)) < 0.5, 0.0, -3.0)
+        x[2::5, :] = -0.0
+        x[3::5, 0] = x[3::5].max(axis=1)
+        for rows in (x, x[:1], x[:0], x[1], x.reshape(2, 150, k)):
+            shifted = rows - np.maximum.reduce(rows, axis=-1, keepdims=True)
+            row_form = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+            got = log_softmax(rows)
+            assert got.flags.c_contiguous and got.tobytes() == row_form.tobytes(), k
 
 
 @pytest.mark.parametrize("case", range(3), ids=["batch", "short_batch", "one_row"])

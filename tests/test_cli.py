@@ -1084,7 +1084,7 @@ def test_traced_benchmark_reads_graph_after_backward():
     g.forward(bindings, root=root)
     g.backward(root=root)
     stats = load_tracing().graph_stats(g, root)
-    assert stats["nodes"] == 32  # 8 leaves (x, y and six parameters) and 24 ops
+    assert stats["nodes"] == 27  # 8 leaves (x, y and six parameters) and 19 ops
     assert 0 < stats["useful_adjoint_frac"] <= 1
 
 
@@ -1104,7 +1104,7 @@ def test_traced_training_sees_one_graph_shape_per_step():
     finally:
         restore()
     assert len(tracer.steps) == 3 * -(-len(train) // config.batch_size)
-    assert {step["nodes"] for step in tracer.steps} == {32}
+    assert {step["nodes"] for step in tracer.steps} == {27}
     assert {step["ops"]["leaf"] for step in tracer.steps} == {8}  # x, y and six parameters
     for a, b in zip(plain.params.weights + plain.params.biases,
                     traced.params.weights + traced.params.biases):

@@ -192,6 +192,23 @@ def test_graph_forward_matches_plain_forward_bitwise():
     assert graph_logits.tobytes() == forward_logits(params, batch).tobytes()
 
 
+def test_forward_logits_matches_the_dense_graph_on_a_full_block():
+    """forward_logits and a graph of dense nodes run the same layer function:
+    on a block of over 8192 rows their logits agree bit for bit."""
+    params = init_mlp([2, 64, 64, 4], seed=5)
+    rng = np.random.default_rng(6)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    batch = rng.normal(size=(FORWARD_BLOCK_ROWS + 808, 2))
+    g = Graph()
+    logits_node = logits_graph(g, g.leaf("x", param=False), params.n_layers)
+    assert [node.op for node in g.nodes].count("dense") == 3
+    bindings = param_bindings(params)
+    bindings["x"] = batch
+    graph_logits = g.forward(bindings, root=logits_node)
+    assert graph_logits.tobytes() == forward_logits(params, batch).tobytes()
+
+
 @pytest.mark.parametrize("widths", [[5, 3], [5, 64, 3], [5, 64, 32, 3]],
                          ids=["1_layer", "2_layers", "3_layers"])
 def test_forward_matches_out_of_place_reference_bitwise(widths):

@@ -105,6 +105,31 @@ def test_prune_preserves_survivor_order_and_class_grouping():
     np.testing.assert_array_equal(out.ids, [1, 5, 0, 4])
 
 
+def setdiff_survivor_ids(dataset, percent):
+    """The survivors' ids when each class drops its victims with np.setdiff1d."""
+    keep_parts = []
+    for k in range(dataset.n_classes):
+        positions = np.flatnonzero(dataset.y == k)
+        order = np.lexsort((dataset.ids[positions], dataset.ema[positions]))
+        victims = positions[order[:prune_count(percent, positions.size)]]
+        keep_parts.append(np.setdiff1d(positions, victims))
+    return dataset.ids[np.concatenate(keep_parts)]
+
+
+def test_prune_mask_keeps_the_setdiff_survivors_in_order():
+    """Tied scores and ids out of order: the boolean mask over a class's
+    positions keeps the survivors, and their order, that np.setdiff1d keeps."""
+    rng = np.random.default_rng(9)
+    labels = rng.integers(0, 3, size=90)
+    emas = rng.choice([0.1, 0.5, 0.9], size=90)
+    ids = rng.permutation(1000)[:90]
+    ds = make_dataset(labels, emas=emas, ids=ids, n_classes=3)
+    for percent in (10.0, 34.0, 50.0, 95.0):
+        out = prune_using_ema(ds, percent)
+        assert out.ids.tolist() == setdiff_survivor_ids(ds, percent).tolist(), percent
+        assert out.ema.tolist() == [emas[ids.tolist().index(i)] for i in out.ids]
+
+
 def test_prune_never_mutates_surviving_scores():
     rng = np.random.default_rng(6)
     ds = make_dataset(rng.integers(0, 3, size=60), emas=rng.uniform(0, 1, 60))

@@ -238,6 +238,42 @@ def test_one_graph_run_matches_graph_per_batch_bitwise(kind, aux):
         assert np.array_equal(result.params.biases[i], reference[f"b{i}"]), f"b{i}"
 
 
+def chain_logits_graph(graph, x_node, n_layers):
+    """The MLP as matmul, add and relu nodes, in logits_graph's leaf order."""
+    h = x_node
+    for i in range(n_layers):
+        w, b = graph.leaf(f"w{i}"), graph.leaf(f"b{i}")
+        h = graph.add(graph.matmul(h, w), b)
+        if i < n_layers - 1:
+            h = graph.relu(h)
+    return h
+
+
+def test_dense_nodes_train_the_bits_of_the_op_chain(monkeypatch):
+    """3 epochs of the quickstart config end with the same parameters, bit for
+    bit, whether each layer is one dense node or a matmul, add, relu chain."""
+    cfg = load_config(QUICKSTART, overrides=["train.max_epochs=3"])
+    train, _, _ = build_datasets(cfg)
+    config = build_train_config(cfg)
+    widths = model_widths(cfg, train.x.shape[1], train.n_classes)
+    dense = train_with_pruning(train, init_mlp(widths, config.seed), config)
+    built = []
+
+    def chain(graph, x_node, n_layers):
+        built.append(graph)
+        return chain_logits_graph(graph, x_node, n_layers)
+
+    monkeypatch.setattr(trainer, "logits_graph", chain)
+    reference = train_with_pruning(train, init_mlp(widths, config.seed), config)
+    [graph] = built
+    assert {"matmul", "add", "relu"} <= {node.op for node in graph.nodes}
+    assert "dense" not in {node.op for node in graph.nodes}
+    assert [e.train_loss for e in dense.epoch_log] == [e.train_loss for e in reference.epoch_log]
+    for a, b in zip(dense.params.weights + dense.params.biases,
+                    reference.params.weights + reference.params.biases):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_one_graph_per_training_run(monkeypatch):
     built = []
 
