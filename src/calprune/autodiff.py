@@ -105,12 +105,6 @@ def _unbroadcast(adj, shape):
     return adj
 
 
-def _product(op, a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise GraphError(f"{op}: shapes {a.shape} and {b.shape} are incompatible")
-    return a @ b
-
-
 def dense_layer(h, w, b, relu):
     """One MLP layer: relu(h @ w + b), or h @ w + b without relu; the bias is
     a vector with one entry per output column.
@@ -118,7 +112,9 @@ def dense_layer(h, w, b, relu):
     Only the product is allocated; the bias and relu are applied in place, so
     neither `h` nor the parameters are written.
     """
-    z = _product("dense", h, w)
+    if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0]:
+        raise GraphError(f"dense: shapes {h.shape} and {w.shape} are incompatible")
+    z = h @ w
     if b.shape != z.shape[1:]:
         raise GraphError(f"dense: bias shape {b.shape} does not match the "
                          f"{z.shape[1]} output columns")
@@ -241,9 +237,6 @@ def _focal_power_vjp(adj, node, p):
 RULES = {
     "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
     "const": (lambda node: node.aux, ()),
-    "matmul": (lambda node, a, b: _product("matmul", a, b),
-               (lambda adj, node, a, b: adj @ b.T,
-                lambda adj, node, a, b: a.T @ adj)),
     "dense": (lambda node, h, w, b: dense_layer(h, w, b, node.aux),
               (lambda adj, node, h, w, b: _dense_delta(adj, node) @ w.T,
                lambda adj, node, h, w, b: h.T @ _dense_delta(adj, node),
@@ -255,8 +248,6 @@ RULES = {
     "mul": (_broadcasting(np.multiply),
             (lambda adj, node, a, b: _unbroadcast(adj * b, a.shape),
              lambda adj, node, a, b: _unbroadcast(adj * a, b.shape))),
-    "relu": (lambda node, x: np.maximum(x, 0.0),
-             (lambda adj, node, x: adj * (x > 0).astype(np.float64),)),
     "log_softmax": (lambda node, x: log_softmax(x),
                     (lambda adj, node, x: adj - np.exp(node.value)
                      * np.add.reduce(adj, axis=-1, keepdims=True),)),
@@ -268,7 +259,6 @@ RULES = {
     "mean": (_mean, (lambda adj, node, x: np.full(x.shape, adj / x.shape[0]),)),
     "sum": (lambda node, x: np.asarray(np.sum(x)), (lambda adj, node, x: np.full_like(x, adj),)),
     "scale": (lambda node, x: node.aux * x, (lambda adj, node, x: node.aux * adj,)),
-    "stop_gradient": (lambda node, x: x, ()),
     "huber": (_huber, (_huber_vjp,)),
     "row_max": (_row_max, (lambda adj, node, x: _scatter_rows(adj, x, node.saved),)),
     "correct_indicator": (_correct_indicator, ()),
@@ -372,16 +362,13 @@ class Graph:
 
     # ---- op builders -----------------------------------------------------
 
-    def matmul(self, a, b):
-        return self._append(Node("matmul", (a, b)))
-
     def dense(self, h, w, b, relu):
         """One MLP layer, dense_layer(h, w, b, relu): relu(h @ w + b), or the
         affine map alone when `relu` is false."""
         return self._append(Node("dense", (h, w, b), aux=bool(relu)))
 
     def add(self, a, b):
-        """Elementwise add; broadcasts over leading batch axes (e.g. bias)."""
+        """Elementwise add; broadcasts over leading batch axes."""
         return self._append(Node("add", (a, b)))
 
     def sub(self, a, b):
@@ -389,9 +376,6 @@ class Graph:
 
     def mul(self, a, b):
         return self._append(Node("mul", (a, b)))
-
-    def relu(self, a):
-        return self._append(Node("relu", (a,)))
 
     def log_softmax(self, a):
         """Log-softmax over the last axis, stabilised by the row max."""
@@ -427,10 +411,6 @@ class Graph:
 
     def scale(self, a, factor):
         return self._append(Node("scale", (a,), aux=float(factor)))
-
-    def stop_gradient(self, a):
-        """Identity forward; the adjoint is cut to zero."""
-        return self._append(Node("stop_gradient", (a,)))
 
     def huber(self, a, alpha):
         """Huber function of a scalar: x^2/2 inside |x|<=alpha, linear outside."""

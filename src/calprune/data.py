@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranges import check
+from .ranges import COUNT, check, require
 
 MIXTURE_RADIUS = 3.0
 
@@ -40,6 +40,9 @@ class Dataset:
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise ValueError(f"inconsistent shapes x={self.x.shape} y={self.y.shape}")
+        require(COUNT, self.n_classes, "n_classes")
+        if self.y.dtype.kind not in "iu" or not np.can_cast(self.y.dtype, np.int64):
+            raise ValueError(f"y must be an integer array within int64, got dtype {self.y.dtype}")
         n = len(self.y)
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features must be finite")

@@ -124,12 +124,17 @@ def lr_at_epoch(epoch, config):
     return config.learning_rate * config.lr_decay_factor ** passed
 
 
+def _check_classes(params, data):
+    """Raise unless `data` declares as many classes as the model outputs."""
+    if data.n_classes != params.n_classes:
+        raise ValueError("dataset class counts disagree with the model's output width")
+
+
 def train_with_pruning(train, params, config):
     """Run the full training procedure; evaluating the model is the caller's step."""
     started = time.perf_counter()
+    _check_classes(params, train)
     n_classes = params.n_classes
-    if train.n_classes != n_classes:
-        raise ValueError("dataset class counts disagree with the model's output width")
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
     if config.prune is not None and config.batch_size < 10 * n_classes:
@@ -191,6 +196,7 @@ def records_for(params, data, temperatures=(1.0,)):
     The rows are forwarded once, block by block (mlp.row_blocks), and each
     temperature divides the same block logits, so no whole-set logits are built.
     """
+    _check_classes(params, data)
     n = len(data)
     records = [(np.empty(n), np.empty(n)) for _ in temperatures]
     for rows in row_blocks(n):
@@ -204,8 +210,6 @@ def records_for(params, data, temperatures=(1.0,)):
 
 def evaluate_model(params, data, n_bins, deltas):
     """Forward + predict the whole dataset, then assemble the calibration report."""
-    if data.n_classes != params.n_classes:
-        raise ValueError("dataset class counts disagree with the model's output width")
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     [(confidences, correct)] = records_for(params, data)
@@ -225,6 +229,7 @@ def fit_temperature(params, val):
     scores worse than leaving the logits alone; exact ties resolve to the
     smaller temperature.
     """
+    _check_classes(params, val)
     if len(val) == 0:
         raise ValueError("temperature fitting needs a nonempty validation set")
     logits = forward_logits(params, val.x)

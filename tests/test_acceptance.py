@@ -35,7 +35,7 @@ from calprune.data import Dataset, generate_gaussian_mixture, stratified_split
 from calprune.losses import (AuxSpec, LossSpec, focal_loss, label_smoothing_loss,
                              nll_loss, total_loss)
 from calprune.metrics import binned_ece, ece_on_subset
-from calprune.mlp import forward_logits, init_mlp, predict
+from calprune.mlp import forward_logits, init_mlp, logits_graph, param_bindings, predict
 from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 from calprune.reporting import stable_run_text
 from calprune.trainer import (TrainConfig, evaluate_model, fit_temperature, mean_nll,
@@ -70,26 +70,24 @@ LOSS_CONFIGS = [
 
 
 def _build_instance(spec, seed, n=8, widths=(2, 5, 4)):
-    """A small MLP + loss graph with node handles for corner screening."""
+    """The trainer's MLP + loss graph at a small size, with the hidden
+    pre-activation and the log-probability node for corner screening."""
     params = init_mlp(list(widths), seed)
     rng = np.random.default_rng(seed + 10_000)
     g = Graph()
-    x = g.leaf("x", param=False)
-    pre_activation = g.add(g.matmul(x, g.leaf("w0")), g.leaf("b0"))
-    hidden = g.relu(pre_activation)
-    logits = g.add(g.matmul(hidden, g.leaf("w1")), g.leaf("b1"))
-    log_probs = g.log_softmax(logits)
+    log_probs = g.log_softmax(logits_graph(g, g.leaf("x", param=False), params.n_layers))
     targets = rng.integers(0, widths[-1], size=n)
     total_loss(g, log_probs, g.int_leaf("y"), spec, widths[-1])
-    bindings = {"w0": params.weights[0], "b0": params.biases[0],
-                "w1": params.weights[1], "b1": params.biases[1],
-                "x": rng.uniform(-2, 2, size=(n, widths[0])), "y": targets}
+    bindings = param_bindings(params)
+    bindings["x"] = rng.uniform(-2, 2, size=(n, widths[0]))
+    bindings["y"] = targets
+    pre_activation = bindings["x"] @ params.weights[0] + params.biases[0]
     return g, bindings, pre_activation, log_probs, targets
 
 
 def _clear_of_kinks(spec, pre_activation, log_probs, targets):
     """True iff every nondifferentiable corner is at least KINK_MARGIN away."""
-    if np.min(np.abs(pre_activation.value)) < KINK_MARGIN:
+    if np.min(np.abs(pre_activation)) < KINK_MARGIN:
         return False  # relu corner
     lp = log_probs.value
     top2 = np.sort(lp, axis=1)[:, -2:]

@@ -308,8 +308,11 @@ def test_dataset_defaults_ids_and_ema():
     ("ema", np.array([0.0, 0.5, 1.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
     ("ema", np.array([0.0, -0.1, 0.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
     ("ema", np.array([0.0, np.nan, 0.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
+    ("y", np.array([0.0, 1.0, 1.5, 0.0]), "y must be an integer array .* float64"),
+    ("n_classes", 2.5, "n_classes must be an integer >= 1, got 2.5"),
 ], ids=["x_1d", "y_short", "x_nan", "x_inf", "label_high", "label_negative",
-        "ids_short", "ids_repeated", "ema_long", "ema_above_1", "ema_negative", "ema_nan"])
+        "ids_short", "ids_repeated", "ema_long", "ema_above_1", "ema_negative", "ema_nan",
+        "y_float", "classes_fractional"])
 def test_dataset_rejects_broken_invariants(field, value, message):
     fields = {"x": np.zeros((4, 2)), "y": np.array([0, 1, 1, 0]), "n_classes": 2}
     fields[field] = value

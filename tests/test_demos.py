@@ -1,4 +1,5 @@
-"""The README's API examples: every demo script and the library example run."""
+"""The README's API examples: every demo script and the library example run,
+with every warning raised as an error."""
 
 import os
 import shutil
@@ -18,7 +19,7 @@ def test_demos_found():
 
 def run_script(cwd, script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, script], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
