@@ -236,7 +236,6 @@ def _focal_power_vjp(adj, node, p):
 # without a rule (such as the targets of gather_rows) gets no gradient.
 RULES = {
     "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
-    "const": (lambda node: node.aux, ()),
     "dense": (lambda node, h, w, b: dense_layer(h, w, b, node.aux),
               (lambda adj, node, h, w, b: _dense_delta(adj, node) @ w.T,
                lambda adj, node, h, w, b: h.T @ _dense_delta(adj, node),
@@ -252,8 +251,6 @@ RULES = {
                     (lambda adj, node, x: adj - np.exp(node.value)
                      * np.add.reduce(adj, axis=-1, keepdims=True),)),
     "exp": (lambda node, x: np.exp(x), (lambda adj, node, x: adj * node.value,)),
-    "pow_const": (lambda node, x: x ** node.aux,
-                  (lambda adj, node, x: adj * node.aux * x ** (node.aux - 1.0),)),
     "abs": (lambda node, x: np.abs(x), (lambda adj, node, x: adj * np.sign(x),)),
     "gather_rows": (_gather_rows, (lambda adj, node, x, idx: _scatter_rows(adj, x, idx),)),
     "mean": (_mean, (lambda adj, node, x: np.full(x.shape, adj / x.shape[0]),)),
@@ -340,7 +337,7 @@ class Graph:
             plan = self._plans[root] = _Plan(self.nodes, root)
         return plan
 
-    # ---- leaves and constants -------------------------------------------
+    # ---- leaves -----------------------------------------------------------
 
     def leaf(self, name, param=True):
         """Declare a named float64 input; `param=True` marks it a trainable parameter."""
@@ -356,9 +353,6 @@ class Graph:
         node = self._append(Node("leaf", aux=dtype, name=name, is_param=param))
         self._leaf_names[name] = node
         return node
-
-    def const(self, value):
-        return self._append(Node("const", aux=np.asarray(value, dtype=np.float64)))
 
     # ---- op builders -----------------------------------------------------
 
@@ -383,13 +377,6 @@ class Graph:
 
     def exp(self, a):
         return self._append(Node("exp", (a,)))
-
-    def pow_const(self, a, exponent):
-        """a**exponent with a constant scalar exponent."""
-        node = self._append(Node("pow_const", (a,), aux=float(exponent)))
-        if node.aux == 0.0:
-            node.on_path = False  # a**0 is constant; e * a**(e-1) would be NaN at a = 0
-        return node
 
     def absolute(self, a):
         return self._append(Node("abs", (a,)))

@@ -229,6 +229,9 @@ def load_csv(path, label_column, n_classes=None):
         if label != int(label):
             raise ValueError(
                 f"{path}: label {label} at row {row_no} is not integer-valued")
+        if not -2.0 ** 63 <= label < 2.0 ** 63:
+            raise ValueError(
+                f"{path}: label {label} at row {row_no} is outside the int64 range")
         labels.append(int(label))
         features.append([values[i] for i in feature_idx])
     return _labeled(path, np.asarray(features, dtype=np.float64),

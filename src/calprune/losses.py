@@ -50,22 +50,26 @@ def nll_loss(g, log_probs, targets):
     return g.scale(g.mean(picked), -1.0)
 
 
-def focal_loss(g, log_probs, targets, gamma):
-    """Mean of -(1 - p_target)^gamma * log p_target."""
-    check("loss.gamma", gamma)
+def _focal(g, log_probs, targets, gamma_below, gamma_above):
+    """Mean of -(1 - p_target)^gamma * log p_target, gamma chosen per sample
+    by focal_power: gamma_below where p_target < 0.2, else gamma_above."""
     picked = g.gather_rows(log_probs, targets)
-    p = g.exp(picked)
-    weight = g.pow_const(g.sub(g.const(1.0), p), gamma)
+    weight = g.focal_power(g.exp(picked), gamma_below, gamma_above, FLSD_THRESHOLD)
     return g.scale(g.mean(g.mul(weight, picked)), -1.0)
+
+
+def focal_loss(g, log_probs, targets, gamma):
+    """Mean of -(1 - p_target)^gamma * log p_target; NLL itself at gamma = 0."""
+    check("loss.gamma", gamma)
+    if gamma == 0:
+        return nll_loss(g, log_probs, targets)
+    return _focal(g, log_probs, targets, gamma, gamma)
 
 
 def flsd_loss(g, log_probs, targets):
     """Focal loss whose gamma is chosen per sample on every forward pass:
     5 where the target probability is below 0.2, else 3."""
-    picked = g.gather_rows(log_probs, targets)
-    weight = g.focal_power(g.exp(picked), FLSD_LOW_CONFIDENCE_GAMMA,
-                           FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_THRESHOLD)
-    return g.scale(g.mean(g.mul(weight, picked)), -1.0)
+    return _focal(g, log_probs, targets, FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA)
 
 
 def _confidence_gap(g, log_probs, targets):
@@ -99,7 +103,7 @@ def mdca_aux_loss(g, log_probs, targets, n_classes):
 def brier_loss(g, log_probs, targets, n_classes):
     """Squared error against the one-hot target, summed over classes, batch mean."""
     diff = g.sub(g.exp(log_probs), g.one_hot(targets, n_classes))
-    return g.sum(g.mean(g.pow_const(diff, 2.0)))
+    return g.sum(g.mean(g.mul(diff, diff)))
 
 
 def label_smoothing_loss(g, log_probs, targets, smoothing, n_classes):

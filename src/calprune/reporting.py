@@ -7,7 +7,6 @@ one volatile value; the manifest therefore records a second, stable digest of
 the run JSON with timing removed.
 """
 
-import copy
 import hashlib
 import json
 import os
@@ -180,9 +179,9 @@ def run_result_doc(result, report, config_doc):
     }
 
 
-def stable_run_text(doc_or_text):
-    """Run JSON with volatile timing removed, for stable content digests."""
-    doc = json.loads(doc_or_text) if isinstance(doc_or_text, str) else copy.deepcopy(doc_or_text)
+def stable_run_text(text):
+    """Run JSON text with volatile timing removed, for stable content digests."""
+    doc = json.loads(text)
     doc.get("totals", {}).pop("wall_clock_seconds", None)
     return dumps_json(doc)
 

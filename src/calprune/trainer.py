@@ -217,7 +217,15 @@ def evaluate_model(params, data, n_bins, deltas):
 
 
 def mean_nll(logits, labels, temperature=1.0):
-    log_probs = log_softmax(np.asarray(logits, dtype=np.float64) / temperature)
+    """Mean negative log-likelihood of softmax(logits / temperature) at `labels`,
+    one integer label in [0, K) per row of the (n, K) logits, n >= 1."""
+    logits, labels = np.asarray(logits, dtype=np.float64), np.asarray(labels)
+    if logits.ndim != 2 or not len(logits) or labels.shape != logits.shape[:1]:
+        raise ValueError(f"mean_nll: labels of shape {labels.shape} for logits of shape "
+                         f"{logits.shape}; need at least one row and one label per row")
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ValueError(f"mean_nll: labels must be integers in [0, {logits.shape[1]})")
+    log_probs = log_softmax(logits / temperature)
     return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
 
 

@@ -57,7 +57,7 @@ def test_softmax_cross_entropy_gradient_at_symmetry():
 def test_grad_check_square():
     g = Graph()
     x = g.leaf("x")
-    g.sum(g.pow_const(x, 2.0))
+    g.sum(g.mul(x, x))
     results = grad_check(g, {"x": np.array(3.0).reshape(())}, step=1e-5, tol=1e-6)
     assert results[0].passed
     g.forward({"x": np.array(3.0).reshape(())})
@@ -87,8 +87,8 @@ def test_dense_forward_and_gradients_match_the_op_chain_bitwise():
     for relu in (True, False):
         g = Graph()
         out = g.dense(g.leaf("h"), g.leaf("w"), g.leaf("b"), relu=relu)
-        g.sum(g.mul(out, g.const(adjoint)))  # out's adjoint is 1.0 * A, the bits of A
-        g.forward({"h": h, "w": w, "b": b})
+        g.sum(g.mul(out, g.leaf("A", param=False)))  # out's adjoint is 1.0 * A, the bits of A
+        g.forward({"h": h, "w": w, "b": b, "A": adjoint})
         assert out.value.tobytes() == (np.maximum(z, 0) if relu else z).tobytes()
         got = g.backward()
         delta = adjoint * (z > 0) if relu else adjoint
@@ -169,10 +169,6 @@ def _op_cases(rng):
     cases["exp"] = (g, {"x": rng.uniform(-2, 2, (3, 4))})
 
     g = Graph()
-    g.sum(g.pow_const(g.leaf("x"), 2.5))
-    cases["pow_const"] = (g, {"x": rng.uniform(0.1, 2, (3, 4))})
-
-    g = Graph()
     g.sum(g.absolute(g.leaf("x")))
     cases["abs"] = (g, {"x": _away_from(rng.uniform(-2, 2, (3, 4)), 0.0, 1e-3)})
 
@@ -226,11 +222,6 @@ def _op_cases(rng):
         cases[f"{op}_broadcast"] = (g, {"x": rng.uniform(-2, 2, (3, 4)),
                                         "y": rng.uniform(-2, 2, (1, 4))})
 
-    # x**0 is constant: its gradient must be exactly zero, also at x = 0
-    g = Graph()
-    g.sum(g.pow_const(g.leaf("x"), 0))
-    cases["pow_const_zero"] = (g, {"x": np.array([0.0, -1.5, 2.0])})
-
     return cases
 
 
@@ -238,14 +229,11 @@ def test_every_op_kind_passes_grad_check():
     rng = np.random.default_rng(42)
     cases = _op_cases(rng)
     covered = {node.op for g, _ in cases.values() for node in g.nodes}
-    assert set(RULES) - {"leaf", "const"} <= covered, "op kind(s) without a grad-check case"
+    assert set(RULES) - {"leaf"} <= covered, "op kind(s) without a grad-check case"
     for name, (g, bindings) in cases.items():
         results = grad_check(g, bindings, step=1e-5, tol=1e-4)
         for r in results:
             assert r.passed, f"op {name}, leaf {r.leaf}: rel error {r.max_rel_error:.3e}"
-    g, bindings = cases["pow_const_zero"]
-    g.forward(bindings)
-    assert np.all(g.backward()["x"] == 0.0)
 
 
 def test_rules_hold_exactly_the_op_kinds_calprune_builds():
@@ -264,11 +252,11 @@ def test_rules_hold_exactly_the_op_kinds_calprune_builds():
 
 
 def test_grad_check_fails_a_nan_gradient():
-    # d/dx sqrt(x) is infinite at 0, so the relative error there is NaN
+    # d/dp sqrt(1 - p) is infinite at p = 1, so the relative error there is NaN
     g = Graph()
-    g.sum(g.pow_const(g.leaf("x"), 0.5))
+    g.sum(g.focal_power(g.leaf("p"), 0.5, 0.5, FLSD_THRESHOLD))
     with np.errstate(divide="ignore", invalid="ignore"):
-        (result,) = grad_check(g, {"x": np.array([0.0, 1.0])})
+        (result,) = grad_check(g, {"p": np.array([1.0, 0.5])})
     assert np.isnan(result.max_rel_error) and not result.passed
 
 
@@ -285,7 +273,7 @@ def test_adjoint_linearity_of_sums():
     x_val = rng.uniform(-2, 2, (3, 4))
 
     def part_one(g, x):
-        return g.sum(g.pow_const(x, 2.0))
+        return g.sum(g.mul(x, x))
 
     def part_two(g, x):
         return g.mean(g.exp(g.mean(x)))
@@ -419,7 +407,7 @@ def test_appending_after_forward_discards_the_cached_plan():
     x_val = np.array([1.0, 2.0])
     assert g.forward({"x": x_val}) == 3.0
     g.backward()
-    square = g.pow_const(x, 2.0)
+    square = g.mul(x, x)
     second = g.sum(square)
     assert g.forward({"x": x_val}) == 5.0  # the default root is now `second`
     np.testing.assert_array_equal(g.backward()["x"], [2.0, 4.0])

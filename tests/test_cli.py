@@ -869,11 +869,13 @@ def test_split_leaving_a_class_out_of_training_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad, labels_only", [
     ("nan", False), ("inf", False), ("-inf", False), ("1e400", False), ("", False),
-    ("x", False), ("\xff", False), ("0.5", True), ("-1", True), ("3", True)])
+    ("x", False), ("\xff", False), ("0.5", True), ("-1", True), ("3", True),
+    ("1e20", True), ("-1e20", True)])
 def test_corrupt_csv_cell_names_its_path(tmp_path, capsys, bad, labels_only):
     """Each cell of a valid 3-class train and test CSV, corrupted one at a
-    time; "3" is a label out of range for the declared 3 classes, and "\\xff"
-    is written as the byte 0xff, which is not UTF-8."""
+    time; "3" is a label out of range for the declared 3 classes, "1e20" and
+    "-1e20" are whole labels beyond int64, and "\\xff" is written as the byte
+    0xff, which is not UTF-8."""
     rows = {"train": [[f"{v:.3f}" for v in row] + [str(y)] for row, y in
                       zip(np.random.default_rng(0).normal(size=(6, 2)), [0, 1, 2] * 2)],
             "test": [["0.5", "-0.5", "1"], ["1.5", "0.0", "2"]]}

@@ -55,6 +55,22 @@ def test_focal_gamma_zero_matches_nll_bitwise():
     assert eval_loss(focal_loss, lp, targets, gamma=0.0) == eval_loss(nll_loss, lp, targets)
 
 
+def test_focal_gamma_zero_gradient_is_nll_bitwise_at_full_confidence():
+    """(1 - p)^0 is constant, so focal at gamma 0 passes NLL's gradient bits,
+    and no NaN from 0 * 0^-1, through a row whose target probability is 1."""
+    logits = np.array([[0.0, -1000.0], [0.3, -0.2], [-1.0, 2.0]])
+    grads = []
+    for build in (lambda g, lp, y: focal_loss(g, lp, y, 0.0), nll_loss):
+        g = Graph()
+        lp = g.log_softmax(g.leaf("z"))
+        build(g, lp, g.int_leaf("y"))
+        g.forward({"z": logits, "y": [0, 1, 1]})
+        assert np.exp(lp.value[0, 0]) == 1.0
+        grads.append(g.backward()["z"])
+    assert np.isfinite(grads[0]).all()
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_focal_analytic_value():
     lp = rows_from_probs([[0.5, 0.5]])
     expected = 0.25 * np.log(2)

@@ -8,7 +8,7 @@ import pytest
 from calprune.metrics import (CalibrationReport, ReliabilityBin, SubsetCalibration,
                               build_report)
 from calprune.reporting import (HISTOGRAM_CSV, MANIFEST_JSON, RELIABILITY_CSV,
-                                RELIABILITY_SVG, bundle_texts, fmt_sig,
+                                RELIABILITY_SVG, bundle_texts, dumps_json, fmt_sig,
                                 hist_rows_from_bins, histogram_svg_text,
                                 reliability_csv_text, reliability_svg_text,
                                 run_result_doc, sha256_hex, stable_run_text, write_bundle)
@@ -75,8 +75,8 @@ def test_svg_bytes_deterministic():
 def test_stable_run_text_strips_wall_clock():
     doc = {"totals": {"sample_updates": 10, "wall_clock_seconds": 1.23}, "x": 1}
     other = {"totals": {"sample_updates": 10, "wall_clock_seconds": 9.87}, "x": 1}
-    assert stable_run_text(doc) == stable_run_text(other)
-    assert "wall_clock" not in stable_run_text(doc)
+    assert stable_run_text(dumps_json(doc)) == stable_run_text(dumps_json(other))
+    assert "wall_clock" not in stable_run_text(dumps_json(doc))
 
 
 def test_write_bundle_atomic_and_manifested(tmp_path):

@@ -460,6 +460,18 @@ def test_temperature_never_worse_than_identity():
         assert mean_nll(logits, labels, fit) <= mean_nll(logits, labels, 1.0) + 1e-15
 
 
+def test_mean_nll_rejects_labels_that_are_not_one_class_index_per_row():
+    logits = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+    assert mean_nll(logits, [2, 1]) == pytest.approx(0.4795, abs=1e-4)
+    for labels in ([-1, 1], [3, 1], [1.5, 1], [1], [0, 1, 2]):
+        with pytest.raises(ValueError, match="mean_nll"):
+            mean_nll(logits, labels)
+    with pytest.raises(ValueError, match="mean_nll"):
+        mean_nll(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="mean_nll"):
+        fit_temperature_on_logits(logits, [-1, 1])
+
+
 def test_temperature_preserves_argmax():
     train, val, test = small_experiment(noise=0.1, seed=14)
     cfg = TrainConfig(max_epochs=5, batch_size=32, learning_rate=0.05,
