@@ -41,7 +41,7 @@ def _print_report(report):
 def cmd_train(args):
     cfg = load_config(args.config, overrides=args.set or ())
     check_output_dir(cfg["output_dir"])
-    train, _, test = build_datasets(cfg)
+    train, _, test = build_datasets(cfg, splits=("train", "test"))
     widths = model_widths(cfg, train.x.shape[1], train.n_classes)
     train_config = build_train_config(cfg)
     params = init_mlp(widths, train_config.seed)
@@ -59,24 +59,27 @@ def cmd_train(args):
     return 0
 
 
-def _load_checkpoint_for(checkpoint_path, test):
-    params = load_checkpoint(checkpoint_path)
+def _checkpoint_and_data(args, cfg, splits):
+    """The checkpoint at --checkpoint, then the val and test Datasets of
+    `splits` (None if not named); a test set the checkpoint cannot score
+    raises naming both."""
+    params = load_checkpoint(args.checkpoint)
+    _, val, test = build_datasets(cfg, splits=splits, n_classes=params.n_classes)
+    d = cfg["dataset"]
+    source = d["test_images"] or d["test_path"] or f"{d['source']} test set"
     if params.widths[0] != test.x.shape[1]:
-        raise ValueError(
-            f"checkpoint expects {params.widths[0]} features, dataset has "
-            f"{test.x.shape[1]}")
+        raise ValueError(f"{source}: {test.x.shape[1]} features per row, checkpoint "
+                         f"{args.checkpoint} expects {params.widths[0]}")
     if params.n_classes != test.n_classes:
-        raise ValueError(
-            f"checkpoint predicts {params.n_classes} classes, dataset declares "
-            f"{test.n_classes}")
-    return params
+        raise ValueError(f"{source}: dataset declares {test.n_classes} classes, checkpoint "
+                         f"{args.checkpoint} predicts {params.n_classes}")
+    return params, val, test
 
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, overrides=args.set or ())
     check_output_dir(args.out)
-    _, _, test = build_datasets(cfg)
-    params = _load_checkpoint_for(args.checkpoint, test)
+    params, _, test = _checkpoint_and_data(args, cfg, splits=("test",))
     report = evaluate_model(params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
     write_bundle(args.out, bundle_texts(report))
     for line in _print_report(report):
@@ -86,8 +89,7 @@ def cmd_evaluate(args):
 
 def cmd_calibrate(args):
     cfg = load_config(args.config, overrides=args.set or ())
-    _, val, test = build_datasets(cfg)
-    params = _load_checkpoint_for(args.checkpoint, test)
+    params, val, test = _checkpoint_and_data(args, cfg, splits=("val", "test"))
     temperature = fit_temperature(params, val)
     before, after = records_for(params, test, temperatures=(1.0, temperature))
     _, ece_before = binned_ece(*before, cfg["eval"]["bins"])

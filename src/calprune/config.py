@@ -10,8 +10,8 @@ import copy
 import json
 import os
 
-from .data import (generate_gaussian_mixture, load_csv, load_idx_pair, read_json,
-                   stratified_split)
+from .data import (Dataset, decode_pixels, generate_gaussian_mixture, load_csv,
+                   load_idx_pair, read_idx_pair, read_json, split_positions)
 from .losses import AuxSpec, LossSpec
 from .pruning import PruneSchedule
 from .ranges import SETTINGS, check_setting
@@ -138,26 +138,53 @@ def _apply_override(user, assignment):
 
 # ---- builders ---------------------------------------------------------------
 
-def build_datasets(cfg):
-    """(train, validation, test) Datasets per the dataset section; train and
-    validation split the pool and carry their pool positions as ids."""
-    d = cfg["dataset"]
+def _pool(d):
+    """The training source as (features, int64 labels, class count, decode),
+    where decode turns the features of the rows a split keeps into float64;
+    an IDX pool stays uint8 until then."""
     if d["source"] == "gaussian_mixture":
         pool = generate_gaussian_mixture(d["classes"], d["train_per_class"],
                                          noise=d["noise"], seed=[d["seed"], 0])
-        test = generate_gaussian_mixture(d["classes"], d["test_per_class"],
-                                         noise=d["noise"], seed=[d["seed"], 1])
     elif d["source"] == "idx_pair":
-        pool = load_idx_pair(d["images"], d["labels"])
-        test = load_idx_pair(d["test_images"], d["test_labels"], n_classes=pool.n_classes)
+        return (*read_idx_pair(d["images"], d["labels"]), decode_pixels)
     else:
         pool = load_csv(d["path"], d["label_column"], n_classes=d["classes"])
-        test = load_csv(d["test_path"], d["label_column"], n_classes=pool.n_classes)
-    width, test_width = pool.x.shape[1], test.x.shape[1]
-    if test_width != width:  # a mixture's test set is always 2-d, like its pool
-        raise ValueError(f"{d['test_images'] or d['test_path']}: {test_width} features "
-                         f"per row, the training source has {width}")
-    train, val = stratified_split(pool, d["train_fraction"], seed=[d["seed"], 2])
+    return pool.x, pool.y, pool.n_classes, lambda x: x
+
+
+def build_datasets(cfg, splits=("train", "val", "test"), n_classes=None):
+    """(train, validation, test) Datasets per the dataset section, with None
+    for each split not named in `splits`.
+
+    Train and validation split the pool and carry their pool positions as
+    ids; the pool is read only if one of them is named, and an IDX pool's
+    pixels are decoded only for the rows a named split keeps. Without the
+    pool, `n_classes` gives the class count of an IDX test source or a CSV
+    one that declares none (default: counted from the test labels).
+    """
+    d = cfg["dataset"]
+    pooled = "train" in splits or "val" in splits
+    if pooled:
+        x, y, n_classes, decode = _pool(d)
+    train = val = test = None
+    if "test" in splits:
+        if d["source"] == "gaussian_mixture":
+            test = generate_gaussian_mixture(d["classes"], d["test_per_class"],
+                                             noise=d["noise"], seed=[d["seed"], 1])
+        elif d["source"] == "idx_pair":
+            test = load_idx_pair(d["test_images"], d["test_labels"], n_classes=n_classes)
+        else:
+            test = load_csv(d["test_path"], d["label_column"],
+                            n_classes=n_classes if d["classes"] is None else d["classes"])
+        # a mixture's test set is always 2-d, like its pool
+        if pooled and test.x.shape[1] != x.shape[1]:
+            raise ValueError(f"{d['test_images'] or d['test_path']}: {test.x.shape[1]} "
+                             f"features per row, the training source has {x.shape[1]}")
+    if pooled:
+        positions = split_positions(y, n_classes, d["train_fraction"], seed=[d["seed"], 2])
+        train, val = (Dataset(decode(x[rows]), y[rows], n_classes, ids=rows)
+                      if name in splits else None
+                      for name, rows in zip(("train", "val"), positions))
     return train, val, test
 
 

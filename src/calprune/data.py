@@ -139,10 +139,10 @@ def _read_idx(path, magic, what):
     return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
 
 
-def _labeled(x_path, x, y_path, y, n_classes):
-    """Dataset of features `x` read from `x_path` and int64 labels `y` read
-    from `y_path`, whose rules raise naming the file that breaks them;
-    `n_classes` defaults to the largest label plus one."""
+def _class_count(x_path, x, y_path, y, n_classes):
+    """The class count of features `x` read from `x_path` and int64 labels
+    `y` read from `y_path`, whose rules raise naming the file that breaks
+    them; `n_classes` defaults to the largest label plus one."""
     if not y.size:
         raise ValueError(f"{y_path}: no data rows")
     if not x.shape[1]:
@@ -157,19 +157,31 @@ def _labeled(x_path, x, y_path, y, n_classes):
     if n_classes < 2:
         raise ValueError(f"{y_path}: the labels hold {n_classes} class(es); a classifier "
                          "needs at least 2")
-    return Dataset(x, y, n_classes)
+    return n_classes
 
 
-def load_idx_pair(images_path, labels_path, n_classes=None):
-    """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened."""
+def read_idx_pair(images_path, labels_path, n_classes=None):
+    """Big-endian IDX image/label pair, undecoded: (uint8 pixels, one
+    flattened image per row; int64 labels; class count)."""
     (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
     (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
     if count != label_count:
         raise ValueError(
             f"count mismatch: {images_path} holds {count} images but "
             f"{labels_path} holds {label_count} labels")
-    x = np.divide(pixels.reshape(count, rows * cols), 255.0, dtype=np.float64)
-    return _labeled(images_path, x, labels_path, labels.astype(np.int64), n_classes)
+    pixels, labels = pixels.reshape(count, rows * cols), labels.astype(np.int64)
+    return pixels, labels, _class_count(images_path, pixels, labels_path, labels, n_classes)
+
+
+def decode_pixels(pixels):
+    """IDX pixel bytes scaled to [0, 1] as float64."""
+    return np.divide(pixels, 255.0, dtype=np.float64)
+
+
+def load_idx_pair(images_path, labels_path, n_classes=None):
+    """Big-endian IDX image/label pair; pixels scaled to [0, 1] and flattened."""
+    pixels, labels, n_classes = read_idx_pair(images_path, labels_path, n_classes)
+    return Dataset(decode_pixels(pixels), labels, n_classes)
 
 
 def _unique_keys(pairs):
@@ -193,9 +205,10 @@ def read_json(path, error=ValueError):
 
 
 def load_csv(path, label_column, n_classes=None):
-    """Rectangular numeric UTF-8 CSV with a header; one integer-valued label column."""
+    """Rectangular numeric UTF-8 CSV with a header (a leading byte order mark is
+    skipped); one integer-valued label column."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -234,23 +247,23 @@ def load_csv(path, label_column, n_classes=None):
                 f"{path}: label {label} at row {row_no} is outside the int64 range")
         labels.append(int(label))
         features.append([values[i] for i in feature_idx])
-    return _labeled(path, np.asarray(features, dtype=np.float64),
-                    path, np.asarray(labels, dtype=np.int64), n_classes)
+    x, y = np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    return Dataset(x, y, _class_count(path, x, path, y, n_classes))
 
 
-def stratified_split(data, train_fraction, seed):
+def split_positions(y, n_classes, train_fraction, seed):
     """Per-class seeded shuffle, then a floor(train_fraction * n_k) split.
 
-    A class with fewer than 2 rows, or whose floor is 0, raises a ValueError
-    naming the class. Returns (train, validation) Datasets whose ids are the rows' positions in
-    `data`, with every EMA score at 0. The floor uses exact rational
-    arithmetic over the double value of train_fraction.
+    Returns the (train, validation) positions in `y` as int64 arrays. A
+    class with fewer than 2 rows, or whose floor is 0, raises a ValueError
+    naming the class. The floor uses exact rational arithmetic over the
+    double value of train_fraction.
     """
     check("dataset.train_fraction", train_fraction)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     train_parts, val_parts = [], []
-    for k in range(data.n_classes):
-        positions = np.flatnonzero(data.y == k)
+    for k in range(n_classes):
+        positions = np.flatnonzero(y == k)
         if positions.size < 2:
             raise ValueError(f"class {k} has {positions.size} instance(s); need >= 2 to split")
         shuffled = positions[rng.permutation(positions.size)]
@@ -260,12 +273,15 @@ def stratified_split(data, train_fraction, seed):
                              f"{train_fraction} puts none of them in training")
         train_parts.append(shuffled[:take])
         val_parts.append(shuffled[take:])
-    train_idx, val_idx = np.concatenate(train_parts), np.concatenate(val_parts)
-    train = Dataset(data.x[train_idx], data.y[train_idx], data.n_classes,
-                    ids=train_idx.astype(np.int64))
-    val = Dataset(data.x[val_idx], data.y[val_idx], data.n_classes,
-                  ids=val_idx.astype(np.int64))
-    return train, val
+    return (np.concatenate(train_parts).astype(np.int64),
+            np.concatenate(val_parts).astype(np.int64))
+
+
+def stratified_split(data, train_fraction, seed):
+    """(train, validation) Datasets of `data` split by `split_positions`; their
+    ids are the rows' positions in `data`, with every EMA score at 0."""
+    return tuple(Dataset(data.x[rows], data.y[rows], data.n_classes, ids=rows)
+                 for rows in split_positions(data.y, data.n_classes, train_fraction, seed))
 
 
 def minibatches(dataset, batch_size, epoch, seed):

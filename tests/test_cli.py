@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calprune import cli, trainer
+from calprune import cli, data, trainer
+from calprune import config as config_module
 from calprune.autodiff import Graph
 from calprune.cli import main
 from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datasets,
@@ -555,12 +556,13 @@ def test_evaluate_reproduces_training_report(trained, tmp_path):
 
 def test_evaluate_rejects_mismatched_features(trained, tmp_path, capsys):
     config_path, out = trained
-    code = main(["evaluate", "--config", str(config_path),
-                 "--checkpoint", str(out / "checkpoint.json"),
+    checkpoint = out / "checkpoint.json"
+    code = main(["evaluate", "--config", str(config_path), "--checkpoint", str(checkpoint),
                  "--out", str(tmp_path / "bad_eval"),
                  "--set", "dataset.classes=3"])
     assert code == 1
-    assert "classes" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: gaussian_mixture test set: dataset declares 3 "
+                                       f"classes, checkpoint {checkpoint} predicts 2\n")
 
 
 def test_evaluate_empty_delta_list(trained, tmp_path):
@@ -977,6 +979,113 @@ def test_unusable_source_exits_1_naming_its_file_before_any_epoch(tmp_path, caps
     err = capsys.readouterr().err
     assert err == f"error: {dataset[bad_key]}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _write_config(path, dataset, out):
+    path.write_text(json.dumps({"dataset": dataset, "model": {"hidden": [4]},
+                                "train": {"max_epochs": 2, "batch_size": 8,
+                                          "lr_milestones": []},
+                                "output_dir": str(out)}))
+    return str(path)
+
+
+def _trained_on_training_file(tmp_path, dataset):
+    """A checkpoint trained on `dataset` with its training file(s) as the test file(s)."""
+    tested = ({"test_images": dataset["images"], "test_labels": dataset["labels"]}
+              if dataset["source"] == "idx_pair" else {"test_path": dataset["path"]})
+    config = _write_config(tmp_path / "good.json", {**dataset, **tested}, tmp_path / "good")
+    assert main(["train", "--config", config]) == 0
+    return str(tmp_path / "good" / "checkpoint.json")
+
+
+@pytest.mark.parametrize("dataset, bad_key, message", [
+    (lambda tmp: _idx_dataset(tmp, [0, 1, 2, 0], test_side=3), "test_images",
+     "9 features per row, checkpoint {} expects 4"),
+    (lambda tmp: _csv_dataset(tmp, ["a", "y"], ["a", "b", "y"]), "test_path",
+     "2 features per row, checkpoint {} expects 1"),
+    (lambda tmp: _idx_dataset(tmp, [0, 1, 3, 0]), "test_labels",
+     "label 3 out of range for declared 3 classes"),
+], ids=["idx_test_images_wider", "csv_test_wider", "idx_test_label_beyond_checkpoint"])
+def test_evaluate_names_the_test_file_its_checkpoint_cannot_score(tmp_path, capsys, dataset,
+                                                                  bad_key, message):
+    """evaluate reads the test source alone, so a test file that does not fit
+    the checkpoint is named, with the checkpoint, and no bundle is written."""
+    dataset = dataset(tmp_path)
+    checkpoint = _trained_on_training_file(tmp_path, dataset)
+    config = _write_config(tmp_path / "bad.json", dataset, tmp_path / "unused")
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--config", config, "--checkpoint", checkpoint, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {dataset[bad_key]}: {message.format(checkpoint)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["idx_pair", "csv"])
+def test_evaluate_reads_no_training_source(tmp_path, monkeypatch, capsys, source):
+    """With the training files deleted after training, evaluate asks its data
+    build for the test split alone and writes the same report.json bytes,
+    while calibrate and train exit 1 naming the missing file."""
+    if source == "idx_pair":
+        dataset = _idx_dataset(tmp_path, [0, 1, 2, 0])
+        training = [dataset["images"], dataset["labels"]]
+    else:
+        dataset = _csv_dataset(tmp_path, ["a", "y"], ["a", "y"])
+        training = [dataset["path"]]
+    config = _write_config(tmp_path / "inputs.json", dataset, tmp_path / "out")
+    assert main(["train", "--config", config]) == 0
+    checkpoint = ["--checkpoint", str(tmp_path / "out" / "checkpoint.json")]
+    evaluate = ["evaluate", "--config", config, *checkpoint, "--out"]
+    assert main([*evaluate, str(tmp_path / "before")]) == 0
+    for name in training:
+        os.remove(name)
+    build, requested = cli.build_datasets, []
+
+    def spy(cfg, **kwargs):
+        requested.append(kwargs["splits"])
+        return build(cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "build_datasets", spy)
+    assert main([*evaluate, str(tmp_path / "after")]) == 0
+    assert requested == [("test",)]
+    report = [(tmp_path / name / "report.json").read_bytes() for name in ("before", "after")]
+    assert report[0] == report[1]
+    capsys.readouterr()
+    for argv in (["calibrate", "--config", config, *checkpoint],
+                 ["train", "--config", config, "--set", f"output_dir={tmp_path / 'again'}"]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and training[0] in err, err
+    assert not (tmp_path / "again").exists()
+
+
+def test_each_command_decodes_only_the_idx_rows_it_reads(tmp_path, monkeypatch):
+    """The pool is split on its labels before any pixel is decoded: train
+    decodes the train and test rows, calibrate the val and test rows and
+    evaluate the test rows, each once."""
+    files = [*write_idx(tmp_path, "train", np.repeat([0, 1, 2], [4, 7, 5]), seed=0),
+             *write_idx(tmp_path, "test", [0, 1, 2, 2, 1], seed=1)]
+    dataset = dict(zip(("source", "images", "labels", "test_images", "test_labels"),
+                       ["idx_pair", *files]))
+    config = _write_config(tmp_path / "inputs.json", dataset, tmp_path / "out")
+    train, val, test = build_datasets(load_config(config, env={}))
+    assert (len(train), len(val), len(test)) == (13, 3, 5)
+    decode, decoded = data.decode_pixels, []
+
+    def counting(pixels):
+        decoded.append(len(pixels))
+        return decode(pixels)
+
+    monkeypatch.setattr(data, "decode_pixels", counting)
+    monkeypatch.setattr(config_module, "decode_pixels", counting)
+    checkpoint = ["--checkpoint", str(tmp_path / "out" / "checkpoint.json")]
+    for argv, rows in ((["train", "--config", config], [5, 13]),
+                       (["calibrate", "--config", config, *checkpoint], [5, 3]),
+                       (["evaluate", "--config", config, *checkpoint,
+                         "--out", str(tmp_path / "eval")], [5])):
+        decoded.clear()
+        assert main(argv) == 0, argv[0]
+        assert decoded == rows, argv[0]
 
 
 def _nan_first_weight(doc):

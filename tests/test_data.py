@@ -169,6 +169,25 @@ def test_csv_fixture(tmp_path):
     np.testing.assert_array_equal(data.x[1], [-1.0, 2.0])
 
 
+@pytest.mark.parametrize("header", [["y", "a"], ["a", "y"]],
+                         ids=["before_the_label_column", "before_a_feature_column"])
+def test_csv_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, header):
+    """A CSV that starts with a UTF-8 byte order mark loads the same rows as
+    one without, and a bad cell in its first column names that column plainly."""
+    rows = [",".join(header)] + [",".join("1" if name == "y" else f"{v:.3f}" for name in header)
+                                 for v in (0.5, -1.5)]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    marked.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = load_csv(plain, "y", n_classes=2), load_csv(marked, "y", n_classes=2)
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    rows[1] = "x," + rows[1].split(",", 1)[1]
+    marked.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+    with pytest.raises(ValueError, match=f"column {header[0]!r}$"):
+        load_csv(marked, "y", n_classes=2)
+
+
 def test_csv_label_out_of_declared_range(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,x1,y\n0.5,1.5,2\n")
@@ -242,6 +261,35 @@ def test_test_source_must_have_the_training_feature_count(tmp_path, source):
     cfg = resolve_config({"dataset": {"source": source, "train_fraction": 0.5, **dataset}})
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {widths}$"):
         build_datasets(cfg)
+
+
+def test_idx_pool_split_before_decoding_matches_the_decoded_pool_bitwise(tmp_path):
+    """An uneven IDX pool split on its labels and decoded after the split gives
+    the x, y and ids of load_idx_pair + stratified_split, for any splits asked for."""
+    rng = np.random.default_rng(5)
+    labels = rng.permutation(np.repeat(np.arange(4), [7, 3, 11, 5]))
+    pixels = rng.integers(0, 256, (len(labels), 3, 3), dtype=np.uint8)
+    (tmp_path / "pool").mkdir()
+    (tmp_path / "test").mkdir()
+    pool = idx_fixture(tmp_path / "pool", pixels, labels.tolist())
+    test = idx_fixture(tmp_path / "test", pixels[:6], labels[:6].tolist())
+    cfg = resolve_config({"dataset": {
+        "source": "idx_pair", "seed": 9, "train_fraction": 0.7,
+        **dict(zip(("images", "labels", "test_images", "test_labels"),
+                   map(str, (*pool, *test))))}})
+    reference = dict(zip(("train", "val"),
+                         stratified_split(load_idx_pair(*pool), 0.7, seed=[9, 2])))
+    for splits in (("train", "val", "test"), ("train", "test"), ("val", "test"), ("val",)):
+        built = dict(zip(("train", "val", "test"), build_datasets(cfg, splits=splits)))
+        assert (built["test"] is None) == ("test" not in splits)
+        for name, want in reference.items():
+            got = built[name]
+            if name not in splits:
+                assert got is None
+                continue
+            assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes() and got.ids.tobytes() == want.ids.tobytes()
+            assert got.n_classes == want.n_classes == 4
 
 
 def test_stratified_split_fractions():
