@@ -40,5 +40,6 @@ for _ in result.prune_events:
 print(" -> ".join(str(c) for c in chain))
 
 # survivors keep the highest EMA scores; the pruned tail is gone
+kept = result.ema[result.survivors]  # survivors: positions in `train`
 print(f"\nfinal survivors: {len(result.survivors)} "
-      f"(ema range {result.survivors.ema.min():.3f}..{result.survivors.ema.max():.3f})")
+      f"(ema range {kept.min():.3f}..{kept.max():.3f})")

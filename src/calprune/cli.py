@@ -38,6 +38,13 @@ def _print_report(report):
     return lines
 
 
+def _source(cfg, split):
+    """The file the "train" or "test" rows are read from, or the generated set's name."""
+    d = cfg["dataset"]
+    prefix = "test_" if split == "test" else ""
+    return d[prefix + "images"] or d[prefix + "path"] or f"{d['source']} {split} set"
+
+
 def cmd_train(args):
     cfg = load_config(args.config, overrides=args.set or ())
     check_output_dir(cfg["output_dir"])
@@ -45,7 +52,10 @@ def cmd_train(args):
     widths = model_widths(cfg, train.x.shape[1], train.n_classes)
     train_config = build_train_config(cfg)
     params = init_mlp(widths, train_config.seed)
-    result = train_with_pruning(train, params, train_config)
+    try:
+        result = train_with_pruning(train, params, train_config)
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(f"{_source(cfg, 'train')}: {exc}") from None
     report = evaluate_model(result.params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
     files = bundle_texts(report, run_doc=run_result_doc(result, report, cfg))
     write_bundle(cfg["output_dir"], files,
@@ -65,8 +75,7 @@ def _checkpoint_and_data(args, cfg, splits):
     raises naming both."""
     params = load_checkpoint(args.checkpoint)
     _, val, test = build_datasets(cfg, splits=splits, n_classes=params.n_classes)
-    d = cfg["dataset"]
-    source = d["test_images"] or d["test_path"] or f"{d['source']} test set"
+    source = _source(cfg, "test")
     if params.widths[0] != test.x.shape[1]:
         raise ValueError(f"{source}: {test.x.shape[1]} features per row, checkpoint "
                          f"{args.checkpoint} expects {params.widths[0]}")

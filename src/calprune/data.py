@@ -8,6 +8,7 @@ posterior available in closed form.
 """
 
 import csv
+import io
 import json
 import math
 import struct
@@ -27,15 +28,14 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """Labeled rows with stable original ids and per-row EMA confidence scores.
+    """Labeled rows with stable original ids.
 
     Arrays enter through the constructor, which checks them once; ids default
-    to the row positions and EMA scores to 0."""
+    to the row positions."""
     x: np.ndarray
     y: np.ndarray
     n_classes: int
     ids: np.ndarray = None
-    ema: np.ndarray = None
 
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
@@ -52,10 +52,6 @@ class Dataset:
             self.ids = np.arange(n, dtype=np.int64)
         elif self.ids.shape != (n,) or len(np.unique(self.ids)) != n:
             raise ValueError(f"ids must be {n} unique values, one per row")
-        if self.ema is None:
-            self.ema = np.zeros(n)
-        elif self.ema.shape != (n,) or not np.all((self.ema >= 0) & (self.ema <= 1)):
-            raise ValueError(f"ema must be {n} scores in [0, 1], one per row")
 
     def __len__(self):
         return self.x.shape[0]
@@ -208,10 +204,11 @@ def load_csv(path, label_column, n_classes=None):
     """Rectangular numeric UTF-8 CSV with a header (a leading byte order mark is
     skipped); one integer-valued label column."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: invalid UTF-8: {exc}") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]
@@ -279,18 +276,18 @@ def split_positions(y, n_classes, train_fraction, seed):
 
 def stratified_split(data, train_fraction, seed):
     """(train, validation) Datasets of `data` split by `split_positions`; their
-    ids are the rows' positions in `data`, with every EMA score at 0."""
+    ids are the rows' positions in `data`."""
     return tuple(Dataset(data.x[rows], data.y[rows], data.n_classes, ids=rows)
                  for rows in split_positions(data.y, data.n_classes, train_fraction, seed))
 
 
-def minibatches(dataset, batch_size, epoch, seed):
-    """Seeded permutation of the dataset cut into consecutive index blocks.
+def minibatches(rows, batch_size, epoch, seed):
+    """Seeded permutation of the positions 0..len(rows)-1 cut into consecutive blocks.
 
     The permutation is seeded by the (seed, epoch) pair; the final partial
     block is kept.
     """
     check("train.batch_size", batch_size)
-    n = len(dataset)
+    n = len(rows)
     perm = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]

@@ -3,10 +3,9 @@
 Every training instance carries an exponentially smoothed confidence score
 e <- factor * c + (1 - factor) * e (starting from 0). At scheduled epochs the
 lowest-scored fraction of each class is removed; pruned instances never
-return. All operations are pure: they return new Datasets.
+return. Both operations read plain arrays and return new ones.
 """
 
-import copy
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,44 +36,35 @@ def prune_count(percent, n):
     return int(Fraction(percent) * n / 100)
 
 
-def update_ema(dataset, confidences, ema_factor):
-    """Blend this epoch's confidences into every instance's EMA score.
+def update_ema(scores, confidences, ema_factor):
+    """The EMA `scores` with this epoch's confidences blended in.
 
-    `confidences` holds one value in [0, 1] per instance, by position; a NaN
+    `confidences` holds one value in [0, 1] per score, by position; a NaN
     (an instance never visited this epoch) is an error.
     """
     check("prune.ema_factor", ema_factor)
     if ema_factor == 0:
         warnings.warn("ema factor 0 keeps all scores frozen forever", stacklevel=2)
-    if confidences.shape != (len(dataset),):
-        raise ValueError(f"got {confidences.shape} confidences for {len(dataset)} instances")
+    if confidences.shape != scores.shape:
+        raise ValueError(f"got {confidences.shape} confidences for {len(scores)} instances")
     bad = np.flatnonzero(~((confidences >= 0.0) & (confidences <= 1.0)))
     if bad.size:
-        raise ValueError(f"confidence {confidences[bad[0]]} for id {dataset.ids[bad[0]]} "
-                         "outside [0, 1]")
-    out = copy.copy(dataset)  # a blend of in-range scores needs no re-check
-    out.ema = ema_factor * confidences + (1.0 - ema_factor) * dataset.ema
-    return out
+        raise ValueError(f"confidence {confidences[bad[0]]} at position {bad[0]} outside [0, 1]")
+    return ema_factor * confidences + (1.0 - ema_factor) * scores
 
 
-def prune_using_ema(dataset, percent):
-    """Remove the lowest-EMA percent of each class (ties: lowest original id first).
-
-    Survivors keep their relative order within a class; classes are
-    concatenated in ascending index order. Surviving EMA scores are untouched.
-    """
+def prune_using_ema(labels, ids, scores, n_classes, percent):
+    """Positions into `labels`, `ids` and `scores` (one value per row) of the rows
+    left when each class loses its lowest-scored percent, ties to the lowest id
+    first; survivors keep their order within a class, classes ascending."""
     check("prune.percent", percent)
     keep_parts = []
-    for k in range(dataset.n_classes):
-        positions = np.flatnonzero(dataset.y == k)
+    for k in range(n_classes):
+        positions = np.flatnonzero(labels == k)
         if positions.size == 0:
             raise ValueError(f"class {k} has no instances to prune from")
-        removed = prune_count(percent, positions.size)
-        order = np.lexsort((dataset.ids[positions], dataset.ema[positions]))
+        order = np.lexsort((ids[positions], scores[positions]))
         survives = np.ones(positions.size, dtype=bool)
-        survives[order[:removed]] = False
+        survives[order[:prune_count(percent, positions.size)]] = False
         keep_parts.append(positions[survives])
-    keep = np.concatenate(keep_parts)
-    out = copy.copy(dataset)  # a row subset of a checked record needs no re-check
-    out.x, out.y, out.ids, out.ema = (a[keep] for a in (out.x, out.y, out.ids, out.ema))
-    return out
+    return np.concatenate(keep_parts)

@@ -70,7 +70,8 @@ class RunResult:
     prune_events: list
     total_sample_updates: int
     wall_clock_seconds: float  # training alone; evaluating the model is not timed
-    survivors: object = None  # the final surviving Dataset, EMA scores included
+    survivors: object = None  # positions in the training Dataset of the rows never pruned
+    ema: object = None  # every training row's final EMA score; a pruned row keeps its last
 
 
 # flat float64 vectors of one length, and name -> view of `scratch`
@@ -130,6 +131,7 @@ def _check_classes(params, data):
         raise ValueError("dataset class counts disagree with the model's output width")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the loss check guards
 def train_with_pruning(train, params, config):
     """Run the full training procedure; evaluating the model is the caller's step."""
     started = time.perf_counter()
@@ -144,7 +146,8 @@ def train_with_pruning(train, params, config):
 
     # every parameter is a view of state.theta, which sgd_update steps in place
     state, feed = sgd_state(param_bindings(params))
-    survivors = train
+    alive = np.arange(len(train))  # positions in `train` (only read) of the surviving rows
+    ema = np.zeros(len(train))  # one score per row of `train`; a pruned row keeps its last
     epoch_log, prune_events = [], []
     total_updates = 0
 
@@ -157,12 +160,12 @@ def train_with_pruning(train, params, config):
 
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(epoch, config)
-        blocks = minibatches(survivors, config.batch_size, epoch, config.seed)
-        epoch_conf = np.full(len(survivors), np.nan)  # by survivor position
+        blocks = minibatches(alive, config.batch_size, epoch, config.seed)
+        epoch_conf = np.full(len(alive), np.nan)  # by position in `alive`
         loss_sum = 0.0
         for batch_no, block in enumerate(blocks):
-            feed["x"] = survivors.x[block]
-            feed["y"] = survivors.y[block]
+            feed["x"] = train.x[alive[block]]
+            feed["y"] = train.y[alive[block]]
             loss_value = float(graph.forward(feed, root=loss_node))
             if not math.isfinite(loss_value):
                 raise TrainingDiverged(
@@ -172,22 +175,22 @@ def train_with_pruning(train, params, config):
             epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
             loss_sum += loss_value * len(block)
 
-        n_surviving = len(survivors)
-        total_updates += n_surviving
-        epoch_log.append(EpochStats(epoch, loss_sum / n_surviving, n_surviving))
+        total_updates += len(alive)
+        epoch_log.append(EpochStats(epoch, loss_sum / len(alive), len(alive)))
         if config.prune is not None:
-            survivors = update_ema(survivors, epoch_conf, config.prune.ema_factor)
+            ema[alive] = update_ema(ema[alive], epoch_conf, config.prune.ema_factor)
             if epoch in config.prune.epochs:
-                before = survivors.class_sizes()
-                survivors = prune_using_ema(survivors, config.prune.percent)
-                prune_events.append(PruneEvent(epoch, (before - survivors.class_sizes()).tolist(),
-                                               len(survivors)))
+                keep = prune_using_ema(train.y[alive], train.ids[alive], ema[alive], n_classes,
+                                       config.prune.percent)
+                removed = np.bincount(train.y[np.delete(alive, keep)], minlength=n_classes)
+                alive = alive[keep]
+                prune_events.append(PruneEvent(epoch, removed.tolist(), len(alive)))
 
     layers = range(params.n_layers)
     final_params = MlpParams(list(params.widths), [feed[f"w{i}"] for i in layers],
                              [feed[f"b{i}"] for i in layers])
     return RunResult(final_params, epoch_log, prune_events, total_updates,
-                     time.perf_counter() - started, survivors)
+                     time.perf_counter() - started, alive, ema)
 
 
 def records_for(params, data, temperatures=(1.0,)):

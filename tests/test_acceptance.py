@@ -198,24 +198,26 @@ def test_criterion_03_pruning_arithmetic():
         labels = np.repeat(np.arange(n_classes), sizes)
         emas = np.round(rng.uniform(0, 1, len(labels)), 1)  # coarse: forces ties
         ids = rng.permutation(len(labels)).astype(np.int64)
-        ds = Dataset(rng.normal(size=(len(labels), 2)), labels, n_classes, ids=ids,
-                     ema=emas)
-        out = prune_using_ema(ds, percent)
+        ds = Dataset(rng.normal(size=(len(labels), 2)), labels, n_classes, ids=ids)
+        keep = prune_using_ema(ds.y, ds.ids, emas, n_classes, percent)
+        out_y, out_ids, out_emas = ds.y[keep], ds.ids[keep], emas[keep]
+        out_sizes = np.bincount(out_y, minlength=n_classes)
         for k in range(n_classes):
             n_k = int(sizes[k])
             expected = n_k - int(Fraction(percent) * n_k / 100)
-            assert out.class_sizes()[k] == expected, (trial, k)
+            assert out_sizes[k] == expected, (trial, k)
             # victims are exactly the lowest (ema, id) pairs
             in_class = np.flatnonzero(ds.y == k)
-            order = sorted(in_class, key=lambda i: (ds.ema[i], ds.ids[i]))
+            order = sorted(in_class, key=lambda i: (emas[i], ds.ids[i]))
             victim_ids = {int(ds.ids[i]) for i in order[:n_k - expected]}
-            survivor_ids = set(out.ids[out.y == k].tolist())
+            survivor_ids = set(out_ids[out_y == k].tolist())
             assert survivor_ids == {int(ds.ids[i]) for i in in_class} - victim_ids
         # repeated pruning compounds per the same closed form
-        again = prune_using_ema(out, percent)
+        again = prune_using_ema(out_y, out_ids, out_emas, n_classes, percent)
+        again_sizes = np.bincount(out_y[again], minlength=n_classes)
         for k in range(n_classes):
-            n_k = int(out.class_sizes()[k])
-            assert again.class_sizes()[k] == n_k - prune_count(percent, n_k)
+            n_k = int(out_sizes[k])
+            assert again_sizes[k] == n_k - prune_count(percent, n_k)
     elapsed = time.perf_counter() - started
     assert criterion(3, elapsed < 5.0,
                      f"200 random (sizes, fraction) configs exact, {elapsed:.1f}s "
@@ -237,16 +239,16 @@ def test_criterion_04_ema_closed_form():
         length = int(rng.integers(1, 101))
         kappa = float(rng.uniform(0.0, 1.0))
         confs = rng.uniform(0, 1, size=(length, batch))
-        ds = Dataset(np.zeros((batch, 2)), np.zeros(batch, dtype=np.int64), 1)
+        scores = np.zeros(batch)
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")  # kappa may legitimately be 0
             for t in range(length):
-                ds = update_ema(ds, confs[t], kappa)
+                scores = update_ema(scores, confs[t], kappa)
         closed = kappa * np.array(
             [sum((1 - kappa) ** (length - 1 - t) * confs[t, i] for t in range(length))
              for i in range(batch)])
-        worst = max(worst, float(np.max(np.abs(ds.ema - closed))))
+        worst = max(worst, float(np.max(np.abs(scores - closed))))
         checked += batch
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 5.0

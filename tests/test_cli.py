@@ -927,6 +927,30 @@ def test_one_class_training_labels_name_their_file(tmp_path, capsys, source):
     _assert_input_error_names(tmp_path, capsys, path, bad)
 
 
+def test_diverging_training_exits_1_naming_its_training_file(tmp_path, capsys):
+    """A feature cell of 1e308 overflows the first layer. The non-finite loss
+    aborts training on one line naming the training file; numpy's overflow
+    warning, an error under this suite's warning filter, never escapes."""
+    rng = np.random.default_rng(0)
+    rows = [f"{a:.3f},{b:.3f},{y}" for (a, b), y in zip(rng.normal(size=(60, 2)),
+                                                         np.tile([0, 1, 2], 20))]
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(["a,b,y", "1e308," + rows[0].split(",", 1)[1], *rows[1:]]))
+    (tmp_path / "test.csv").write_text("\n".join(["a,b,y", *rows]) + "\n")
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({
+        "dataset": {"source": "csv", "path": str(train),
+                    "test_path": str(tmp_path / "test.csv"), "label_column": "y"},
+        "model": {"hidden": [8]},
+        "train": {"max_epochs": 2, "batch_size": 32, "lr_milestones": []},
+        "output_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"training aborted: {re.escape(str(train))}: non-finite loss at "
+                        r"epoch 1, batch \d+\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
 def write_csv(path, header, labels, seed):
     """A CSV with `header`; each column named y holds the label, the rest features."""
     rng = np.random.default_rng(seed)

@@ -188,6 +188,15 @@ def test_csv_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, head
         load_csv(marked, "y", n_classes=2)
 
 
+def test_csv_truncated_byte_order_mark_is_invalid_utf8(tmp_path):
+    """The first two bytes of a byte order mark alone are not UTF-8; they are
+    reported as such, not dropped to leave an empty file."""
+    path = tmp_path / "cut.csv"
+    path.write_bytes(b"\xef\xbb")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid UTF-8: "):
+        load_csv(path, "y")
+
+
 def test_csv_label_out_of_declared_range(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,x1,y\n0.5,1.5,2\n")
@@ -297,7 +306,6 @@ def test_stratified_split_fractions():
     train, val = stratified_split(data, 0.9, seed=1)
     assert train.class_sizes().tolist() == [90, 90, 90]
     assert np.bincount(val.y).tolist() == [10, 10, 10]
-    assert np.all(train.ema == 0.0)
 
 
 def test_stratified_split_floor_rule():
@@ -339,7 +347,6 @@ def test_stratified_split_rejects_a_class_left_out_of_training():
 def test_dataset_defaults_ids_and_ema():
     data = Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), 2)
     assert data.ids.dtype == np.int64 and data.ids.tolist() == [0, 1, 2]
-    assert data.ema.tolist() == [0.0, 0.0, 0.0]
     assert data.class_sizes().tolist() == [1, 2]
 
 
@@ -352,15 +359,10 @@ def test_dataset_defaults_ids_and_ema():
     ("y", np.array([0, -1, 1, 0]), "labels out of range"),
     ("ids", np.arange(3), "ids must be 4 unique values"),
     ("ids", np.array([4, 7, 4, 1]), "ids must be 4 unique values"),
-    ("ema", np.zeros(5), r"ema must be 4 scores in \[0, 1\]"),
-    ("ema", np.array([0.0, 0.5, 1.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
-    ("ema", np.array([0.0, -0.1, 0.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
-    ("ema", np.array([0.0, np.nan, 0.5, 0.0]), r"ema must be 4 scores in \[0, 1\]"),
     ("y", np.array([0.0, 1.0, 1.5, 0.0]), "y must be an integer array .* float64"),
     ("n_classes", 2.5, "n_classes must be an integer >= 1, got 2.5"),
 ], ids=["x_1d", "y_short", "x_nan", "x_inf", "label_high", "label_negative",
-        "ids_short", "ids_repeated", "ema_long", "ema_above_1", "ema_negative", "ema_nan",
-        "y_float", "classes_fractional"])
+        "ids_short", "ids_repeated", "y_float", "classes_fractional"])
 def test_dataset_rejects_broken_invariants(field, value, message):
     fields = {"x": np.zeros((4, 2)), "y": np.array([0, 1, 1, 0]), "n_classes": 2}
     fields[field] = value

@@ -1,57 +1,63 @@
 """EMA updates, the classwise prune rule, the resolved prune epochs, and schedule validation."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from calprune.config import build_prune_schedule, resolve_config
-from calprune.data import Dataset
 from calprune.pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 
+# one value per row: label, original id, EMA score
+Rows = namedtuple("Rows", "y ids ema")
 
-def make_dataset(labels, emas=None, ids=None, n_classes=None):
+
+def make_rows(labels, emas=None, ids=None):
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     emas = np.zeros(n) if emas is None else np.asarray(emas, dtype=np.float64)
     ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    k = int(labels.max()) + 1 if n_classes is None else n_classes
-    x = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
-    return Dataset(x, labels, k, ids=ids, ema=emas)
+    return Rows(labels, ids, emas)
+
+
+def prune(rows, percent, n_classes=None):
+    """The rows that `prune_using_ema` keeps, in the order of its positions."""
+    k = int(rows.y.max()) + 1 if n_classes is None else n_classes
+    keep = prune_using_ema(*rows, k, percent)
+    return Rows(*(a[keep] for a in rows))
 
 
 def test_update_ema_basic_arithmetic():
-    ds = make_dataset([0, 0])
-    out = update_ema(ds, np.array([0.8, 0.5]), ema_factor=0.3)
-    assert out.ema[0] == pytest.approx(0.24, abs=1e-15)
-    assert out.ema[1] == pytest.approx(0.15, abs=1e-15)
-    # input dataset untouched
-    assert np.all(ds.ema == 0.0)
+    scores = np.zeros(2)
+    out = update_ema(scores, np.array([0.8, 0.5]), ema_factor=0.3)
+    assert out[0] == pytest.approx(0.24, abs=1e-15)
+    assert out[1] == pytest.approx(0.15, abs=1e-15)
+    # input scores untouched
+    assert np.all(scores == 0.0)
 
 
 def test_update_ema_factor_one_has_no_memory():
-    ds = make_dataset([0, 0], emas=[0.9, 0.1])
-    out = update_ema(ds, np.array([0.3, 0.7]), ema_factor=1.0)
-    np.testing.assert_array_equal(out.ema, [0.3, 0.7])
+    out = update_ema(np.array([0.9, 0.1]), np.array([0.3, 0.7]), ema_factor=1.0)
+    np.testing.assert_array_equal(out, [0.3, 0.7])
 
 
 def test_update_ema_factor_zero_warns_and_freezes():
-    ds = make_dataset([0, 0], emas=[0.9, 0.1])
     with pytest.warns(UserWarning, match="frozen"):
-        out = update_ema(ds, np.array([0.3, 0.7]), ema_factor=0.0)
-    np.testing.assert_array_equal(out.ema, [0.9, 0.1])
+        out = update_ema(np.array([0.9, 0.1]), np.array([0.3, 0.7]), ema_factor=0.0)
+    np.testing.assert_array_equal(out, [0.9, 0.1])
 
 
 def test_update_ema_missing_confidence_rejected():
-    ds = make_dataset([0, 0])
-    with pytest.raises(ValueError, match="id 1"):  # NaN marks a row never visited
-        update_ema(ds, np.array([0.5, np.nan]), ema_factor=0.3)
+    scores = np.zeros(2)
+    with pytest.raises(ValueError, match="position 1"):  # NaN marks a row never visited
+        update_ema(scores, np.array([0.5, np.nan]), ema_factor=0.3)
     with pytest.raises(ValueError, match="2 instances"):
-        update_ema(ds, np.array([0.5]), ema_factor=0.3)
+        update_ema(scores, np.array([0.5]), ema_factor=0.3)
 
 
 def test_update_ema_out_of_range_confidence_rejected():
-    ds = make_dataset([0])
     with pytest.raises(ValueError, match="outside"):
-        update_ema(ds, np.array([1.5]), ema_factor=0.3)
+        update_ema(np.zeros(1), np.array([1.5]), ema_factor=0.3)
 
 
 def test_ema_closed_form_matches_iteration():
@@ -60,60 +66,60 @@ def test_ema_closed_form_matches_iteration():
         length = rng.integers(1, 60)
         kappa = float(rng.uniform(0.05, 1.0))
         confs = rng.uniform(0, 1, size=length)
-        ds = make_dataset([0])
+        scores = np.zeros(1)
         for c in confs:
-            ds = update_ema(ds, np.array([c]), ema_factor=kappa)
+            scores = update_ema(scores, np.array([c]), ema_factor=kappa)
         closed = kappa * sum((1 - kappa) ** (length - 1 - t) * confs[t]
                              for t in range(length))
-        assert ds.ema[0] == pytest.approx(closed, abs=1e-12)
+        assert scores[0] == pytest.approx(closed, abs=1e-12)
 
 
 def test_prune_ten_classes_ten_percent():
-    ds = make_dataset(np.repeat(np.arange(10), 100))
-    out = prune_using_ema(ds, 10.0)
-    assert len(out) == 900
-    np.testing.assert_array_equal(out.class_sizes(), [90] * 10)
+    rows = make_rows(np.repeat(np.arange(10), 100))
+    out = prune(rows, 10.0)
+    assert len(out.y) == 900
+    np.testing.assert_array_equal(np.bincount(out.y), [90] * 10)
 
 
 def test_prune_removes_lowest_ema():
-    ds = make_dataset([0, 0, 0], emas=[0.1, 0.5, 0.9])
-    out = prune_using_ema(ds, 40.0)  # floor(1.2) = 1 removed
-    assert len(out) == 2
+    rows = make_rows([0, 0, 0], emas=[0.1, 0.5, 0.9])
+    out = prune(rows, 40.0)  # floor(1.2) = 1 removed
+    assert len(out.y) == 2
     np.testing.assert_array_equal(out.ema, [0.5, 0.9])
     np.testing.assert_array_equal(out.ids, [1, 2])
 
 
 def test_prune_compounds():
-    ds = make_dataset(np.repeat(np.arange(2), 1000))
-    once = prune_using_ema(ds, 10.0)
-    twice = prune_using_ema(once, 10.0)
-    np.testing.assert_array_equal(once.class_sizes(), [900, 900])
-    np.testing.assert_array_equal(twice.class_sizes(), [810, 810])
+    rows = make_rows(np.repeat(np.arange(2), 1000))
+    once = prune(rows, 10.0)
+    twice = prune(once, 10.0)
+    np.testing.assert_array_equal(np.bincount(once.y), [900, 900])
+    np.testing.assert_array_equal(np.bincount(twice.y), [810, 810])
 
 
 def test_prune_tie_break_removes_lowest_id():
-    ds = make_dataset([0, 0, 0, 0], emas=[0.5, 0.5, 0.5, 0.5], ids=[7, 3, 9, 1])
-    out = prune_using_ema(ds, 50.0)
+    rows = make_rows([0, 0, 0, 0], emas=[0.5, 0.5, 0.5, 0.5], ids=[7, 3, 9, 1])
+    out = prune(rows, 50.0)
     assert sorted(out.ids.tolist()) == [7, 9]
 
 
 def test_prune_preserves_survivor_order_and_class_grouping():
-    ds = make_dataset([1, 0, 1, 0, 1, 0], emas=[0.9, 0.8, 0.1, 0.2, 0.5, 0.7])
-    out = prune_using_ema(ds, 34.0)  # floor(1.02) = 1 per class
+    rows = make_rows([1, 0, 1, 0, 1, 0], emas=[0.9, 0.8, 0.1, 0.2, 0.5, 0.7])
+    out = prune(rows, 34.0)  # floor(1.02) = 1 per class
     # class 0 keeps ids 1, 5 (drops ema .2); class 1 keeps ids 0, 4 (drops ema .1)
     np.testing.assert_array_equal(out.y, [0, 0, 1, 1])
     np.testing.assert_array_equal(out.ids, [1, 5, 0, 4])
 
 
-def setdiff_survivor_ids(dataset, percent):
+def setdiff_survivor_ids(rows, n_classes, percent):
     """The survivors' ids when each class drops its victims with np.setdiff1d."""
     keep_parts = []
-    for k in range(dataset.n_classes):
-        positions = np.flatnonzero(dataset.y == k)
-        order = np.lexsort((dataset.ids[positions], dataset.ema[positions]))
+    for k in range(n_classes):
+        positions = np.flatnonzero(rows.y == k)
+        order = np.lexsort((rows.ids[positions], rows.ema[positions]))
         victims = positions[order[:prune_count(percent, positions.size)]]
         keep_parts.append(np.setdiff1d(positions, victims))
-    return dataset.ids[np.concatenate(keep_parts)]
+    return rows.ids[np.concatenate(keep_parts)]
 
 
 def test_prune_mask_keeps_the_setdiff_survivors_in_order():
@@ -123,26 +129,26 @@ def test_prune_mask_keeps_the_setdiff_survivors_in_order():
     labels = rng.integers(0, 3, size=90)
     emas = rng.choice([0.1, 0.5, 0.9], size=90)
     ids = rng.permutation(1000)[:90]
-    ds = make_dataset(labels, emas=emas, ids=ids, n_classes=3)
+    rows = make_rows(labels, emas=emas, ids=ids)
     for percent in (10.0, 34.0, 50.0, 95.0):
-        out = prune_using_ema(ds, percent)
-        assert out.ids.tolist() == setdiff_survivor_ids(ds, percent).tolist(), percent
+        out = prune(rows, percent, n_classes=3)
+        assert out.ids.tolist() == setdiff_survivor_ids(rows, 3, percent).tolist(), percent
         assert out.ema.tolist() == [emas[ids.tolist().index(i)] for i in out.ids]
 
 
 def test_prune_never_mutates_surviving_scores():
     rng = np.random.default_rng(6)
-    ds = make_dataset(rng.integers(0, 3, size=60), emas=rng.uniform(0, 1, 60))
-    out = prune_using_ema(ds, 25.0)
-    kept = np.isin(ds.ids, out.ids)
-    np.testing.assert_array_equal(np.sort(ds.ema[kept]), np.sort(out.ema))
+    rows = make_rows(rng.integers(0, 3, size=60), emas=rng.uniform(0, 1, 60))
+    out = prune(rows, 25.0)
+    kept = np.isin(rows.ids, out.ids)
+    np.testing.assert_array_equal(np.sort(rows.ema[kept]), np.sort(out.ema))
 
 
 def test_prune_rejects_bad_percent():
-    ds = make_dataset([0, 1])
+    rows = make_rows([0, 1])
     for bad in (0.0, 100.0, -3.0):
         with pytest.raises(ValueError):
-            prune_using_ema(ds, bad)
+            prune(rows, bad)
 
 
 def test_prune_count_exact_rational():
@@ -154,11 +160,11 @@ def test_prune_count_exact_rational():
 
 def test_monotone_shrinking_id_set():
     rng = np.random.default_rng(7)
-    ds = make_dataset(rng.integers(0, 4, size=200), emas=rng.uniform(0, 1, 200))
-    seen = set(ds.ids.tolist())
+    rows = make_rows(rng.integers(0, 4, size=200), emas=rng.uniform(0, 1, 200))
+    seen = set(rows.ids.tolist())
     for _ in range(5):
-        ds = prune_using_ema(ds, 15.0)
-        current = set(ds.ids.tolist())
+        rows = prune(rows, 15.0, n_classes=4)
+        current = set(rows.ids.tolist())
         assert current <= seen
         seen = current
 

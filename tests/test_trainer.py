@@ -191,10 +191,12 @@ def test_training_is_bitwise_deterministic():
 
 def graph_per_batch_training(train, params, config):
     """Reference loop: the training procedure with a fresh graph per minibatch,
-    and the SGD step written out per parameter array."""
+    the SGD step written out per parameter array, and each prune event copying
+    the survivors' rows into a new Dataset."""
     bindings = {name: np.array(arr) for name, arr in param_bindings(params).items()}
     velocity = {name: np.zeros_like(arr) for name, arr in bindings.items()}
     survivors = train
+    ema = np.zeros(len(train))  # by survivor position
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(epoch, config)
         confidences = np.full(len(survivors), np.nan)
@@ -214,9 +216,13 @@ def graph_per_batch_training(train, params, config):
                 v += step
                 theta -= lr * v
             confidences[block] = np.exp(np.max(log_probs.value, axis=1))
-        survivors = update_ema(survivors, confidences, config.prune.ema_factor)
+        ema = update_ema(ema, confidences, config.prune.ema_factor)
         if epoch in config.prune.epochs:
-            survivors = prune_using_ema(survivors, config.prune.percent)
+            keep = prune_using_ema(survivors.y, survivors.ids, ema, survivors.n_classes,
+                                   config.prune.percent)
+            survivors = Dataset(survivors.x[keep], survivors.y[keep], survivors.n_classes,
+                                ids=survivors.ids[keep])
+            ema = ema[keep]
     return bindings
 
 
@@ -259,12 +265,20 @@ def test_ema_log_matches_closed_form(monkeypatch):
     train, _, _ = small_experiment(noise=0.1, seed=6)
     kappa = 0.3
     logged = []  # per-epoch (original ids, confidences) arrays, seen by update_ema
+    alive_ids = [train.ids]  # the survivors' original ids, by position, as pruning leaves them
 
-    def spy(dataset, confidences, ema_factor):
-        logged.append((dataset.ids, confidences))
-        return update_ema(dataset, confidences, ema_factor)
+    def spy(scores, confidences, ema_factor):
+        logged.append((alive_ids[-1], confidences))
+        return update_ema(scores, confidences, ema_factor)
+
+    def prune_spy(labels, ids, scores, n_classes, percent):
+        assert ids.tolist() == alive_ids[-1].tolist()
+        keep = prune_using_ema(labels, ids, scores, n_classes, percent)
+        alive_ids.append(ids[keep])
+        return keep
 
     monkeypatch.setattr(trainer, "update_ema", spy)
+    monkeypatch.setattr(trainer, "prune_using_ema", prune_spy)
     cfg = TrainConfig(max_epochs=8, batch_size=32, learning_rate=0.05,
                       lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, ema_factor=kappa, epochs={4, 8}))
@@ -273,14 +287,18 @@ def test_ema_log_matches_closed_form(monkeypatch):
     assert len(logged) == 8
     assert all(np.all((0.0 <= c) & (c <= 1.0)) for _, c in logged)
     by_id = [dict(zip(ids.tolist(), c.tolist())) for ids, c in logged]
-    # every final survivor's ema equals the closed form over its logged
-    # confidences: e = sum_t kappa * (1-kappa)^(last-t) * c_t
+    # every row's ema equals the closed form over the confidences logged while
+    # it was alive: e = sum_t kappa * (1-kappa)^(last-t) * c_t; a final survivor
+    # was logged every epoch, and a pruned row keeps its score from its last one
     assert len(result.survivors) > 0
-    for row, original_id in enumerate(result.survivors.ids):
-        confs = [epoch[int(original_id)] for epoch in by_id]
+    assert train.ids[result.survivors].tolist() == alive_ids[-1].tolist()
+    survivors = set(result.survivors.tolist())
+    for row, original_id in enumerate(train.ids.tolist()):
+        confs = [epoch[original_id] for epoch in by_id if original_id in epoch]
+        assert len(confs) == 8 if row in survivors else len(confs) in (4, 8)
         closed = sum(kappa * (1 - kappa) ** (len(confs) - 1 - t) * confs[t]
                      for t in range(len(confs)))
-        assert result.survivors.ema[row] == pytest.approx(closed, abs=1e-10)
+        assert result.ema[row] == pytest.approx(closed, abs=1e-10)
 
 
 def test_nan_aborts_loudly():
@@ -289,7 +307,7 @@ def test_nan_aborts_loudly():
                       lr_milestones=[], momentum=0.0, weight_decay=0.0, seed=8,
                       loss=LossSpec(kind="nll"))
     params = init_mlp([2, 8, 2], seed=8)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="epoch"):
+    with pytest.raises(TrainingDiverged, match="epoch"):
         train_with_pruning(train, params, cfg)
 
 
