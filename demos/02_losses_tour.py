@@ -34,9 +34,9 @@ for gamma in (0.0, 1.0, 3.0):
     print(f"focal gamma={gamma}:     ", value(focal_loss, gamma=gamma))
 
 # the sample-dependent schedule bumps gamma to 5 when the target prob is below
-# 0.2; the focal_power node saves the exponents it chose in its forward
-g, flsd = evaluated(flsd_loss)
-gammas, _ = next(node.saved for node in g.nodes if node.op == "focal_power")
+# 0.2; flsd_loss is one focal node, which saves the exponents it chose first
+_, flsd = evaluated(flsd_loss)
+gammas = flsd.saved[0]
 print("flsd per-sample gammas:", gammas.tolist())
 print("flsd:               ", float(flsd.value))
 

@@ -136,14 +136,34 @@ def _broadcasting(ufunc):
     return evaluate
 
 
-def _gather_rows(node, x, idx):
-    if x.ndim != 2:
-        raise GraphError(f"gather_rows: expected 2-d input, got shape {x.shape}")
-    if idx.shape != (x.shape[0],):
-        raise GraphError(f"gather_rows: index shape {idx.shape} does not match rows of {x.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise GraphError(f"gather_rows: index out of range for {x.shape[1]} columns")
-    return x[np.arange(x.shape[0]), idx]
+def _check_rows(node, x, targets):
+    """Raise unless `x` is (n, K) with n >= 1 and `targets` one label in [0, K) per row."""
+    if x.ndim != 2 or not len(x) or targets.shape != x.shape[:1]:
+        raise GraphError(f"{node.op}: expected (n, K) log-probabilities with n >= 1 and one "
+                         f"target per row, got shapes {x.shape} and {targets.shape}")
+    if targets.min() < 0 or targets.max() >= x.shape[1]:
+        raise GraphError(f"{node.op}: target out of range for {x.shape[1]} classes")
+
+
+def _focal(node, x, targets):
+    _check_rows(node, x, targets)
+    gamma_below, gamma_above, threshold = node.aux
+    picked = x[np.arange(len(x)), targets]
+    p = np.exp(picked)
+    gamma, q = np.where(p < threshold, gamma_below, gamma_above), 1.0 - p
+    weight = q ** gamma
+    node.saved = gamma, q, weight, picked, p
+    return -1.0 * (np.add.reduce(weight * picked, axis=0) / len(x))
+
+
+def _confidence_gap(node, x, targets):
+    _check_rows(node, x, targets)
+    n = len(x)
+    columns = np.argmax(x, axis=1)
+    confidence = np.exp(x[np.arange(n), columns])
+    node.saved = columns, confidence
+    correct = (columns == targets).astype(np.float64)
+    return np.add.reduce(confidence, axis=0) / n - np.add.reduce(correct, axis=0) / n
 
 
 def _mean(node, x):
@@ -163,19 +183,6 @@ def _huber(node, x):
     return np.asarray(alpha * (abs(x) - 0.5 * alpha))
 
 
-def _row_max(node, x):
-    if x.ndim != 2:
-        raise GraphError(f"row_max: expected 2-d input, got shape {x.shape}")
-    node.saved = np.argmax(x, axis=1)
-    return x[np.arange(x.shape[0]), node.saved]
-
-
-def _correct_indicator(node, x, targets):
-    if x.ndim != 2 or targets.shape != (x.shape[0],):
-        raise GraphError(f"correct_indicator: logits shape {x.shape} vs targets {targets.shape}")
-    return (np.argmax(x, axis=1) == targets).astype(np.float64)
-
-
 def _one_hot(node, targets):
     n_classes, on, off = node.aux
     if targets.ndim != 1:
@@ -185,13 +192,6 @@ def _one_hot(node, targets):
     out = np.full((targets.shape[0], n_classes), off)
     out[np.arange(targets.shape[0]), targets] = on
     return out
-
-
-def _focal_power(node, p):
-    threshold, gamma_below, gamma_above = node.aux
-    gamma, q = np.where(p < threshold, gamma_below, gamma_above), 1.0 - p
-    node.saved = gamma, q
-    return q ** gamma
 
 
 # ---- per-input adjoint rules: fn(adj, node, *input_values) -> contribution --
@@ -227,13 +227,22 @@ def _huber_vjp(adj, node, x):
     return adj * (x if abs(x) <= alpha else alpha * np.sign(x))
 
 
-def _focal_power_vjp(adj, node, p):
-    gamma, q = node.saved
-    return -(adj * gamma * q ** (gamma - 1.0))
+def _focal_vjp(adj, node, x, targets):
+    gamma, q, weight, picked, p = node.saved
+    adj_term = np.full(len(x), (-1.0 * adj) / len(x))
+    adj_picked = adj_term * weight
+    if node.aux[:2] != (0.0, 0.0):  # else (1 - p)^0 is constant; its slope is 0 * inf at p = 1
+        adj_picked = adj_picked + (-(adj_term * picked * gamma * q ** (gamma - 1.0))) * p
+    return _scatter_rows(adj_picked, x, targets)
+
+
+def _confidence_gap_vjp(adj, node, x, targets):
+    columns, confidence = node.saved
+    return _scatter_rows(np.full(len(x), adj / len(x)) * confidence, x, columns)
 
 
 # op kind -> (forward rule, adjoint rules for its leading inputs). An input
-# without a rule (such as the targets of gather_rows) gets no gradient.
+# without a rule (such as the targets of focal) gets no gradient.
 RULES = {
     "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
     "dense": (lambda node, h, w, b: dense_layer(h, w, b, node.aux),
@@ -252,15 +261,13 @@ RULES = {
                      * np.add.reduce(adj, axis=-1, keepdims=True),)),
     "exp": (lambda node, x: np.exp(x), (lambda adj, node, x: adj * node.value,)),
     "abs": (lambda node, x: np.abs(x), (lambda adj, node, x: adj * np.sign(x),)),
-    "gather_rows": (_gather_rows, (lambda adj, node, x, idx: _scatter_rows(adj, x, idx),)),
     "mean": (_mean, (lambda adj, node, x: np.full(x.shape, adj / x.shape[0]),)),
     "sum": (lambda node, x: np.asarray(np.sum(x)), (lambda adj, node, x: np.full_like(x, adj),)),
     "scale": (lambda node, x: node.aux * x, (lambda adj, node, x: node.aux * adj,)),
     "huber": (_huber, (_huber_vjp,)),
-    "row_max": (_row_max, (lambda adj, node, x: _scatter_rows(adj, x, node.saved),)),
-    "correct_indicator": (_correct_indicator, ()),
     "one_hot": (_one_hot, ()),
-    "focal_power": (_focal_power, (_focal_power_vjp,)),
+    "focal": (_focal, (_focal_vjp,)),
+    "confidence_gap": (_confidence_gap, (_confidence_gap_vjp,)),
 }
 
 
@@ -381,13 +388,6 @@ class Graph:
     def absolute(self, a):
         return self._append(Node("abs", (a,)))
 
-    def gather_rows(self, a, indices):
-        """Pick one entry per row of a 2-d array: out[i] = a[i, indices[i]].
-
-        `indices` is a node holding one integer per row, e.g. an int_leaf.
-        """
-        return self._append(Node("gather_rows", (a, indices)))
-
     def mean(self, a):
         """Mean over the leading (batch) axis."""
         return self._append(Node("mean", (a,)))
@@ -405,18 +405,6 @@ class Graph:
             raise GraphError(f"huber alpha must be > 0, got {alpha}")
         return self._append(Node("huber", (a,), aux=float(alpha)))
 
-    def row_max(self, a):
-        """Max over the last axis of a 2-d array; ties route to the lowest index."""
-        return self._append(Node("row_max", (a,)))
-
-    def correct_indicator(self, a, targets):
-        """Per-row 0/1 indicator that argmax(a) equals the target label.
-
-        `targets` is a node holding one integer label per row. The indicator
-        is piecewise constant, so it has no adjoint rule.
-        """
-        return self._append(Node("correct_indicator", (a, targets)))
-
     def one_hot(self, targets, n_classes, on=1.0, off=0.0):
         """(n, n_classes) rows holding `on` at each target label and `off` elsewhere.
 
@@ -425,15 +413,19 @@ class Graph:
         return self._append(Node("one_hot", (targets,),
                                  aux=(int(n_classes), float(on), float(off))))
 
-    def focal_power(self, p, gamma_below, gamma_above, threshold):
-        """(1 - p)**gamma of a probability p, with gamma = gamma_below where
-        p < threshold and gamma_above elsewhere (so at the threshold too).
+    def focal(self, log_probs, targets, gamma_below, gamma_above, threshold):
+        """-mean((1 - p)**gamma * log p) over the rows' target log-probabilities
+        log p = log_probs[i, targets[i]], gamma being gamma_below where p <
+        threshold and gamma_above elsewhere, chosen per row on every forward
+        pass; both 0 give the NLL. Neither gamma nor the targets carry gradient."""
+        return self._append(Node("focal", (log_probs, targets),
+                                 aux=(float(gamma_below), float(gamma_above), float(threshold))))
 
-        The exponent is chosen per element on every forward pass and carries
-        no gradient of its own.
-        """
-        return self._append(Node("focal_power", (p,),
-                                 aux=(float(threshold), float(gamma_below), float(gamma_above))))
+    def confidence_gap(self, log_probs, targets):
+        """mean(exp(row max of log_probs)) - mean(argmax == target): batch mean
+        confidence minus batch accuracy, ties routed to the lowest index. Only
+        the confidences carry gradient; the accuracy is piecewise constant."""
+        return self._append(Node("confidence_gap", (log_probs, targets)))
 
     # ---- evaluation -------------------------------------------------------
 

@@ -15,7 +15,7 @@ from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
 from .reporting import (CHECKPOINT_JSON, bundle_texts, check_output_dir, fmt_sig,
                         run_result_doc, write_bundle)
-from .trainer import (TrainingDiverged, evaluate_model, fit_temperature,
+from .trainer import (NonFiniteLogits, TrainingDiverged, evaluate_model, fit_temperature,
                       records_for, train_with_pruning)
 
 
@@ -54,9 +54,9 @@ def cmd_train(args):
     params = init_mlp(widths, train_config.seed)
     try:
         result = train_with_pruning(train, params, train_config)
-    except TrainingDiverged as exc:
+        report = evaluate_model(result.params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
+    except (TrainingDiverged, NonFiniteLogits) as exc:  # either way the run diverged
         raise TrainingDiverged(f"{_source(cfg, 'train')}: {exc}") from None
-    report = evaluate_model(result.params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
     files = bundle_texts(report, run_doc=run_result_doc(result, report, cfg))
     write_bundle(cfg["output_dir"], files,
                  extra_files={CHECKPOINT_JSON: checkpoint_text(result.params)})
@@ -89,7 +89,10 @@ def cmd_evaluate(args):
     cfg = load_config(args.config, overrides=args.set or ())
     check_output_dir(args.out)
     params, _, test = _checkpoint_and_data(args, cfg, splits=("test",))
-    report = evaluate_model(params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
+    try:
+        report = evaluate_model(params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
+    except NonFiniteLogits as exc:
+        raise ValueError(f"checkpoint {args.checkpoint}: {exc}") from None
     write_bundle(args.out, bundle_texts(report))
     for line in _print_report(report):
         print(line)
@@ -99,8 +102,11 @@ def cmd_evaluate(args):
 def cmd_calibrate(args):
     cfg = load_config(args.config, overrides=args.set or ())
     params, val, test = _checkpoint_and_data(args, cfg, splits=("val", "test"))
-    temperature = fit_temperature(params, val)
-    before, after = records_for(params, test, temperatures=(1.0, temperature))
+    try:
+        temperature = fit_temperature(params, val)
+        before, after = records_for(params, test, temperatures=(1.0, temperature))
+    except NonFiniteLogits as exc:
+        raise ValueError(f"checkpoint {args.checkpoint}: {exc}") from None
     _, ece_before = binned_ece(*before, cfg["eval"]["bins"])
     _, ece_after = binned_ece(*after, cfg["eval"]["bins"])
     print(_metric_line("temperature", temperature))

@@ -3,13 +3,13 @@
 Every loss takes a log-probability node (the output of a log-softmax) plus
 a node of integer targets (an int_leaf bound per batch) and returns a scalar
 graph node, so gradients come from the autodiff module. Whatever depends on
-the labels (one-hot rows, class frequencies) is an op of the targets node, and
-every batch average is a `mean` node, so one built graph serves every batch,
-including a short final one. Probabilities are always read back via exp() of
-log-softmax output; no raw softmax of large logits anywhere.
+the labels is an op of the targets node, and every batch average is taken by
+an op (`mean`, `focal`, `confidence_gap`), so one built graph serves every
+batch, including a short final one. Probabilities are always read back via
+exp() of log-softmax output; no raw softmax of large logits anywhere.
 
-Sign convention: the focal family is built with a leading minus so the loss
-value is >= 0 and minimisation is meaningful.
+Sign convention: the focal op carries the leading minus, so the loss value is
+>= 0 and minimisation is meaningful.
 """
 
 from dataclasses import dataclass
@@ -45,52 +45,33 @@ class LossSpec:
 
 
 def nll_loss(g, log_probs, targets):
-    """Mean negative log-likelihood of the target class."""
-    picked = g.gather_rows(log_probs, targets)
-    return g.scale(g.mean(picked), -1.0)
-
-
-def _focal(g, log_probs, targets, gamma_below, gamma_above):
-    """Mean of -(1 - p_target)^gamma * log p_target, gamma chosen per sample
-    by focal_power: gamma_below where p_target < 0.2, else gamma_above."""
-    picked = g.gather_rows(log_probs, targets)
-    weight = g.focal_power(g.exp(picked), gamma_below, gamma_above, FLSD_THRESHOLD)
-    return g.scale(g.mean(g.mul(weight, picked)), -1.0)
+    """Mean negative log-likelihood of the target class: focal loss at gamma = 0."""
+    return g.focal(log_probs, targets, 0.0, 0.0, FLSD_THRESHOLD)
 
 
 def focal_loss(g, log_probs, targets, gamma):
     """Mean of -(1 - p_target)^gamma * log p_target; NLL itself at gamma = 0."""
     check("loss.gamma", gamma)
-    if gamma == 0:
-        return nll_loss(g, log_probs, targets)
-    return _focal(g, log_probs, targets, gamma, gamma)
+    return g.focal(log_probs, targets, gamma, gamma, FLSD_THRESHOLD)
 
 
 def flsd_loss(g, log_probs, targets):
     """Focal loss whose gamma is chosen per sample on every forward pass:
     5 where the target probability is below 0.2, else 3."""
-    return _focal(g, log_probs, targets, FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA)
-
-
-def _confidence_gap(g, log_probs, targets):
-    # batch mean confidence minus batch accuracy; the accuracy carries no gradient
-    conf_mean = g.mean(g.exp(g.row_max(log_probs)))
-    return g.sub(conf_mean, g.mean(g.correct_indicator(log_probs, targets)))
+    return g.focal(log_probs, targets, FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
+                   FLSD_THRESHOLD)
 
 
 def aux_huber_loss(g, log_probs, targets, alpha):
-    """Huber of (mean confidence - mean accuracy) over the batch.
-
-    The correctness indicator is piecewise constant and has no adjoint rule,
-    so only the confidences carry gradient.
-    """
+    """Huber of (mean confidence - mean accuracy) over the batch; the accuracy
+    is piecewise constant, so only the confidences carry gradient."""
     check("loss.aux.alpha", alpha)
-    return g.huber(_confidence_gap(g, log_probs, targets), alpha)
+    return g.huber(g.confidence_gap(log_probs, targets), alpha)
 
 
 def dca_aux_loss(g, log_probs, targets):
     """Absolute confidence-accuracy gap (L1 analogue of the Huber term)."""
-    return g.absolute(_confidence_gap(g, log_probs, targets))
+    return g.absolute(g.confidence_gap(log_probs, targets))
 
 
 def mdca_aux_loss(g, log_probs, targets, n_classes):

@@ -1,10 +1,11 @@
 """SGD-with-momentum training loop with EMA pruning, plus temperature scaling.
 
 The loop is a single logical thread: per epoch it shuffles the surviving
-instances, runs forward/backward/update per minibatch, records every
-instance's predicted confidence from its own minibatch forward pass, folds
-those into the EMA scores, and prunes at scheduled epochs. Everything is
-deterministic given the config seed; a non-finite loss aborts loudly.
+instances, runs forward/backward/update per minibatch and, when pruning,
+records every instance's predicted confidence from its own minibatch forward
+pass, folds those into the EMA scores, and prunes at scheduled epochs.
+Everything is deterministic given the config seed; a non-finite loss, or
+non-finite parameters after the last step, abort loudly.
 """
 
 import math
@@ -29,7 +30,11 @@ TEMPERATURE_RESOLUTION = 1e-3
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss turns non-finite."""
+    """Raised when the loss or, after the last step, a parameter turns non-finite."""
+
+
+class NonFiniteLogits(ValueError):
+    """Raised when a model's forward pass gives a logit that is not finite."""
 
 
 @dataclass
@@ -161,7 +166,8 @@ def train_with_pruning(train, params, config):
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(epoch, config)
         blocks = minibatches(alive, config.batch_size, epoch, config.seed)
-        epoch_conf = np.full(len(alive), np.nan)  # by position in `alive`
+        if config.prune is not None:
+            epoch_conf = np.full(len(alive), np.nan)  # by position in `alive`
         loss_sum = 0.0
         for batch_no, block in enumerate(blocks):
             feed["x"] = train.x[alive[block]]
@@ -172,7 +178,8 @@ def train_with_pruning(train, params, config):
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
             grads = graph.backward(root=loss_node)
             sgd_update(state, grads, lr, config.momentum, config.weight_decay)
-            epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
+            if config.prune is not None:
+                epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
             loss_sum += loss_value * len(block)
 
         total_updates += len(alive)
@@ -185,12 +192,23 @@ def train_with_pruning(train, params, config):
                 removed = np.bincount(train.y[np.delete(alive, keep)], minlength=n_classes)
                 alive = alive[keep]
                 prune_events.append(PruneEvent(epoch, removed.tolist(), len(alive)))
+    if not np.isfinite(state.theta).all():  # the last step's loss came before its update
+        raise TrainingDiverged(f"non-finite parameters after epoch {config.max_epochs}")
 
     layers = range(params.n_layers)
     final_params = MlpParams(list(params.widths), [feed[f"w{i}"] for i in layers],
                              [feed[f"b{i}"] for i in layers])
     return RunResult(final_params, epoch_log, prune_events, total_updates,
                      time.perf_counter() - started, alive, ema)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_logits(params, batch):
+    """forward_logits(params, batch), raising NonFiniteLogits unless every logit is finite."""
+    logits = forward_logits(params, batch)
+    if not np.isfinite(logits).all():
+        raise NonFiniteLogits("the forward pass gives non-finite logits")
+    return logits
 
 
 def records_for(params, data, temperatures=(1.0,)):
@@ -203,7 +221,7 @@ def records_for(params, data, temperatures=(1.0,)):
     n = len(data)
     records = [(np.empty(n), np.empty(n)) for _ in temperatures]
     for rows in row_blocks(n):
-        logits = forward_logits(params, data.x[rows])
+        logits = _finite_logits(params, data.x[rows])
         for t, (confidences, correct) in zip(temperatures, records):
             # x / 1.0 is x bit for bit, so T = 1 needs no scaled copy
             labels, confidences[rows] = predict(logits if t == 1.0 else logits / t)
@@ -243,8 +261,7 @@ def fit_temperature(params, val):
     _check_classes(params, val)
     if len(val) == 0:
         raise ValueError("temperature fitting needs a nonempty validation set")
-    logits = forward_logits(params, val.x)
-    return fit_temperature_on_logits(logits, val.y)
+    return fit_temperature_on_logits(_finite_logits(params, val.x), val.y)
 
 
 def fit_temperature_on_logits(logits, labels):

@@ -44,14 +44,14 @@ def test_backward_mean_divides_by_n():
 
 
 def test_softmax_cross_entropy_gradient_at_symmetry():
-    # d/dz of log_softmax(z)[0] at z = [0, 0] is [p-1, p] = [-0.5, 0.5] up to sign
+    # d/dz of -log_softmax(z)[0] (the NLL of class 0) at z = [0, 0] is [p-1, p] = [-0.5, 0.5]
     g = Graph()
     z = g.leaf("z")
     lp = g.log_softmax(z)
-    g.sum(g.gather_rows(lp, g.int_leaf("t")))
+    g.focal(lp, g.int_leaf("t"), 0.0, 0.0, FLSD_THRESHOLD)
     g.forward({"z": np.array([[0.0, 0.0]]), "t": [0]})
     grads = g.backward()
-    np.testing.assert_allclose(grads["z"], [[0.5, -0.5]], atol=1e-12)
+    np.testing.assert_allclose(grads["z"], [[-0.5, 0.5]], atol=1e-12)
 
 
 def test_grad_check_square():
@@ -97,16 +97,108 @@ def test_dense_forward_and_gradients_match_the_op_chain_bitwise():
             assert got[name].tobytes() == expected[name].tobytes(), (relu, name)
 
 
+def _scatter_reference(lp, columns, row_adj):
+    grad = np.zeros_like(lp)
+    np.add.at(grad, (np.arange(len(lp)), columns), row_adj)
+    return grad
+
+
+def _focal_chain(lp, t, gamma_below, gamma_above, adj):
+    """The loss and its log-probability gradient through the op chain `focal`
+    replaces: gather, exp, focal power, mul, mean and scale by -1, or at gamma 0
+    (NLL) gather, mean and scale; the backward runs the vjps in reverse order."""
+    n = len(t)
+    picked = lp[np.arange(n), t]
+    adj_mean = np.full(n, (-1.0 * adj) / n)
+    if gamma_below == gamma_above == 0.0:
+        return -1.0 * (np.add.reduce(picked, axis=0) / n), _scatter_reference(lp, t, adj_mean)
+    p = np.exp(picked)
+    gamma, q = np.where(p < FLSD_THRESHOLD, gamma_below, gamma_above), 1.0 - p
+    weight = q ** gamma
+    value = -1.0 * (np.add.reduce(weight * picked, axis=0) / n)
+    adj_weight, adj_picked = adj_mean * picked, adj_mean * weight
+    adj_p = -(adj_weight * gamma * q ** (gamma - 1.0))
+    return value, _scatter_reference(lp, t, adj_picked + adj_p * p)
+
+
+def _confidence_gap_chain(lp, t, adj):
+    """The gap and its log-probability gradient through the op chain
+    `confidence_gap` replaces: row max, exp and mean, minus the mean of the
+    correctness indicator; only the confidences carry gradient."""
+    n = len(t)
+    columns = np.argmax(lp, axis=1)
+    confidence = np.exp(lp[np.arange(n), columns])
+    correct = (np.argmax(lp, axis=1) == t).astype(np.float64)
+    value = np.subtract(np.add.reduce(confidence, axis=0) / n, np.add.reduce(correct, axis=0) / n)
+    return value, _scatter_reference(lp, columns, np.full(n, adj / n) * confidence)
+
+
+def test_focal_and_confidence_gap_match_the_op_chains_bitwise():
+    """focal (FLSD with target probabilities below, above and at 0.2; focal at
+    gamma 2; NLL with a target log-prob of exactly 0) and confidence_gap (rows
+    with tied maxima) give the value and log-probability gradient bits of the
+    op chains they replace, as the root and under a scale node's adjoint; the
+    targets get no gradient."""
+    rng = np.random.default_rng(5)
+    lp = np.log(rng.dirichlet(np.ones(4), size=30))
+    t = rng.integers(0, 4, 30)
+    lp[np.arange(8), t[:8]] = np.log([0.05, 0.1, 0.19, 0.2, 0.21, 0.5, 0.9, 1.0])
+    lp[8, t[8]] = np.nextafter(np.log(0.2), -np.inf)  # p one step below 0.2
+    assert np.exp(lp[3, t[3]]) == 0.2 and np.exp(lp[8, t[8]]) == np.nextafter(0.2, 0.0)
+    assert lp[7, t[7]] == 0.0
+    ties = lp.copy()
+    ties[::3, 1] = ties[::3, 2] = ties[::3].max(axis=1)  # the lower column wins
+    cases = {
+        "flsd": (lambda g, x, y: g.focal(x, y, FLSD_LOW_CONFIDENCE_GAMMA,
+                                        FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_THRESHOLD),
+                 lp, lambda adj: _focal_chain(lp, t, FLSD_LOW_CONFIDENCE_GAMMA,
+                                              FLSD_HIGH_CONFIDENCE_GAMMA, adj)),
+        "focal_2": (lambda g, x, y: g.focal(x, y, 2.0, 2.0, FLSD_THRESHOLD),
+                    lp, lambda adj: _focal_chain(lp, t, 2.0, 2.0, adj)),
+        "nll": (lambda g, x, y: g.focal(x, y, 0.0, 0.0, FLSD_THRESHOLD),
+                lp, lambda adj: _focal_chain(lp, t, 0.0, 0.0, adj)),
+        "confidence_gap": (lambda g, x, y: g.confidence_gap(x, y),
+                           ties, lambda adj: _confidence_gap_chain(ties, t, adj)),
+    }
+    for name, (build, x_val, chain) in cases.items():
+        for weight in (None, 0.37, 0.123):
+            g = Graph()
+            y = g.int_leaf("y")
+            op = build(g, g.leaf("x"), y)
+            root = op if weight is None else g.scale(op, weight)
+            g.forward({"x": x_val, "y": t}, root=root)
+            grad = g.backward(root=root)["x"]
+            value, expected = chain(np.ones(()) if weight is None else weight * np.ones(()))
+            assert np.asarray(op.value).tobytes() == np.asarray(value).tobytes(), (name, weight)
+            assert np.isfinite(grad).all() and grad.tobytes() == expected.tobytes(), (name, weight)
+            assert not y.adjoint.any()
+
+
+@pytest.mark.parametrize("op", ["focal", "confidence_gap"])
+def test_focal_and_confidence_gap_reject_bad_rows_naming_the_op(op):
+    g = Graph()
+    args = (0.0, 0.0, FLSD_THRESHOLD) if op == "focal" else ()
+    getattr(g, op)(g.leaf("x"), g.int_leaf("t"), *args)
+    shapes = f"{op}: expected (n, K) log-probabilities with n >= 1 and one target per row"
+    for x, t, message in ((np.zeros(3), [0, 1, 2], f"{shapes}, got shapes (3,) and (3,)"),
+                          (np.zeros((3, 2)), [0, 1], f"{shapes}, got shapes (3, 2) and (2,)"),
+                          (np.zeros((0, 2)), np.zeros(0), f"{shapes}, got shapes (0, 2) and (0,)"),
+                          (np.zeros((2, 2)), [0, 2], f"{op}: target out of range for 2 classes"),
+                          (np.zeros((2, 2)), [-1, 0], f"{op}: target out of range for 2 classes")):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            g.forward({"x": x, "t": t})
+
+
 def test_int_leaf_rejects_fractional_and_non_finite_labels():
     g = Graph()
     x, t = g.leaf("x"), g.int_leaf("labels")
-    g.sum(g.gather_rows(x, t))
-    x_val = np.arange(6.0).reshape(3, 2)
+    g.focal(x, t, 0.0, 0.0, FLSD_THRESHOLD)  # -mean(x[i, labels[i]])
+    x_val = -np.arange(6.0).reshape(3, 2)
     for bad in ([0.0, 1.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1e30, 1.0]):
         with pytest.raises(GraphError, match="int leaf 'labels'.*not a whole number"):
             g.forward({"x": x_val, "labels": np.array(bad)})
     whole = g.forward({"x": x_val, "labels": np.array([0.0, 1.0, 1.0])})
-    assert whole == g.forward({"x": x_val, "labels": [0, 1, 1]}) == 0.0 + 3.0 + 5.0
+    assert whole == g.forward({"x": x_val, "labels": [0, 1, 1]}) == (0.0 + 3.0 + 5.0) / 3
     labels = np.array([1, 0, 1], dtype=np.int64)
     g.forward({"x": x_val, "labels": labels})
     assert t.value is labels  # an int64 array is bound as it is
@@ -173,10 +265,6 @@ def _op_cases(rng):
     cases["abs"] = (g, {"x": _away_from(rng.uniform(-2, 2, (3, 4)), 0.0, 1e-3)})
 
     g = Graph()
-    g.mean(g.gather_rows(g.leaf("x"), g.int_leaf("t")))
-    cases["gather_rows"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [0, 2, 1, 0]})
-
-    g = Graph()
     g.mean(g.leaf("x"))
     cases["mean"] = (g, {"x": rng.uniform(-2, 2, 5)})
 
@@ -193,27 +281,28 @@ def _op_cases(rng):
         g.huber(g.mean(g.leaf("x")), 0.005)
         cases[tag] = (g, {"x": np.full(1, center)})
 
-    g = Graph()
-    g.mean(g.exp(g.row_max(g.leaf("z"))))
-    z = rng.uniform(-2, 2, (4, 3))
-    z[:, 0] += 3.0  # keep the argmax unambiguous under the FD step
-    cases["row_max"] = (g, {"z": z})
+    # the focal loss of a log-probability leaf: FLSD's exponents, with every
+    # target probability kept away from the 0.2 where the exponent switches, and NLL
+    lp = np.log(rng.uniform(0.01, 0.95, (8, 3)))
+    t = rng.integers(0, 3, 8)
+    lp[np.arange(8), t] = np.log(np.concatenate([rng.uniform(0.3, 0.95, 4),
+                                                 rng.uniform(0.01, 0.15, 4)]))
+    for tag, gammas in (("focal_flsd", (FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA)),
+                        ("focal_nll", (0.0, 0.0))):
+        g = Graph()
+        g.focal(g.leaf("lp"), g.int_leaf("t"), *gammas, FLSD_THRESHOLD)
+        cases[tag] = (g, {"lp": lp, "t": t})
 
     g = Graph()
-    g.mean(g.correct_indicator(g.leaf("z"), g.int_leaf("t")))
-    cases["correct_indicator"] = (g, {"z": z, "t": [0, 1, 2, 0]})
+    g.confidence_gap(g.leaf("z"), g.int_leaf("t"))
+    z = rng.uniform(-2, 2, (4, 3))
+    z[:, 0] += 3.0  # keep the argmax unambiguous under the FD step
+    cases["confidence_gap"] = (g, {"z": z, "t": [0, 1, 2, 0]})
 
     # one-hot rows are a function of the labels alone
     g = Graph()
     g.sum(g.mean(g.mul(g.one_hot(g.int_leaf("t"), 3, on=0.8, off=0.1), g.leaf("x"))))
     cases["one_hot"] = (g, {"x": rng.uniform(-2, 2, (4, 3)), "t": [2, 0, 1, 2]})
-
-    g = Graph()
-    g.sum(g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
-                        FLSD_THRESHOLD))
-    high = rng.uniform(0.3, 0.95, 4)  # p >= 0.3: exponent 3
-    low = rng.uniform(0.01, 0.15, 4)  # p < 0.15: exponent 5
-    cases["focal_power"] = (g, {"p": np.concatenate([high, low])})
 
     # the second operand broadcasts, so its adjoint is summed down to (1, 4)
     for op in ("sub", "mul"):
@@ -252,20 +341,25 @@ def test_rules_hold_exactly_the_op_kinds_calprune_builds():
 
 
 def test_grad_check_fails_a_nan_gradient():
-    # d/dp sqrt(1 - p) is infinite at p = 1, so the relative error there is NaN
+    # d/dp sqrt(1 - p) is infinite at p = 1, i.e. at a target log-prob of 0, so
+    # the relative error there is NaN
     g = Graph()
-    g.sum(g.focal_power(g.leaf("p"), 0.5, 0.5, FLSD_THRESHOLD))
+    g.focal(g.leaf("lp"), g.int_leaf("t"), 0.5, 0.5, FLSD_THRESHOLD)
+    lp = np.log([[1.0, 1e-300], [0.5, 0.5]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        (result,) = grad_check(g, {"p": np.array([1.0, 0.5])})
+        (result,) = grad_check(g, {"lp": lp, "t": [0, 0]})
     assert np.isnan(result.max_rel_error) and not result.passed
 
 
 def test_focal_power_switches_exponent():
+    """The exponents and weights the focal node saved: 3 at p = 0.5, 5 at p = 0.1."""
     g = Graph()
-    out = g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
-                        FLSD_THRESHOLD)
-    value = g.forward({"p": np.array([0.5, 0.1])}, root=out)
-    np.testing.assert_allclose(value, [0.5 ** 3, 0.9 ** 5], rtol=1e-15)
+    out = g.focal(g.leaf("lp"), g.int_leaf("t"), FLSD_LOW_CONFIDENCE_GAMMA,
+                  FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_THRESHOLD)
+    g.forward({"lp": np.log([[0.5, 0.5], [0.1, 0.9]]), "t": [0, 0]}, root=out)
+    gamma, _, weight, _, _ = out.saved
+    assert gamma.tolist() == [3.0, 5.0]
+    np.testing.assert_allclose(weight, [0.5 ** 3, 0.9 ** 5], rtol=1e-15)
 
 
 def test_adjoint_linearity_of_sums():
@@ -435,16 +529,16 @@ def test_grad_check_on_a_reused_graph_matches_a_fresh_one():
 def test_int_leaf_keeps_its_dtype_and_inputs_must_be_nodes():
     g = Graph()
     x, t = g.leaf("x"), g.int_leaf("t")
-    g.sum(g.gather_rows(x, t))
-    g.forward({"x": np.ones((2, 3), dtype=np.float32), "t": [2, 0]})
+    g.focal(x, t, 0.0, 0.0, FLSD_THRESHOLD)
+    g.forward({"x": np.zeros((2, 3), dtype=np.float32), "t": [2, 0]})
     assert x.value.dtype == np.float64 and t.value.dtype == np.int64
     assert not t.is_param
     g.backward()
     assert t.adjoint.shape == (2,) and not t.adjoint.any()
-    with pytest.raises(GraphError, match="index out of range"):
-        g.forward({"x": np.ones((2, 3)), "t": [3, 0]})
+    with pytest.raises(GraphError, match="focal: target out of range"):
+        g.forward({"x": np.zeros((2, 3)), "t": [3, 0]})
     with pytest.raises(GraphError, match="graph nodes, got list"):
-        g.gather_rows(x, [0, 1])
+        g.focal(x, [0, 1], 0.0, 0.0, FLSD_THRESHOLD)
 
 
 def _fast_path_inputs():

@@ -9,12 +9,13 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calprune import cli, data, trainer
+from calprune import cli, data, mlp, trainer
 from calprune import config as config_module
 from calprune.autodiff import Graph
 from calprune.cli import main
@@ -951,6 +952,65 @@ def test_diverging_training_exits_1_naming_its_training_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale, reason", [
+    (1000.0, "non-finite parameters after epoch 1"),
+    (1.0, "the forward pass gives non-finite logits"),
+], ids=["parameters_overflow", "forward_overflows"])
+def test_overflowing_last_step_exits_1_naming_its_training_file(tmp_path, capsys, scale,
+                                                                reason):
+    """One batch at learning rate 1e308. Its loss is finite, since it comes
+    before the update; the update overflows the parameters (features x1000)
+    or leaves them finite but too large for the test set's forward pass.
+    Either way training aborts on one line naming the training file."""
+    rng = np.random.default_rng(0)
+    rows = [f"{a * scale:.3f},{b * scale:.3f},{y}"
+            for (a, b), y in zip(rng.normal(size=(60, 2)), np.tile([0, 1, 2], 20))]
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(["a,b,y", *rows]) + "\n")
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "dataset": {"source": "csv", "path": str(train), "test_path": str(train),
+                    "label_column": "y"},
+        "model": {"hidden": [8]},
+        "train": {"max_epochs": 1, "batch_size": 64, "learning_rate": 1e308,
+                  "lr_milestones": []},
+        "loss": {"kind": "nll", "aux": None},
+        "output_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"training aborted: {train}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("command", ["evaluate", "calibrate"])
+def test_checkpoint_whose_forward_overflows_exits_1_naming_it(trained, tmp_path, capsys,
+                                                               command, action):
+    """A finite checkpoint whose weights and biases are scaled by 1e200 loads,
+    but its forward pass overflows. evaluate and calibrate exit 1 on one line
+    naming the checkpoint, with warnings raised as errors or shown, and
+    neither emits a warning nor writes an output directory."""
+    config_path, out = trained
+    params = mlp.load_checkpoint(out / "checkpoint.json")
+    huge = tmp_path / "huge_checkpoint.json"
+    huge.write_text(mlp.checkpoint_text(mlp.MlpParams(
+        params.widths, [w * 1e200 for w in params.weights],
+        [b * 1e200 for b in params.biases])))
+    argv = [command, "--config", str(config_path), "--checkpoint", str(huge)]
+    if command == "evaluate":
+        argv += ["--out", str(tmp_path / "eval")]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert main(argv) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: checkpoint {huge}: the forward pass gives "
+                            "non-finite logits\n")
+    assert not (tmp_path / "eval").exists()
+
+
 def write_csv(path, header, labels, seed):
     """A CSV with `header`; each column named y holds the label, the rest features."""
     rng = np.random.default_rng(seed)
@@ -1219,7 +1279,7 @@ def test_traced_benchmark_reads_graph_after_backward():
     g.forward(bindings, root=root)
     g.backward(root=root)
     stats = load_tracing().graph_stats(g, root)
-    assert stats["nodes"] == 27  # 8 leaves (x, y and six parameters) and 19 ops
+    assert stats["nodes"] == 17  # 8 leaves (x, y and six parameters) and 9 ops
     assert 0 < stats["useful_adjoint_frac"] <= 1
 
 
@@ -1239,7 +1299,7 @@ def test_traced_training_sees_one_graph_shape_per_step():
     finally:
         restore()
     assert len(tracer.steps) == 3 * -(-len(train) // config.batch_size)
-    assert {step["nodes"] for step in tracer.steps} == {27}
+    assert {step["nodes"] for step in tracer.steps} == {17}
     assert {step["ops"]["leaf"] for step in tracer.steps} == {8}  # x, y and six parameters
     for a, b in zip(plain.params.weights + plain.params.biases,
                     traced.params.weights + traced.params.biases):

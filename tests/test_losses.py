@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from calprune.autodiff import Graph, grad_check
-from calprune.losses import (FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_LOW_CONFIDENCE_GAMMA,
-                             FLSD_THRESHOLD, AuxSpec, LossSpec, aux_huber_loss,
-                             brier_loss, dca_aux_loss, flsd_loss, focal_loss,
-                             label_smoothing_loss, mdca_aux_loss, nll_loss, total_loss)
+from calprune.losses import (AuxSpec, LossSpec, aux_huber_loss, brier_loss, dca_aux_loss,
+                             flsd_loss, focal_loss, label_smoothing_loss, mdca_aux_loss,
+                             nll_loss, total_loss)
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 from calprune.trainer import TrainConfig
 
@@ -93,13 +92,15 @@ def test_focal_monotone_nonincreasing_in_target_probability():
 
 
 def test_flsd_gamma_schedule():
-    """The exponents focal_power saves in its forward: 5 below p = 0.2, and 3
-    from 0.2 up, the threshold itself included."""
+    """The exponents the focal node of flsd_loss saves in its forward: 5 below
+    p = 0.2, and 3 from 0.2 up, the threshold itself included."""
+    target_p = [0.1, 0.3, 0.2, np.nextafter(0.2, 0.0)]
     g = Graph()
-    node = g.focal_power(g.leaf("p"), FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
-                         FLSD_THRESHOLD)
-    g.forward({"p": [0.1, 0.3, 0.2, np.nextafter(0.2, 0.0)]}, root=node)
-    gamma, _ = node.saved
+    node = flsd_loss(g, g.leaf("lp"), g.int_leaf("y"))
+    g.forward({"lp": np.log(np.column_stack([target_p, np.full(4, 0.5)])), "y": [0] * 4},
+              root=node)
+    gamma, _, _, _, p = node.saved
+    assert p[2:].tolist() == target_p[2:]  # exp(log p) is p at the threshold and one step below
     assert gamma.tolist() == [5.0, 3.0, 3.0, 5.0]
 
 

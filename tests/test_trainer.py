@@ -121,6 +121,21 @@ def test_plain_loop_keeps_all_survivors_and_learns():
     assert report.test_error_pct < 10.0
 
 
+def test_training_without_pruning_computes_no_confidences(monkeypatch):
+    """Per-row confidences feed only the EMA, so a run without pruning never
+    takes a row max and leaves every EMA score at 0."""
+    train, _, _ = small_experiment()
+    cfg = TrainConfig(max_epochs=2, batch_size=32, learning_rate=0.05, lr_milestones=[],
+                      loss=LossSpec(kind="nll"))
+
+    def never(columns):
+        raise AssertionError("confidences computed without pruning")
+
+    monkeypatch.setattr(trainer, "_fold_max", never)
+    result = train_with_pruning(train, init_mlp([2, 8, 2], seed=1), cfg)
+    assert not result.ema.any()
+
+
 def test_training_leaves_caller_params_unchanged():
     train, _, _ = small_experiment(noise=0.1, seed=4)
     cfg = TrainConfig(max_epochs=3, batch_size=32, learning_rate=0.05,
