@@ -55,18 +55,25 @@ def _fold_max(columns):
     return out
 
 
+def _fold_sum(columns):
+    """The columns added left to right: row sums in one order, whatever the memory layout."""
+    out = columns[0].copy()
+    for column in columns[1:]:
+        out += column
+    return out
+
+
 def log_softmax(x):
     """Log-softmax over the last axis, stabilised by the row max.
 
-    The row max is folded over the K columns (_fold_max): numpy reduces a
-    short row slowly, and max is exact. Where the fold differs from
-    np.maximum.reduce, only in the sign of a zero max, a second zero in the
-    row makes its lse nonzero, so the log-probabilities keep their bits.
+    The row max and the sum of exps are folded over the K columns (_fold_max,
+    _fold_sum), in the order mlp.predict shares. Where the max fold differs
+    from np.maximum.reduce, only in the sign of a zero max, a second zero in
+    the row makes its lse nonzero, so the log-probabilities keep their bits.
     """
     rows = x.reshape(-1, x.shape[-1])
     shifted = rows - _fold_max(rows.T)[:, None]
-    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-    return log_probs.reshape(x.shape)
+    return (shifted - np.log(_fold_sum(np.exp(shifted).T))[:, None]).reshape(x.shape)
 
 
 _ZERO = bytes(8)  # one float64 0.0: the buffer of every read-only zero adjoint
@@ -93,18 +100,6 @@ def _int_value(name, value):
     return value.astype(np.int64, copy=False)
 
 
-def _unbroadcast(adj, shape):
-    """Sum an adjoint back down to `shape` after numpy broadcasting."""
-    if adj.shape == shape:
-        return adj
-    for _ in range(adj.ndim - len(shape)):
-        adj = np.add.reduce(adj, axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and adj.shape[axis] != 1:
-            adj = np.add.reduce(adj, axis=axis, keepdims=True)
-    return adj
-
-
 def dense_layer(h, w, b, relu):
     """One MLP layer: relu(h @ w + b), or h @ w + b without relu; the bias is
     a vector with one entry per output column.
@@ -126,13 +121,11 @@ def dense_layer(h, w, b, relu):
 
 # ---- per-op forward rules: fn(node, *input_values) -> value ----------------
 
-def _broadcasting(ufunc):
+def _elementwise(ufunc):
     def evaluate(node, a, b):
-        try:
-            return ufunc(a, b)
-        except ValueError:
-            raise GraphError(
-                f"{node.op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+        if a.shape != b.shape:
+            raise GraphError(f"{node.op}: shapes {a.shape} and {b.shape} differ")
+        return ufunc(a, b)
     return evaluate
 
 
@@ -249,13 +242,12 @@ RULES = {
               (lambda adj, node, h, w, b: _dense_delta(adj, node) @ w.T,
                lambda adj, node, h, w, b: h.T @ _dense_delta(adj, node),
                lambda adj, node, h, w, b: np.add.reduce(_dense_delta(adj, node), axis=0))),
-    "add": (_broadcasting(np.add), (lambda adj, node, a, b: _unbroadcast(adj, a.shape),
-                                    lambda adj, node, a, b: _unbroadcast(adj, b.shape))),
-    "sub": (_broadcasting(np.subtract), (lambda adj, node, a, b: _unbroadcast(adj, a.shape),
-                                         lambda adj, node, a, b: _unbroadcast(-adj, b.shape))),
-    "mul": (_broadcasting(np.multiply),
-            (lambda adj, node, a, b: _unbroadcast(adj * b, a.shape),
-             lambda adj, node, a, b: _unbroadcast(adj * a, b.shape))),
+    "add": (_elementwise(np.add), (lambda adj, node, a, b: adj,
+                                   lambda adj, node, a, b: adj)),
+    "sub": (_elementwise(np.subtract), (lambda adj, node, a, b: adj,
+                                        lambda adj, node, a, b: -adj)),
+    "mul": (_elementwise(np.multiply), (lambda adj, node, a, b: adj * b,
+                                        lambda adj, node, a, b: adj * a)),
     "log_softmax": (lambda node, x: log_softmax(x),
                     (lambda adj, node, x: adj - np.exp(node.value)
                      * np.add.reduce(adj, axis=-1, keepdims=True),)),
@@ -369,7 +361,7 @@ class Graph:
         return self._append(Node("dense", (h, w, b), aux=bool(relu)))
 
     def add(self, a, b):
-        """Elementwise add; broadcasts over leading batch axes."""
+        """Elementwise add of two values of one shape, as are sub and mul."""
         return self._append(Node("add", (a, b)))
 
     def sub(self, a, b):

@@ -181,7 +181,10 @@ def build_datasets(cfg, splits=("train", "val", "test"), n_classes=None):
             raise ValueError(f"{d['test_images'] or d['test_path']}: {test.x.shape[1]} "
                              f"features per row, the training source has {x.shape[1]}")
     if pooled:
-        positions = split_positions(y, n_classes, d["train_fraction"], seed=[d["seed"], 2])
+        try:
+            positions = split_positions(y, n_classes, d["train_fraction"], seed=[d["seed"], 2])
+        except ValueError as exc:  # name the labels that do not split
+            raise ValueError(f"{d['labels'] or d['path'] or d['source']}: {exc}") from None
         train, val = (Dataset(decode(x[rows]), y[rows], n_classes, ids=rows)
                       if name in splits else None
                       for name, rows in zip(("train", "val"), positions))

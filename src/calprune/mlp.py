@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, _fold_max, dense_layer
+from .autodiff import Graph, _fold_max, _fold_sum, dense_layer
 from .data import read_json
 from .ranges import COUNT, NON_NEGATIVE_INT, require
 
@@ -102,54 +102,24 @@ def forward_logits(params, batch):
     return logits
 
 
-def _row_sum(columns):
-    """np.add.reduce(a, axis=-1) of the (n, k) array a whose columns are the k
-    rows of `columns`, with its bits: numpy's pairwise order for a contiguous
-    row, replayed on whole columns.
-
-    Under 8 terms a row is a left fold from 0.0; from 8 to 128 it runs in 8
-    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds
-    the remainder in order; above 128 it splits in two at a multiple of 8.
-    numpy then adds the row's sum to an initial 0.0, which changes only a
-    -0.0 sum; predict's terms are exps, never -0.0, so that step is left out.
-    """
-    k = len(columns)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _row_sum(columns[:half]) + _row_sum(columns[half:])
-    if k < 8:
-        total, tail = columns[0] + 0.0, 1
-    else:
-        tail = k - k % 8
-        r = columns[:8].copy()
-        for i in range(8, tail, 8):
-            r += columns[i:i + 8]
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        total = r[0] + r[1]
-    for column in columns[tail:]:
-        total += column
-    return total
-
-
 def predict(logits):
     """Per-row argmax labels (ties -> lowest index) and max-prob confidences, as arrays.
 
     The bits of argmax and exp of log_softmax(logits) at the label, worked on
-    the K columns, copied contiguous: the row max is taken column by column
-    (max is exact), the exps are summed in numpy's row order (_row_sum), and
-    the label's log-probability is exactly -lse, since its shifted logit is
-    the row's largest and that is 0. The label is the first column reaching
-    the row's largest log-probability; a row with any NaN log-probability
-    has only NaN ones (its lse is NaN), so a strict `>` scan keeps it at 0,
-    as argmax does.
+    the K columns, copied contiguous: the row max and the sum of exps are
+    folded column by column (_fold_max, _fold_sum), as log_softmax folds
+    them, and the label's log-probability is exactly -lse, since its shifted
+    logit is the row's largest and that is 0. The label is the first column
+    reaching the row's largest log-probability; a row with any NaN
+    log-probability has only NaN ones (its lse is NaN), so a strict `>` scan
+    keeps it at 0, as argmax does.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {logits.shape}")
     shifted = np.array(logits.T, order="C")
     shifted -= _fold_max(shifted)
-    lse = np.log(_row_sum(np.exp(shifted)))
+    lse = np.log(_fold_sum(np.exp(shifted)))
     shifted -= lse
     labels = np.zeros(len(lse), dtype=np.intp)
     best = shifted[0]

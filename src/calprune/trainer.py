@@ -136,7 +136,6 @@ def _check_classes(params, data):
         raise ValueError("dataset class counts disagree with the model's output width")
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the loss check guards
 def train_with_pruning(train, params, config):
     """Run the full training procedure; evaluating the model is the caller's step."""
     started = time.perf_counter()
@@ -163,35 +162,36 @@ def train_with_pruning(train, params, config):
     log_probs = graph.log_softmax(logits_graph(graph, x, params.n_layers))
     loss_node = total_loss(graph, log_probs, y, config.loss, n_classes)
 
-    for epoch in range(1, config.max_epochs + 1):
-        lr = lr_at_epoch(epoch, config)
-        blocks = minibatches(alive, config.batch_size, epoch, config.seed)
-        if config.prune is not None:
-            epoch_conf = np.full(len(alive), np.nan)  # by position in `alive`
-        loss_sum = 0.0
-        for batch_no, block in enumerate(blocks):
-            feed["x"] = train.x[alive[block]]
-            feed["y"] = train.y[alive[block]]
-            loss_value = float(graph.forward(feed, root=loss_node))
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            grads = graph.backward(root=loss_node)
-            sgd_update(state, grads, lr, config.momentum, config.weight_decay)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the loss check guards
+        for epoch in range(1, config.max_epochs + 1):
+            lr = lr_at_epoch(epoch, config)
+            blocks = minibatches(alive, config.batch_size, epoch, config.seed)
             if config.prune is not None:
-                epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
-            loss_sum += loss_value * len(block)
+                epoch_conf = np.full(len(alive), np.nan)  # by position in `alive`
+            loss_sum = 0.0
+            for batch_no, block in enumerate(blocks):
+                feed["x"] = train.x[alive[block]]
+                feed["y"] = train.y[alive[block]]
+                loss_value = float(graph.forward(feed, root=loss_node))
+                if not math.isfinite(loss_value):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {batch_no}")
+                grads = graph.backward(root=loss_node)
+                sgd_update(state, grads, lr, config.momentum, config.weight_decay)
+                if config.prune is not None:
+                    epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
+                loss_sum += loss_value * len(block)
 
-        total_updates += len(alive)
-        epoch_log.append(EpochStats(epoch, loss_sum / len(alive), len(alive)))
-        if config.prune is not None:
-            ema[alive] = update_ema(ema[alive], epoch_conf, config.prune.ema_factor)
-            if epoch in config.prune.epochs:
-                keep = prune_using_ema(train.y[alive], train.ids[alive], ema[alive], n_classes,
-                                       config.prune.percent)
-                removed = np.bincount(train.y[np.delete(alive, keep)], minlength=n_classes)
-                alive = alive[keep]
-                prune_events.append(PruneEvent(epoch, removed.tolist(), len(alive)))
+            total_updates += len(alive)
+            epoch_log.append(EpochStats(epoch, loss_sum / len(alive), len(alive)))
+            if config.prune is not None:
+                ema[alive] = update_ema(ema[alive], epoch_conf, config.prune.ema_factor)
+                if epoch in config.prune.epochs:
+                    keep = prune_using_ema(train.y[alive], train.ids[alive], ema[alive],
+                                           n_classes, config.prune.percent)
+                    removed = np.bincount(train.y[np.delete(alive, keep)], minlength=n_classes)
+                    alive = alive[keep]
+                    prune_events.append(PruneEvent(epoch, removed.tolist(), len(alive)))
     if not np.isfinite(state.theta).all():  # the last step's loss came before its update
         raise TrainingDiverged(f"non-finite parameters after epoch {config.max_epochs}")
 
@@ -256,7 +256,8 @@ def fit_temperature(params, val):
     The search runs over [TEMPERATURE_LO, TEMPERATURE_HI]. The final answer is
     compared against T=1 (the identity), so the returned temperature never
     scores worse than leaving the logits alone; exact ties resolve to the
-    smaller temperature.
+    smaller temperature. Finite logits whose NLL is not finite once scaled
+    raise NonFiniteLogits.
     """
     _check_classes(params, val)
     if len(val) == 0:
@@ -266,7 +267,11 @@ def fit_temperature(params, val):
 
 def fit_temperature_on_logits(logits, labels):
     def nll(t):
-        return mean_nll(logits, labels, temperature=t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = mean_nll(logits, labels, temperature=t)
+        if not math.isfinite(value):
+            raise NonFiniteLogits(f"the validation NLL at temperature {t:g} is not finite")
+        return value
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = TEMPERATURE_LO, TEMPERATURE_HI

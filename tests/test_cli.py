@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -852,7 +853,7 @@ def test_idx_header_claiming_more_than_the_file_names_its_path(tmp_path, capsys)
 
 def test_split_leaving_a_class_out_of_training_exits_1(tmp_path, capsys):
     """train_fraction 0.4 of class 1's 2 rows floors to 0: training would see
-    class 0 alone, so the split names the class instead."""
+    class 0 alone, so the split names the training file and the class instead."""
     rows = [f"{v:.3f},{y}" for v, y in zip(np.linspace(-1, 1, 12), [0] * 10 + [1] * 2)]
     for name in ("train", "test"):
         (tmp_path / f"{name}.csv").write_text("\n".join(["a,y", *rows]) + "\n")
@@ -866,7 +867,21 @@ def test_split_leaving_a_class_out_of_training_exits_1(tmp_path, capsys):
         "output_dir": str(tmp_path / "out")}))
     assert main(["train", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: class 1 has 2 rows") and "Traceback" not in err
+    assert err.startswith(f"error: {tmp_path / 'train.csv'}: class 1 has 2 rows")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_idx_labels_that_skip_a_class_exit_1_naming_the_labels_file(tmp_path, capsys):
+    """A training label of 3 among 0s and 1s makes four classes, two of them
+    empty; the split's error names the labels file."""
+    files = [*write_idx(tmp_path, "train", [0] * 6 + [1] * 6, seed=0),
+             *write_idx(tmp_path, "test", [0, 1, 1], seed=1)]
+    config = _input_config(tmp_path, dict(zip(
+        ("source", "images", "labels", "test_images", "test_labels"), ["idx_pair", *files])))
+    write_idx(tmp_path, "train", [0] * 6 + [1] * 6 + [3], seed=0)
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (f"error: {files[1]}: class 2 has 0 instance(s); "
+                                       "need >= 2 to split\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1009,6 +1024,31 @@ def test_checkpoint_whose_forward_overflows_exits_1_naming_it(trained, tmp_path,
     assert captured.err == (f"error: checkpoint {huge}: the forward pass gives "
                             "non-finite logits\n")
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_calibrate_on_finite_logits_whose_nll_overflows_exits_1_naming_it(trained, tmp_path,
+                                                                          capsys, action):
+    """A last layer that gives every row the finite logits (1e308, -1e308)
+    passes the forward check, but the validation NLL overflows at T = 1 (the
+    stratified split holds rows of class 1). calibrate exits 1 on one line
+    naming the checkpoint, with warnings raised as errors or shown, and emits
+    no warning."""
+    config_path, out = trained
+    params = mlp.load_checkpoint(out / "checkpoint.json")
+    params.weights[-1][:] = 0.0
+    params.biases[-1][:] = [1e308, -1e308]
+    huge = tmp_path / "huge_checkpoint.json"
+    huge.write_text(mlp.checkpoint_text(params))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert main(["calibrate", "--config", str(config_path), "--checkpoint", str(huge)]) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: checkpoint {re.escape(str(huge))}: the validation NLL at "
+                        r"temperature \S+ is not finite\n", captured.err)
 
 
 def write_csv(path, header, labels, seed):
@@ -1304,3 +1344,136 @@ def test_traced_training_sees_one_graph_shape_per_step():
     for a, b in zip(plain.params.weights + plain.params.biases,
                     traced.params.weights + traced.params.biases):
         assert np.array_equal(a, b)
+
+
+# A seeded sweep of malformed inputs. Each input kind the CLI reads (a CSV
+# file, IDX images, IDX labels, a config, a checkpoint and a run.json) is
+# mutated by truncation, a bit flip, an inserted or a deleted byte, and, in
+# text files, a number swapped for an edge value.
+SWEEP_SEED = 0
+SWEEP_CASES_PER_INPUT = 6
+EDGE_VALUES = ["0", "-1", "-0", "0.5", "1e308", "-1e308", "NaN", "Infinity", "null", "true",
+               '"1"', "[]"]
+# numbers under these keys set the run's length or size, so a swap could make
+# a case run for minutes; under ema_factor, 0 warns by design
+UNSWAPPED_KEYS = {"max_epochs", "batch_size", "hidden", "ema_factor"}
+JSON_NUMBER = re.compile(r"(?<![\w.+-])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+PRECEDING_KEY = re.compile(r'"(\w+)"\s*:[^":]*$')
+DIAGNOSTIC_LINE = re.compile(r"(error|config error|training aborted): \S.*\n")
+DOTTED_KEY = re.compile(r"\b[a-z_]+\.[A-Za-z_]+\b")
+WARNS_BY_DESIGN = re.compile(r"batch size \d+ < 10\*K|ema factor 0 keeps")
+
+
+def _sweep_config(dataset):
+    return {"dataset": dataset, "model": {"hidden": [4]},
+            "train": {"max_epochs": 2, "batch_size": 20, "learning_rate": 0.05,
+                      "lr_milestones": [1], "seed": 2},
+            "prune": {"enabled": True, "percent": 10.0, "interval": 1, "warmup_epochs": 0},
+            "output_dir": "out"}
+
+
+@pytest.fixture()
+def sweep_inputs(tmp_path, monkeypatch):
+    """Clean inputs of every kind in `tmp_path/clean`, all named relative to it,
+    so that no mutated path leads outside a case's directory."""
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    train_labels, test_labels = np.repeat([0, 1], 24), np.repeat([0, 1], 6)
+    write_csv(clean / "train.csv", ["a", "b", "y"], train_labels, seed=1)
+    write_csv(clean / "test.csv", ["a", "b", "y"], test_labels, seed=2)
+    write_idx(clean, "train", train_labels, seed=3)
+    write_idx(clean, "test", test_labels, seed=4)
+    (clean / "csv.json").write_text(json.dumps(_sweep_config(
+        {"source": "csv", "path": "train.csv", "test_path": "test.csv", "label_column": "y"})))
+    (clean / "idx.json").write_text(json.dumps(_sweep_config(
+        {"source": "idx_pair", "images": "train-images.idx", "labels": "train-labels.idx",
+         "test_images": "test-images.idx", "test_labels": "test-labels.idx"})))
+    monkeypatch.chdir(clean)
+    assert main(["train", "--config", "csv.json", "--set", "output_dir=run"]) == 0
+    shutil.copy("run/checkpoint.json", "checkpoint.json")
+    shutil.copy("run/run.json", "run.json")
+    shutil.rmtree("run")
+    return clean
+
+
+# input kind -> (the files a case may mutate, one picked per case; CLI arguments)
+SWEEP_TARGETS = {
+    "csv": (["train.csv", "test.csv"], ["train", "--config", "csv.json"]),
+    "idx_images": (["train-images.idx", "test-images.idx"], ["train", "--config", "idx.json"]),
+    "idx_labels": (["train-labels.idx", "test-labels.idx"], ["train", "--config", "idx.json"]),
+    "config": (["csv.json"], ["train", "--config", "csv.json"]),
+    "checkpoint": (["checkpoint.json"],
+                   ["evaluate", "--config", "csv.json", "--checkpoint", "checkpoint.json",
+                    "--out", "out"]),
+    "run_json": (["run.json"], ["report", "--run", "run.json", "--out", "out"]),
+}
+
+
+def _swap_number(data, rng):
+    """`data` with one number outside UNSWAPPED_KEYS swapped for an edge value."""
+    text = data.decode("utf-8")
+    spans = [m.span() for m in JSON_NUMBER.finditer(text)
+             if not ((key := PRECEDING_KEY.search(text[:m.start()]))
+                     and key[1] in UNSWAPPED_KEYS)]
+    start, stop = spans[rng.integers(len(spans))]
+    return (text[:start] + EDGE_VALUES[rng.integers(len(EDGE_VALUES))]
+            + text[stop:]).encode("utf-8")
+
+
+def _mutate(data, rng, text):
+    """One seeded mutation of `data`, and its name."""
+    kinds = ["truncate", "flip", "insert", "delete"] + (["swap"] if text else [])
+    kind = kinds[rng.integers(len(kinds))]
+    if kind == "swap":
+        return _swap_number(data, rng), kind
+    at = int(rng.integers(len(data)))
+    if kind == "truncate":
+        return data[:at], kind
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << int(rng.integers(8))]) + data[at + 1:], kind
+    if kind == "insert":
+        return data[:at] + bytes([int(rng.integers(256))]) + data[at:], kind
+    return data[:at] + data[at + 1:], kind
+
+
+def test_every_seeded_malformed_input_exits_cleanly(sweep_inputs, tmp_path, monkeypatch,
+                                                    capsys):
+    """Each case runs main on a tiny model. It exits 0, or exits 1 or 2 with one
+    diagnostic line that names the mutated file (for the config, a key or the
+    file) and leaves no output directory. No exception escapes main, and no
+    warning but the two that calprune emits by design."""
+    rng = np.random.default_rng(SWEEP_SEED)
+    cases = [(kind, int(rng.integers(len(SWEEP_TARGETS[kind][0]))), int(rng.integers(2 ** 32)))
+             for kind in SWEEP_TARGETS for _ in range(SWEEP_CASES_PER_INPUT)]
+    assert len(cases) == 36
+    outcomes = []
+    for number, (kind, which, seed) in enumerate(cases):
+        case_dir = tmp_path / f"case{number}"
+        shutil.copytree(sweep_inputs, case_dir)
+        monkeypatch.chdir(case_dir)
+        files, argv = SWEEP_TARGETS[kind]
+        name = files[which]
+        data, how = _mutate((case_dir / name).read_bytes(), np.random.default_rng(seed),
+                            text=not name.endswith(".idx"))
+        (case_dir / name).write_bytes(data)
+        before = sorted(os.listdir(case_dir))
+        tag = f"case {number}: {how} of {name}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:  # any escape fails the case, naming it
+                pytest.fail(f"{tag}: {type(exc).__name__} escaped main: {exc}")
+        captured = capsys.readouterr()
+        unexpected = [str(w.message) for w in caught if not WARNS_BY_DESIGN.match(str(w.message))]
+        assert not unexpected, f"{tag}: warned {unexpected}"
+        if code != 0:
+            assert code in (1, 2), f"{tag}: exit {code}"
+            assert DIAGNOSTIC_LINE.fullmatch(captured.err), f"{tag}: stderr {captured.err!r}"
+            named = DOTTED_KEY.search(captured.err) if kind == "config" else name in captured.err
+            assert named, f"{tag}: {captured.err!r} names neither the file nor a key"
+            assert captured.out == "", tag
+            assert sorted(os.listdir(case_dir)) == before, f"{tag}: left an output behind"
+        outcomes.append(code)
+    assert 0 in outcomes and set(outcomes) - {0}  # the sweep reaches both outcomes

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from calprune.autodiff import Graph, log_softmax
-from calprune.mlp import (FORWARD_BLOCK_ROWS, MlpParams, _row_sum, checkpoint_text,
-                          forward_logits, init_mlp, load_checkpoint, logits_graph,
-                          param_bindings, predict, row_blocks)
+from calprune.mlp import (FORWARD_BLOCK_ROWS, MlpParams, checkpoint_text, forward_logits,
+                          init_mlp, load_checkpoint, logits_graph, param_bindings, predict,
+                          row_blocks)
 
 
 def test_init_shapes_and_zero_biases():
@@ -132,16 +132,6 @@ def test_predict_matches_log_softmax_form_bitwise(k):
     logits[2::5] = logits[2::5, :1]                  # every column tied
     logits[3::5] += 1e300 * rng.choice([-1.0, 1.0], size=(len(logits[3::5]), 1))
     assert_predict_matches_reference(logits)
-
-
-def test_row_sum_replays_add_reduce_bitwise():
-    """_row_sum over the columns gives np.add.reduce's bits along each row: the
-    left fold under 8 terms, the 8 accumulators up to 128, and the splits above."""
-    rng = np.random.default_rng(5)
-    for k in range(1, 301):
-        terms = np.exp(rng.normal(size=(200, k)) * 20)
-        expected = np.add.reduce(terms, axis=-1)
-        assert _row_sum(np.array(terms.T, order="C")).tobytes() == expected.tobytes(), k
 
 
 def test_predict_near_tie_that_collapses_after_lse_keeps_first_label():

@@ -373,13 +373,15 @@ def test_training_evaluates_nothing(monkeypatch):
 
 
 def test_batch_size_warning_with_pruning():
+    """The warning points at the caller's line, not into numpy."""
     train, _, _ = small_experiment(seed=12)
     cfg = TrainConfig(max_epochs=1, batch_size=8, learning_rate=0.05,
                       lr_milestones=[], seed=1, loss=LossSpec(kind="nll"),
                       prune=PruneSchedule(percent=10.0, epochs={1}))
     params = init_mlp([2, 4, 2], seed=1)
-    with pytest.warns(UserWarning, match="10\\*K"):
+    with pytest.warns(UserWarning, match="10\\*K") as record:
         train_with_pruning(train, params, cfg)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_evaluate_zero_model_predicts_class_zero():
