@@ -63,17 +63,23 @@ def _fold_sum(columns):
     return out
 
 
-def log_softmax(x):
-    """Log-softmax over the last axis, stabilised by the row max.
+@np.errstate(over="ignore")  # a shift past the float range is -inf, whose exp is 0
+def _log_softmax_columns(columns):
+    """Log-softmax, in place, of the n rows whose K columns are the rows of the
+    C-contiguous float64 (K, n) `columns`; returns `columns`. The row max and
+    the sum of exps are folded over the K columns (_fold_max, _fold_sum). Where
+    the max fold differs from np.maximum.reduce, only in the sign of a zero
+    max, a second zero in the row makes its lse nonzero, so no bit changes."""
+    columns -= _fold_max(columns)
+    columns -= np.log(_fold_sum(np.exp(columns)))
+    return columns
 
-    The row max and the sum of exps are folded over the K columns (_fold_max,
-    _fold_sum), in the order mlp.predict shares. Where the max fold differs
-    from np.maximum.reduce, only in the sign of a zero max, a second zero in
-    the row makes its lse nonzero, so the log-probabilities keep their bits.
-    """
+
+def log_softmax(x):
+    """Log-softmax over the last axis, stabilised by the row max; a new
+    C-ordered array (_log_softmax_columns on a copy of the columns)."""
     rows = x.reshape(-1, x.shape[-1])
-    shifted = rows - _fold_max(rows.T)[:, None]
-    return (shifted - np.log(_fold_sum(np.exp(shifted).T))[:, None]).reshape(x.shape)
+    return _log_softmax_columns(np.array(rows.T, order="C")).T.copy().reshape(x.shape)
 
 
 _ZERO = bytes(8)  # one float64 0.0: the buffer of every read-only zero adjoint
@@ -89,8 +95,6 @@ def _zero_view(shape):
 def _int_value(name, value):
     """The binding of int leaf `name` as int64; a float must be a whole number
     in the int64 range. An int64 array passes as it is."""
-    if type(value) is np.ndarray and value.dtype == np.int64:
-        return value
     value = np.asarray(value)
     if value.dtype.kind == "f":
         whole = (np.trunc(value) == value) & (np.abs(value) < 2.0 ** 63)
@@ -263,17 +267,11 @@ RULES = {
 }
 
 
-def _single(node):
-    return node.inputs[0] if len(node.inputs) == 1 else None
-
-
 class _Plan:
     """One root's evaluation order, compiled once from the node list.
 
-    forward: (node, rule, inputs, single) for every non-leaf node up to the
-    root; `single` is the input of a one-input node, else None, and spares the
-    sweep a list of input values.
-    backward: (node, inputs, single, ((input, vjp, first), ...)) in reverse order, for
+    forward: (node, rule, inputs) for every non-leaf node up to the root.
+    backward: (node, inputs, ((input, vjp, first), ...)) in reverse order, for
     every node that receives an adjoint and passes it on; `first` marks the
     contribution that becomes the input's adjoint, later ones are added to it.
     zeros: the nodes up to the root that receive no contribution.
@@ -287,7 +285,7 @@ class _Plan:
         except ValueError:
             raise GraphError(f"{root!r} is not a node of this graph") from None
         active = nodes[: stop + 1]
-        self.forward = tuple((node, RULES[node.op][0], node.inputs, _single(node))
+        self.forward = tuple((node, RULES[node.op][0], node.inputs)
                              for node in active if node.op != "leaf")
         reached, backward = {root}, []
         for node in reversed(active):
@@ -299,7 +297,7 @@ class _Plan:
                     calls.append((inp, vjp, inp not in reached))
                     reached.add(inp)
             if calls:
-                backward.append((node, node.inputs, _single(node), tuple(calls)))
+                backward.append((node, node.inputs, tuple(calls)))
         self.backward = tuple(backward)
         self.zeros = tuple(node for node in active if node not in reached)
         self.params = tuple(node for node in active if node.is_param)
@@ -441,9 +439,8 @@ class Graph:
             else:
                 node.value = np.asarray(value, dtype=np.float64)
         root = root if root is not None else self.nodes[-1]
-        for node, rule, inputs, single in self._plan(root).forward:
-            node.value = (rule(node, single.value) if single is not None
-                          else rule(node, *[inp.value for inp in inputs]))
+        for node, rule, inputs in self._plan(root).forward:
+            node.value = rule(node, *[inp.value for inp in inputs])
         return root.value
 
     def backward(self, root=None):
@@ -463,18 +460,15 @@ class Graph:
             raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
         plan = self._plan(root)
         root.adjoint = _ONE
-        for node, inputs, single, calls in plan.backward:
+        for node, inputs, calls in plan.backward:
             adj = node.adjoint
-            values = (single.value,) if single is not None else [inp.value for inp in inputs]
+            values = [inp.value for inp in inputs]
             for inp, vjp, first in calls:
                 grad = vjp(adj, node, *values)
                 inp.adjoint = grad if first else inp.adjoint + grad
         for node in plan.zeros:
-            if node.is_param:
-                node.adjoint = np.zeros_like(node.value)
-            elif (node.adjoint is None or node.adjoint.base is not _ZERO
-                  or node.adjoint.shape != node.value.shape):
-                node.adjoint = _zero_view(node.value.shape)  # else the last one still fits
+            node.adjoint = (np.zeros_like(node.value) if node.is_param
+                            else _zero_view(node.value.shape))
         return {node.name: node.adjoint for node in plan.params}
 
 

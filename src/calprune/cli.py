@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_config, \
-    load_config, model_widths
+    load_config, model_widths, source_name
 from .data import read_json
 from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
@@ -38,13 +38,6 @@ def _print_report(report):
     return lines
 
 
-def _source(cfg, split):
-    """The file the "train" or "test" rows are read from, or the generated set's name."""
-    d = cfg["dataset"]
-    prefix = "test_" if split == "test" else ""
-    return d[prefix + "images"] or d[prefix + "path"] or f"{d['source']} {split} set"
-
-
 def cmd_train(args):
     cfg = load_config(args.config, overrides=args.set or ())
     check_output_dir(cfg["output_dir"])
@@ -56,7 +49,7 @@ def cmd_train(args):
         result = train_with_pruning(train, params, train_config)
         report = evaluate_model(result.params, test, cfg["eval"]["bins"], cfg["eval"]["deltas"])
     except (TrainingDiverged, NonFiniteLogits) as exc:  # either way the run diverged
-        raise TrainingDiverged(f"{_source(cfg, 'train')}: {exc}") from None
+        raise TrainingDiverged(f"{source_name(cfg, 'train')}: {exc}") from None
     files = bundle_texts(report, run_doc=run_result_doc(result, report, cfg))
     write_bundle(cfg["output_dir"], files,
                  extra_files={CHECKPOINT_JSON: checkpoint_text(result.params)})
@@ -75,7 +68,7 @@ def _checkpoint_and_data(args, cfg, splits):
     raises naming both."""
     params = load_checkpoint(args.checkpoint)
     _, val, test = build_datasets(cfg, splits=splits, n_classes=params.n_classes)
-    source = _source(cfg, "test")
+    source = source_name(cfg, "test")
     if params.widths[0] != test.x.shape[1]:
         raise ValueError(f"{source}: {test.x.shape[1]} features per row, checkpoint "
                          f"{args.checkpoint} expects {params.widths[0]}")

@@ -11,7 +11,7 @@ import json
 import os
 
 from .data import (Dataset, decode_pixels, generate_gaussian_mixture, load_csv,
-                   load_idx_pair, read_idx_pair, read_json, split_positions)
+                   read_idx_pair, read_json, split_positions)
 from .losses import AuxSpec, LossSpec
 from .pruning import PruneSchedule
 from .ranges import SETTINGS, check_setting
@@ -138,48 +138,52 @@ def _apply_override(user, assignment):
 
 # ---- builders ---------------------------------------------------------------
 
-def _pool(d):
-    """The training source as (features, int64 labels, class count, decode),
-    where decode turns the features of the rows a split keeps into float64;
-    an IDX pool stays uint8 until then."""
+def source_name(cfg, split):
+    """The file the "train" or "test" rows are read from, or the generated set's name."""
+    d = cfg["dataset"]
+    prefix = "test_" if split == "test" else ""
+    return d[prefix + "images"] or d[prefix + "path"] or f"{d['source']} {split} set"
+
+
+def _read(d, split, n_classes=None):
+    """The "train" or "test" source as (features, int64 labels, class count,
+    decode), decode turning the features of the rows kept into float64 (IDX
+    pixels stay uint8 until then); `n_classes` is as in build_datasets."""
+    is_test = split == "test"
+    prefix = "test_" if is_test else ""
     if d["source"] == "gaussian_mixture":
-        pool = generate_gaussian_mixture(d["classes"], d["train_per_class"],
-                                         noise=d["noise"], seed=[d["seed"], 0])
+        data = generate_gaussian_mixture(d["classes"], d[split + "_per_class"],
+                                         noise=d["noise"], seed=[d["seed"], int(is_test)])
     elif d["source"] == "idx_pair":
-        return (*read_idx_pair(d["images"], d["labels"]), decode_pixels)
+        return (*read_idx_pair(d[prefix + "images"], d[prefix + "labels"], n_classes),
+                decode_pixels)
     else:
-        pool = load_csv(d["path"], d["label_column"], n_classes=d["classes"])
-    return pool.x, pool.y, pool.n_classes, lambda x: x
+        data = load_csv(d[prefix + "path"], d["label_column"],
+                        n_classes=d["classes"] or n_classes)
+    return data.x, data.y, data.n_classes, lambda x: x
 
 
 def build_datasets(cfg, splits=("train", "val", "test"), n_classes=None):
     """(train, validation, test) Datasets per the dataset section, with None
     for each split not named in `splits`.
 
-    Train and validation split the pool and carry their pool positions as
-    ids; the pool is read only if one of them is named, and an IDX pool's
-    pixels are decoded only for the rows a named split keeps. Without the
-    pool, `n_classes` gives the class count of an IDX test source or a CSV
-    one that declares none (default: counted from the test labels).
+    Train and validation split the training source and carry their positions
+    in it as ids; that source is read only if one of them is named, and IDX
+    pixels are decoded only for the rows a named split keeps. Without it,
+    `n_classes` gives the class count of an IDX test source or a CSV one that
+    declares none (default: counted from the test labels).
     """
     d = cfg["dataset"]
     pooled = "train" in splits or "val" in splits
     if pooled:
-        x, y, n_classes, decode = _pool(d)
+        x, y, n_classes, decode = _read(d, "train")
     train = val = test = None
     if "test" in splits:
-        if d["source"] == "gaussian_mixture":
-            test = generate_gaussian_mixture(d["classes"], d["test_per_class"],
-                                             noise=d["noise"], seed=[d["seed"], 1])
-        elif d["source"] == "idx_pair":
-            test = load_idx_pair(d["test_images"], d["test_labels"], n_classes=n_classes)
-        else:
-            test = load_csv(d["test_path"], d["label_column"],
-                            n_classes=n_classes if d["classes"] is None else d["classes"])
-        # a mixture's test set is always 2-d, like its pool
+        test_x, test_y, test_classes, test_decode = _read(d, "test", n_classes)
+        test = Dataset(test_decode(test_x), test_y, test_classes)
         if pooled and test.x.shape[1] != x.shape[1]:
-            raise ValueError(f"{d['test_images'] or d['test_path']}: {test.x.shape[1]} "
-                             f"features per row, the training source has {x.shape[1]}")
+            raise ValueError(f"{source_name(cfg, 'test')}: {test.x.shape[1]} features per "
+                             f"row, the training source has {x.shape[1]}")
     if pooled:
         try:
             positions = split_positions(y, n_classes, d["train_fraction"], seed=[d["seed"], 2])

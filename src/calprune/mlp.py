@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, _fold_max, _fold_sum, dense_layer
+from .autodiff import Graph, _log_softmax_columns, dense_layer
 from .data import read_json
 from .ranges import COUNT, NON_NEGATIVE_INT, require
 
@@ -57,15 +57,6 @@ def init_mlp(widths, seed):
 FORWARD_BLOCK_ROWS = 8192
 
 
-def _forward_block(params, block):
-    """dense_layer for each layer, the last without relu; `block` is never written."""
-    h = block
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = dense_layer(h, w, b, relu=i < last)
-    return h
-
-
 def row_blocks(n):
     """The row slices forward_logits runs, in order, covering range(n).
 
@@ -93,40 +84,34 @@ def forward_logits(params, batch):
     if batch.ndim != 2 or batch.shape[1] != params.widths[0]:
         raise ValueError(
             f"batch shape {batch.shape} does not match input width {params.widths[0]}")
-    blocks = list(row_blocks(batch.shape[0]))
-    if len(blocks) == 1:
-        return _forward_block(params, batch)
     logits = np.empty((batch.shape[0], params.n_classes))
-    for rows in blocks:
-        logits[rows] = _forward_block(params, batch[rows])
+    last = params.n_layers - 1
+    for rows in row_blocks(batch.shape[0]):
+        h = batch[rows]
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = dense_layer(h, w, b, relu=i < last)
+        logits[rows] = h
     return logits
 
 
 def predict(logits):
     """Per-row argmax labels (ties -> lowest index) and max-prob confidences, as arrays.
 
-    The bits of argmax and exp of log_softmax(logits) at the label, worked on
-    the K columns, copied contiguous: the row max and the sum of exps are
-    folded column by column (_fold_max, _fold_sum), as log_softmax folds
-    them, and the label's log-probability is exactly -lse, since its shifted
-    logit is the row's largest and that is 0. The label is the first column
-    reaching the row's largest log-probability; a row with any NaN
-    log-probability has only NaN ones (its lse is NaN), so a strict `>` scan
-    keeps it at 0, as argmax does.
-    """
+    The bits of argmax and exp of log_softmax(logits) at the label: its kernel
+    normalises a contiguous copy of the K columns, and a scan keeps the first
+    column reaching each row's largest log-probability. A row with any NaN
+    log-probability has only NaN ones, so the strict `>` keeps its label at 0,
+    as argmax does."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {logits.shape}")
-    shifted = np.array(logits.T, order="C")
-    shifted -= _fold_max(shifted)
-    lse = np.log(_fold_sum(np.exp(shifted)))
-    shifted -= lse
-    labels = np.zeros(len(lse), dtype=np.intp)
-    best = shifted[0]
-    for j in range(1, len(shifted)):
-        np.putmask(labels, shifted[j] > best, j)
-        np.maximum(best, shifted[j], out=best)
-    return labels, np.exp(-lse)
+    log_probs = _log_softmax_columns(np.array(logits.T, order="C"))
+    labels = np.zeros(log_probs.shape[1], dtype=np.intp)
+    best = log_probs[0]
+    for j in range(1, len(log_probs)):
+        np.putmask(labels, log_probs[j] > best, j)
+        np.maximum(best, log_probs[j], out=best)
+    return labels, np.exp(best)
 
 
 def logits_graph(graph: Graph, x_node, n_layers):

@@ -8,6 +8,7 @@ against it and raise ValueError; `config` builds its defaults from it and
 checks every key before any data is built.
 """
 
+import json
 from collections import namedtuple
 from collections.abc import Iterable
 from math import inf
@@ -54,7 +55,7 @@ class _OneOf:
 
     @property
     def text(self):
-        return "one of " + ", ".join(map(repr, self.kinds()))
+        return "one of " + ", ".join(map(json.dumps, self.kinds()))
 
     def test(self, value):
         return value in self.kinds()
@@ -121,16 +122,25 @@ SETTINGS = {
 }
 
 
+def _json(value):
+    """`value` as JSON text (NaN as `NaN`), or its repr if it is not JSON."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def require(rule, value, name, error=ValueError):
     """Raise `error` naming `name` unless `value` passes `rule`."""
     if not rule.test(value):
-        raise error(f"{name} must be {rule.text}, got {value!r}")
+        raise error(f"{name} must be {rule.text}, got {_json(value)}")
 
 
 def _require_kind(kind, value, name, error):
     actual = kind_of(value)
     if actual != kind and (kind, actual) != ("number", "integer"):
-        raise error(f"{name} must be of type {kind}, got {actual} {value!r}")
+        shown = "" if actual == "null" else " " + _json(value)
+        raise error(f"{name} must be of type {kind}, got {actual}{shown}")
 
 
 def check(key, value, name=None, error=ValueError):

@@ -223,8 +223,7 @@ def records_for(params, data, temperatures=(1.0,)):
     for rows in row_blocks(n):
         logits = _finite_logits(params, data.x[rows])
         for t, (confidences, correct) in zip(temperatures, records):
-            # x / 1.0 is x bit for bit, so T = 1 needs no scaled copy
-            labels, confidences[rows] = predict(logits if t == 1.0 else logits / t)
+            labels, confidences[rows] = predict(logits / t)
             correct[rows] = labels == data.y[rows]
     return records
 

@@ -467,8 +467,8 @@ def test_backward_matches_zero_fill_reference(widths, spec, batch):
 
 
 def test_zero_adjoint_under_one_root_after_a_real_one_under_another():
-    """backward() keeps the last zero view of a node that gets no contribution
-    only while it still fits; a real adjoint from another root is replaced."""
+    """backward() gives a node that gets no contribution a read-only zero
+    adjoint of its value's shape; a real adjoint from another root is replaced."""
     g = Graph()
     p, q = g.leaf("p"), g.leaf("q", param=False)
     e = g.exp(g.mul(p, q))
@@ -481,9 +481,9 @@ def test_zero_adjoint_under_one_root_after_a_real_one_under_another():
     g.forward(bindings, root=past_e)
     g.backward(root=past_e)
     assert e.adjoint.shape == (2,) and not e.adjoint.any() and not e.adjoint.flags.writeable
-    zeros = q.adjoint
     g.backward(root=past_e)
-    assert q.adjoint is zeros and e.adjoint.shape == (2,) and not e.adjoint.any()
+    assert q.adjoint.shape == e.adjoint.shape == (2,)
+    assert not q.adjoint.any() and not e.adjoint.any() and not q.adjoint.flags.writeable
     g.forward({"p": np.ones(3), "q": np.ones(3)}, root=past_e)
     g.backward(root=past_e)
     assert q.adjoint.shape == e.adjoint.shape == (3,)

@@ -91,17 +91,17 @@ def test_config_value_types_checked(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("assignment, key, element", [
-    ('train.lr_milestones=["a"]', "train.lr_milestones[0]", "string 'a'"),
-    ("train.lr_milestones=[null]", "train.lr_milestones[0]", "null None"),
-    ('eval.deltas=["a"]', "eval.deltas[0]", "string 'a'"),
-    ("eval.deltas=[true]", "eval.deltas[0]", "boolean True"),
+    ('train.lr_milestones=["a"]', "train.lr_milestones[0]", 'string "a"'),
+    ("train.lr_milestones=[null]", "train.lr_milestones[0]", "null"),
+    ('eval.deltas=["a"]', "eval.deltas[0]", 'string "a"'),
+    ("eval.deltas=[true]", "eval.deltas[0]", "boolean true"),
     ("prune.epochs=5", "prune.epochs", "integer 5"),
-    ('prune.epochs=["x"]', "prune.epochs[0]", "string 'x'"),
+    ('prune.epochs=["x"]', "prune.epochs[0]", 'string "x"'),
     ("prune.epochs=[2.5]", "prune.epochs[0]", "number 2.5"),
-    ("prune.epochs=[true]", "prune.epochs[0]", "boolean True"),
-    ('prune.warmup_epochs="x"', "prune.warmup_epochs", "string 'x'"),
+    ("prune.epochs=[true]", "prune.epochs[0]", "boolean true"),
+    ('prune.warmup_epochs="x"', "prune.warmup_epochs", 'string "x"'),
     ("prune.warmup_epochs=2.5", "prune.warmup_epochs", "number 2.5"),
-    ('model.hidden=["x"]', "model.hidden[0]", "string 'x'"),
+    ('model.hidden=["x"]', "model.hidden[0]", 'string "x"'),
     ("model.hidden=[2.5]", "model.hidden[0]", "number 2.5"),
     ("dataset.images=5", "dataset.images", "integer 5"),
 ])
@@ -111,7 +111,7 @@ def test_config_array_elements_and_null_defaults_typed(tmp_path, capsys, assignm
     assert main(["train", "--config", str(path), "--set", assignment]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config key {key} must be of type")
-    assert element in err and "Traceback" not in err
+    assert err.endswith(f"got {element}\n") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -413,7 +413,7 @@ def test_unknown_loss_kind_exits_2_naming_its_key(tmp_path, capsys, key):
     assert main(["train", "--config", str(path), "--set", f"{key}=foo"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config key {key} must be one of ")
-    assert err.endswith("got 'foo'\n") and not (tmp_path / "out").exists()
+    assert err.endswith('got "foo"\n') and not (tmp_path / "out").exists()
 
 
 def test_readme_states_every_setting_range():
@@ -666,7 +666,7 @@ class Merge(dict):
     (("report", "n_bins"), 3, "report field n_bins must equal the number of bins, 10, got 3"),
     (("report", "n"), 0, "report field n must equal the sum of the bin counts"),
     (("report", "bins", 0, "lower"), float("nan"),
-     "report field bins[0].lower must be a number in [0, 1], got nan"),
+     "report field bins[0].lower must be a number in [0, 1], got NaN"),
     (("report", "bins", 9, "upper"), float("inf"), "bins[9].upper must be a number in [0, 1]"),
     (("report", "bins", 9, "upper"), 1.5, "bins[9].upper must be a number in [0, 1], got 1.5"),
     (("report", "bins", 6, "accuracy"), -0.5,
@@ -1051,6 +1051,32 @@ def test_calibrate_on_finite_logits_whose_nll_overflows_exits_1_naming_it(traine
                         r"temperature \S+ is not finite\n", captured.err)
 
 
+def test_evaluate_on_finite_logits_whose_spread_overflows_exits_0(tmp_path, capsys):
+    """A quickstart-shaped checkpoint whose last layer gives every row the
+    finite logits (1e308, -1e308, 0, 0): shifting them by the row max
+    overflows to -inf, whose exp is 0, so evaluate under `python -W error`
+    prints its metrics, exits 0 and warns nothing. calibrate still stops on
+    the validation NLL, which is not finite."""
+    params = init_mlp([2, 64, 64, 4], seed=0)
+    params.weights[-1][:] = 0.0
+    params.biases[-1][:] = [1e308, -1e308, 0.0, 0.0]
+    huge = tmp_path / "huge_checkpoint.json"
+    huge.write_text(mlp.checkpoint_text(params))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "calprune", "evaluate",
+                           "--config", str(QUICKSTART), "--checkpoint", str(huge),
+                           "--out", str(tmp_path / "eval")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("ece ") and "test_error_pct " in proc.stdout
+    assert (tmp_path / "eval" / "report.json").exists()
+    assert main(["calibrate", "--config", str(QUICKSTART), "--checkpoint", str(huge)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: checkpoint {huge}: the validation NLL at temperature "
+                            "3.85056 is not finite\n")
+
+
 def write_csv(path, header, labels, seed):
     """A CSV with `header`; each column named y holds the label, the rest features."""
     rng = np.random.default_rng(seed)
@@ -1397,7 +1423,8 @@ def sweep_inputs(tmp_path, monkeypatch):
     return clean
 
 
-# input kind -> (the files a case may mutate, one picked per case; CLI arguments)
+# input kind -> (the files a case may mutate, one picked per case; CLI arguments);
+# a checkpoint is mutated once for evaluate and once for calibrate
 SWEEP_TARGETS = {
     "csv": (["train.csv", "test.csv"], ["train", "--config", "csv.json"]),
     "idx_images": (["train-images.idx", "test-images.idx"], ["train", "--config", "idx.json"]),
@@ -1407,6 +1434,9 @@ SWEEP_TARGETS = {
                    ["evaluate", "--config", "csv.json", "--checkpoint", "checkpoint.json",
                     "--out", "out"]),
     "run_json": (["run.json"], ["report", "--run", "run.json", "--out", "out"]),
+    "checkpoint_calibrate": (["checkpoint.json"],
+                             ["calibrate", "--config", "csv.json", "--checkpoint",
+                              "checkpoint.json"]),
 }
 
 
@@ -1446,7 +1476,7 @@ def test_every_seeded_malformed_input_exits_cleanly(sweep_inputs, tmp_path, monk
     rng = np.random.default_rng(SWEEP_SEED)
     cases = [(kind, int(rng.integers(len(SWEEP_TARGETS[kind][0]))), int(rng.integers(2 ** 32)))
              for kind in SWEEP_TARGETS for _ in range(SWEEP_CASES_PER_INPUT)]
-    assert len(cases) == 36
+    assert len(cases) == 42
     outcomes = []
     for number, (kind, which, seed) in enumerate(cases):
         case_dir = tmp_path / f"case{number}"

@@ -285,9 +285,9 @@ def test_spec_validation():
             (lambda: LossSpec(kind=["nll"]), "kind must be of type string, got array"),
             (lambda: AuxSpec(alpha=None), "alpha must be of type number, got null"),
             (lambda: TrainConfig(10, 32, "0.1"),
-             "learning_rate must be of type number, got string '0.1'"),
+             'learning_rate must be of type number, got string "0.1"'),
             (lambda: TrainConfig(10, 32, 0.1, weight_decay=True),
-             "weight_decay must be of type number, got boolean True")):
+             "weight_decay must be of type number, got boolean true")):
         with pytest.raises(ValueError, match=f"^{problem}"):
             build()
     assert TrainConfig(10, 32, 0.1, lr_milestones=(4, 8)).lr_milestones == (4, 8)

@@ -3,6 +3,7 @@
 import base64
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_init_rejects_bad_widths():
 
 @pytest.mark.parametrize("width", [2.7, True, 0, -1])
 def test_init_rejects_non_count_widths_before_casting(width):
-    with pytest.raises(ValueError, match=rf"widths\[1\] must be an integer >= 1, got {width!r}"):
+    with pytest.raises(ValueError, match=rf"widths\[1\] must be an integer >= 1, got {json.dumps(width)}$"):
         init_mlp([2, width, 3], seed=0)
 
 
@@ -168,6 +169,18 @@ def test_predict_non_finite_rows_are_nan_where_the_reference_is():
     assert np.isnan(confidences).tolist() == nan_rows.tolist()
     assert nan_rows.any() and not nan_rows.all()
     assert confidences[~nan_rows].tobytes() == ref_confidences[~nan_rows].tobytes()
+
+
+def test_logits_spread_past_the_float_range_normalise_without_warning():
+    """Shifting -1e308 by the row max 1e308 overflows to -inf, whose exp is
+    the correct 0: log_softmax and predict give exact values and no warning."""
+    logits = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_probs = log_softmax(logits)
+        labels, confidences = predict(logits)
+    assert log_probs.tolist() == [[0.0, -np.inf], [-np.inf, 0.0]]
+    assert labels.tolist() == [0, 1] and confidences.tolist() == [1.0, 1.0]
 
 
 def test_graph_forward_matches_plain_forward_bitwise():

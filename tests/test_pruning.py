@@ -196,7 +196,7 @@ def test_schedule_validation():
         PruneSchedule(percent=10.0, ema_factor=1.5, epochs=())
     with pytest.raises(ValueError):
         PruneSchedule(percent=10.0, epochs={0})
-    with pytest.raises(ValueError, match="^percent must be of type number, got boolean True"):
+    with pytest.raises(ValueError, match="^percent must be of type number, got boolean true"):
         PruneSchedule(True, epochs=[1])
     with pytest.raises(ValueError, match=r"^epochs\[0\] must be of type integer"):
         PruneSchedule(10.0, epochs=["5"])
