@@ -38,9 +38,10 @@ def _nested(settings):
 
 DEFAULTS = _nested(SETTINGS)
 
-# dataset source -> (keys it requires, keys it may also set); the keys in
-# _ANY_SOURCE apply to every source, and any other dataset key is a typo
-_SOURCES = {
+# dataset source -> (keys it requires, keys it may also set), its keys the
+# values ranges.SETTINGS lets dataset.source take; the keys in _ANY_SOURCE
+# apply to every source, and any other dataset key is a typo
+SOURCES = {
     "gaussian_mixture": (set(), {"classes", "train_per_class", "test_per_class", "noise"}),
     "idx_pair": ({"images", "labels", "test_images", "test_labels"}, set()),
     "csv": ({"path", "test_path", "label_column"}, {"classes"}),
@@ -60,7 +61,7 @@ def _merge_strict(defaults, user, prefix=""):
     for key, value in user.items():
         path = f"{prefix}{key}"
         if key not in defaults:
-            raise ConfigError(f"unknown config key: {path}")
+            raise ConfigError(f"unknown config key: {json.dumps(path)}")
         if path not in SETTINGS:
             if value is None and path in _NULLABLE_SECTIONS:
                 merged[key] = None
@@ -74,13 +75,6 @@ def _merge_strict(defaults, user, prefix=""):
     return merged
 
 
-def _value(cfg, key):
-    """The value at dotted `key`, or None below a null section."""
-    for part in key.split("."):
-        cfg = None if cfg is None else cfg[part]
-    return cfg
-
-
 def resolve_config(user):
     """Merge a user config dict over the documented defaults, strictly,
     checking every key the user sets against its ranges.SETTINGS entry."""
@@ -88,18 +82,17 @@ def resolve_config(user):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge_strict(DEFAULTS, user)
     source = cfg["dataset"]["source"]
-    if source not in _SOURCES:
-        raise ConfigError(f"unknown config value: dataset.source={source!r}")
-    required, optional = _SOURCES[source]
+    required, optional = SOURCES[source]
+    shown = json.dumps(source)
     user_dataset_keys = set(user.get("dataset", {}))
     stray = user_dataset_keys - required - optional - _ANY_SOURCE
     if stray:
         raise ConfigError(
-            f"config key dataset.{sorted(stray)[0]} does not apply to source {source!r}")
+            f"config key dataset.{sorted(stray)[0]} does not apply to source {shown}")
     missing = required - {k for k in user_dataset_keys if cfg["dataset"][k] is not None}
     if missing:
         raise ConfigError(
-            f"dataset source {source!r} requires config key dataset.{sorted(missing)[0]}")
+            f"dataset source {shown} requires config key dataset.{sorted(missing)[0]}")
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
     return cfg
@@ -120,7 +113,7 @@ def load_config(path, overrides=(), env=None):
 
 def _apply_override(user, assignment):
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key.path=value")
+        raise ConfigError(f"override {json.dumps(assignment)} is not of the form key.path=value")
     dotted, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
@@ -131,7 +124,7 @@ def _apply_override(user, assignment):
     for key in keys[:-1]:
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"override {dotted!r} descends through a non-object")
+            raise ConfigError(f"override {json.dumps(dotted)} descends through a non-object")
     node[keys[-1]] = value
     return user
 
@@ -195,15 +188,9 @@ def build_datasets(cfg, splits=("train", "val", "test"), n_classes=None):
     return train, val, test
 
 
-def _build(owner, cfg, **fields):
-    """`owner` from the config keys that feed its fields, overridden by `fields`."""
-    return owner(**{**{s.field: _value(cfg, key) for key, s in SETTINGS.items()
-                       if s.owner == owner.__name__}, **fields})
-
-
 def build_loss_spec(cfg):
-    aux = None if cfg["loss"]["aux"] is None else _build(AuxSpec, cfg)
-    return _build(LossSpec, cfg, aux=aux)
+    aux = cfg["loss"]["aux"]
+    return LossSpec(**{**cfg["loss"], "aux": aux and AuxSpec(**aux)})
 
 
 def build_prune_schedule(cfg):
@@ -223,11 +210,12 @@ def build_prune_schedule(cfg):
     epochs = p["epochs"]
     if epochs is None:
         epochs = range(p["interval"], last + 1, p["interval"])
-    return _build(PruneSchedule, cfg, epochs=(e for e in epochs if warmup <= e <= last))
+    return PruneSchedule(p["percent"], p["ema_factor"],
+                         epochs=(e for e in epochs if warmup <= e <= last))
 
 
 def build_train_config(cfg):
-    return _build(TrainConfig, cfg, loss=build_loss_spec(cfg), prune=build_prune_schedule(cfg))
+    return TrainConfig(**cfg["train"], loss=build_loss_spec(cfg), prune=build_prune_schedule(cfg))
 
 
 def model_widths(cfg, input_dim, n_classes):

@@ -29,7 +29,7 @@ class AuxSpec:
     weight: float = 10.0
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, "loss.aux")
 
 
 @dataclass
@@ -41,7 +41,7 @@ class LossSpec:
     aux: AuxSpec = None
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, "loss")
 
 
 def nll_loss(g, log_probs, targets):

@@ -24,7 +24,7 @@ class PruneSchedule:
 
     def __post_init__(self):
         self.epochs = frozenset(self.epochs)
-        check_fields(self)
+        check_fields(self, "prune")
 
 
 def prune_count(percent, n):

@@ -1,22 +1,26 @@
 """Every config key, written once: its default, JSON kind and valid range.
 
 `SETTINGS` maps each config key to its default, the JSON kind it takes (for
-an array, `[element kind]`), the dataclass field or function argument it
-feeds and, for a constrained setting, one rule: a predicate with the text
-that states it. Library constructors and functions check their own arguments
-against it and raise ValueError; `config` builds its defaults from it and
-checks every key before any data is built.
+an array, `[element kind]`) and, for a constrained setting, one rule: a
+predicate with the text that states it. Library constructors and functions
+check their own arguments against it and raise ValueError, naming the key's
+last part or, where the argument it feeds is named otherwise, its `field`;
+`config` builds its defaults from it and checks every key before any data is
+built.
 """
 
 import json
 from collections import namedtuple
 from collections.abc import Iterable
+from dataclasses import fields
+from importlib import import_module
 from math import inf
 from numbers import Integral, Real
 
 Rule = namedtuple("Rule", "text test")
-# `each`: the rule holds for every element of an array setting, not the whole array
-Setting = namedtuple("Setting", "default kind owner field rule each", defaults=(None, False))
+# `each`: the rule holds for every element of an array setting, not the whole array;
+# `field`: the argument the key feeds, given only where it is not the key's last part
+Setting = namedtuple("Setting", "default kind rule each field", defaults=(None, False, None))
 
 
 def kind_of(value):
@@ -43,15 +47,14 @@ def _interval(low, high, brackets="[)"):
 
 
 class _OneOf:
-    """A kind in a table of calprune.losses, read when checked: losses
-    imports this module, so the table does not exist yet at import."""
+    """A key of a table in a calprune module, read when checked: that module
+    imports this one, so the table does not exist yet at import."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, module, table):
+        self.module, self.table = module, table
 
     def kinds(self):
-        from . import losses
-        return getattr(losses, self.table)
+        return getattr(import_module(f"{__package__}.{self.module}"), self.table)
 
     @property
     def text(self):
@@ -65,60 +68,47 @@ COUNT, NON_NEGATIVE_INT = _integer(1), _integer(0)
 POSITIVE, NON_NEGATIVE = _interval(0, inf, "()"), _interval(0, inf)
 
 SETTINGS = {
-    "dataset.source": Setting("gaussian_mixture", "string", "build_datasets", "source"),
-    "dataset.classes": Setting(2, "integer", "generate_gaussian_mixture", "n_classes",
-                               _integer(2)),
-    "dataset.train_per_class": Setting(500, "integer", "generate_gaussian_mixture",
-                                       "per_class", COUNT),
-    "dataset.test_per_class": Setting(250, "integer", "generate_gaussian_mixture",
-                                      "per_class", COUNT),
-    "dataset.noise": Setting(0.0, "number", "generate_gaussian_mixture", "noise",
-                             _interval(0, 0.5)),
+    "dataset.source": Setting("gaussian_mixture", "string", _OneOf("config", "SOURCES")),
+    "dataset.classes": Setting(2, "integer", _integer(2), field="n_classes"),
+    "dataset.train_per_class": Setting(500, "integer", COUNT, field="per_class"),
+    "dataset.test_per_class": Setting(250, "integer", COUNT, field="per_class"),
+    "dataset.noise": Setting(0.0, "number", _interval(0, 0.5)),
     # seeds numpy's SeedSequence, which takes no negative entropy
-    "dataset.seed": Setting(0, "integer", "build_datasets", "seed", NON_NEGATIVE_INT),
-    "dataset.train_fraction": Setting(0.9, "number", "stratified_split", "train_fraction",
-                                      _interval(0, 1, "()")),
-    "dataset.images": Setting(None, "string", "load_idx_pair", "images_path"),
-    "dataset.labels": Setting(None, "string", "load_idx_pair", "labels_path"),
-    "dataset.test_images": Setting(None, "string", "load_idx_pair", "images_path"),
-    "dataset.test_labels": Setting(None, "string", "load_idx_pair", "labels_path"),
-    "dataset.path": Setting(None, "string", "load_csv", "path"),
-    "dataset.test_path": Setting(None, "string", "load_csv", "path"),
-    "dataset.label_column": Setting(None, "string", "load_csv", "label_column"),
-    "model.hidden": Setting([64, 64], ["integer"], "model_widths", "hidden", COUNT, True),
-    "train.max_epochs": Setting(60, "integer", "TrainConfig", "max_epochs", COUNT),
-    "train.batch_size": Setting(128, "integer", "TrainConfig", "batch_size", COUNT),
-    "train.learning_rate": Setting(0.1, "number", "TrainConfig", "learning_rate", POSITIVE),
-    "train.lr_milestones": Setting([80, 120], ["integer"], "TrainConfig", "lr_milestones",
-                                   COUNT, True),
-    "train.lr_decay_factor": Setting(0.1, "number", "TrainConfig", "lr_decay_factor",
-                                     POSITIVE),
-    "train.momentum": Setting(0.9, "number", "TrainConfig", "momentum", _interval(0, 1)),
-    "train.weight_decay": Setting(5e-4, "number", "TrainConfig", "weight_decay",
-                                  NON_NEGATIVE),
-    "train.seed": Setting(1, "integer", "TrainConfig", "seed", NON_NEGATIVE_INT),
-    "loss.kind": Setting("flsd", "string", "LossSpec", "kind",
-                         _OneOf("CLASSIFICATION_LOSSES")),
-    "loss.gamma": Setting(3.0, "number", "LossSpec", "gamma", NON_NEGATIVE),
-    "loss.smoothing": Setting(0.0, "number", "LossSpec", "smoothing", _interval(0, 1)),
-    "loss.aux.kind": Setting("huber", "string", "AuxSpec", "kind", _OneOf("AUX_LOSSES")),
-    "loss.aux.alpha": Setting(0.005, "number", "AuxSpec", "alpha", POSITIVE),
-    "loss.aux.weight": Setting(10.0, "number", "AuxSpec", "weight", NON_NEGATIVE),
-    "prune.enabled": Setting(False, "boolean", "build_prune_schedule", "enabled"),
-    "prune.percent": Setting(10.0, "number", "PruneSchedule", "percent",
-                             _interval(0, 100, "()")),
-    "prune.ema_factor": Setting(0.3, "number", "PruneSchedule", "ema_factor",
-                                _interval(0, 1, "[]")),
-    "prune.interval": Setting(5, "integer", "build_prune_schedule", "interval", COUNT),
+    "dataset.seed": Setting(0, "integer", NON_NEGATIVE_INT),
+    "dataset.train_fraction": Setting(0.9, "number", _interval(0, 1, "()")),
+    "dataset.images": Setting(None, "string", field="images_path"),
+    "dataset.labels": Setting(None, "string", field="labels_path"),
+    "dataset.test_images": Setting(None, "string", field="images_path"),
+    "dataset.test_labels": Setting(None, "string", field="labels_path"),
+    "dataset.path": Setting(None, "string"),
+    "dataset.test_path": Setting(None, "string", field="path"),
+    "dataset.label_column": Setting(None, "string"),
+    "model.hidden": Setting([64, 64], ["integer"], COUNT, True),
+    "train.max_epochs": Setting(60, "integer", COUNT),
+    "train.batch_size": Setting(128, "integer", COUNT),
+    "train.learning_rate": Setting(0.1, "number", POSITIVE),
+    "train.lr_milestones": Setting([80, 120], ["integer"], COUNT, True),
+    "train.lr_decay_factor": Setting(0.1, "number", POSITIVE),
+    "train.momentum": Setting(0.9, "number", _interval(0, 1)),
+    "train.weight_decay": Setting(5e-4, "number", NON_NEGATIVE),
+    "train.seed": Setting(1, "integer", NON_NEGATIVE_INT),
+    "loss.kind": Setting("flsd", "string", _OneOf("losses", "CLASSIFICATION_LOSSES")),
+    "loss.gamma": Setting(3.0, "number", NON_NEGATIVE),
+    "loss.smoothing": Setting(0.0, "number", _interval(0, 1)),
+    "loss.aux.kind": Setting("huber", "string", _OneOf("losses", "AUX_LOSSES")),
+    "loss.aux.alpha": Setting(0.005, "number", POSITIVE),
+    "loss.aux.weight": Setting(10.0, "number", NON_NEGATIVE),
+    "prune.enabled": Setting(False, "boolean"),
+    "prune.percent": Setting(10.0, "number", _interval(0, 100, "()")),
+    "prune.ema_factor": Setting(0.3, "number", _interval(0, 1, "[]")),
+    "prune.interval": Setting(5, "integer", COUNT),
     # a set of epochs has no element order, so its rule is checked and named whole
-    "prune.epochs": Setting(None, ["integer"], "PruneSchedule", "epochs", Rule(
+    "prune.epochs": Setting(None, ["integer"], Rule(
         f"a set of epochs, each {COUNT.text}", lambda v: all(map(COUNT.test, v)))),
-    "prune.warmup_epochs": Setting(None, "integer", "build_prune_schedule",
-                                   "warmup_epochs", NON_NEGATIVE_INT),
-    "eval.bins": Setting(10, "integer", "build_report", "n_bins", COUNT),
-    "eval.deltas": Setting([0.95, 0.99], ["number"], "build_report", "deltas",
-                           _interval(0, 1, "(]"), True),
-    "output_dir": Setting("runs/out", "string", "write_bundle", "out_dir"),
+    "prune.warmup_epochs": Setting(None, "integer", NON_NEGATIVE_INT),
+    "eval.bins": Setting(10, "integer", COUNT, field="n_bins"),
+    "eval.deltas": Setting([0.95, 0.99], ["number"], _interval(0, 1, "(]"), True),
+    "output_dir": Setting("runs/out", "string", field="out_dir"),
 }
 
 
@@ -148,7 +138,7 @@ def check(key, value, name=None, error=ValueError):
     passes its rule; for an array setting `value` is one element. The
     message names `name`, by default the field or argument the key feeds."""
     setting = SETTINGS[key]
-    name = name or setting.field
+    name = name or setting.field or key.rpartition(".")[2]
     array = isinstance(setting.kind, list)
     _require_kind(setting.kind[0] if array else setting.kind, value, name, error)
     if setting.rule and (setting.each or not array):
@@ -159,7 +149,7 @@ def check_setting(key, value, name=None, error=ValueError):
     """check() `value`, or each element of an array setting as `name[i]`;
     a key whose default is null also takes null."""
     setting = SETTINGS[key]
-    name = name or setting.field
+    name = name or setting.field or key.rpartition(".")[2]
     if value is None and setting.default is None:
         return
     if not isinstance(setting.kind, list):
@@ -171,8 +161,10 @@ def check_setting(key, value, name=None, error=ValueError):
         require(setting.rule, value, name, error)
 
 
-def check_fields(obj):
-    """check_setting() every field of `obj` that a setting feeds, raising ValueError."""
-    for key, setting in SETTINGS.items():
-        if setting.owner == type(obj).__name__:
-            check_setting(key, getattr(obj, setting.field))
+def check_fields(obj, section):
+    """check_setting() each field of dataclass `obj` whose config key is
+    `section.<field>`, raising ValueError."""
+    for f in fields(obj):
+        key = f"{section}.{f.name}"
+        if key in SETTINGS:
+            check_setting(key, getattr(obj, f.name))

@@ -51,7 +51,7 @@ class TrainConfig:
     prune: PruneSchedule = None
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, "train")
 
 
 @dataclass
