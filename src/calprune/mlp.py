@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Graph, _log_softmax_columns, dense_layer
 from .data import read_json
-from .ranges import COUNT, NON_NEGATIVE_INT, require
+from .ranges import COUNT, NON_NEGATIVE_INT, _json, kind_of, require
 
 CHECKPOINT_MAGIC = "calprune-mlp"
 CHECKPOINT_VERSION = 2
@@ -144,7 +144,7 @@ def _decode_array(entry):
     """Inverse of _encode_array, as an owned, writable, native float64 array."""
     shape = entry["shape"]
     if not isinstance(shape, list) or not all(map(NON_NEGATIVE_INT.test, shape)):
-        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+        raise ValueError(f"shape {_json(shape)} is not a list of non-negative integers")
     raw = base64.b64decode(entry["data"], validate=True)
     n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
     if len(raw) != n_bytes:
@@ -178,23 +178,23 @@ def load_checkpoint(path):
     doc = read_json(path)
     magic = doc.get("magic") if isinstance(doc, dict) else None
     if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
+        raise ValueError(f"{path}: not a checkpoint (magic {_json(magic)})")
     version = doc.get("version")
     decode = _DECODERS.get(version) if NON_NEGATIVE_INT.test(version) else None
     if decode is None:
-        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+        raise ValueError(f"{path}: unsupported checkpoint version {_json(version)}")
     try:
         widths = doc["widths"]
         if not (isinstance(widths, list) and len(widths) >= 2
                 and all(map(COUNT.test, widths))):
-            raise ValueError(f"widths {widths!r} is not a list of >= 2 positive integers")
+            raise ValueError(f"widths {_json(widths)} is not a list of >= 2 positive integers")
         layers = doc["layers"]
         if not isinstance(layers, list):
-            raise TypeError(f"'layers' is a {type(layers).__name__}, not a list")
+            raise TypeError(f'"layers" must be of type array, got {kind_of(layers)}')
         weights = [decode(layer["weight"]) for layer in layers]
         biases = [decode(layer["bias"]) for layer in layers]
     except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks key {exc.args[0]!r}") from None
+        raise ValueError(f"{path}: checkpoint lacks key {_json(exc.args[0])}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
     if len(layers) != len(widths) - 1:

@@ -79,47 +79,91 @@ class RunResult:
     ema: object = None  # every training row's final EMA score; a pruned row keeps its last
 
 
-# flat float64 vectors of one length, and name -> view of `scratch`
-SgdState = namedtuple("SgdState", "theta velocity scratch slots")
+SGD_BLOCK = 8192  # elements (64 KB) that sgd_update steps together, so its scratch stays cached
+
+# flat float64 vectors of one length, one block's scratch, the tuple of SgdBlock
+# that tiles them in order, and name -> the shape its gradient must have
+SgdState = namedtuple("SgdState", "theta velocity scratch blocks shapes")
+# one contiguous range: its views of theta, velocity and scratch, and per
+# parameter piece (view of scratch shaped like the piece, name, row slice or None)
+SgdBlock = namedtuple("SgdBlock", "theta velocity scratch pieces")
+
+
+def _sgd_layout(shapes):
+    """[size, pieces] per block of the parameters of name -> shape `shapes`, in
+    order: a run of whole parameters of at most SGD_BLOCK elements, or a run
+    of the leading-axis rows of one larger parameter (a row longer than
+    SGD_BLOCK alone). A piece is (name, row slice or None for the whole
+    parameter, shape)."""
+    layout, joinable = [], False  # joinable: the last block is a run of whole parameters
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        if size > SGD_BLOCK:
+            row = size // shape[0]
+            step = max(1, SGD_BLOCK // row)
+            for first in range(0, shape[0], step):
+                n = min(step, shape[0] - first)
+                layout.append([n * row, [(name, slice(first, first + n), (n, *shape[1:]))]])
+            joinable = False
+        elif joinable and layout[-1][0] + size <= SGD_BLOCK:
+            layout[-1][0] += size
+            layout[-1][1].append((name, None, shape))
+        else:
+            layout.append([size, [(name, None, shape)]])
+            joinable = True
+    return layout
 
 
 def sgd_state(arrays):
     """SgdState for name -> array `arrays`, and name -> view of its `theta`.
 
     `theta` holds a float64 copy of the arrays back to back and `velocity`
-    starts at zero; each slot is the view of `scratch` at the offsets of the
-    parameter of its name. The arrays themselves are never written.
+    starts at zero; `scratch` is as long as the largest block. The arrays
+    themselves are never written.
     """
     theta = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
-    scratch = np.empty_like(theta)
-    views, slots, start = {}, {}, 0
-    for name, a in arrays.items():
-        stop = start + np.size(a)
-        views[name] = theta[start:stop].reshape(np.shape(a))
-        slots[name] = scratch[start:stop].reshape(np.shape(a))
-        start = stop
-    return SgdState(theta, np.zeros_like(theta), scratch, slots), views
+    velocity = np.zeros_like(theta)
+    shapes = {name: np.shape(a) for name, a in arrays.items()}
+    layout = _sgd_layout(shapes)
+    scratch = np.empty(max(size for size, _ in layout))
+    blocks, start = [], 0
+    for size, pieces in layout:
+        s, offset, slots = scratch[:size], 0, []
+        for name, rows, shape in pieces:
+            stop = offset + math.prod(shape)
+            slots.append((s[offset:stop].reshape(shape), name, rows))
+            offset = stop
+        blocks.append(SgdBlock(theta[start:start + size], velocity[start:start + size], s,
+                               tuple(slots)))
+        start += size
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        views[name] = theta[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return SgdState(theta, velocity, scratch, tuple(blocks), shapes), views
 
 
 def sgd_update(state, grads, lr, momentum, weight_decay):
     """One SGD step in place over the flat vectors of `state`, allocating nothing.
 
-    s = wd*theta + g; v = momentum*v + s; theta -= lr*v. Each gradient is
-    added into its own slot of s, its shape checked first, so a mismatch
-    raises before the velocity or theta is written.
+    s = wd*theta + g; v = momentum*v + s; theta -= lr*v, block by block, so
+    each element sees the same ops in the same order as over whole vectors.
+    Every gradient's shape is checked first, so a mismatch raises before the
+    velocity or theta is written.
     """
-    theta, v, s, slots = state
-    np.multiply(theta, weight_decay, out=s)
-    for name, slot in slots.items():
-        g = grads[name]
-        if g.shape != slot.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {slot.shape}"
+    for name, shape in state.shapes.items():
+        if grads[name].shape != shape:
+            raise ValueError(f"gradient shape {grads[name].shape} != parameter shape {shape}"
                              f" for {name!r}")
-        np.add(slot, g, out=slot)
-    v *= momentum
-    v += s
-    np.multiply(v, lr, out=s)
-    theta -= s
+    for theta, v, s, pieces in state.blocks:
+        np.multiply(theta, weight_decay, out=s)
+        for slot, name, rows in pieces:
+            g = grads[name]
+            np.add(slot, g if rows is None else g[rows], out=slot)
+        v *= momentum
+        v += s
+        np.multiply(v, lr, out=s)
+        theta -= s
 
 
 def lr_at_epoch(epoch, config):

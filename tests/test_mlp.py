@@ -374,25 +374,26 @@ def _put_nan(name, layer):
 # each case applies to both layouts: version 2 as written, version 1 as built by _v1_doc
 MALFORMED = pytest.mark.parametrize("mutate, problem", [
     (lambda doc: doc["layers"].append(doc["layers"][-1]), "3 layers, but widths"),
-    (_drop("magic"), "magic None"),
-    (_drop("widths"), "lacks key 'widths'"),
-    (_drop("layers"), "lacks key 'layers'"),
-    (_drop("weight", layer=0), "lacks key 'weight'"),
-    (_drop("bias", layer=1), "lacks key 'bias'"),
-    (lambda doc: doc.update(layers={"weight": []}), "'layers' is a dict, not a list"),
-    (lambda doc: doc.update(version=True), "unsupported checkpoint version True"),
+    (_drop("magic"), "magic null"),
+    (lambda doc: doc.update(magic="xé"), r'magic "x\\u00e9"\)'),
+    (_drop("widths"), 'lacks key "widths"'),
+    (_drop("layers"), 'lacks key "layers"'),
+    (_drop("weight", layer=0), 'lacks key "weight"'),
+    (_drop("bias", layer=1), 'lacks key "bias"'),
+    (lambda doc: doc.update(layers={"weight": []}), '"layers" must be of type array, got object'),
+    (lambda doc: doc.update(version=True), "unsupported checkpoint version true"),
     (_set_widths([2.7, 4, 2]), r"widths \[2.7, 4, 2\] is not a list of >= 2 positive"),
-    (_set_widths([True, 4, 2]), r"widths \[True, 4, 2\] is not"),
+    (_set_widths([True, 4, 2]), r"widths \[true, 4, 2\] is not"),
     (_set_widths([3, 0, 2]), r"widths \[3, 0, 2\] is not"),
     (_set_widths([3]), r"widths \[3\] is not"),
-    (_set_widths({"0": 3}), "widths {'0': 3} is not"),
+    (_set_widths({"0": 3}), 'widths {"0": 3} is not'),
     (_set_widths([3, 5, 2]), "layer 0 shapes inconsistent with widths"),
     (_put_nan("weight", 0), "layer 0 holds a non-finite weight or bias"),
     (_put_nan("bias", 1), "layer 1 holds a non-finite weight or bias"),
-], ids=["extra_layer", "no_magic", "no_widths", "no_layers", "no_weight", "no_bias",
-        "layers_not_list", "version_bool", "fractional_width", "boolean_width",
-        "zero_width", "one_width", "widths_not_list", "widths_disagree", "nan_weight",
-        "nan_bias"])
+], ids=["extra_layer", "no_magic", "non_ascii_magic", "no_widths", "no_layers",
+        "no_weight", "no_bias", "layers_not_list", "version_bool", "fractional_width",
+        "boolean_width", "zero_width", "one_width", "widths_not_list", "widths_disagree",
+        "nan_weight", "nan_bias"])
 
 
 def _assert_rejected(tmp_path, doc, mutate, problem):
@@ -432,11 +433,11 @@ def _set_entry(name, **fields):
     (_set_entry("weight", shape=[12]), "layer 0 shapes inconsistent with widths"),
     (_set_entry("weight", shape=[3, -4]), r"shape \[3, -4\] is not a list of non-negative"),
     (_set_entry("weight", shape=[3, 4.0]), r"shape \[3, 4.0\] is not"),
-    (_set_entry("weight", shape=[3, True]), r"shape \[3, True\] is not"),
-    (_set_entry("weight", shape="3x4"), "shape '3x4' is not"),
+    (_set_entry("weight", shape=[3, True]), r"shape \[3, true\] is not"),
+    (_set_entry("weight", shape="3x4"), 'shape "3x4" is not'),
     (lambda doc: doc["layers"][0].update(weight=[[0.0] * 4] * 3), "malformed checkpoint"),
-    (lambda doc: doc["layers"][0]["weight"].pop("shape"), "lacks key 'shape'"),
-    (lambda doc: doc["layers"][0]["bias"].pop("data"), "lacks key 'data'"),
+    (lambda doc: doc["layers"][0]["weight"].pop("shape"), 'lacks key "shape"'),
+    (lambda doc: doc["layers"][0]["bias"].pop("data"), 'lacks key "data"'),
 ], ids=["bad_base64", "bad_padding", "non_ascii", "data_not_string", "short_payload",
         "transposed_shape", "flat_shape", "negative_shape", "float_shape", "boolean_shape",
         "shape_not_list", "v1_array_in_v2", "no_shape", "no_data"])

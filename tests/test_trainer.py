@@ -21,6 +21,7 @@ from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               train_with_pruning)
 
 QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "quickstart_config.json"
+MNIST_ARRAYS = param_bindings(init_mlp([784, 256, 256, 10], seed=0))  # only read
 
 
 def test_sgd_plain_step():
@@ -50,15 +51,21 @@ def test_sgd_momentum_recurrence():
 
 
 def test_sgd_shape_mismatch_rejected():
-    state, params = sgd_state({"a": np.ones(1), "w": np.zeros(2)})
-    state.velocity[:] = [0.5, 0.25, -0.25]
-    theta, velocity = state.theta.copy(), state.velocity.copy()
-    with pytest.raises(ValueError, match="shape"):
-        sgd_update(state, {"a": np.ones(1), "w": np.zeros(3)},
-                   lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert params["a"][0] == 1.0  # shapes are checked before any array is stepped
-    assert state.theta.tobytes() == theta.tobytes()
-    assert state.velocity.tobytes() == velocity.tobytes()
+    for arrays, wrong in [
+        ({"a": np.ones(1), "w": np.zeros(2)}, {"a": np.ones(1), "w": np.zeros(3)}),
+        # w0 is split into row blocks; the wrong gradient lacks a column in every one
+        (MNIST_ARRAYS, {**MNIST_ARRAYS, "w0": np.zeros((784, 255))}),
+        # would broadcast into each row block of w1, after w0 and b0 were stepped
+        (MNIST_ARRAYS, {**MNIST_ARRAYS, "w1": np.zeros((256, 1))}),
+    ]:
+        state, _ = sgd_state(arrays)
+        state.velocity[:] = np.linspace(-0.5, 0.5, state.velocity.size)
+        theta, velocity = state.theta.copy(), state.velocity.copy()
+        with pytest.raises(ValueError, match="shape"):
+            sgd_update(state, wrong, lr=0.1, momentum=0.9, weight_decay=0.1)
+        # shapes are checked before any block is stepped
+        assert state.theta.tobytes() == theta.tobytes()
+        assert state.velocity.tobytes() == velocity.tobytes()
 
 
 def test_sgd_state_copies_arrays_into_one_vector():
@@ -68,14 +75,66 @@ def test_sgd_state_copies_arrays_into_one_vector():
     assert not state.velocity.any()
     for name, a in arrays.items():
         assert params[name].base is state.theta and params[name].shape == a.shape
-        assert state.slots[name].base is state.scratch and state.slots[name].shape == a.shape
         assert not np.shares_memory(params[name], a)
+    [block] = state.blocks  # 8 elements: one block of two whole parameters
+    assert state.scratch.shape == (8,) and block.scratch.base is state.scratch
+    assert [(name, rows) for _, name, rows in block.pieces] == [("w", None), ("b", None)]
+    for slot, name, _ in block.pieces:
+        assert slot.base is state.scratch and slot.shape == arrays[name].shape
+
+
+def _whole_vector_steps(arrays, grad_steps, velocity, lr, momentum, weight_decay):
+    """theta and velocity after the steps run over whole flat vectors."""
+    theta = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+    v, s = velocity.copy(), np.empty_like(theta)
+    for grads in grad_steps:
+        np.multiply(theta, weight_decay, out=s)
+        s += np.concatenate([np.ravel(grads[name]) for name in arrays])
+        v *= momentum
+        v += s
+        np.multiply(v, lr, out=s)
+        theta -= s
+    return theta, v
+
+
+@pytest.mark.parametrize("arrays", [
+    MNIST_ARRAYS,
+    {"scale": np.array(0.5),  # 0-d
+     "long": np.linspace(-1.0, 1.0, trainer.SGD_BLOCK + 5),  # 1-d, more than a block
+     "b": np.arange(3.0),
+     "wide": np.ones((3, trainer.SGD_BLOCK + 7)),  # each row longer than a block
+     "w": np.full((2, 4), 0.25)},
+], ids=["mnist", "odd_shapes"])
+def test_sgd_blocks_match_whole_vector_steps_bitwise(arrays):
+    rng = np.random.default_rng(3)
+    state, _ = sgd_state(arrays)
+    start = 0  # the blocks tile theta, velocity and their pieces exactly once, in order
+    for block in state.blocks:
+        for view, flat in ((block.theta, state.theta), (block.velocity, state.velocity)):
+            assert view.base is flat and view.ctypes.data == flat.ctypes.data + 8 * start
+        assert block.scratch.base is state.scratch and block.scratch.size == block.theta.size
+        assert sum(slot.size for slot, _, _ in block.pieces) == block.theta.size
+        # only a single row of one parameter may be longer than a block
+        assert block.theta.size <= trainer.SGD_BLOCK or (
+            len(block.pieces) == 1 and block.pieces[0][0].shape[0] == 1)
+        start += block.theta.size
+    assert start == state.theta.size
+    assert max(block.theta.size for block in state.blocks) == state.scratch.size
+
+    state.velocity[:] = rng.normal(size=state.velocity.size)
+    velocity = state.velocity.copy()
+    grad_steps = [{name: rng.normal(size=np.shape(a)) for name, a in arrays.items()}
+                  for _ in range(3)]
+    for grads in grad_steps:
+        sgd_update(state, grads, lr=0.1, momentum=0.9, weight_decay=5e-4)
+    theta, v = _whole_vector_steps(arrays, grad_steps, velocity, 0.1, 0.9, 5e-4)
+    assert state.theta.tobytes() == theta.tobytes()
+    assert state.velocity.tobytes() == v.tobytes()
 
 
 def test_sgd_update_allocates_nothing_per_step():
     rng = np.random.default_rng(0)
-    widths = [784, 256, 256, 10]  # the MNIST-shaped model: 2.15 MB of parameters
-    arrays = param_bindings(init_mlp(widths, seed=0))
+    arrays = MNIST_ARRAYS  # the MNIST-shaped model: 2.15 MB of parameters
     state, _ = sgd_state(arrays)
     grads = {name: rng.normal(size=a.shape) for name, a in arrays.items()}
     sgd_update(state, grads, lr=0.1, momentum=0.9, weight_decay=5e-4)  # warm-up
