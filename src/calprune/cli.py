@@ -13,6 +13,7 @@ from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_con
 from .data import read_json
 from .metrics import binned_ece, report_from_dict
 from .mlp import checkpoint_text, init_mlp, load_checkpoint
+from .ranges import require_kind
 from .reporting import (CHECKPOINT_JSON, bundle_texts, check_output_dir, fmt_sig,
                         run_result_doc, write_bundle)
 from .trainer import (NonFiniteLogits, TrainingDiverged, evaluate_model, fit_temperature,
@@ -111,8 +112,9 @@ def cmd_calibrate(args):
 def cmd_report(args):
     check_output_dir(args.out)
     doc = read_json(args.run)
-    if not isinstance(doc, dict) or "report" not in doc:
-        raise ValueError(f"{args.run}: run document lacks key 'report'")
+    require_kind("object", doc, f"{args.run}: run document")
+    if "report" not in doc:
+        raise ValueError(f'{args.run}: run document lacks key "report"')
     try:
         report = report_from_dict(doc["report"])
     except ValueError as exc:

@@ -184,7 +184,7 @@ def _unique_keys(pairs):
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"repeated key {key!r}")
+            raise ValueError(f"repeated key {json.dumps(key)}")
         obj[key] = value
     return obj
 

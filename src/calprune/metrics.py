@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ranges import COUNT, NON_NEGATIVE_INT, Rule, check, kind_of, require
+from .ranges import (COUNT, NON_NEGATIVE_INT, Rule, _json, check, kind_of, require,
+                     require_kind)
 
 
 def _number(high, null=False):
@@ -214,27 +215,29 @@ def record_doc(record):
 
 
 def _read_record(cls, doc, where=""):
-    """The inverse of record_doc for a report record: each field passes its rule."""
+    """The inverse of record_doc for a report record: `doc` is a JSON object,
+    each field passes its rule and each list field is an array of records.
+    Errors name a field by its path from the report, `where` its prefix."""
+    record = f"report field {where[:-1]}" if where else "report"
+    require_kind("object", doc, record)
     values = {}
     for f in fields(cls):
-        value = doc[f.name]
+        if f.name not in doc:
+            raise ValueError(f"{record} lacks key {_json(f.name)}")
+        value, name = doc[f.name], f"report field {where}{f.name}"
         if "record" in f.metadata:
+            require_kind("array", value, name)
             value = [_read_record(f.metadata["record"], item, f"{where}{f.name}[{i}].")
                      for i, item in enumerate(value)]
         else:
-            require(f.metadata["rule"], value, f"report field {where}{f.name}")
+            require(f.metadata["rule"], value, name)
         values[f.name] = value
     return cls(**values)
 
 
 def report_from_dict(doc):
     """Rebuild a report from its record_doc form; a malformed one raises ValueError."""
-    try:
-        report = _read_record(CalibrationReport, doc)
-    except KeyError as exc:
-        raise ValueError(f"report lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed report: {exc}") from None
+    report = _read_record(CalibrationReport, doc)
     for i, b in enumerate(report.bins):
         empty = b.count == 0
         if (b.confidence is None) != empty or (b.accuracy is None) != empty:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Graph, _log_softmax_columns, dense_layer
 from .data import read_json
-from .ranges import COUNT, NON_NEGATIVE_INT, _json, kind_of, require
+from .ranges import COUNT, NON_NEGATIVE_INT, _json, require, require_kind
 
 CHECKPOINT_MAGIC = "calprune-mlp"
 CHECKPOINT_VERSION = 2
@@ -145,6 +145,7 @@ def _decode_array(entry):
     shape = entry["shape"]
     if not isinstance(shape, list) or not all(map(NON_NEGATIVE_INT.test, shape)):
         raise ValueError(f"shape {_json(shape)} is not a list of non-negative integers")
+    require_kind("string", entry["data"], "data")
     raw = base64.b64decode(entry["data"], validate=True)
     n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
     if len(raw) != n_bytes:
@@ -152,8 +153,30 @@ def _decode_array(entry):
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-# how each checkpoint version stores an array
-_DECODERS = {1: lambda nested: np.asarray(nested, dtype=np.float64), 2: _decode_array}
+# how each checkpoint version stores an array: its JSON kind and its decoder
+_DECODERS = {1: ("array", lambda nested: np.asarray(nested, dtype=np.float64)),
+             2: ("object", _decode_array)}
+
+
+def _decode_layers(layers, kind, decode):
+    """The weights and biases of a checkpoint's `layers`, each array stored as
+    JSON `kind` and read by `decode`. An error names the path of the layer or
+    array it is about, e.g. `layers[1].bias`."""
+    arrays = {"weight": [], "bias": []}
+    for i, layer in enumerate(layers):
+        require_kind("object", layer, f"layers[{i}]")
+        for name, decoded in arrays.items():
+            where = f"layers[{i}].{name}"
+            if name not in layer:
+                raise ValueError(f"layers[{i}] lacks key {_json(name)}")
+            require_kind(kind, layer[name], where)
+            try:
+                decoded.append(decode(layer[name]))
+            except KeyError as exc:
+                raise ValueError(f"{where} lacks key {_json(exc.args[0])}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return arrays["weight"], arrays["bias"]
 
 
 def checkpoint_text(params):
@@ -180,8 +203,8 @@ def load_checkpoint(path):
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (magic {_json(magic)})")
     version = doc.get("version")
-    decode = _DECODERS.get(version) if NON_NEGATIVE_INT.test(version) else None
-    if decode is None:
+    decoder = _DECODERS.get(version) if NON_NEGATIVE_INT.test(version) else None
+    if decoder is None:
         raise ValueError(f"{path}: unsupported checkpoint version {_json(version)}")
     try:
         widths = doc["widths"]
@@ -189,10 +212,8 @@ def load_checkpoint(path):
                 and all(map(COUNT.test, widths))):
             raise ValueError(f"widths {_json(widths)} is not a list of >= 2 positive integers")
         layers = doc["layers"]
-        if not isinstance(layers, list):
-            raise TypeError(f'"layers" must be of type array, got {kind_of(layers)}')
-        weights = [decode(layer["weight"]) for layer in layers]
-        biases = [decode(layer["bias"]) for layer in layers]
+        require_kind("array", layers, '"layers"')
+        weights, biases = _decode_layers(layers, *decoder)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks key {_json(exc.args[0])}") from None
     except (TypeError, ValueError) as exc:

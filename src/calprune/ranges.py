@@ -126,10 +126,13 @@ def require(rule, value, name, error=ValueError):
         raise error(f"{name} must be {rule.text}, got {_json(value)}")
 
 
-def _require_kind(kind, value, name, error):
+def require_kind(kind, value, name, error=ValueError):
+    """Raise `error` naming `name` unless `value` has JSON kind `kind`; an
+    integer passes as a number. The message shows `value` only if it is a
+    scalar, so that a misplaced array or object of any size is not printed."""
     actual = kind_of(value)
     if actual != kind and (kind, actual) != ("number", "integer"):
-        shown = "" if actual == "null" else " " + _json(value)
+        shown = "" if actual in ("null", "array", "object") else " " + _json(value)
         raise error(f"{name} must be of type {kind}, got {actual}{shown}")
 
 
@@ -140,7 +143,7 @@ def check(key, value, name=None, error=ValueError):
     setting = SETTINGS[key]
     name = name or setting.field or key.rpartition(".")[2]
     array = isinstance(setting.kind, list)
-    _require_kind(setting.kind[0] if array else setting.kind, value, name, error)
+    require_kind(setting.kind[0] if array else setting.kind, value, name, error)
     if setting.rule and (setting.each or not array):
         require(setting.rule, value, name, error)
 
@@ -154,7 +157,7 @@ def check_setting(key, value, name=None, error=ValueError):
         return
     if not isinstance(setting.kind, list):
         return check(key, value, name, error)
-    _require_kind("array", value, name, error)
+    require_kind("array", value, name, error)
     for i, element in enumerate(value):
         check(key, element, f"{name}[{i}]", error)
     if not setting.each:

@@ -84,67 +84,48 @@ SGD_BLOCK = 8192  # elements (64 KB) that sgd_update steps together, so its scra
 # flat float64 vectors of one length, one block's scratch, the tuple of SgdBlock
 # that tiles them in order, and name -> the shape its gradient must have
 SgdState = namedtuple("SgdState", "theta velocity scratch blocks shapes")
-# one contiguous range: its views of theta, velocity and scratch, and per
-# parameter piece (view of scratch shaped like the piece, name, row slice or None)
+# theta[k*SGD_BLOCK:(k+1)*SGD_BLOCK] (the last block shorter): its views of
+# theta, velocity and scratch, and per parameter it overlaps a piece (view of
+# scratch, name, None for the whole parameter in its shape, else the slice
+# of the flattened parameter that the flat view holds)
 SgdBlock = namedtuple("SgdBlock", "theta velocity scratch pieces")
-
-
-def _sgd_layout(shapes):
-    """[size, pieces] per block of the parameters of name -> shape `shapes`, in
-    order: a run of whole parameters of at most SGD_BLOCK elements, or a run
-    of the leading-axis rows of one larger parameter (a row longer than
-    SGD_BLOCK alone). A piece is (name, row slice or None for the whole
-    parameter, shape)."""
-    layout, joinable = [], False  # joinable: the last block is a run of whole parameters
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        if size > SGD_BLOCK:
-            row = size // shape[0]
-            step = max(1, SGD_BLOCK // row)
-            for first in range(0, shape[0], step):
-                n = min(step, shape[0] - first)
-                layout.append([n * row, [(name, slice(first, first + n), (n, *shape[1:]))]])
-            joinable = False
-        elif joinable and layout[-1][0] + size <= SGD_BLOCK:
-            layout[-1][0] += size
-            layout[-1][1].append((name, None, shape))
-        else:
-            layout.append([size, [(name, None, shape)]])
-            joinable = True
-    return layout
 
 
 def sgd_state(arrays):
     """SgdState for name -> array `arrays`, and name -> view of its `theta`.
 
     `theta` holds a float64 copy of the arrays back to back and `velocity`
-    starts at zero; `scratch` is as long as the largest block. The arrays
-    themselves are never written.
+    starts at zero; `scratch` is one block, min(SGD_BLOCK, theta.size)
+    elements. The arrays themselves are never written.
     """
     theta = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
     velocity = np.zeros_like(theta)
+    scratch = np.empty(min(SGD_BLOCK, theta.size))
     shapes = {name: np.shape(a) for name, a in arrays.items()}
-    layout = _sgd_layout(shapes)
-    scratch = np.empty(max(size for size, _ in layout))
-    blocks, start = [], 0
-    for size, pieces in layout:
-        s, offset, slots = scratch[:size], 0, []
-        for name, rows, shape in pieces:
-            stop = offset + math.prod(shape)
-            slots.append((s[offset:stop].reshape(shape), name, rows))
-            offset = stop
-        blocks.append(SgdBlock(theta[start:start + size], velocity[start:start + size], s,
-                               tuple(slots)))
-        start += size
-    views, start = {}, 0
+    spans, first = {}, 0  # name -> (first, last) range of theta
     for name, shape in shapes.items():
-        views[name] = theta[start:start + math.prod(shape)].reshape(shape)
-        start += math.prod(shape)
+        spans[name] = first, first + math.prod(shape)
+        first += math.prod(shape)
+    blocks = []
+    for start in range(0, theta.size, SGD_BLOCK):
+        stop = min(start + SGD_BLOCK, theta.size)
+        s, pieces = scratch[:stop - start], []
+        for name, (first, last) in spans.items():
+            lo, hi = max(first, start), min(last, stop)
+            if (lo, hi) == (first, last):
+                pieces.append((s[lo - start:hi - start].reshape(shapes[name]), name, None))
+            elif lo < hi:
+                pieces.append((s[lo - start:hi - start], name, slice(lo - first, hi - first)))
+        blocks.append(SgdBlock(theta[start:stop], velocity[start:stop], s, tuple(pieces)))
+    views = {name: theta[first:last].reshape(shapes[name])
+             for name, (first, last) in spans.items()}
     return SgdState(theta, velocity, scratch, tuple(blocks), shapes), views
 
 
 def sgd_update(state, grads, lr, momentum, weight_decay):
-    """One SGD step in place over the flat vectors of `state`, allocating nothing.
+    """One SGD step in place over the flat vectors of `state`, allocating no
+    array for C-ordered gradients (a cut piece of any other gradient reads a
+    C-order copy of it).
 
     s = wd*theta + g; v = momentum*v + s; theta -= lr*v, block by block, so
     each element sees the same ops in the same order as over whole vectors.
@@ -157,9 +138,9 @@ def sgd_update(state, grads, lr, momentum, weight_decay):
                              f" for {name!r}")
     for theta, v, s, pieces in state.blocks:
         np.multiply(theta, weight_decay, out=s)
-        for slot, name, rows in pieces:
+        for slot, name, cut in pieces:
             g = grads[name]
-            np.add(slot, g if rows is None else g[rows], out=slot)
+            np.add(slot, g if cut is None else g.reshape(-1)[cut], out=slot)
         v *= momentum
         v += s
         np.multiply(v, lr, out=s)

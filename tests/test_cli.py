@@ -179,16 +179,19 @@ def test_unreadable_config_names_its_path(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("repeat, key", [
-    ('"train": {"max_epochs": 2}, "train": {', "train"),
-    ('"train": {"max_epochs": 2, ', "max_epochs")], ids=["top_level", "nested"])
+    ('"train": {"max_epochs": 2}, "train": {', '"train"'),
+    ('"train": {"max_epochs": 2, ', '"max_epochs"'),
+    ('"a\\"b\u00e9": 1, "a\\"b\u00e9": 2, "train": {', '"a\\"b\\u00e9"')],
+    ids=["top_level", "nested", "escaped"])
 def test_repeated_config_key_exits_2_naming_it(tmp_path, capsys, repeat, key):
-    """A repeated key would silently drop the first value (or section)."""
+    """A repeated key would silently drop the first value (or section). The
+    key is printed as JSON, escapes and all."""
     out = tmp_path / "out"
     path = write_config(tmp_path, out)
     path.write_text(path.read_text().replace('"train": {', repeat, 1))
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: ") and f"repeated key {key!r}" in err
+    assert err.startswith(f"config error: {path}: ") and f"repeated key {key}" in err
     assert not out.exists()
 
 
@@ -674,10 +677,18 @@ class Merge(dict):
 
 
 @pytest.mark.parametrize("path, value, key", [
-    (("report",), DROP, "'report'"),
-    (("report", "subsets"), DROP, "'subsets'"),
-    (("report", "bins", 0, "count"), DROP, "'count'"),
-    (None, None, "'report'"),
+    (("report",), DROP, 'run document lacks key "report"'),
+    (("report", "subsets"), DROP, 'report lacks key "subsets"'),
+    (("report", "bins", 0, "count"), DROP, 'report field bins[0] lacks key "count"'),
+    (("report", "n"), DROP, 'report lacks key "n"\n'),
+    (None, None, "run document must be of type object, got array\n"),
+    (("report",), [1], "report must be of type object, got array\n"),
+    (("report", "subsets"), 5, "report field subsets must be of type array, got integer 5\n"),
+    (("report", "bins"), {"0": {}}, "report field bins must be of type array, got object\n"),
+    (("report", "bins", 0), 1, "report field bins[0] must be of type object, got integer 1\n"),
+    (("report", "bins", 0), [0, 0.1], "report field bins[0] must be of type object, got array\n"),
+    (("report", "subsets", 1), "x",
+     'report field subsets[1] must be of type object, got string "x"\n'),
     ("truncated", None, "invalid JSON"),
     (("report", "bins", 0, "count"), "x", "bins[0].count must be an integer"),
     (("report", "bins", 0, "count"), None, "bins[0].count must be an integer"),
@@ -722,7 +733,8 @@ class Merge(dict):
     (("report", "bins", 5, "lower"), 0.55, "report field bins[5] must have lower 0.5 so that"),
     (("report", "bins", 9, "upper"), 0.95,
      "report field bins[9] must have upper 1.0 so that"),
-], ids=["no_report", "no_subsets", "bin_without_count", "list_root", "truncated",
+], ids=["no_report", "no_subsets", "bin_without_count", "no_n", "list_root", "report_array",
+        "subsets_integer", "bins_object", "bin_integer", "bin_array", "subset_string", "truncated",
         "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
         "accuracy_list", "n_string", "n_bins_float", "ece_boolean", "auroc_string",
         "delta_null", "empty_integer", "not_utf8", "count_negative", "subset_count_negative",
@@ -1311,7 +1323,7 @@ def test_repeated_key_in_a_run_file_exits_1(trained, tmp_path, capsys, name, fla
     capsys.readouterr()
     code = main([*command[flag], flag, str(bad), "--out", str(tmp_path / "bundle")])
     err = capsys.readouterr().err
-    assert code == 1 and err.startswith(f"error: {bad}: ") and "repeated key 'repeated'" in err
+    assert code == 1 and err.startswith(f"error: {bad}: ") and 'repeated key "repeated"' in err
     assert not (tmp_path / "bundle").exists()
 
 
@@ -1466,6 +1478,9 @@ JSON_NUMBER = re.compile(r"(?<![\w.+-])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])
 PRECEDING_KEY = re.compile(r'"(\w+)"\s*:[^":]*$')
 DIAGNOSTIC_LINE = re.compile(r"(error|config error|training aborted): \S.*\n")
 DOTTED_KEY = re.compile(r'\b[a-z_]+\.[A-Za-z_]+\b|unknown config key: "')
+# a report or checkpoint diagnostic names the field it is about by its path
+MALFORMED_RECORD = re.compile(r"malformed (report|checkpoint)")
+FIELD_PATH = re.compile(r'bins\[|subsets\[|layers\[|"layers"|widths')
 WARNS_BY_DESIGN = re.compile(r"batch size \d+ < 10\*K|ema factor 0 keeps")
 
 
@@ -1550,8 +1565,9 @@ def test_every_seeded_malformed_input_exits_cleanly(sweep_inputs, tmp_path, monk
                                                     capsys):
     """Each case runs main on a tiny model. It exits 0, or exits 1 or 2 with one
     diagnostic line that names the mutated file (for the config, a key or the
-    file) and leaves no output directory. No exception escapes main, and no
-    warning but the two that calprune emits by design."""
+    file) and leaves no output directory; a malformed report or checkpoint
+    diagnostic names a field path. No exception escapes main, and no warning
+    but the two that calprune emits by design."""
     rng = np.random.default_rng(SWEEP_SEED)
     cases = [(kind, int(rng.integers(len(SWEEP_TARGETS[kind][0]))), int(rng.integers(2 ** 32)))
              for kind in SWEEP_TARGETS for _ in range(SWEEP_CASES_PER_INPUT)]
@@ -1582,6 +1598,8 @@ def test_every_seeded_malformed_input_exits_cleanly(sweep_inputs, tmp_path, monk
             assert DIAGNOSTIC_LINE.fullmatch(captured.err), f"{tag}: stderr {captured.err!r}"
             named = DOTTED_KEY.search(captured.err) if kind == "config" else name in captured.err
             assert named, f"{tag}: {captured.err!r} names neither the file nor a key"
+            if MALFORMED_RECORD.search(captured.err):
+                assert FIELD_PATH.search(captured.err), f"{tag}: {captured.err!r} names no field"
             assert captured.out == "", tag
             assert sorted(os.listdir(case_dir)) == before, f"{tag}: left an output behind"
         outcomes.append(code)

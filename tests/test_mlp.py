@@ -378,8 +378,12 @@ MALFORMED = pytest.mark.parametrize("mutate, problem", [
     (lambda doc: doc.update(magic="xé"), r'magic "x\\u00e9"\)'),
     (_drop("widths"), 'lacks key "widths"'),
     (_drop("layers"), 'lacks key "layers"'),
-    (_drop("weight", layer=0), 'lacks key "weight"'),
-    (_drop("bias", layer=1), 'lacks key "bias"'),
+    (_drop("weight", layer=0), r'layers\[0\] lacks key "weight"'),
+    (_drop("bias", layer=1), r'layers\[1\] lacks key "bias"'),
+    (lambda doc: doc["layers"].__setitem__(0, [1]),
+     r"layers\[0\] must be of type object, got array$"),
+    (lambda doc: doc["layers"][1].update(weight="x"),
+     r'layers\[1\]\.weight must be of type (object|array), got string "x"$'),
     (lambda doc: doc.update(layers={"weight": []}), '"layers" must be of type array, got object'),
     (lambda doc: doc.update(version=True), "unsupported checkpoint version true"),
     (_set_widths([2.7, 4, 2]), r"widths \[2.7, 4, 2\] is not a list of >= 2 positive"),
@@ -391,7 +395,8 @@ MALFORMED = pytest.mark.parametrize("mutate, problem", [
     (_put_nan("weight", 0), "layer 0 holds a non-finite weight or bias"),
     (_put_nan("bias", 1), "layer 1 holds a non-finite weight or bias"),
 ], ids=["extra_layer", "no_magic", "non_ascii_magic", "no_widths", "no_layers",
-        "no_weight", "no_bias", "layers_not_list", "version_bool", "fractional_width",
+        "no_weight", "no_bias", "layer_not_object", "weight_string", "layers_not_list",
+        "version_bool", "fractional_width",
         "boolean_width", "zero_width", "one_width", "widths_not_list", "widths_disagree",
         "nan_weight", "nan_bias"])
 
@@ -423,24 +428,29 @@ def _set_entry(name, **fields):
 @pytest.mark.parametrize("mutate, problem", [
     # a lenient decoder would skip the stray character and load the right bytes
     (lambda doc: doc["layers"][0]["weight"].update(
-        data="*" + doc["layers"][0]["weight"]["data"]), "base64"),
-    (_set_entry("weight", data="AAA"), "padding"),
-    (_set_entry("weight", data="é"), "ASCII"),
-    (_set_entry("weight", data=5), "malformed checkpoint"),
+        data="*" + doc["layers"][0]["weight"]["data"]),
+     r"layers\[0\]\.weight: Only base64 data is allowed"),
+    (_set_entry("weight", data="AAA"), r"layers\[0\]\.weight: Incorrect padding"),
+    (_set_entry("weight", data="é"), r"layers\[0\]\.weight: .*ASCII"),
+    (_set_entry("weight", data=5),
+     r"malformed checkpoint: layers\[0\]\.weight: data must be of type string, got integer 5$"),
     (_set_entry("bias", data=base64.b64encode(bytes(8 * 3)).decode()),
-     "24 data bytes, but shape \\[4\\] needs 32"),
+     r"layers\[0\]\.bias: 24 data bytes, but shape \[4\] needs 32"),
     (_set_entry("weight", shape=[4, 3]), "layer 0 shapes inconsistent with widths"),
     (_set_entry("weight", shape=[12]), "layer 0 shapes inconsistent with widths"),
     (_set_entry("weight", shape=[3, -4]), r"shape \[3, -4\] is not a list of non-negative"),
     (_set_entry("weight", shape=[3, 4.0]), r"shape \[3, 4.0\] is not"),
     (_set_entry("weight", shape=[3, True]), r"shape \[3, true\] is not"),
     (_set_entry("weight", shape="3x4"), 'shape "3x4" is not'),
-    (lambda doc: doc["layers"][0].update(weight=[[0.0] * 4] * 3), "malformed checkpoint"),
-    (lambda doc: doc["layers"][0]["weight"].pop("shape"), 'lacks key "shape"'),
-    (lambda doc: doc["layers"][0]["bias"].pop("data"), 'lacks key "data"'),
+    (lambda doc: doc["layers"][0].update(weight=[[0.0] * 4] * 3),
+     r"malformed checkpoint: layers\[0\]\.weight must be of type object, got array$"),
+    (lambda doc: doc["layers"][0].update(weight=3),
+     r"layers\[0\]\.weight must be of type object, got integer 3$"),
+    (lambda doc: doc["layers"][0]["weight"].pop("shape"), r'layers\[0\]\.weight lacks key "shape"'),
+    (lambda doc: doc["layers"][0]["bias"].pop("data"), r'layers\[0\]\.bias lacks key "data"'),
 ], ids=["bad_base64", "bad_padding", "non_ascii", "data_not_string", "short_payload",
         "transposed_shape", "flat_shape", "negative_shape", "float_shape", "boolean_shape",
-        "shape_not_list", "v1_array_in_v2", "no_shape", "no_data"])
+        "shape_not_list", "v1_array_in_v2", "weight_integer", "no_shape", "no_data"])
 def test_checkpoint_v2_corruptions_rejected(tmp_path, mutate, problem):
     doc = json.loads(checkpoint_text(init_mlp([3, 4, 2], seed=0)))
     _assert_rejected(tmp_path, doc, mutate, problem)

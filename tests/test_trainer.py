@@ -53,9 +53,9 @@ def test_sgd_momentum_recurrence():
 def test_sgd_shape_mismatch_rejected():
     for arrays, wrong in [
         ({"a": np.ones(1), "w": np.zeros(2)}, {"a": np.ones(1), "w": np.zeros(3)}),
-        # w0 is split into row blocks; the wrong gradient lacks a column in every one
+        # w0 spans many blocks; the wrong gradient is 784 elements short
         (MNIST_ARRAYS, {**MNIST_ARRAYS, "w0": np.zeros((784, 255))}),
-        # would broadcast into each row block of w1, after w0 and b0 were stepped
+        # would fail only at w1's first piece, after w0 and b0 were stepped
         (MNIST_ARRAYS, {**MNIST_ARRAYS, "w1": np.zeros((256, 1))}),
     ]:
         state, _ = sgd_state(arrays)
@@ -114,12 +114,11 @@ def test_sgd_blocks_match_whole_vector_steps_bitwise(arrays):
             assert view.base is flat and view.ctypes.data == flat.ctypes.data + 8 * start
         assert block.scratch.base is state.scratch and block.scratch.size == block.theta.size
         assert sum(slot.size for slot, _, _ in block.pieces) == block.theta.size
-        # only a single row of one parameter may be longer than a block
-        assert block.theta.size <= trainer.SGD_BLOCK or (
-            len(block.pieces) == 1 and block.pieces[0][0].shape[0] == 1)
+        if block is not state.blocks[-1]:
+            assert block.theta.size == trainer.SGD_BLOCK
         start += block.theta.size
     assert start == state.theta.size
-    assert max(block.theta.size for block in state.blocks) == state.scratch.size
+    assert state.scratch.size == min(trainer.SGD_BLOCK, state.theta.size)
 
     state.velocity[:] = rng.normal(size=state.velocity.size)
     velocity = state.velocity.copy()
@@ -130,6 +129,24 @@ def test_sgd_blocks_match_whole_vector_steps_bitwise(arrays):
     theta, v = _whole_vector_steps(arrays, grad_steps, velocity, 0.1, 0.9, 5e-4)
     assert state.theta.tobytes() == theta.tobytes()
     assert state.velocity.tobytes() == v.tobytes()
+
+
+def test_sgd_fortran_ordered_gradients_step_like_c_ordered():
+    """A cut piece reads its range of the gradient in C order whatever the
+    gradient's memory layout; a whole piece adds the gradient in its shape."""
+    rng = np.random.default_rng(4)
+    grads = {name: rng.normal(size=a.shape) for name, a in MNIST_ARRAYS.items()}
+    fortran = {name: np.asfortranarray(g) for name, g in grads.items()}
+    assert not fortran["w0"].flags.c_contiguous and not fortran["w2"].flags.c_contiguous
+    states = []
+    for steps in (grads, fortran):
+        state, _ = sgd_state(MNIST_ARRAYS)
+        for _ in range(2):
+            sgd_update(state, steps, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        states.append(state)
+    c_state, f_state = states
+    assert c_state.theta.tobytes() == f_state.theta.tobytes()
+    assert c_state.velocity.tobytes() == f_state.velocity.tobytes()
 
 
 def test_sgd_update_allocates_nothing_per_step():
