@@ -119,6 +119,8 @@ def _apply_override(user, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError as exc:
+        raise ConfigError(f"override {json.dumps(dotted)}: invalid JSON: {exc}") from None
     keys = dotted.split(".")
     node = user
     for key in keys[:-1]:

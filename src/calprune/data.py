@@ -190,13 +190,14 @@ def _unique_keys(pairs):
 
 
 def read_json(path, error=ValueError):
-    """The JSON document in file `path`; malformed JSON, a key repeated in
-    any object, or bytes that are not UTF-8 raise `error` naming `path`."""
+    """The JSON document in UTF-8 file `path` (a leading byte order mark is
+    skipped); malformed JSON, a key repeated in any object, nesting too deep
+    to parse, or bytes that are not UTF-8 raise `error` naming `path`."""
     with open(path, "rb") as fh:
-        text = fh.read()
+        raw = fh.read()
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a repeated key
+        return json.loads(raw.decode("utf-8-sig"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a repeated key, deep nesting
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -3,20 +3,20 @@
 Parameters are Glorot-uniform initialised from a seeded PCG64 generator;
 the forward pass is an affine+relu stack with a final affine layer producing
 logits, each layer autodiff.dense_layer, which the training graph's dense
-nodes run too. Checkpoints are versioned JSON; version 2 stores each array as
-base64 of its little-endian float64 bytes and version 1 as nested lists,
-which `load_checkpoint` still reads.
+nodes run too. Checkpoints are versioned JSON; version 2, the only one read,
+stores each array as base64 of its little-endian float64 bytes.
 """
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Graph, _log_softmax_columns, dense_layer
 from .data import read_json
-from .ranges import COUNT, NON_NEGATIVE_INT, _json, require, require_kind
+from .ranges import COUNT, NON_NEGATIVE_INT, _json, kind_of, require, require_kind
 
 CHECKPOINT_MAGIC = "calprune-mlp"
 CHECKPOINT_VERSION = 2
@@ -147,21 +147,16 @@ def _decode_array(entry):
         raise ValueError(f"shape {_json(shape)} is not a list of non-negative integers")
     require_kind("string", entry["data"], "data")
     raw = base64.b64decode(entry["data"], validate=True)
-    n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
+    n_bytes = 8 * math.prod(shape)
     if len(raw) != n_bytes:
         raise ValueError(f"{len(raw)} data bytes, but shape {shape} needs {n_bytes}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-# how each checkpoint version stores an array: its JSON kind and its decoder
-_DECODERS = {1: ("array", lambda nested: np.asarray(nested, dtype=np.float64)),
-             2: ("object", _decode_array)}
-
-
-def _decode_layers(layers, kind, decode):
-    """The weights and biases of a checkpoint's `layers`, each array stored as
-    JSON `kind` and read by `decode`. An error names the path of the layer or
-    array it is about, e.g. `layers[1].bias`."""
+def _decode_layers(layers):
+    """The weights and biases of a checkpoint's `layers`, each array read by
+    _decode_array. An error names the path of the layer or array it is about,
+    e.g. `layers[1].bias`."""
     arrays = {"weight": [], "bias": []}
     for i, layer in enumerate(layers):
         require_kind("object", layer, f"layers[{i}]")
@@ -169,9 +164,9 @@ def _decode_layers(layers, kind, decode):
             where = f"layers[{i}].{name}"
             if name not in layer:
                 raise ValueError(f"layers[{i}] lacks key {_json(name)}")
-            require_kind(kind, layer[name], where)
+            require_kind("object", layer[name], where)
             try:
-                decoded.append(decode(layer[name]))
+                decoded.append(_decode_array(layer[name]))
             except KeyError as exc:
                 raise ValueError(f"{where} lacks key {_json(exc.args[0])}") from None
             except (TypeError, ValueError) as exc:
@@ -194,7 +189,7 @@ def checkpoint_text(params):
 
 
 def load_checkpoint(path):
-    """Read a version 1 (nested lists) or version 2 checkpoint.
+    """Read a checkpoint of version CHECKPOINT_VERSION, the one checkpoint_text writes.
 
     Any malformed document raises ValueError naming `path`.
     """
@@ -203,8 +198,7 @@ def load_checkpoint(path):
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (magic {_json(magic)})")
     version = doc.get("version")
-    decoder = _DECODERS.get(version) if NON_NEGATIVE_INT.test(version) else None
-    if decoder is None:
+    if kind_of(version) != "integer" or version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {_json(version)}")
     try:
         widths = doc["widths"]
@@ -213,7 +207,7 @@ def load_checkpoint(path):
             raise ValueError(f"widths {_json(widths)} is not a list of >= 2 positive integers")
         layers = doc["layers"]
         require_kind("array", layers, '"layers"')
-        weights, biases = _decode_layers(layers, *decoder)
+        weights, biases = _decode_layers(layers)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks key {_json(exc.args[0])}") from None
     except (TypeError, ValueError) as exc:

@@ -1327,6 +1327,79 @@ def test_repeated_key_in_a_run_file_exits_1(trained, tmp_path, capsys, name, fla
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "calibrate"])
+def test_version_1_checkpoint_exits_1(trained, tmp_path, capsys, command):
+    """Version 1 stored each array as nested number lists; it is not read."""
+    config_path, out = trained
+    params = mlp.load_checkpoint(out / "checkpoint.json")
+    old = tmp_path / "v1_checkpoint.json"
+    old.write_text(json.dumps({
+        "magic": "calprune-mlp", "version": 1, "widths": params.widths,
+        "layers": [{"weight": w.tolist(), "bias": b.tolist()}
+                   for w, b in zip(params.weights, params.biases)]}))
+    argv = [command, "--config", str(config_path), "--checkpoint", str(old)]
+    if command == "evaluate":
+        argv += ["--out", str(tmp_path / "bundle")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {old}: unsupported checkpoint version 1\n")
+
+
+@pytest.mark.parametrize("name, encoding, code", [
+    ("config.json", "utf-16", 2), ("config.json", "utf-32", 2),
+    ("checkpoint.json", "utf-16", 1), ("checkpoint.json", "utf-8-sig", 0)])
+def test_json_inputs_are_read_as_utf8(trained, tmp_path, capsys, name, encoding, code):
+    """A UTF-16 or UTF-32 file, which json.loads would take from bytes by
+    itself, is named as invalid; a UTF-8 byte order mark is skipped."""
+    config_path, out = trained
+    files = {"config.json": config_path, "checkpoint.json": out / "checkpoint.json"}
+    path = tmp_path / f"{encoding}_{name}"
+    path.write_text(files[name].read_text(), encoding=encoding)
+    files[name] = path
+    capsys.readouterr()
+    bundle = tmp_path / "bundle"
+    assert main(["evaluate", "--config", str(files["config.json"]),
+                 "--checkpoint", str(files["checkpoint.json"]), "--out", str(bundle)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and bundle.is_dir()
+        return
+    prefix = "config error" if name == "config.json" else "error"
+    assert err == (f"{prefix}: {path}: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+    assert not bundle.exists()
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("flag, code, prefix", [
+    ("--config", 2, "config error: {deep}: invalid JSON: "),
+    ("--set", 2, 'config error: override "train.lr_milestones": invalid JSON: '),
+    ("--checkpoint", 1, "error: {deep}: invalid JSON: "),
+    ("--run", 1, "error: {deep}: invalid JSON: ")],
+    ids=["config", "override", "checkpoint", "run"])
+def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys, flag, code, prefix):
+    """100,000 nested arrays pass the parser's recursion limit. Each of the
+    four JSON inputs gives one line naming its file or override key, never
+    the value."""
+    out, bundle = tmp_path / "out", tmp_path / "bundle"
+    config_path = write_config(tmp_path, out)
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = {"--config": ["train", "--config", str(deep)],
+            "--set": ["train", "--config", str(config_path),
+                      "--set", f"train.lr_milestones={DEEP_JSON}"],
+            "--checkpoint": ["evaluate", "--config", str(config_path),
+                             "--checkpoint", str(deep), "--out", str(bundle)],
+            "--run": ["report", "--run", str(deep), "--out", str(bundle)]}[flag]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(deep=deep)) and err.count("\n") == 1
+    assert "[[" not in err and "Traceback" not in err
+    assert not out.exists() and not bundle.exists()
+
+
 def test_quickstart_checkpoint_bytes_deterministic(tmp_path):
     texts = []
     for name in ("a", "b"):
