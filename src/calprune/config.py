@@ -10,8 +10,8 @@ import copy
 import json
 import os
 
-from .data import (Dataset, decode_pixels, generate_gaussian_mixture, load_csv,
-                   read_idx_pair, read_json, split_positions)
+from .data import (Dataset, _unique_keys, decode_pixels, generate_gaussian_mixture,
+                   load_csv, read_idx_pair, read_json, split_positions)
 from .losses import AuxSpec, LossSpec
 from .pruning import PruneSchedule
 from .ranges import SETTINGS, check_setting
@@ -93,6 +93,8 @@ def resolve_config(user):
     if missing:
         raise ConfigError(
             f"dataset source {shown} requires config key dataset.{sorted(missing)[0]}")
+    for key in cfg["dataset"].keys() - required - optional - _ANY_SOURCE:
+        cfg["dataset"][key] = None  # the source does not read it
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
     return cfg
@@ -115,11 +117,11 @@ def _apply_override(user, assignment):
     if "=" not in assignment:
         raise ConfigError(f"override {json.dumps(assignment)} is not of the form key.path=value")
     dotted, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
+    try:  # the config file's rules: a repeated key or deep nesting is an error
+        value = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         value = raw
-    except RecursionError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"override {json.dumps(dotted)}: invalid JSON: {exc}") from None
     keys = dotted.split(".")
     node = user

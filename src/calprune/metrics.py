@@ -94,12 +94,16 @@ def _check_correct(correct):
 
 
 def _check_records(conf, correct):
-    """`conf` and `correct` (checked by _check_correct) as float64 arrays of one length."""
+    """`conf` and `correct` (checked by _check_correct) as float64 arrays of one
+    length, every confidence in [0, 1]; every metric reads its records through here."""
     correct = _check_correct(correct)
     conf = np.asarray(conf, dtype=np.float64)
     if conf.shape != correct.shape:
         raise ValueError(f"confidences and correct must be 1-d arrays of one length, "
                          f"got shapes {conf.shape} and {correct.shape}")
+    outside = conf[~((conf >= 0.0) & (conf <= 1.0))]
+    if outside.size:
+        raise ValueError(f"confidence {outside[0]} outside [0, 1]")
     return conf, correct
 
 
@@ -113,25 +117,21 @@ def binned_ece(conf, correct, n_bins):
     conf, correct = _check_records(conf, correct)
     if not len(conf):
         raise ValueError("binned_ece requires at least one record")
-    outside = conf[~((conf >= 0.0) & (conf <= 1.0))]
-    if outside.size:
-        raise ValueError(f"confidence {outside[0]} outside [0, 1]")
     idx = bin_indices(conf, n_bins)
     counts = np.bincount(idx, minlength=n_bins)
     conf_sums = np.bincount(idx, weights=conf, minlength=n_bins)
     correct_sums = np.bincount(idx, weights=correct, minlength=n_bins)
-    edges = bin_edges(n_bins)
+    uppers = bin_edges(n_bins)
     n = len(conf)
     bins = []
     ece = 0.0
-    for m in range(n_bins):
-        lower = 0.0 if m == 0 else edges[m - 1]
+    for m, (lower, upper) in enumerate(zip(np.r_[0.0, uppers[:-1]], uppers)):
         if counts[m] == 0:
-            bins.append(ReliabilityBin(lower, edges[m], 0, None, None))
+            bins.append(ReliabilityBin(lower, upper, 0, None, None))
             continue
         mean_conf = conf_sums[m] / counts[m]
         accuracy = correct_sums[m] / counts[m]
-        bins.append(ReliabilityBin(lower, edges[m], int(counts[m]),
+        bins.append(ReliabilityBin(lower, upper, int(counts[m]),
                                    float(mean_conf), float(accuracy)))
         ece += counts[m] / n * abs(accuracy - mean_conf)
     return bins, float(ece)
@@ -236,29 +236,25 @@ def _read_record(cls, doc, where=""):
 
 
 def report_from_dict(doc):
-    """Rebuild a report from its record_doc form; a malformed one raises ValueError."""
+    """Rebuild a report from its record_doc form, whose bins must be the n_bins
+    bins that bin_edges gives; a malformed one raises ValueError."""
     report = _read_record(CalibrationReport, doc)
-    for i, b in enumerate(report.bins):
+    if report.n_bins != len(report.bins):
+        raise ValueError(f"report field n_bins must equal the number of bins, "
+                         f"{len(report.bins)}, got {report.n_bins}")
+    uppers = bin_edges(report.n_bins)
+    for i, (b, lower, upper) in enumerate(zip(report.bins, np.r_[0.0, uppers[:-1]], uppers)):
+        if (b.lower, b.upper) != (lower, upper):
+            raise ValueError(f"report field bins[{i}] must have lower {lower} and upper "
+                             f"{upper}, as one of {report.n_bins} equispaced bins, got {b}")
         empty = b.count == 0
         if (b.confidence is None) != empty or (b.accuracy is None) != empty:
             raise ValueError(f"report field bins[{i}] must have a null confidence and "
                              f"accuracy exactly when its count is 0, got {b}")
-        if b.lower >= b.upper:
-            raise ValueError(f"report field bins[{i}] must have lower < upper, got {b}")
-        start = report.bins[i - 1].upper if i else 0.0
-        if b.lower != start:
-            raise ValueError(f"report field bins[{i}] must have lower {start} so that "
-                             f"the bins tile [0, 1] in order, got {b}")
-        if i == len(report.bins) - 1 and b.upper != 1.0:
-            raise ValueError(f"report field bins[{i}] must have upper 1.0 so that "
-                             f"the bins tile [0, 1] in order, got {b}")
     for i, sub in enumerate(report.subsets):
         if sub.empty != (sub.count == 0) or (sub.ece is None) != sub.empty:
             raise ValueError(f"report field subsets[{i}] must have empty true and a null "
                              f"ece exactly when its count is 0, got {sub}")
-    if report.n_bins != len(report.bins):
-        raise ValueError(f"report field n_bins must equal the number of bins, "
-                         f"{len(report.bins)}, got {report.n_bins}")
     total = sum(b.count for b in report.bins)
     if report.n != total:
         raise ValueError(f"report field n must equal the sum of the bin counts, "

@@ -140,8 +140,9 @@ def _encode_array(a):
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(entry):
-    """Inverse of _encode_array, as an owned, writable, native float64 array."""
+def _decode_array(entry, want):
+    """Inverse of _encode_array, as an owned, writable, native float64 array of
+    shape `want`; any other stored shape is refused before numpy builds it."""
     shape = entry["shape"]
     if not isinstance(shape, list) or not all(map(NON_NEGATIVE_INT.test, shape)):
         raise ValueError(f"shape {_json(shape)} is not a list of non-negative integers")
@@ -150,23 +151,26 @@ def _decode_array(entry):
     n_bytes = 8 * math.prod(shape)
     if len(raw) != n_bytes:
         raise ValueError(f"{len(raw)} data bytes, but shape {shape} needs {n_bytes}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if tuple(shape) != want:
+        raise ValueError(f"shape {shape}, but the widths give {list(want)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(want).astype(np.float64)
 
 
-def _decode_layers(layers):
+def _decode_layers(layers, widths):
     """The weights and biases of a checkpoint's `layers`, each array read by
-    _decode_array. An error names the path of the layer or array it is about,
-    e.g. `layers[1].bias`."""
+    _decode_array in the shape `widths` give it. An error names the path of
+    the layer or array it is about, e.g. `layers[1].bias`."""
     arrays = {"weight": [], "bias": []}
     for i, layer in enumerate(layers):
         require_kind("object", layer, f"layers[{i}]")
+        shapes = {"weight": (widths[i], widths[i + 1]), "bias": (widths[i + 1],)}
         for name, decoded in arrays.items():
             where = f"layers[{i}].{name}"
             if name not in layer:
                 raise ValueError(f"layers[{i}] lacks key {_json(name)}")
             require_kind("object", layer[name], where)
             try:
-                decoded.append(_decode_array(layer[name]))
+                decoded.append(_decode_array(layer[name], shapes[name]))
             except KeyError as exc:
                 raise ValueError(f"{where} lacks key {_json(exc.args[0])}") from None
             except (TypeError, ValueError) as exc:
@@ -207,17 +211,15 @@ def load_checkpoint(path):
             raise ValueError(f"widths {_json(widths)} is not a list of >= 2 positive integers")
         layers = doc["layers"]
         require_kind("array", layers, '"layers"')
-        weights, biases = _decode_layers(layers)
+        if len(layers) != len(widths) - 1:
+            raise ValueError(f'"layers" holds {len(layers)} layers, but widths {widths} '
+                             f"need {len(widths) - 1}")
+        weights, biases = _decode_layers(layers, widths)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks key {_json(exc.args[0])}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
-    if len(layers) != len(widths) - 1:
-        raise ValueError(f"{path}: {len(layers)} layers, but widths {widths} "
-                         f"need {len(widths) - 1}")
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
-            raise ValueError(f"{path}: layer {i} shapes inconsistent with widths {widths}")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"{path}: layer {i} holds a non-finite weight or bias")
     return MlpParams(widths, weights, biases)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -73,6 +74,23 @@ def test_source_specific_keys_enforced():
         resolve_config({"dataset": {"source": "gaussian_mixture", "images": "x"}})
     with pytest.raises(ConfigError, match="dataset.images"):
         resolve_config({"dataset": {"source": "idx_pair"}})
+
+
+def test_resolved_dataset_section_holds_only_what_the_source_reads():
+    """run.json records the resolved config, so a file source resolves the
+    generator's keys to null, as the generator leaves the file keys null."""
+    files = {"idx_pair": {"images": "a", "labels": "b", "test_images": "c", "test_labels": "d"},
+             "csv": {"path": "a.csv", "test_path": "b.csv", "label_column": "y"}}
+    idx, csv, csv_3 = (resolve_config({"dataset": {"source": source, **files[source], **extra}})
+                       ["dataset"] for source, extra in (("idx_pair", {}), ("csv", {}),
+                                                          ("csv", {"classes": 3})))
+    generated = resolve_config({})["dataset"]
+    for key in ("classes", "train_per_class", "test_per_class", "noise"):
+        assert idx[key] is None and csv[key] is None, key
+        assert generated[key] == DEFAULTS["dataset"][key], key
+    assert csv_3["classes"] == 3 and csv_3["noise"] is None
+    assert idx["images"] == "a" and idx["path"] is None and csv["images"] is None
+    assert generated["path"] is None and generated["images"] is None
 
 
 def test_config_value_types_checked(tmp_path, capsys):
@@ -450,7 +468,10 @@ def test_config_keys_print_as_json_on_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == 'config error: unknown config key: "train.max\\nepochs"\n'
     for assignment, message in [("a\nb", 'override "a\\nb" is not of the form key.path=value'),
                                 ("output_dir.x\ny=1",
-                                 'override "output_dir.x\\ny" descends through a non-object')]:
+                                 'override "output_dir.x\\ny" descends through a non-object'),
+                                # a --set value follows the config file's JSON rules
+                                ('train={"max_epochs": 2, "max_epochs": 3}',
+                                 'override "train": invalid JSON: repeated key "max_epochs"')]:
         assert main(["train", "--config", str(path), "--set", assignment]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
@@ -474,6 +495,21 @@ def test_readme_states_every_setting_range():
     for key, setting in SETTINGS.items():
         if setting.rule:
             assert setting.rule.text in comments.get(key, ""), key
+
+
+def test_readme_config_errors_are_raised():
+    """Each `--set <value>` example in README's "Config file" section, on the
+    quickstart config, raises the ConfigError whose message README quotes."""
+    section = (ROOT / "README.md").read_text().split("## Config file\n", 1)[1]
+    text = " ".join(section.split("\n## ", 1)[0].split())
+    examples = re.findall(r"`--set ([^`]+)`(?: on the quickstart config)? gives "
+                          r"`(?:config error: |\.\.\. )?([^`]+)`", text)
+    assert len(examples) == 7, examples
+    for assignment, message in examples:
+        with pytest.raises(ConfigError) as caught:
+            load_config(ROOT / "demos" / "quickstart_config.json",
+                        overrides=shlex.split(assignment), env={})
+        assert str(caught.value).endswith(message), (assignment, str(caught.value))
 
 
 def test_train_smoke_writes_bundle(tmp_path, capsys):
@@ -719,7 +755,8 @@ class Merge(dict):
     (("report", "bins", 6, "accuracy"), -0.5,
      "bins[6].accuracy must be a number or null in [0, 1], got -0.5"),
     (("report", "bins", 6, "confidence"), 1.25, "bins[6].confidence must be a number or null"),
-    (("report", "bins", 0, "lower"), 0.9, "report field bins[0] must have lower < upper"),
+    (("report", "bins", 0, "lower"), 0.9,
+     "report field bins[0] must have lower 0.0 and upper 0.1, as one of 10 equispaced bins"),
     (("report", "ece"), float("nan"), "report field ece must be a number or null in [0, 1]"),
     (("report", "test_error_pct"), float("-inf"), "report field test_error_pct must be a number"),
     (("report", "subsets", 0, "fraction_pct"), float("inf"),
@@ -729,10 +766,17 @@ class Merge(dict):
     (("report", "subsets", 0, "ece"), 0.1, "report field subsets[0] must have empty true"),
     (("report", "subsets", 1, "count"), 5, "report field subsets[1] must have empty true"),
     (("report", "bins", 0), Merge(lower=0.5, upper=0.6),
-     "report field bins[0] must have lower 0.0 so that the bins tile [0, 1] in order"),
-    (("report", "bins", 5, "lower"), 0.55, "report field bins[5] must have lower 0.5 so that"),
+     "report field bins[0] must have lower 0.0 and upper 0.1, as one of 10 equispaced bins"),
+    (("report", "bins", 5, "lower"), 0.55,
+     "report field bins[5] must have lower 0.5 and upper 0.6, as one of 10"),
     (("report", "bins", 9, "upper"), 0.95,
-     "report field bins[9] must have upper 1.0 so that"),
+     "report field bins[9] must have lower 0.9 and upper 1.0, as one of 10"),
+    # two bins that tile [0, 1], but not at the edges the report is binned at
+    (("report",), Merge(n=5, n_bins=2, bins=[
+        {"lower": 0.0, "upper": 0.3, "count": 2, "confidence": 0.2, "accuracy": 0.5},
+        {"lower": 0.3, "upper": 1.0, "count": 3, "confidence": 0.8, "accuracy": 1.0}]),
+     "report field bins[0] must have lower 0.0 and upper 0.5, as one of 2 equispaced bins"),
+    (("report", "n_bins"), 10 ** 15, "report field n_bins must equal the number of bins, 10, got"),
 ], ids=["no_report", "no_subsets", "bin_without_count", "no_n", "list_root", "report_array",
         "subsets_integer", "bins_object", "bin_integer", "bin_array", "subset_string", "truncated",
         "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
@@ -743,7 +787,7 @@ class Merge(dict):
         "upper_above_one", "accuracy_negative", "confidence_above_one", "lower_above_upper",
         "ece_nan", "test_error_minus_inf", "fraction_inf", "subset_not_empty_at_count_0",
         "empty_subset_with_ece", "empty_subset_with_count", "first_bin_not_at_0",
-        "gap_between_bins", "last_bin_short_of_1"])
+        "gap_between_bins", "last_bin_short_of_1", "two_bins_off_edges", "n_bins_huge"])
 def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, value, key):
     """`path` is the key path in run.json given `value` (DROP deletes it, a
     Merge updates the record there); None wraps the document in a list;

@@ -266,6 +266,21 @@ def test_malformed_correct_rejected(correct, match):
         error_rate(correct)
 
 
+@pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (1.5, "1.5"), (-0.1, "-0.1")],
+                         ids=["nan", "above_one", "negative"])
+def test_confidence_outside_unit_interval_rejected(bad, shown):
+    """Every metric that reads confidences refuses one outside [0, 1] with one
+    message, instead of ranking a NaN or dropping it from a subset."""
+    conf, correct = np.array([bad, 0.2, 0.9, 0.7]), np.array([1.0, 0.0, 1.0, 0.0])
+    for metric in (lambda: binned_ece(conf, correct, 10),
+                   lambda: refinement_auroc(conf, correct),
+                   lambda: high_confidence_subset(conf, correct, 0.5),
+                   lambda: ece_on_subset(conf, correct, 0.5, 10),
+                   lambda: build_report(conf, correct, 10, [0.9])):
+        with pytest.raises(ValueError, match=rf"^confidence {shown} outside \[0, 1\]$"):
+            metric()
+
+
 def test_malformed_confidences_shape_rejected():
     with pytest.raises(ValueError, match=r"one length, got shapes \(1, 2\) and \(2,\)"):
         refinement_auroc(np.array([[0.2, 0.8]]), np.array([1.0, 0.0]))
@@ -354,7 +369,7 @@ def test_report_dict_roundtrip():
     reports = [build_report(*random_records(rng, 60), 10, [0.95]),
                build_report(conf, np.ones(60), 10, [0.5, 0.99]),  # every record correct
                build_report(conf, (rng.random(60) < 0.5).astype(np.float64), 7, [0.99])]
-    # the written bins tile [0, 1] at any bin count, so they read back
+    # the written bins are those bin_edges gives at any bin count, so they read back
     reports += [build_report(*random_records(rng, 60), m, [0.5]) for m in (1, 3, 15, 100)]
     assert reports[1].auroc is None and reports[1].subsets[1].empty
     assert reports[2].subsets[0].empty and not reports[1].subsets[0].empty

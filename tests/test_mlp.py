@@ -352,7 +352,8 @@ def _put_nan(name, layer):
 
 
 MALFORMED = pytest.mark.parametrize("mutate, problem", [
-    (lambda doc: doc["layers"].append(doc["layers"][-1]), "3 layers, but widths"),
+    (lambda doc: doc["layers"].append(doc["layers"][-1]),
+     r'malformed checkpoint: "layers" holds 3 layers, but widths \[3, 4, 2\] need 2$'),
     (_drop("magic"), "magic null"),
     (lambda doc: doc.update(magic="xé"), r'magic "x\\u00e9"\)'),
     (_drop("widths"), 'lacks key "widths"'),
@@ -375,7 +376,7 @@ MALFORMED = pytest.mark.parametrize("mutate, problem", [
     (_set_widths([3, 0, 2]), r"widths \[3, 0, 2\] is not"),
     (_set_widths([3]), r"widths \[3\] is not"),
     (_set_widths({"0": 3}), 'widths {"0": 3} is not'),
-    (_set_widths([3, 5, 2]), "layer 0 shapes inconsistent with widths"),
+    (_set_widths([3, 5, 2]), r"layers\[0\]\.weight: shape \[3, 4\], but the widths give \[3, 5\]$"),
     (_put_nan("weight", 0), "layer 0 holds a non-finite weight or bias"),
     (_put_nan("bias", 1), "layer 1 holds a non-finite weight or bias"),
 ], ids=["extra_layer", "no_magic", "non_ascii_magic", "no_widths", "no_layers",
@@ -428,8 +429,9 @@ def _set_entry(name, **fields):
      r"malformed checkpoint: layers\[0\]\.weight: data must be of type string, got integer 5$"),
     (_set_entry("bias", data=base64.b64encode(bytes(8 * 3)).decode()),
      r"layers\[0\]\.bias: 24 data bytes, but shape \[4\] needs 32"),
-    (_set_entry("weight", shape=[4, 3]), "layer 0 shapes inconsistent with widths"),
-    (_set_entry("weight", shape=[12]), "layer 0 shapes inconsistent with widths"),
+    (_set_entry("weight", shape=[4, 3]),
+     r"layers\[0\]\.weight: shape \[4, 3\], but the widths give \[3, 4\]$"),
+    (_set_entry("weight", shape=[12]), r"layers\[0\]\.weight: shape \[12\], but the widths"),
     (_set_entry("weight", shape=[3, -4]), r"shape \[3, -4\] is not a list of non-negative"),
     (_set_entry("weight", shape=[3, 4.0]), r"shape \[3, 4.0\] is not"),
     (_set_entry("weight", shape=[3, True]), r"shape \[3, true\] is not"),
@@ -444,10 +446,16 @@ def _set_entry(name, **fields):
     (_set_entry("weight", shape=[2**40, 2**24], data=""),
      r"layers\[0\]\.weight: 0 data bytes, but shape \[1099511627776, 16777216\] needs "
      r"147573952589676412928$"),
+    # no elements, so the byte count passes; numpy could not build either shape
+    (_set_entry("weight", shape=[0, 2**62, 2**62], data=""),
+     r"layers\[0\]\.weight: shape \[0, 4611686018427387904, 4611686018427387904\], "
+     r"but the widths give \[3, 4\]$"),
+    (_set_entry("weight", shape=[0, 2**63], data=""),
+     r"layers\[0\]\.weight: shape \[0, 9223372036854775808\], but the widths give \[3, 4\]$"),
 ], ids=["bad_base64", "bad_padding", "non_ascii", "data_not_string", "short_payload",
         "transposed_shape", "flat_shape", "negative_shape", "float_shape", "boolean_shape",
         "shape_not_list", "v1_array_in_v2", "weight_integer", "no_shape", "no_data",
-        "shape_past_int64"])
+        "shape_past_int64", "empty_shape_too_big", "empty_shape_past_int64"])
 def test_checkpoint_v2_corruptions_rejected(tmp_path, mutate, problem):
     doc = json.loads(checkpoint_text(init_mlp([3, 4, 2], seed=0)))
     _assert_rejected(tmp_path, doc, mutate, problem)
