@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FLSD_THRESHOLD = 0.2  # the target probability at which focal's exponent switches
+
 
 class GraphError(ValueError):
     """Raised when a graph is built or evaluated with incompatible inputs."""
@@ -45,21 +47,14 @@ class Node:
         return f"Node({self.op}{tag})"
 
 
-def _fold_max(columns):
-    """np.maximum folded over the rows of `columns`: the row max of the (n, k)
-    array whose columns they are, with np.maximum.reduce's values except
-    perhaps the sign of a zero max."""
+def _fold(ufunc, columns):
+    """`ufunc` folded left to right over the rows of `columns`: a row
+    reduction of the (n, k) array whose columns they are, in one order
+    whatever the memory layout. The np.maximum fold has np.maximum.reduce's
+    values except perhaps the sign of a zero max."""
     out = columns[0].copy()
     for column in columns[1:]:
-        np.maximum(out, column, out=out)
-    return out
-
-
-def _fold_sum(columns):
-    """The columns added left to right: row sums in one order, whatever the memory layout."""
-    out = columns[0].copy()
-    for column in columns[1:]:
-        out += column
+        ufunc(out, column, out=out)
     return out
 
 
@@ -67,11 +62,11 @@ def _fold_sum(columns):
 def _log_softmax_columns(columns):
     """Log-softmax, in place, of the n rows whose K columns are the rows of the
     C-contiguous float64 (K, n) `columns`; returns `columns`. The row max and
-    the sum of exps are folded over the K columns (_fold_max, _fold_sum). Where
+    the sum of exps are folded over the K columns (_fold). Where
     the max fold differs from np.maximum.reduce, only in the sign of a zero
     max, a second zero in the row makes its lse nonzero, so no bit changes."""
-    columns -= _fold_max(columns)
-    columns -= np.log(_fold_sum(np.exp(columns)))
+    columns -= _fold(np.maximum, columns)
+    columns -= np.log(_fold(np.add, np.exp(columns)))
     return columns
 
 
@@ -144,10 +139,10 @@ def _check_rows(node, x, targets):
 
 def _focal(node, x, targets):
     _check_rows(node, x, targets)
-    gamma_below, gamma_above, threshold = node.aux
+    gamma_below, gamma_above = node.aux
     picked = x[np.arange(len(x)), targets]
     p = np.exp(picked)
-    gamma, q = np.where(p < threshold, gamma_below, gamma_above), 1.0 - p
+    gamma, q = np.where(p < FLSD_THRESHOLD, gamma_below, gamma_above), 1.0 - p
     weight = q ** gamma
     node.saved = gamma, q, weight, picked, p
     return -1.0 * (np.add.reduce(weight * picked, axis=0) / len(x))
@@ -228,7 +223,7 @@ def _focal_vjp(adj, node, x, targets):
     gamma, q, weight, picked, p = node.saved
     adj_term = np.full(len(x), (-1.0 * adj) / len(x))
     adj_picked = adj_term * weight
-    if node.aux[:2] != (0.0, 0.0):  # else (1 - p)^0 is constant; its slope is 0 * inf at p = 1
+    if node.aux != (0.0, 0.0):  # else (1 - p)^0 is constant; its slope is 0 * inf at p = 1
         adj_picked = adj_picked + (-(adj_term * picked * gamma * q ** (gamma - 1.0))) * p
     return _scatter_rows(adj_picked, x, targets)
 
@@ -403,13 +398,13 @@ class Graph:
         return self._append(Node("one_hot", (targets,),
                                  aux=(int(n_classes), float(on), float(off))))
 
-    def focal(self, log_probs, targets, gamma_below, gamma_above, threshold):
+    def focal(self, log_probs, targets, gamma_below, gamma_above):
         """-mean((1 - p)**gamma * log p) over the rows' target log-probabilities
         log p = log_probs[i, targets[i]], gamma being gamma_below where p <
-        threshold and gamma_above elsewhere, chosen per row on every forward
+        FLSD_THRESHOLD and gamma_above elsewhere, per row on every forward
         pass; both 0 give the NLL. Neither gamma nor the targets carry gradient."""
         return self._append(Node("focal", (log_probs, targets),
-                                 aux=(float(gamma_below), float(gamma_above), float(threshold))))
+                                 aux=(float(gamma_below), float(gamma_above))))
 
     def confidence_gap(self, log_probs, targets):
         """mean(exp(row max of log_probs)) - mean(argmax == target): batch mean

@@ -69,12 +69,12 @@ def mixture_means(n_classes):
 def _class_sizes(n_classes, per_class, noise):
     """The K per-class sizes of a scalar or per-class `per_class`, after
     checking every generator argument against its range entry."""
-    check("dataset.classes", n_classes)
+    check("dataset.classes", n_classes, "n_classes")
     sizes = [per_class] * n_classes if np.isscalar(per_class) else list(per_class)
     if len(sizes) != n_classes:
         raise ValueError(f"need {n_classes} per-class sizes, got {sizes}")
     for size in sizes:
-        check("dataset.train_per_class", size)
+        check("dataset.train_per_class", size, "per_class")
     check("dataset.noise", noise)
     return sizes
 

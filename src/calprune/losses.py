@@ -18,7 +18,6 @@ from .ranges import check, check_fields
 
 FLSD_LOW_CONFIDENCE_GAMMA = 5.0
 FLSD_HIGH_CONFIDENCE_GAMMA = 3.0
-FLSD_THRESHOLD = 0.2
 
 
 @dataclass
@@ -46,20 +45,19 @@ class LossSpec:
 
 def nll_loss(g, log_probs, targets):
     """Mean negative log-likelihood of the target class: focal loss at gamma = 0."""
-    return g.focal(log_probs, targets, 0.0, 0.0, FLSD_THRESHOLD)
+    return g.focal(log_probs, targets, 0.0, 0.0)
 
 
 def focal_loss(g, log_probs, targets, gamma):
     """Mean of -(1 - p_target)^gamma * log p_target; NLL itself at gamma = 0."""
     check("loss.gamma", gamma)
-    return g.focal(log_probs, targets, gamma, gamma, FLSD_THRESHOLD)
+    return g.focal(log_probs, targets, gamma, gamma)
 
 
 def flsd_loss(g, log_probs, targets):
     """Focal loss whose gamma is chosen per sample on every forward pass:
     5 where the target probability is below 0.2, else 3."""
-    return g.focal(log_probs, targets, FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA,
-                   FLSD_THRESHOLD)
+    return g.focal(log_probs, targets, FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA)
 
 
 def aux_huber_loss(g, log_probs, targets, alpha):

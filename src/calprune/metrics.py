@@ -113,7 +113,7 @@ def binned_ece(conf, correct, n_bins):
     `conf` and `correct` are equal-length float64 arrays: each record's
     confidence in [0, 1] and 1.0 where its prediction was right, else 0.0.
     """
-    check("eval.bins", n_bins)
+    check("eval.bins", n_bins, "n_bins")
     conf, correct = _check_records(conf, correct)
     if not len(conf):
         raise ValueError("binned_ece requires at least one record")

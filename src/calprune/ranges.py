@@ -4,9 +4,8 @@
 an array, `[element kind]`) and, for a constrained setting, one rule: a
 predicate with the text that states it. Library constructors and functions
 check their own arguments against it and raise ValueError, naming the key's
-last part or, where the argument it feeds is named otherwise, its `field`;
-`config` builds its defaults from it and checks every key before any data is
-built.
+last part or the argument they name at the call; `config` builds its defaults
+from it and checks every key before any data is built.
 """
 
 import json
@@ -18,9 +17,8 @@ from math import inf
 from numbers import Integral, Real
 
 Rule = namedtuple("Rule", "text test")
-# `each`: the rule holds for every element of an array setting, not the whole array;
-# `field`: the argument the key feeds, given only where it is not the key's last part
-Setting = namedtuple("Setting", "default kind rule each field", defaults=(None, False, None))
+# `each`: the rule holds for every element of an array setting, not the whole array
+Setting = namedtuple("Setting", "default kind rule each", defaults=(None, False))
 
 
 def kind_of(value):
@@ -69,22 +67,23 @@ POSITIVE, NON_NEGATIVE = _interval(0, inf, "()"), _interval(0, inf)
 
 SETTINGS = {
     "dataset.source": Setting("gaussian_mixture", "string", _OneOf("config", "SOURCES")),
-    "dataset.classes": Setting(2, "integer", _integer(2), field="n_classes"),
-    "dataset.train_per_class": Setting(500, "integer", COUNT, field="per_class"),
-    "dataset.test_per_class": Setting(250, "integer", COUNT, field="per_class"),
+    "dataset.classes": Setting(2, "integer", _integer(2)),
+    "dataset.train_per_class": Setting(500, "integer", COUNT),
+    "dataset.test_per_class": Setting(250, "integer", COUNT),
     "dataset.noise": Setting(0.0, "number", _interval(0, 0.5)),
     # seeds numpy's SeedSequence, which takes no negative entropy
     "dataset.seed": Setting(0, "integer", NON_NEGATIVE_INT),
     "dataset.train_fraction": Setting(0.9, "number", _interval(0, 1, "()")),
-    "dataset.images": Setting(None, "string", field="images_path"),
-    "dataset.labels": Setting(None, "string", field="labels_path"),
-    "dataset.test_images": Setting(None, "string", field="images_path"),
-    "dataset.test_labels": Setting(None, "string", field="labels_path"),
+    "dataset.images": Setting(None, "string"),
+    "dataset.labels": Setting(None, "string"),
+    "dataset.test_images": Setting(None, "string"),
+    "dataset.test_labels": Setting(None, "string"),
     "dataset.path": Setting(None, "string"),
-    "dataset.test_path": Setting(None, "string", field="path"),
+    "dataset.test_path": Setting(None, "string"),
     "dataset.label_column": Setting(None, "string"),
     "model.hidden": Setting([64, 64], ["integer"], COUNT, True),
-    "train.max_epochs": Setting(60, "integer", COUNT),
+    # the prune schedule lists its epochs before any data is read
+    "train.max_epochs": Setting(60, "integer", _interval(1, 100000, "[]")),
     "train.batch_size": Setting(128, "integer", COUNT),
     "train.learning_rate": Setting(0.1, "number", POSITIVE),
     "train.lr_milestones": Setting([80, 120], ["integer"], COUNT, True),
@@ -106,9 +105,10 @@ SETTINGS = {
     "prune.epochs": Setting(None, ["integer"], Rule(
         f"a set of epochs, each {COUNT.text}", lambda v: all(map(COUNT.test, v)))),
     "prune.warmup_epochs": Setting(None, "integer", NON_NEGATIVE_INT),
-    "eval.bins": Setting(10, "integer", COUNT, field="n_bins"),
+    # a bundle holds one report record, CSV row and SVG rect per bin
+    "eval.bins": Setting(10, "integer", _interval(1, 1000, "[]")),
     "eval.deltas": Setting([0.95, 0.99], ["number"], _interval(0, 1, "(]"), True),
-    "output_dir": Setting("runs/out", "string", field="out_dir"),
+    "output_dir": Setting("runs/out", "string"),
 }
 
 
@@ -139,9 +139,9 @@ def require_kind(kind, value, name, error=ValueError):
 def check(key, value, name=None, error=ValueError):
     """Raise `error` unless `value` has the JSON kind of config key `key` and
     passes its rule; for an array setting `value` is one element. The
-    message names `name`, by default the field or argument the key feeds."""
+    message names `name`, by default the key's last part."""
     setting = SETTINGS[key]
-    name = name or setting.field or key.rpartition(".")[2]
+    name = name or key.rpartition(".")[2]
     array = isinstance(setting.kind, list)
     require_kind(setting.kind[0] if array else setting.kind, value, name, error)
     if setting.rule and (setting.each or not array):
@@ -152,7 +152,7 @@ def check_setting(key, value, name=None, error=ValueError):
     """check() `value`, or each element of an array setting as `name[i]`;
     a key whose default is null also takes null."""
     setting = SETTINGS[key]
-    name = name or setting.field or key.rpartition(".")[2]
+    name = name or key.rpartition(".")[2]
     if value is None and setting.default is None:
         return
     if not isinstance(setting.kind, list):

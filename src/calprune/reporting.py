@@ -109,10 +109,10 @@ def _svg(y_label, shapes):
     h = _PLOT["top"] + _PLOT["height"] + _PLOT["bottom"]
     return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt_sig(w)}" '
                       f'height="{fmt_sig(h)}" viewBox="0 0 {fmt_sig(w)} {fmt_sig(h)}">',
-                      *_axes("confidence", y_label), *shapes, "</svg>"]) + "\n"
+                      *_axes(y_label), *shapes, "</svg>"]) + "\n"
 
 
-def _axes(x_label, y_label):
+def _axes(y_label):
     parts = []
     parts.append(f'<line class="axis" x1="{fmt_sig(_x(0))}" y1="{fmt_sig(_y(0))}" '
                  f'x2="{fmt_sig(_x(1))}" y2="{fmt_sig(_y(0))}" stroke="black"/>')
@@ -128,7 +128,7 @@ def _axes(x_label, y_label):
     mid_x = _x(0.5)
     parts.append(f'<text class="axis-label" x="{fmt_sig(mid_x)}" '
                  f'y="{fmt_sig(_y(0) + 38)}" font-size="13" '
-                 f'text-anchor="middle">{x_label}</text>')
+                 'text-anchor="middle">confidence</text>')
     parts.append(f'<text class="axis-label" x="{fmt_sig(_x(0) - 42)}" '
                  f'y="{fmt_sig(_y(0.5))}" font-size="13" text-anchor="middle" '
                  f'transform="rotate(-90 {fmt_sig(_x(0) - 42)} {fmt_sig(_y(0.5))})">'

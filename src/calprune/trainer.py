@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, _fold_max, log_softmax
+from .autodiff import Graph, _fold, log_softmax
 from .data import minibatches
 from .losses import LossSpec, total_loss
 from .metrics import build_report
@@ -204,7 +204,8 @@ def train_with_pruning(train, params, config):
                 grads = graph.backward(root=loss_node)
                 sgd_update(state, grads, lr, config.momentum, config.weight_decay)
                 if config.prune is not None:
-                    epoch_conf[block] = np.exp(_fold_max(log_probs.value.T))  # exp(±0) is 1
+                    # exp(±0) is 1
+                    epoch_conf[block] = np.exp(_fold(np.maximum, log_probs.value.T))
                 loss_sum += loss_value * len(block)
 
             total_updates += len(alive)

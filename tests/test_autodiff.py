@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from calprune.autodiff import (RULES, Graph, GraphError, Node, _dense_delta, _scatter_rows,
-                               grad_check, log_softmax)
+from calprune.autodiff import (FLSD_THRESHOLD, RULES, Graph, GraphError, Node, _dense_delta,
+                               _scatter_rows, grad_check, log_softmax)
 from calprune.losses import (AUX_LOSSES, CLASSIFICATION_LOSSES, FLSD_HIGH_CONFIDENCE_GAMMA,
-                             FLSD_LOW_CONFIDENCE_GAMMA, FLSD_THRESHOLD, AuxSpec, LossSpec,
-                             total_loss)
+                             FLSD_LOW_CONFIDENCE_GAMMA, AuxSpec, LossSpec, total_loss)
 from calprune.mlp import init_mlp, logits_graph, param_bindings
 
 
@@ -48,7 +47,7 @@ def test_softmax_cross_entropy_gradient_at_symmetry():
     g = Graph()
     z = g.leaf("z")
     lp = g.log_softmax(z)
-    g.focal(lp, g.int_leaf("t"), 0.0, 0.0, FLSD_THRESHOLD)
+    g.focal(lp, g.int_leaf("t"), 0.0, 0.0)
     g.forward({"z": np.array([[0.0, 0.0]]), "t": [0]})
     grads = g.backward()
     np.testing.assert_allclose(grads["z"], [[-0.5, 0.5]], atol=1e-12)
@@ -150,12 +149,12 @@ def test_focal_and_confidence_gap_match_the_op_chains_bitwise():
     ties[::3, 1] = ties[::3, 2] = ties[::3].max(axis=1)  # the lower column wins
     cases = {
         "flsd": (lambda g, x, y: g.focal(x, y, FLSD_LOW_CONFIDENCE_GAMMA,
-                                        FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_THRESHOLD),
+                                        FLSD_HIGH_CONFIDENCE_GAMMA),
                  lp, lambda adj: _focal_chain(lp, t, FLSD_LOW_CONFIDENCE_GAMMA,
                                               FLSD_HIGH_CONFIDENCE_GAMMA, adj)),
-        "focal_2": (lambda g, x, y: g.focal(x, y, 2.0, 2.0, FLSD_THRESHOLD),
+        "focal_2": (lambda g, x, y: g.focal(x, y, 2.0, 2.0),
                     lp, lambda adj: _focal_chain(lp, t, 2.0, 2.0, adj)),
-        "nll": (lambda g, x, y: g.focal(x, y, 0.0, 0.0, FLSD_THRESHOLD),
+        "nll": (lambda g, x, y: g.focal(x, y, 0.0, 0.0),
                 lp, lambda adj: _focal_chain(lp, t, 0.0, 0.0, adj)),
         "confidence_gap": (lambda g, x, y: g.confidence_gap(x, y),
                            ties, lambda adj: _confidence_gap_chain(ties, t, adj)),
@@ -177,7 +176,7 @@ def test_focal_and_confidence_gap_match_the_op_chains_bitwise():
 @pytest.mark.parametrize("op", ["focal", "confidence_gap"])
 def test_focal_and_confidence_gap_reject_bad_rows_naming_the_op(op):
     g = Graph()
-    args = (0.0, 0.0, FLSD_THRESHOLD) if op == "focal" else ()
+    args = (0.0, 0.0) if op == "focal" else ()
     getattr(g, op)(g.leaf("x"), g.int_leaf("t"), *args)
     shapes = f"{op}: expected (n, K) log-probabilities with n >= 1 and one target per row"
     for x, t, message in ((np.zeros(3), [0, 1, 2], f"{shapes}, got shapes (3,) and (3,)"),
@@ -192,7 +191,7 @@ def test_focal_and_confidence_gap_reject_bad_rows_naming_the_op(op):
 def test_int_leaf_rejects_fractional_and_non_finite_labels():
     g = Graph()
     x, t = g.leaf("x"), g.int_leaf("labels")
-    g.focal(x, t, 0.0, 0.0, FLSD_THRESHOLD)  # -mean(x[i, labels[i]])
+    g.focal(x, t, 0.0, 0.0)  # -mean(x[i, labels[i]])
     x_val = -np.arange(6.0).reshape(3, 2)
     for bad in ([0.0, 1.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1e30, 1.0]):
         with pytest.raises(GraphError, match="int leaf 'labels'.*not a whole number"):
@@ -290,7 +289,7 @@ def _op_cases(rng):
     for tag, gammas in (("focal_flsd", (FLSD_LOW_CONFIDENCE_GAMMA, FLSD_HIGH_CONFIDENCE_GAMMA)),
                         ("focal_nll", (0.0, 0.0))):
         g = Graph()
-        g.focal(g.leaf("lp"), g.int_leaf("t"), *gammas, FLSD_THRESHOLD)
+        g.focal(g.leaf("lp"), g.int_leaf("t"), *gammas)
         cases[tag] = (g, {"lp": lp, "t": t})
 
     g = Graph()
@@ -343,7 +342,7 @@ def test_grad_check_fails_a_nan_gradient():
     # d/dp sqrt(1 - p) is infinite at p = 1, i.e. at a target log-prob of 0, so
     # the relative error there is NaN
     g = Graph()
-    g.focal(g.leaf("lp"), g.int_leaf("t"), 0.5, 0.5, FLSD_THRESHOLD)
+    g.focal(g.leaf("lp"), g.int_leaf("t"), 0.5, 0.5)
     lp = np.log([[1.0, 1e-300], [0.5, 0.5]])
     with np.errstate(divide="ignore", invalid="ignore"):
         (result,) = grad_check(g, {"lp": lp, "t": [0, 0]})
@@ -354,7 +353,7 @@ def test_focal_power_switches_exponent():
     """The exponents and weights the focal node saved: 3 at p = 0.5, 5 at p = 0.1."""
     g = Graph()
     out = g.focal(g.leaf("lp"), g.int_leaf("t"), FLSD_LOW_CONFIDENCE_GAMMA,
-                  FLSD_HIGH_CONFIDENCE_GAMMA, FLSD_THRESHOLD)
+                  FLSD_HIGH_CONFIDENCE_GAMMA)
     g.forward({"lp": np.log([[0.5, 0.5], [0.1, 0.9]]), "t": [0, 0]}, root=out)
     gamma, _, weight, _, _ = out.saved
     assert gamma.tolist() == [3.0, 5.0]
@@ -528,7 +527,7 @@ def test_grad_check_on_a_reused_graph_matches_a_fresh_one():
 def test_int_leaf_keeps_its_dtype_and_inputs_must_be_nodes():
     g = Graph()
     x, t = g.leaf("x"), g.int_leaf("t")
-    g.focal(x, t, 0.0, 0.0, FLSD_THRESHOLD)
+    g.focal(x, t, 0.0, 0.0)
     g.forward({"x": np.zeros((2, 3), dtype=np.float32), "t": [2, 0]})
     assert x.value.dtype == np.float64 and t.value.dtype == np.int64
     assert not t.is_param
@@ -537,7 +536,7 @@ def test_int_leaf_keeps_its_dtype_and_inputs_must_be_nodes():
     with pytest.raises(GraphError, match="focal: target out of range"):
         g.forward({"x": np.zeros((2, 3)), "t": [3, 0]})
     with pytest.raises(GraphError, match="graph nodes, got list"):
-        g.focal(x, [0, 1], 0.0, 0.0, FLSD_THRESHOLD)
+        g.focal(x, [0, 1], 0.0, 0.0)
 
 
 def _fast_path_inputs():

@@ -254,7 +254,7 @@ BOUNDS = {
     "dataset.test_per_class": "int [1, inf)", "dataset.noise": "[0, 0.5)",
     "dataset.seed": "int [0, inf)", "dataset.train_fraction": "(0, 1)",
     "model.hidden": "int [1, inf)",
-    "train.max_epochs": "int [1, inf)", "train.batch_size": "int [1, inf)",
+    "train.max_epochs": "int [1, 100000]", "train.batch_size": "int [1, inf)",
     "train.learning_rate": "(0, inf)", "train.lr_milestones": "int [1, inf)",
     "train.lr_decay_factor": "(0, inf)", "train.momentum": "[0, 1)",
     "train.weight_decay": "[0, inf)", "train.seed": "int [0, inf)",
@@ -263,7 +263,7 @@ BOUNDS = {
     "prune.percent": "(0, 100)", "prune.ema_factor": "[0, 1]",
     "prune.interval": "int [1, inf)", "prune.epochs": "int [1, inf)",
     "prune.warmup_epochs": "int [0, inf)",
-    "eval.bins": "int [1, inf)", "eval.deltas": "(0, 1]",
+    "eval.bins": "int [1, 1000]", "eval.deltas": "(0, 1]",
 }
 # stand-ins for the null-default numeric keys, which DEFAULTS leaves null
 NULL_DEFAULT_VALUES = {"prune.epochs": [5, 10], "prune.warmup_epochs": 0}
@@ -304,8 +304,9 @@ def _in_bounds(text, value):
 def _edge_values(text):
     """Each finite end of the bounds and its nearest neighbours on both sides."""
     integer, low, _, high, _ = _parse_bounds(text)
-    if integer:  # integer settings have a closed low end and no high end
-        return [int(low) - 1, int(low)]
+    if integer:  # integer settings have closed ends
+        return [int(end) + step for end in (low, high) if math.isfinite(end)
+                for step in (-1, 0, 1)]
     return [v for end in (low, high) if math.isfinite(end)
             for v in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
 
@@ -458,6 +459,25 @@ def test_unknown_dataset_source_exits_2_before_any_data(tmp_path, monkeypatch, c
                                           'dataset.images$'):
         resolve_config({"dataset": {"source": "idx_pair"}})
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (10, 10**11)"),
+     "error: Unable to allocate 7.28 TiB for an array with shape (10, 10**11)\n"),
+    (MemoryError(), "error: out of memory\n"),
+    (OverflowError("cannot fit 'int' into an index-sized integer"),
+     "error: cannot fit 'int' into an index-sized integer\n"),
+], ids=["numpy_memory_error", "bare_memory_error", "overflow"])
+def test_out_of_memory_and_overflow_exit_1_on_one_line(tmp_path, monkeypatch, capsys, error,
+                                                       line):
+    """A size too large to allocate or to index ends in one `error:` line."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "build_datasets", fail)
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == line
 
 
 def test_config_keys_print_as_json_on_one_line(tmp_path, capsys):

@@ -117,8 +117,9 @@ def test_zero_confidence_lands_in_first_bin():
 def test_empty_records_rejected():
     with pytest.raises(ValueError):
         binned_ece(*records([]), 10)
-    with pytest.raises(ValueError):
-        binned_ece(*records([(0.5, True)]), 0)
+    for n_bins in (0, 1001):
+        with pytest.raises(ValueError, match=rf"^n_bins must be in \[1, 1000\], got {n_bins}$"):
+            binned_ece(*records([(0.5, True)]), n_bins)
     for bad in (1.5, -0.1, np.nan):
         with pytest.raises(ValueError, match="outside"):
             binned_ece(*records([(0.5, True), (bad, True)]), 10)

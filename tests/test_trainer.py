@@ -204,10 +204,10 @@ def test_training_without_pruning_computes_no_confidences(monkeypatch):
     cfg = TrainConfig(max_epochs=2, batch_size=32, learning_rate=0.05, lr_milestones=[],
                       loss=LossSpec(kind="nll"))
 
-    def never(columns):
+    def never(ufunc, columns):
         raise AssertionError("confidences computed without pruning")
 
-    monkeypatch.setattr(trainer, "_fold_max", never)
+    monkeypatch.setattr(trainer, "_fold", never)
     result = train_with_pruning(train, init_mlp([2, 8, 2], seed=1), cfg)
     assert not result.ema.any()
 
