@@ -7,6 +7,7 @@ and exit status 0 means a complete manifest landed on disk.
 
 import argparse
 import sys
+import warnings
 
 from .config import ConfigError, OUTPUT_DIR_ENV, build_datasets, build_train_config, \
     load_config, model_widths, source_name
@@ -31,7 +32,7 @@ def _metric_line(name, value):
 def _print_report(report):
     lines = [_metric_line("ece", report.ece)]
     for s in report.subsets:
-        tag = f"{s.delta:g}"
+        tag = repr(s.delta)  # "g" would print both 0.9999999 and 0.99999999 as 1
         lines.append(_metric_line(f"ece_s{tag}", s.ece))
         lines.append(_metric_line(f"frac_s{tag}_pct", s.fraction_pct))
     lines.append(_metric_line("test_error_pct", report.test_error_pct))
@@ -158,9 +159,14 @@ def build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -175,6 +181,8 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

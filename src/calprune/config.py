@@ -14,7 +14,7 @@ from .data import (Dataset, _unique_keys, decode_pixels, generate_gaussian_mixtu
                    load_csv, read_idx_pair, read_json, split_positions)
 from .losses import AuxSpec, LossSpec
 from .pruning import PruneSchedule
-from .ranges import SETTINGS, check_setting
+from .ranges import SETTINGS, check
 from .trainer import TrainConfig
 
 OUTPUT_DIR_ENV = "CALPRUNE_OUTPUT_DIR"
@@ -70,7 +70,7 @@ def _merge_strict(defaults, user, prefix=""):
             else:
                 merged[key] = _merge_strict(defaults[key], value, prefix=path + ".")
         else:
-            check_setting(path, value, f"config key {path}", ConfigError)
+            check(path, value, f"config key {path}", ConfigError)
             merged[key] = copy.deepcopy(value)
     return merged
 

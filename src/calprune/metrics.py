@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ranges import (COUNT, NON_NEGATIVE_INT, Rule, _json, check, kind_of, require,
-                     require_kind)
+from .ranges import (COUNT, NON_NEGATIVE_INT, SETTINGS, Rule, _json, check, kind_of,
+                     require, require_kind)
 
 
 def _number(high, null=False):
@@ -139,7 +139,8 @@ def binned_ece(conf, correct, n_bins):
 
 def high_confidence_subset(conf, correct, delta):
     """The records with confidence >= delta, plus the subset size as a percentage."""
-    check("eval.deltas", delta, "delta")
+    require_kind("number", delta, "delta")
+    require(SETTINGS["eval.deltas"].rule, delta, "delta")
     conf, correct = _check_records(conf, correct)
     keep = conf >= delta
     fraction_pct = 100.0 * int(keep.sum()) / len(conf) if len(conf) else 0.0

@@ -23,8 +23,9 @@ class PruneSchedule:
     epochs: frozenset = field(kw_only=True)
 
     def __post_init__(self):
-        self.epochs = frozenset(self.epochs)
+        self.epochs = tuple(self.epochs)  # checked in the caller's order, then stored as a set
         check_fields(self, "prune")
+        self.epochs = frozenset(self.epochs)
 
 
 def prune_count(percent, n):

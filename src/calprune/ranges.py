@@ -17,8 +17,7 @@ from math import inf
 from numbers import Integral, Real
 
 Rule = namedtuple("Rule", "text test")
-# `each`: the rule holds for every element of an array setting, not the whole array
-Setting = namedtuple("Setting", "default kind rule each", defaults=(None, False))
+Setting = namedtuple("Setting", "default kind rule", defaults=(None,))
 
 
 def kind_of(value):
@@ -81,12 +80,12 @@ SETTINGS = {
     "dataset.path": Setting(None, "string"),
     "dataset.test_path": Setting(None, "string"),
     "dataset.label_column": Setting(None, "string"),
-    "model.hidden": Setting([64, 64], ["integer"], COUNT, True),
+    "model.hidden": Setting([64, 64], ["integer"], COUNT),
     # the prune schedule lists its epochs before any data is read
     "train.max_epochs": Setting(60, "integer", _interval(1, 100000, "[]")),
     "train.batch_size": Setting(128, "integer", COUNT),
     "train.learning_rate": Setting(0.1, "number", POSITIVE),
-    "train.lr_milestones": Setting([80, 120], ["integer"], COUNT, True),
+    "train.lr_milestones": Setting([80, 120], ["integer"], COUNT),
     "train.lr_decay_factor": Setting(0.1, "number", POSITIVE),
     "train.momentum": Setting(0.9, "number", _interval(0, 1)),
     "train.weight_decay": Setting(5e-4, "number", NON_NEGATIVE),
@@ -101,13 +100,11 @@ SETTINGS = {
     "prune.percent": Setting(10.0, "number", _interval(0, 100, "()")),
     "prune.ema_factor": Setting(0.3, "number", _interval(0, 1, "[]")),
     "prune.interval": Setting(5, "integer", COUNT),
-    # a set of epochs has no element order, so its rule is checked and named whole
-    "prune.epochs": Setting(None, ["integer"], Rule(
-        f"a set of epochs, each {COUNT.text}", lambda v: all(map(COUNT.test, v)))),
+    "prune.epochs": Setting(None, ["integer"], COUNT),
     "prune.warmup_epochs": Setting(None, "integer", NON_NEGATIVE_INT),
     # a bundle holds one report record, CSV row and SVG rect per bin
     "eval.bins": Setting(10, "integer", _interval(1, 1000, "[]")),
-    "eval.deltas": Setting([0.95, 0.99], ["number"], _interval(0, 1, "(]"), True),
+    "eval.deltas": Setting([0.95, 0.99], ["number"], _interval(0, 1, "(]")),
     "output_dir": Setting("runs/out", "string"),
 }
 
@@ -136,38 +133,32 @@ def require_kind(kind, value, name, error=ValueError):
         raise error(f"{name} must be of type {kind}, got {actual}{shown}")
 
 
+def _check_one(kind, rule, value, name, error):
+    require_kind(kind, value, name, error)
+    if rule:
+        require(rule, value, name, error)
+
+
 def check(key, value, name=None, error=ValueError):
     """Raise `error` unless `value` has the JSON kind of config key `key` and
-    passes its rule; for an array setting `value` is one element. The
-    message names `name`, by default the key's last part."""
-    setting = SETTINGS[key]
-    name = name or key.rpartition(".")[2]
-    array = isinstance(setting.kind, list)
-    require_kind(setting.kind[0] if array else setting.kind, value, name, error)
-    if setting.rule and (setting.each or not array):
-        require(setting.rule, value, name, error)
-
-
-def check_setting(key, value, name=None, error=ValueError):
-    """check() `value`, or each element of an array setting as `name[i]`;
-    a key whose default is null also takes null."""
+    passes its rule; an array setting's rule holds for each element, named
+    `name[i]`, and a key whose default is null also takes null. The message
+    names `name`, by default the key's last part."""
     setting = SETTINGS[key]
     name = name or key.rpartition(".")[2]
     if value is None and setting.default is None:
         return
     if not isinstance(setting.kind, list):
-        return check(key, value, name, error)
+        return _check_one(setting.kind, setting.rule, value, name, error)
     require_kind("array", value, name, error)
     for i, element in enumerate(value):
-        check(key, element, f"{name}[{i}]", error)
-    if not setting.each:
-        require(setting.rule, value, name, error)
+        _check_one(setting.kind[0], setting.rule, element, f"{name}[{i}]", error)
 
 
 def check_fields(obj, section):
-    """check_setting() each field of dataclass `obj` whose config key is
+    """check() each field of dataclass `obj` whose config key is
     `section.<field>`, raising ValueError."""
     for f in fields(obj):
         key = f"{section}.{f.name}"
         if key in SETTINGS:
-            check_setting(key, getattr(obj, f.name))
+            check(key, getattr(obj, f.name))

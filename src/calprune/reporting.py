@@ -10,7 +10,6 @@ the run JSON with timing removed.
 import hashlib
 import json
 import os
-import shutil
 from pathlib import Path
 
 from .metrics import record_doc
@@ -203,9 +202,19 @@ def bundle_texts(report, run_doc=None):
 
 
 def check_output_dir(out_dir):
-    """Refuse an output directory that already exists: bundles never overwrite."""
-    if Path(out_dir).exists():
-        raise FileExistsError(f"output directory {Path(out_dir)} already exists")
+    """Refuse an output directory that already exists (bundles never
+    overwrite), has an existing ancestor that is no directory, or whose
+    `.partial` staging path exists (it is never deleted); return that path."""
+    out_dir = Path(out_dir)
+    if os.path.lexists(out_dir):
+        raise FileExistsError(f"output directory {out_dir} already exists")
+    for parent in out_dir.parents:
+        if os.path.lexists(parent) and not parent.is_dir():
+            raise NotADirectoryError(f"output directory {out_dir}: {parent} is not a directory")
+    partial = out_dir.with_name(out_dir.name + ".partial")
+    if os.path.lexists(partial):
+        raise FileExistsError(f"output directory {out_dir}: {partial} already exists")
+    return partial
 
 
 def write_bundle(out_dir, files, extra_files=None):
@@ -215,12 +224,8 @@ def write_bundle(out_dir, files, extra_files=None):
     stable digest excluding timing); `extra_files` (e.g. the checkpoint) land
     in the same directory without a manifest entry.
     """
-    check_output_dir(out_dir)  # again here: the directory may have appeared since
-    out_dir = Path(out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir.parent / (out_dir.name + ".partial")
-    if tmp.exists():
-        shutil.rmtree(tmp)
+    tmp = check_output_dir(out_dir)  # again here: the paths may have appeared since
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     tmp.mkdir()
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "files": {}}
     for name, text in sorted(files.items()):

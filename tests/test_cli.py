@@ -233,8 +233,9 @@ def test_prune_schedule_resolution():
 @pytest.mark.parametrize("assignments, key", [
     (["prune.interval=0"], "prune.interval"),
     (["prune.warmup_epochs=-1"], "prune.warmup_epochs"),
-    (["prune.epochs=[0]"], "prune.epochs"),
-    (["prune.epochs=[0, 4]", "prune.warmup_epochs=3"], "prune.epochs"),
+    (["prune.epochs=[0]"], "prune.epochs[0]"),
+    (["prune.epochs=[0, 4]", "prune.warmup_epochs=3"], "prune.epochs[0]"),
+    (["prune.epochs=[4, 0]"], "prune.epochs[1]"),
 ])
 def test_bad_prune_schedule_names_its_key(tmp_path, capsys, assignments, key):
     path = write_config(tmp_path, tmp_path / "out")
@@ -351,8 +352,6 @@ def test_out_of_range_setting_exits_2_naming_its_key(tmp_path, monkeypatch, caps
     monkeypatch.setattr(cli, "build_datasets", never)
     path = write_config(tmp_path, tmp_path / "out", prune={"enabled": False})
     element = "" if index is None else rf"\[{index}\]"
-    if key == "prune.epochs":  # the set's range rule names it whole, its type check by element
-        element = f"({element})?"
     for value in (0, -1, math.nan, math.inf, 1e308, 2.5, *_edge_values(BOUNDS[key])):
         setting = _with_value(key, index, value)
         if _in_bounds(BOUNDS[key], value):
@@ -524,7 +523,7 @@ def test_readme_config_errors_are_raised():
     text = " ".join(section.split("\n## ", 1)[0].split())
     examples = re.findall(r"`--set ([^`]+)`(?: on the quickstart config)? gives "
                           r"`(?:config error: |\.\.\. )?([^`]+)`", text)
-    assert len(examples) == 7, examples
+    assert len(examples) == 8, examples
     for assignment, message in examples:
         with pytest.raises(ConfigError) as caught:
             load_config(ROOT / "demos" / "quickstart_config.json",
@@ -607,6 +606,70 @@ def test_existing_output_dir_fails_before_any_work(trained, tmp_path, monkeypatc
         assert main(argv) == 1, argv[0]
         assert capsys.readouterr().err == f"error: output directory {existing} already exists\n"
     assert not any(existing.iterdir())
+
+
+def test_bad_output_paths_fail_before_any_work(trained, tmp_path, monkeypatch, capsys):
+    """train and evaluate refuse an output directory whose `.partial` staging
+    path exists (a directory or a file) or that lies under a file, on one line
+    naming both paths, before they build data; the user's files survive."""
+    config_path, out = trained
+
+    def never(*args, **kwargs):
+        raise AssertionError("called although the output path is bad")
+
+    monkeypatch.setattr(cli, "build_datasets", never)
+    (tmp_path / "x.partial").mkdir()
+    (tmp_path / "x.partial" / "mine.txt").write_text("mine")
+    (tmp_path / "f.partial").write_text("mine")
+    (tmp_path / "afile").write_text("mine")
+    before = sorted(map(str, tmp_path.rglob("*")))
+    reasons = {tmp_path / "x": f"{tmp_path / 'x.partial'} already exists",
+               tmp_path / "f": f"{tmp_path / 'f.partial'} already exists",
+               tmp_path / "afile" / "sub": f"{tmp_path / 'afile'} is not a directory"}
+    for target, reason in reasons.items():
+        for argv in (["train", "--config", str(config_path), "--set", f"output_dir={target}"],
+                     ["evaluate", "--config", str(config_path),
+                      "--checkpoint", str(out / "checkpoint.json"), "--out", str(target)]):
+            assert main(argv) == 1, (argv[0], target)
+            assert capsys.readouterr().err == f"error: output directory {target}: {reason}\n"
+    assert sorted(map(str, tmp_path.rglob("*"))) == before
+    assert (tmp_path / "x.partial" / "mine.txt").read_text() == "mine"
+    assert (tmp_path / "f.partial").read_text() == "mine"
+    assert (tmp_path / "afile").read_text() == "mine"
+
+
+def test_subset_metric_names_tell_close_deltas_apart(trained, tmp_path, capsys):
+    """A subset's metric names carry the repr of its delta, so two deltas that
+    both read 1 at six significant digits print distinct names."""
+    config_path, out = trained
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--checkpoint",
+                 str(out / "checkpoint.json"), "--out", str(tmp_path / "eval"),
+                 "--set", "eval.deltas=[0.9999999, 0.99999999]"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["ece", "ece_s0.9999999", "frac_s0.9999999_pct", "ece_s0.99999999",
+                     "frac_s0.99999999_pct", "test_error_pct", "auroc"]
+
+
+def test_library_warnings_print_as_one_line_each(tmp_path):
+    """Under `python -W default`, the CLI prints each library warning as one
+    `warning: <text>` line, with no source path or code line; in process,
+    main leaves warnings.formatwarning as it found it."""
+    path = write_config(tmp_path, tmp_path / "out")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "calprune", "train",
+                           "--config", str(path), "--set", "train.batch_size=16",
+                           "--set", "prune.ema_factor=0"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: batch size 16 < 10*K=20: minibatches may not represent "
+                           "every class while pruning\n"
+                           "warning: ema factor 0 keeps all scores frozen forever\n")
+    assert ".py:" not in proc.stderr
+    formatwarning = warnings.formatwarning
+    assert main(["report", "--run", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert warnings.formatwarning is formatwarning
 
 
 @pytest.mark.parametrize("assignment, key", [
@@ -1619,6 +1682,7 @@ DOTTED_KEY = re.compile(r'\b[a-z_]+\.[A-Za-z_]+\b|unknown config key: "')
 MALFORMED_RECORD = re.compile(r"malformed (report|checkpoint)")
 FIELD_PATH = re.compile(r'bins\[|subsets\[|layers\[|"layers"|widths')
 WARNS_BY_DESIGN = re.compile(r"batch size \d+ < 10\*K|ema factor 0 keeps")
+RAW_PYTHON = re.compile(r"\b(PosixPath|frozenset|np\.\w+)\(")  # a repr, not a message
 
 
 def _sweep_config(dataset):
@@ -1733,6 +1797,7 @@ def test_every_seeded_malformed_input_exits_cleanly(sweep_inputs, tmp_path, monk
         if code != 0:
             assert code in (1, 2), f"{tag}: exit {code}"
             assert DIAGNOSTIC_LINE.fullmatch(captured.err), f"{tag}: stderr {captured.err!r}"
+            assert not RAW_PYTHON.search(captured.err), f"{tag}: stderr {captured.err!r}"
             named = DOTTED_KEY.search(captured.err) if kind == "config" else name in captured.err
             assert named, f"{tag}: {captured.err!r} names neither the file nor a key"
             if MALFORMED_RECORD.search(captured.err):

@@ -200,4 +200,6 @@ def test_schedule_validation():
         PruneSchedule(True, epochs=[1])
     with pytest.raises(ValueError, match=r"^epochs\[0\] must be of type integer"):
         PruneSchedule(10.0, epochs=["5"])
+    with pytest.raises(ValueError, match=r"^epochs\[1\] must be an integer >= 1, got 0$"):
+        PruneSchedule(10.0, epochs=[5, 0])
     assert PruneSchedule(10.0, epochs=range(5, 20, 5)).epochs == {5, 10, 15}

@@ -102,6 +102,20 @@ def test_write_bundle_refuses_existing_dir(tmp_path):
         write_bundle(out, {"a.txt": "hello"})
 
 
+def test_write_bundle_refuses_an_existing_partial_and_keeps_it(tmp_path):
+    """A `.partial` staging path that write_bundle did not create, a directory
+    or a file, is refused by name and left as it was."""
+    (tmp_path / "d.partial").mkdir()
+    (tmp_path / "d.partial" / "mine.txt").write_text("mine")
+    (tmp_path / "f.partial").write_text("mine")
+    for name in ("d", "f"):
+        with pytest.raises(FileExistsError, match=f"{name}.partial already exists$"):
+            write_bundle(tmp_path / name, {"a.txt": "hello"})
+        assert not (tmp_path / name).exists()
+    assert (tmp_path / "d.partial" / "mine.txt").read_text() == "mine"
+    assert (tmp_path / "f.partial").read_text() == "mine"
+
+
 def test_bundle_texts_cover_five_files():
     report = sample_report()
     files = bundle_texts(report, run_doc={"schema_version": 1})
