@@ -6,7 +6,7 @@ from .data import (Dataset, generate_gaussian_mixture, load_csv, load_idx_pair,
 from .losses import (AuxSpec, LossSpec, aux_huber_loss, dca_aux_loss, flsd_loss,
                      focal_loss, mdca_aux_loss, nll_loss, total_loss)
 from .metrics import (CalibrationReport, binned_ece, build_report, ece_on_subset,
-                      high_confidence_subset, refinement_auroc, test_error)
+                      refinement_auroc, test_error)
 from .mlp import MlpParams, forward_logits, init_mlp, load_checkpoint, predict
 from .pruning import PruneSchedule, prune_count, prune_using_ema, update_ema
 from .trainer import (RunResult, TrainConfig, TrainingDiverged, evaluate_model,

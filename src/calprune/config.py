@@ -48,6 +48,15 @@ SOURCES = {
 }
 _ANY_SOURCE = {"source", "seed", "train_fraction"}
 
+# loss kind -> the keys of its section that it alone reads, for every kind of
+# losses.CLASSIFICATION_LOSSES and AUX_LOSSES; setting such a key under another
+# kind is refused, though the resolved config keeps its default
+LOSS_KEYS = {
+    "nll": set(), "focal": {"gamma"}, "flsd": set(), "brier": set(),
+    "label_smoothing": {"smoothing"}, "huber": {"alpha"}, "dca": set(), "mdca": set(),
+}
+_KIND_KEYS = set().union(*LOSS_KEYS.values())
+
 
 # object-valued sections that may be switched off with null
 _NULLABLE_SECTIONS = {"prune", "loss.aux"}
@@ -77,7 +86,8 @@ def _merge_strict(defaults, user, prefix=""):
 
 def resolve_config(user):
     """Merge a user config dict over the documented defaults, strictly,
-    checking every key the user sets against its ranges.SETTINGS entry."""
+    checking every key the user sets against its ranges.SETTINGS entry, then
+    against the dataset source or loss kind that must read it."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge_strict(DEFAULTS, user)
@@ -97,6 +107,17 @@ def resolve_config(user):
         cfg["dataset"][key] = None  # the source does not read it
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
+    loss = user.get("loss", {})
+    for path, user_keys, section in (("loss", loss, cfg["loss"]),
+                                     ("loss.aux", loss.get("aux") or {}, cfg["loss"]["aux"])):
+        stray = section and (_KIND_KEYS & set(user_keys)) - LOSS_KEYS[section["kind"]]
+        if stray:
+            raise ConfigError(f"config key {path}.{sorted(stray)[0]} does not apply to "
+                              f"loss kind {json.dumps(section['kind'])}")
+    deltas = cfg["eval"]["deltas"]
+    for i, delta in enumerate(deltas):
+        if delta in deltas[:i]:
+            raise ConfigError(f"config key eval.deltas[{i}] repeats {json.dumps(delta)}")
     return cfg
 
 

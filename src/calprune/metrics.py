@@ -137,50 +137,39 @@ def binned_ece(conf, correct, n_bins):
     return bins, float(ece)
 
 
-def high_confidence_subset(conf, correct, delta):
-    """The records with confidence >= delta, plus the subset size as a percentage."""
-    require_kind("number", delta, "delta")
-    require(SETTINGS["eval.deltas"].rule, delta, "delta")
-    conf, correct = _check_records(conf, correct)
-    keep = conf >= delta
-    fraction_pct = 100.0 * int(keep.sum()) / len(conf) if len(conf) else 0.0
-    return conf[keep], correct[keep], fraction_pct
-
-
 def ece_on_subset(conf, correct, delta, n_bins):
-    """Binned ECE restricted to the high-confidence subset.
+    """Binned ECE of the records with confidence >= delta, and their percentage.
 
     An empty subset is reported with ece=None and empty=True rather than a
     silent zero.
     """
-    sub_conf, sub_correct, fraction_pct = high_confidence_subset(conf, correct, delta)
-    if not len(sub_conf):
+    require_kind("number", delta, "delta")
+    require(SETTINGS["eval.deltas"].rule, delta, "delta")
+    conf, correct = _check_records(conf, correct)
+    keep = conf >= delta
+    count = int(keep.sum())
+    fraction_pct = 100.0 * count / len(conf) if len(conf) else 0.0
+    if not count:
         return SubsetCalibration(delta, 0, fraction_pct, None, True)
-    _, ece = binned_ece(sub_conf, sub_correct, n_bins)
-    return SubsetCalibration(delta, len(sub_conf), fraction_pct, ece, False)
+    _, ece = binned_ece(conf[keep], correct[keep], n_bins)
+    return SubsetCalibration(delta, count, fraction_pct, ece, False)
 
 
 def refinement_auroc(conf, correct):
     """P(random correct record outranks a random incorrect one), ties counted 1/2.
 
     Returns None when the ranking is undefined (all correct or all incorrect).
-    Tied confidences share one average rank, so the sort need not be stable.
+    In the sorted incorrect confidences, a correct one's left insertion point
+    counts those below it and its right one those below or tied: the two sums
+    count each win twice and each tie once, twice the Mann-Whitney U.
     """
     conf, correct = _check_records(conf, correct)
-    n = len(conf)
-    n_pos = int(correct.sum())
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
+    right, wrong = np.sort(conf[correct == 1.0]), np.sort(conf[correct == 0.0])
+    if not len(right) or not len(wrong):
         return None
-    order = np.argsort(conf)
-    sorted_conf = conf[order]
-    # each run of equal confidences [start, end) shares its average 1-based rank
-    starts = np.flatnonzero(np.r_[True, sorted_conf[1:] != sorted_conf[:-1]])
-    ends = np.r_[starts[1:], n]
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
-    rank_sum = ranks[correct == 1.0].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    twice_u = (np.searchsorted(wrong, right, "left").sum()
+               + np.searchsorted(wrong, right, "right").sum())
+    return float(twice_u / 2 / (len(right) * len(wrong)))
 
 
 def test_error(correct):

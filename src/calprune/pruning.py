@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranges import check, check_fields
+from .ranges import check, check_fields, require_kind
 
 
 @dataclass
@@ -23,6 +23,7 @@ class PruneSchedule:
     epochs: frozenset = field(kw_only=True)
 
     def __post_init__(self):
+        require_kind("array", self.epochs, "epochs")
         self.epochs = tuple(self.epochs)  # checked in the caller's order, then stored as a set
         check_fields(self, "prune")
         self.epochs = frozenset(self.epochs)

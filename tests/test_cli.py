@@ -21,10 +21,10 @@ from calprune import cli, data, mlp, trainer
 from calprune import config as config_module
 from calprune.autodiff import Graph
 from calprune.cli import main
-from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV, build_datasets,
-                             build_prune_schedule, build_train_config, load_config,
-                             model_widths, resolve_config)
-from calprune.losses import AuxSpec, LossSpec, total_loss
+from calprune.config import (ConfigError, DEFAULTS, LOSS_KEYS, OUTPUT_DIR_ENV,
+                             build_datasets, build_prune_schedule, build_train_config,
+                             load_config, model_widths, resolve_config)
+from calprune.losses import AUX_LOSSES, CLASSIFICATION_LOSSES, AuxSpec, LossSpec, total_loss
 from calprune.mlp import init_mlp, logits_graph, param_bindings, row_blocks
 from calprune.ranges import SETTINGS
 
@@ -74,6 +74,64 @@ def test_source_specific_keys_enforced():
         resolve_config({"dataset": {"source": "gaussian_mixture", "images": "x"}})
     with pytest.raises(ConfigError, match="dataset.images"):
         resolve_config({"dataset": {"source": "idx_pair"}})
+
+
+@pytest.mark.parametrize("loss, key, kind", [
+    ({"gamma": 7}, "loss.gamma", "flsd"),
+    ({"smoothing": 0.3}, "loss.smoothing", "flsd"),
+    ({"kind": "focal", "smoothing": 0.3}, "loss.smoothing", "focal"),
+    ({"kind": "label_smoothing", "gamma": 2}, "loss.gamma", "label_smoothing"),
+    ({"kind": "nll", "smoothing": 0.1, "gamma": 2}, "loss.gamma", "nll"),
+    ({"kind": "brier", "gamma": 0}, "loss.gamma", "brier"),
+    ({"aux": {"kind": "dca", "alpha": 0.1}}, "loss.aux.alpha", "dca"),
+    ({"kind": "focal", "gamma": 2, "aux": {"kind": "mdca", "alpha": 0.1}}, "loss.aux.alpha",
+     "mdca"),
+])
+def test_loss_key_its_kind_does_not_read_is_refused(loss, key, kind):
+    message = f'config key {key} does not apply to loss kind "{kind}"'
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_config({"loss": loss})
+
+
+def test_loss_keys_are_range_checked_first_and_keep_their_defaults():
+    """A range error names the key before the kind is asked whether it reads
+    it; keys the kind reads resolve, and the resolved config keeps the default
+    of every key the user did not set."""
+    with pytest.raises(ConfigError, match=r"^config key loss.gamma must be in \[0, inf\), "
+                                          r"got -1$"):
+        resolve_config({"loss": {"gamma": -1}})
+    with pytest.raises(ConfigError, match=r"^config key loss.aux.alpha must be in \(0, inf\), "
+                                          r"got 0$"):
+        resolve_config({"loss": {"aux": {"kind": "dca", "alpha": 0}}})
+    for loss in ({"kind": "focal", "gamma": 2}, {"kind": "label_smoothing", "smoothing": 0.1},
+                 {"aux": {"alpha": 0.1}}, {"aux": {"kind": "dca", "weight": 2.0}},
+                 {"kind": "nll", "aux": None}):
+        resolved = resolve_config({"loss": loss})["loss"]
+        assert resolved["gamma"] == loss.get("gamma", 3.0), loss
+        assert resolved["smoothing"] == loss.get("smoothing", 0.0), loss
+
+
+def test_loss_keys_table_names_each_loss_kind_once():
+    assert set(LOSS_KEYS) == set(CLASSIFICATION_LOSSES) | set(AUX_LOSSES)
+    assert not set(CLASSIFICATION_LOSSES) & set(AUX_LOSSES)
+    for kinds, section in ((CLASSIFICATION_LOSSES, "loss"), (AUX_LOSSES, "loss.aux")):
+        for kind in kinds:
+            assert all(f"{section}.{key}" in SETTINGS for key in LOSS_KEYS[kind]), kind
+
+
+def test_repeated_eval_delta_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """Two equal deltas would print one subset metric name twice."""
+    def never(*args, **kwargs):
+        raise AssertionError("called although the config is invalid")
+
+    monkeypatch.setattr(cli, "build_datasets", never)
+    path = write_config(tmp_path, tmp_path / "out")
+    assert main(["train", "--config", str(path), "--set", "eval.deltas=[0.95, 0.95]"]) == 2
+    assert capsys.readouterr().err == "config error: config key eval.deltas[1] repeats 0.95\n"
+    with pytest.raises(ConfigError, match=r"^config key eval.deltas\[2\] repeats 1.0$"):
+        resolve_config({"eval": {"deltas": [1, 0.9, 1.0]}})
+    assert resolve_config({"eval": {"deltas": [0.9, 0.95]}})["eval"]["deltas"] == [0.9, 0.95]
+    assert not (tmp_path / "out").exists()
 
 
 def test_resolved_dataset_section_holds_only_what_the_source_reads():
@@ -268,6 +326,8 @@ BOUNDS = {
 }
 # stand-ins for the null-default numeric keys, which DEFAULTS leaves null
 NULL_DEFAULT_VALUES = {"prune.epochs": [5, 10], "prune.warmup_epochs": 0}
+# the loss kind that reads each key only some kinds read, set beside it to resolve it
+READING_KIND = {"loss.gamma": "focal", "loss.smoothing": "label_smoothing"}
 
 
 def _numeric_settings(node=DEFAULTS, prefix=""):
@@ -355,7 +415,10 @@ def test_out_of_range_setting_exits_2_naming_its_key(tmp_path, monkeypatch, caps
     for value in (0, -1, math.nan, math.inf, 1e308, 2.5, *_edge_values(BOUNDS[key])):
         setting = _with_value(key, index, value)
         if _in_bounds(BOUNDS[key], value):
-            resolve_config(_nested(key, setting))
+            user = _nested(key, setting)
+            if key in READING_KIND:
+                user["loss"]["kind"] = READING_KIND[key]
+            resolve_config(user)
             continue
         code = main(["train", "--config", str(path), "--set", f"{key}={json.dumps(setting)}"])
         err = capsys.readouterr().err
@@ -523,7 +586,7 @@ def test_readme_config_errors_are_raised():
     text = " ".join(section.split("\n## ", 1)[0].split())
     examples = re.findall(r"`--set ([^`]+)`(?: on the quickstart config)? gives "
                           r"`(?:config error: |\.\.\. )?([^`]+)`", text)
-    assert len(examples) == 8, examples
+    assert len(examples) == 10, examples
     for assignment, message in examples:
         with pytest.raises(ConfigError) as caught:
             load_config(ROOT / "demos" / "quickstart_config.json",

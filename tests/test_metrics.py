@@ -8,8 +8,7 @@ import pytest
 
 from calprune.metrics import (CalibrationReport, ReliabilityBin, SubsetCalibration,
                               bin_edges, bin_indices, binned_ece, build_report, ece_on_subset,
-                              high_confidence_subset, record_doc, refinement_auroc,
-                              report_from_dict)
+                              record_doc, refinement_auroc, report_from_dict)
 from calprune.metrics import test_error as error_rate
 from calprune.reporting import dumps_json, export_reliability_rows, hist_rows_from_bins
 
@@ -125,15 +124,17 @@ def test_empty_records_rejected():
             binned_ece(*records([(0.5, True), (bad, True)]), 10)
 
 
-def test_high_confidence_subset():
+def test_ece_on_subset_counts_its_subset():
+    """The subset is the records with confidence >= delta: here the one right
+    record at 0.96, whose ECE is |1 - 0.96|."""
     conf, correct = records([(0.96, True), (0.94, False)])
-    sub_conf, sub_correct, fraction = high_confidence_subset(conf, correct, 0.95)
-    assert sub_conf.tolist() == [0.96] and sub_correct.tolist() == [1.0]
-    assert fraction == pytest.approx(50.0)
-    one, _, frac_one = high_confidence_subset(*records([(1.0, True)]), 1.0)
-    assert len(one) == 1 and frac_one == 100.0
-    with pytest.raises(ValueError):
-        high_confidence_subset(conf, correct, 0.0)
+    sub = ece_on_subset(conf, correct, 0.95, 10)
+    assert sub.count == 1 and sub.ece == pytest.approx(0.04, abs=1e-12)
+    assert sub.fraction_pct == pytest.approx(50.0)
+    one = ece_on_subset(*records([(1.0, True)]), 1.0, 10)
+    assert one.count == 1 and one.fraction_pct == 100.0
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\], got 0.0$"):
+        ece_on_subset(conf, correct, 0.0, 10)
 
 
 def test_ece_on_subset_values():
@@ -257,7 +258,7 @@ def test_malformed_correct_rejected(correct, match):
     conf, correct = np.array([0.2, 0.8, 0.5]), np.array(correct)
     for metric in (lambda: binned_ece(conf, correct, 10),
                    lambda: refinement_auroc(conf, correct),
-                   lambda: high_confidence_subset(conf, correct, 0.5),
+                   lambda: ece_on_subset(conf, correct, 0.5, 10),
                    lambda: build_report(conf, correct, 10, [0.9])):
         with pytest.raises(ValueError, match=match):
             metric()
@@ -275,7 +276,6 @@ def test_confidence_outside_unit_interval_rejected(bad, shown):
     conf, correct = np.array([bad, 0.2, 0.9, 0.7]), np.array([1.0, 0.0, 1.0, 0.0])
     for metric in (lambda: binned_ece(conf, correct, 10),
                    lambda: refinement_auroc(conf, correct),
-                   lambda: high_confidence_subset(conf, correct, 0.5),
                    lambda: ece_on_subset(conf, correct, 0.5, 10),
                    lambda: build_report(conf, correct, 10, [0.9])):
         with pytest.raises(ValueError, match=rf"^confidence {shown} outside \[0, 1\]$"):

@@ -202,4 +202,6 @@ def test_schedule_validation():
         PruneSchedule(10.0, epochs=["5"])
     with pytest.raises(ValueError, match=r"^epochs\[1\] must be an integer >= 1, got 0$"):
         PruneSchedule(10.0, epochs=[5, 0])
+    with pytest.raises(ValueError, match="^epochs must be of type array, got integer 5$"):
+        PruneSchedule(10.0, epochs=5)
     assert PruneSchedule(10.0, epochs=range(5, 20, 5)).epochs == {5, 10, 15}
