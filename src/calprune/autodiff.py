@@ -71,8 +71,10 @@ def _log_softmax_columns(columns):
 
 
 def log_softmax(x):
-    """Log-softmax over the last axis, stabilised by the row max; a new
+    """Log-softmax over the (nonempty) last axis, stabilised by the row max; a new
     C-ordered array (_log_softmax_columns on a copy of the columns)."""
+    if not x.shape or not x.shape[-1]:
+        raise GraphError(f"log_softmax needs a nonempty last axis, got shape {x.shape}")
     rows = x.reshape(-1, x.shape[-1])
     return _log_softmax_columns(np.array(rows.T, order="C")).T.copy().reshape(x.shape)
 

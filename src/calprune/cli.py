@@ -130,26 +130,25 @@ def build_parser():
         prog="calprune",
         description="Calibration-aware training with dynamic data pruning.")
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)  # the flags of every config reader
+    configured.add_argument("--config", required=True, help="JSON config path")
+    configured.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
+                            help="override a config value (beats the file and "
+                                 f"the {OUTPUT_DIR_ENV} env var)")
 
-    train = sub.add_parser("train", help="train a model end-to-end from a config file")
-    train.add_argument("--config", required=True, help="JSON config path")
-    train.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
-                       help="override a config value (beats the file and "
-                            f"the {OUTPUT_DIR_ENV} env var)")
+    train = sub.add_parser("train", parents=[configured],
+                           help="train a model end-to-end from a config file")
     train.set_defaults(func=cmd_train)
 
-    evaluate = sub.add_parser("evaluate", help="evaluate a checkpoint on the test set")
-    evaluate.add_argument("--config", required=True)
+    evaluate = sub.add_parser("evaluate", parents=[configured],
+                              help="evaluate a checkpoint on the test set")
     evaluate.add_argument("--checkpoint", required=True)
     evaluate.add_argument("--out", required=True, help="bundle output directory")
-    evaluate.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
     evaluate.set_defaults(func=cmd_evaluate)
 
-    calibrate = sub.add_parser("calibrate",
+    calibrate = sub.add_parser("calibrate", parents=[configured],
                                help="fit a softmax temperature on the validation split")
-    calibrate.add_argument("--config", required=True)
     calibrate.add_argument("--checkpoint", required=True)
-    calibrate.add_argument("--set", action="append", metavar="KEY.PATH=VALUE")
     calibrate.set_defaults(func=cmd_calibrate)
 
     report = sub.add_parser("report", help="regenerate CSV/SVG artifacts from a run JSON")

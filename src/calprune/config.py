@@ -12,7 +12,7 @@ import os
 
 from .data import (Dataset, _unique_keys, decode_pixels, generate_gaussian_mixture,
                    load_csv, read_idx_pair, read_json, split_positions)
-from .losses import AuxSpec, LossSpec
+from .losses import AUX_LOSSES, CLASSIFICATION_LOSSES, AuxSpec, LossSpec
 from .pruning import PruneSchedule
 from .ranges import SETTINGS, check
 from .trainer import TrainConfig
@@ -48,31 +48,16 @@ SOURCES = {
 }
 _ANY_SOURCE = {"source", "seed", "train_fraction"}
 
-# loss kind -> the keys of its section that it alone reads, for every kind of
-# losses.CLASSIFICATION_LOSSES and AUX_LOSSES; setting such a key under another
-# kind is refused, though the resolved config keeps its default
-LOSS_KEYS = {
-    "nll": set(), "focal": {"gamma"}, "flsd": set(), "brier": set(),
-    "label_smoothing": {"smoothing"}, "huber": {"alpha"}, "dca": set(), "mdca": set(),
-}
-_KIND_KEYS = set().union(*LOSS_KEYS.values())
-
-
-# object-valued sections that may be switched off with null
-_NULLABLE_SECTIONS = {"prune", "loss.aux"}
-
-
 def _merge_strict(defaults, user, prefix=""):
     """Merge `user` over `defaults`, checking every leaf against its
-    ranges.SETTINGS entry; a section takes None only if it is in
-    _NULLABLE_SECTIONS."""
+    ranges.SETTINGS entry; of the sections, only loss.aux takes None."""
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         path = f"{prefix}{key}"
         if key not in defaults:
             raise ConfigError(f"unknown config key: {json.dumps(path)}")
         if path not in SETTINGS:
-            if value is None and path in _NULLABLE_SECTIONS:
+            if value is None and path == "loss.aux":  # no auxiliary loss
                 merged[key] = None
             elif not isinstance(value, dict):
                 raise ConfigError(f"config key {path} must be an object")
@@ -107,10 +92,14 @@ def resolve_config(user):
         cfg["dataset"][key] = None  # the source does not read it
     if source == "csv" and "classes" not in user_dataset_keys:
         cfg["dataset"]["classes"] = None  # counted from the training labels
+    # a loss key the user sets is refused if some kind of its section's table
+    # takes it and the chosen kind does not; the resolved config keeps its default
     loss = user.get("loss", {})
-    for path, user_keys, section in (("loss", loss, cfg["loss"]),
-                                     ("loss.aux", loss.get("aux") or {}, cfg["loss"]["aux"])):
-        stray = section and (_KIND_KEYS & set(user_keys)) - LOSS_KEYS[section["kind"]]
+    for path, table, user_keys, section in (
+            ("loss", CLASSIFICATION_LOSSES, loss, cfg["loss"]),
+            ("loss.aux", AUX_LOSSES, loss.get("aux") or {}, cfg["loss"]["aux"])):
+        taken = {name for _, names in table.values() for name in names}
+        stray = section and (taken & set(user_keys)) - set(table[section["kind"]][1])
         if stray:
             raise ConfigError(f"config key {path}.{sorted(stray)[0]} does not apply to "
                               f"loss kind {json.dumps(section['kind'])}")
@@ -219,13 +208,15 @@ def build_loss_spec(cfg):
 
 
 def build_prune_schedule(cfg):
-    """The epochs in 1..train.max_epochs to prune at, from the prune section.
+    """The epochs in 1..train.max_epochs to prune at, from the prune section,
+    or None if pruning is disabled or no such epoch is left: a run that never
+    prunes scores no rows.
 
     Explicit `prune.epochs` win over every `prune.interval`-th epoch; epochs
     before `prune.warmup_epochs` (default: the first LR milestone) are dropped.
     """
     p = cfg["prune"]
-    if p is None or not p["enabled"]:
+    if not p["enabled"]:
         return None
     warmup = p["warmup_epochs"]
     if warmup is None:
@@ -235,8 +226,8 @@ def build_prune_schedule(cfg):
     epochs = p["epochs"]
     if epochs is None:
         epochs = range(p["interval"], last + 1, p["interval"])
-    return PruneSchedule(p["percent"], p["ema_factor"],
-                         epochs=(e for e in epochs if warmup <= e <= last))
+    epochs = [e for e in epochs if warmup <= e <= last]
+    return PruneSchedule(p["percent"], p["ema_factor"], epochs=epochs) if epochs else None
 
 
 def build_train_config(cfg):

@@ -92,19 +92,19 @@ def label_smoothing_loss(g, log_probs, targets, smoothing, n_classes):
     return g.scale(g.sum(g.mean(g.mul(soft, log_probs))), -1.0)
 
 
-# kind -> builder(g, log_probs, targets, spec, n_classes), one table per loss family
+# kind -> (builder, what it takes after (g, log_probs, targets): fields of the
+# spec by name, and "n_classes" for the model's class count)
 CLASSIFICATION_LOSSES = {
-    "nll": lambda g, lp, t, spec, k: nll_loss(g, lp, t),
-    "focal": lambda g, lp, t, spec, k: focal_loss(g, lp, t, spec.gamma),
-    "flsd": lambda g, lp, t, spec, k: flsd_loss(g, lp, t),
-    "brier": lambda g, lp, t, spec, k: brier_loss(g, lp, t, k),
-    "label_smoothing": lambda g, lp, t, spec, k: label_smoothing_loss(g, lp, t,
-                                                                      spec.smoothing, k),
+    "nll": (nll_loss, ()),
+    "focal": (focal_loss, ("gamma",)),
+    "flsd": (flsd_loss, ()),
+    "brier": (brier_loss, ("n_classes",)),
+    "label_smoothing": (label_smoothing_loss, ("smoothing", "n_classes")),
 }
 AUX_LOSSES = {
-    "huber": lambda g, lp, t, aux, k: aux_huber_loss(g, lp, t, aux.alpha),
-    "dca": lambda g, lp, t, aux, k: dca_aux_loss(g, lp, t),
-    "mdca": lambda g, lp, t, aux, k: mdca_aux_loss(g, lp, t, k),
+    "huber": (aux_huber_loss, ("alpha",)),
+    "dca": (dca_aux_loss, ()),
+    "mdca": (mdca_aux_loss, ("n_classes",)),
 }
 
 
@@ -114,8 +114,13 @@ def total_loss(g, log_probs, targets, spec, n_classes):
     A zero weight (or no aux spec) builds the classification loss alone, so
     the degenerate case is bitwise identical to the plain loss.
     """
-    cls = CLASSIFICATION_LOSSES[spec.kind](g, log_probs, targets, spec, n_classes)
+    def build(table, spec):  # the builder of spec.kind, passed what its entry names
+        builder, takes = table[spec.kind]
+        fields = {**vars(spec), "n_classes": n_classes}
+        return builder(g, log_probs, targets, *(fields[name] for name in takes))
+
+    cls = build(CLASSIFICATION_LOSSES, spec)
     if spec.aux is None or spec.aux.weight == 0:
         return cls
-    aux = AUX_LOSSES[spec.aux.kind](g, log_probs, targets, spec.aux, n_classes)
+    aux = build(AUX_LOSSES, spec.aux)
     return g.add(cls, g.scale(aux, spec.aux.weight))

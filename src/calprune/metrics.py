@@ -61,6 +61,11 @@ class CalibrationReport:
     auroc: float = _rule(_UNIT_OR_NULL)        # None when all records are correct or all incorrect
 
 
+# how far a bin's mean confidence, a float sum divided by its count, may round
+# past the bin's edges (three confidences of exactly 0.1 average 0.1 + 2**-56)
+_MEAN_SLACK = 1e-9
+
+
 def bin_edges(n_bins):
     return np.arange(1, n_bins + 1) / n_bins
 
@@ -145,6 +150,7 @@ def ece_on_subset(conf, correct, delta, n_bins):
     """
     require_kind("number", delta, "delta")
     require(SETTINGS["eval.deltas"].rule, delta, "delta")
+    check("eval.bins", n_bins, "n_bins")  # also for an empty subset, which bins nothing
     conf, correct = _check_records(conf, correct)
     keep = conf >= delta
     count = int(keep.sum())
@@ -241,10 +247,16 @@ def report_from_dict(doc):
         if (b.confidence is None) != empty or (b.accuracy is None) != empty:
             raise ValueError(f"report field bins[{i}] must have a null confidence and "
                              f"accuracy exactly when its count is 0, got {b}")
+        if not empty and not lower - _MEAN_SLACK <= b.confidence <= upper + _MEAN_SLACK:
+            raise ValueError(f"report field bins[{i}] must have a confidence in [{lower}, "
+                             f"{upper}], the bin's own range, got {b.confidence}")
     for i, sub in enumerate(report.subsets):
         if sub.empty != (sub.count == 0) or (sub.ece is None) != sub.empty:
             raise ValueError(f"report field subsets[{i}] must have empty true and a null "
                              f"ece exactly when its count is 0, got {sub}")
+        if sub.count > report.n:
+            raise ValueError(f"report field subsets[{i}] must have a count of at most n, "
+                             f"{report.n}, got {sub.count}")
     total = sum(b.count for b in report.bins)
     if report.n != total:
         raise ValueError(f"report field n must equal the sum of the bin counts, "

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, _fold, log_softmax
+from .autodiff import Graph, _fold
 from .data import minibatches
-from .losses import LossSpec, total_loss
+from .losses import LossSpec, nll_loss, total_loss
 from .metrics import build_report
 from .mlp import (MlpParams, forward_logits, logits_graph, param_bindings, predict,
                   row_blocks)
@@ -263,16 +263,14 @@ def evaluate_model(params, data, n_bins, deltas):
 
 
 def mean_nll(logits, labels, temperature=1.0):
-    """Mean negative log-likelihood of softmax(logits / temperature) at `labels`,
-    one integer label in [0, K) per row of the (n, K) logits, n >= 1."""
-    logits, labels = np.asarray(logits, dtype=np.float64), np.asarray(labels)
-    if logits.ndim != 2 or not len(logits) or labels.shape != logits.shape[:1]:
-        raise ValueError(f"mean_nll: labels of shape {labels.shape} for logits of shape "
-                         f"{logits.shape}; need at least one row and one label per row")
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError(f"mean_nll: labels must be integers in [0, {logits.shape[1]})")
-    log_probs = log_softmax(logits / temperature)
-    return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
+    """Mean negative log-likelihood of softmax(logits / temperature) at `labels`:
+    losses.nll_loss on a graph of its own, which raises GraphError unless the
+    logits are (n, K), n >= 1, with one whole-number label in [0, K) per row."""
+    graph = Graph()
+    x, y = graph.leaf("logits", param=False), graph.int_leaf("labels")
+    nll_loss(graph, graph.log_softmax(x), y)
+    logits = np.asarray(logits, dtype=np.float64)
+    return float(graph.forward({"logits": logits / temperature, "labels": labels}))
 
 
 def fit_temperature(params, val):

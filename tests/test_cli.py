@@ -21,7 +21,7 @@ from calprune import cli, data, mlp, trainer
 from calprune import config as config_module
 from calprune.autodiff import Graph
 from calprune.cli import main
-from calprune.config import (ConfigError, DEFAULTS, LOSS_KEYS, OUTPUT_DIR_ENV,
+from calprune.config import (ConfigError, DEFAULTS, OUTPUT_DIR_ENV,
                              build_datasets, build_prune_schedule, build_train_config,
                              load_config, model_widths, resolve_config)
 from calprune.losses import AUX_LOSSES, CLASSIFICATION_LOSSES, AuxSpec, LossSpec, total_loss
@@ -111,12 +111,28 @@ def test_loss_keys_are_range_checked_first_and_keep_their_defaults():
         assert resolved["smoothing"] == loss.get("smoothing", 0.0), loss
 
 
-def test_loss_keys_table_names_each_loss_kind_once():
-    assert set(LOSS_KEYS) == set(CLASSIFICATION_LOSSES) | set(AUX_LOSSES)
+def test_loss_kinds_take_exactly_the_keys_their_table_entries_name():
+    """For every kind and every key that one kind of its table alone takes,
+    resolve_config refuses the key exactly when the kind's entry does not name it."""
     assert not set(CLASSIFICATION_LOSSES) & set(AUX_LOSSES)
-    for kinds, section in ((CLASSIFICATION_LOSSES, "loss"), (AUX_LOSSES, "loss.aux")):
-        for kind in kinds:
-            assert all(f"{section}.{key}" in SETTINGS for key in LOSS_KEYS[kind]), kind
+    for table, section in ((CLASSIFICATION_LOSSES, "loss"), (AUX_LOSSES, "loss.aux")):
+        takers = {}
+        for kind, (_, names) in table.items():
+            for name in names:
+                takers.setdefault(name, set()).add(kind)
+        alone = [name for name, kinds in takers.items()
+                 if len(kinds) == 1 and f"{section}.{name}" in SETTINGS]
+        assert alone, section
+        for kind, (_, names) in table.items():
+            for name in alone:
+                chosen = {"kind": kind, name: SETTINGS[f"{section}.{name}"].default}
+                user = {"loss": chosen if section == "loss" else {"aux": chosen}}
+                if name in names:
+                    resolve_config(user)
+                    continue
+                message = f'config key {section}.{name} does not apply to loss kind "{kind}"'
+                with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                    resolve_config(user)
 
 
 def test_repeated_eval_delta_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
@@ -193,9 +209,10 @@ def test_config_array_elements_and_null_defaults_typed(tmp_path, capsys, assignm
 
 @pytest.mark.parametrize("section, code", [
     ("dataset", 2), ("train", 2), ("model", 2), ("eval", 2), ("loss", 2),
-    ("prune", 0), ("loss.aux", 0)])
+    ("prune", 2), ("loss.aux", 0)])
 def test_null_section_rejected_unless_optional(tmp_path, capsys, section, code):
-    """Only the optional sections, prune and loss.aux, may be switched off with null."""
+    """Only the optional section loss.aux may be switched off with null;
+    pruning is switched off by prune.enabled alone."""
     path = write_config(tmp_path, tmp_path / "out")
     assert main(["train", "--config", str(path), "--set", f"{section}=null"]) == code
     err = capsys.readouterr().err
@@ -272,9 +289,12 @@ def test_repeated_config_key_exits_2_naming_it(tmp_path, capsys, repeat, key):
 
 
 def test_prune_schedule_resolution():
-    def epochs(prune, train=None):
+    def schedule(prune, train=None):
         cfg = resolve_config({"prune": {"enabled": True, **prune}, "train": train or {}})
-        return build_prune_schedule(cfg).epochs
+        return build_prune_schedule(cfg)
+
+    def epochs(prune, train=None):
+        return schedule(prune, train).epochs
 
     # every interval-th epoch from the warmup on, up to max_epochs
     assert epochs({"interval": 5, "warmup_epochs": 20}) == frozenset(range(20, 61, 5))
@@ -286,6 +306,22 @@ def test_prune_schedule_resolution():
     assert epochs({}, {"lr_milestones": [45, 30]}) == frozenset(range(30, 61, 5))
     assert epochs({}, {"lr_milestones": []}) == frozenset(range(5, 61, 5))
     assert build_prune_schedule(resolve_config({})) is None
+    # no epoch left is no schedule, not an empty one: such a run scores no rows
+    assert schedule({"warmup_epochs": 13}, {"max_epochs": 12}) is None
+    assert schedule({"warmup_epochs": 12, "interval": 5}, {"max_epochs": 12}) is None
+    assert epochs({"warmup_epochs": 10, "interval": 5}, {"max_epochs": 10}) == {10}
+    assert schedule({"epochs": [], "warmup_epochs": 0}) is None
+    assert schedule({"epochs": [13], "warmup_epochs": 0}, {"max_epochs": 12}) is None
+
+
+def test_quickstart_run_that_never_prunes_does_not_warn(tmp_path, capsys):
+    """3 epochs end before the quickstart's warmup of 20, so batches of 16
+    (< 10 * 4 classes) draw no pruning warning; pytest makes a warning an error."""
+    out = tmp_path / "short"
+    assert main(["train", "--config", str(QUICKSTART), "--set", "train.max_epochs=3",
+                 "--set", "train.batch_size=16", "--set", f"output_dir={out}"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "run.json").read_text())["prune_events"] == []
 
 
 @pytest.mark.parametrize("assignments, key", [
@@ -586,7 +622,7 @@ def test_readme_config_errors_are_raised():
     text = " ".join(section.split("\n## ", 1)[0].split())
     examples = re.findall(r"`--set ([^`]+)`(?: on the quickstart config)? gives "
                           r"`(?:config error: |\.\.\. )?([^`]+)`", text)
-    assert len(examples) == 10, examples
+    assert len(examples) == 11, examples
     for assignment, message in examples:
         with pytest.raises(ConfigError) as caught:
             load_config(ROOT / "demos" / "quickstart_config.json",
@@ -923,6 +959,10 @@ class Merge(dict):
         {"lower": 0.3, "upper": 1.0, "count": 3, "confidence": 0.8, "accuracy": 1.0}]),
      "report field bins[0] must have lower 0.0 and upper 0.5, as one of 2 equispaced bins"),
     (("report", "n_bins"), 10 ** 15, "report field n_bins must equal the number of bins, 10, got"),
+    (("report", "bins", 6, "confidence"), 0.99,
+     "report field bins[6] must have a confidence in [0.6, 0.7], the bin's own range, got 0.99"),
+    (("report", "subsets", 0), Merge(count=10 ** 6, ece=0.1, empty=False),
+     "report field subsets[0] must have a count of at most n, "),
 ], ids=["no_report", "no_subsets", "bin_without_count", "no_n", "list_root", "report_array",
         "subsets_integer", "bins_object", "bin_integer", "bin_array", "subset_string", "truncated",
         "count_string", "count_null", "count_boolean", "lower_string", "confidence_string",
@@ -933,7 +973,8 @@ class Merge(dict):
         "upper_above_one", "accuracy_negative", "confidence_above_one", "lower_above_upper",
         "ece_nan", "test_error_minus_inf", "fraction_inf", "subset_not_empty_at_count_0",
         "empty_subset_with_ece", "empty_subset_with_count", "first_bin_not_at_0",
-        "gap_between_bins", "last_bin_short_of_1", "two_bins_off_edges", "n_bins_huge"])
+        "gap_between_bins", "last_bin_short_of_1", "two_bins_off_edges", "n_bins_huge",
+        "confidence_outside_its_bin", "subset_count_above_n"])
 def test_report_malformed_run_exits_cleanly(trained, tmp_path, capsys, path, value, key):
     """`path` is the key path in run.json given `value` (DROP deletes it, a
     Merge updates the record there); None wraps the document in a list;
@@ -1656,6 +1697,18 @@ def test_quickstart_simd_dispatch_moves_only_last_bits(tmp_path):
     assert params_a.widths == params_b.widths
     for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
         np.testing.assert_allclose(a, b, rtol=SIMD_RTOL, atol=SIMD_ATOL)
+
+
+def test_config_reading_commands_show_the_same_config_flag_help(capsys):
+    """train, evaluate and calibrate take --config and --set from one parent parser."""
+    for command in ("train", "evaluate", "calibrate"):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--config CONFIG JSON config path" in text, command
+        assert (f"--set KEY.PATH=VALUE override a config value (beats the file and the "
+                f"{OUTPUT_DIR_ENV} env var)") in text, command
 
 
 def test_module_entry_point_runs_from_checkout(tmp_path):

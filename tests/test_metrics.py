@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ def test_ece_on_subset_counts_its_subset():
     assert one.count == 1 and one.fraction_pct == 100.0
     with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\], got 0.0$"):
         ece_on_subset(conf, correct, 0.0, 10)
+
+
+def test_ece_on_subset_checks_n_bins_whether_or_not_its_subset_is_empty():
+    for conf in ([0.3], [0.97]):  # no record, then one, reaches delta
+        for n_bins, problem in ((0, "be in [1, 1000], got 0"),
+                                (2.0, "be of type integer, got number 2.0")):
+            with pytest.raises(ValueError, match=f"^n_bins must {re.escape(problem)}$"):
+                ece_on_subset(conf, [1.0], 0.95, n_bins)
 
 
 def test_ece_on_subset_values():
@@ -378,6 +387,10 @@ def test_report_dict_roundtrip():
         back = report_from_dict(json.loads(dumps_json(record_doc(report))))
         assert isinstance(back, CalibrationReport)
         assert back == report
+    # three confidences of exactly 0.1 average just above the first bin's upper edge
+    edge = build_report(*records([(0.1, True)] * 3), 10, [0.95])
+    assert edge.bins[0].confidence > edge.bins[0].upper
+    assert report_from_dict(json.loads(dumps_json(record_doc(edge)))) == edge
     for record in (CalibrationReport, ReliabilityBin, SubsetCalibration):
         for f in dataclasses.fields(record):
             assert ("rule" in f.metadata) != ("record" in f.metadata), (record, f.name)

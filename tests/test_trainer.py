@@ -1,5 +1,6 @@
 """SGD mechanics, the training loop's accounting, and temperature scaling."""
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from calprune import trainer
-from calprune.autodiff import Graph, log_softmax
+from calprune.autodiff import Graph, GraphError, log_softmax
 from calprune.config import build_datasets, build_train_config, load_config, model_widths
 from calprune.data import (Dataset, generate_gaussian_mixture, minibatches,
                            mixture_posterior, stratified_split)
@@ -572,15 +573,41 @@ def test_temperature_never_worse_than_identity():
 
 
 def test_mean_nll_rejects_labels_that_are_not_one_class_index_per_row():
+    """mean_nll is the nll loss graph, so its checks raise the graph's GraphError."""
     logits = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
     assert mean_nll(logits, [2, 1]) == pytest.approx(0.4795, abs=1e-4)
-    for labels in ([-1, 1], [3, 1], [1.5, 1], [1], [0, 1, 2]):
-        with pytest.raises(ValueError, match="mean_nll"):
+    out_of_range = re.escape("focal: target out of range for 3 classes")
+    rows = re.escape("focal: expected (n, K) log-probabilities with n >= 1 and one target "
+                     "per row, got shapes ")
+    for labels, message in (([-1, 1], out_of_range), ([3, 1], out_of_range),
+                            ([1.5, 1], "int leaf 'labels' got 1.5, which is not a whole"),
+                            ([1], rows + re.escape("(2, 3) and (1,)")),
+                            ([0, 1, 2], rows + re.escape("(2, 3) and (3,)"))):
+        with pytest.raises(GraphError, match=f"^{message}"):
             mean_nll(logits, labels)
-    with pytest.raises(ValueError, match="mean_nll"):
+    with pytest.raises(GraphError, match=f"^{rows}{re.escape('(0, 3) and (0,)')}$"):
         mean_nll(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ValueError, match="mean_nll"):
+    for empty in (np.asarray(5.0), np.zeros((2, 0))):
+        with pytest.raises(GraphError, match=r"^log_softmax needs a nonempty last axis"):
+            mean_nll(empty, [0, 0])
+    with pytest.raises(GraphError, match=f"^{out_of_range}$"):
         fit_temperature_on_logits(logits, [-1, 1])
+
+
+def removed_mean_nll(logits, labels, temperature=1.0):
+    """The numpy form of mean_nll before it became the nll loss graph: the reference."""
+    log_probs = log_softmax(np.asarray(logits, dtype=np.float64) / temperature)
+    return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
+
+
+def test_mean_nll_is_the_removed_numpy_form_bit_for_bit():
+    rng = np.random.default_rng(39)
+    for _ in range(500):
+        n, k = rng.integers(1, 400), rng.integers(2, 12)
+        logits = rng.normal(0.0, rng.choice([0.1, 1.0, 10.0, 100.0]), (n, k))
+        labels = rng.integers(0, k, n)
+        t = rng.uniform(0.05, 10.0)
+        assert mean_nll(logits, labels, t).hex() == removed_mean_nll(logits, labels, t).hex()
 
 
 def test_temperature_preserves_argmax():
