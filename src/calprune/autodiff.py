@@ -89,16 +89,19 @@ def _zero_view(shape):
     return np.ndarray(shape, np.float64, _ZERO, 0, (0,) * len(shape))
 
 
-def _int_value(name, value):
-    """The binding of int leaf `name` as int64; a float must be a whole number
-    in the int64 range. An int64 array passes as it is."""
+def _bind(leaf, value):
+    """`value` as an array of `leaf`'s dtype: integers or floats, where an int
+    leaf takes a float only as a whole number in the int64 range. An array
+    already of that dtype binds as it is."""
     value = np.asarray(value)
-    if value.dtype.kind == "f":
+    if value.dtype.kind not in "iuf":
+        raise GraphError(f"leaf {leaf.name!r} got dtype {value.dtype}, not integers or floats")
+    if leaf.aux is np.int64 and value.dtype.kind == "f":
         whole = (np.trunc(value) == value) & (np.abs(value) < 2.0 ** 63)
         if not whole.all():
-            raise GraphError(f"int leaf {name!r} got {value[~whole][0]}, "
+            raise GraphError(f"int leaf {leaf.name!r} got {value[~whole][0]}, "
                              "which is not a whole number in the int64 range")
-    return value.astype(np.int64, copy=False)
+    return value.astype(leaf.aux, copy=False)
 
 
 def dense_layer(h, w, b, relu):
@@ -130,17 +133,17 @@ def _elementwise(ufunc):
     return evaluate
 
 
-def _check_rows(node, x, targets):
-    """Raise unless `x` is (n, K) with n >= 1 and `targets` one label in [0, K) per row."""
-    if x.ndim != 2 or not len(x) or targets.shape != x.shape[:1]:
-        raise GraphError(f"{node.op}: expected (n, K) log-probabilities with n >= 1 and one "
-                         f"target per row, got shapes {x.shape} and {targets.shape}")
-    if targets.min() < 0 or targets.max() >= x.shape[1]:
-        raise GraphError(f"{node.op}: target out of range for {x.shape[1]} classes")
+def _check_targets(node, targets, shape):
+    """Raise unless `shape` is (n, K) with n >= 1 and `targets` one label in [0, K) per row."""
+    if len(shape) != 2 or not shape[0] or targets.shape != shape[:1]:
+        raise GraphError(f"{node.op}: expected shape (n, K) with n >= 1 and one target "
+                         f"per row, got shapes {shape} and {targets.shape}")
+    if targets.min() < 0 or targets.max() >= shape[1]:
+        raise GraphError(f"{node.op}: target out of range for {shape[1]} classes")
 
 
 def _focal(node, x, targets):
-    _check_rows(node, x, targets)
+    _check_targets(node, targets, x.shape)
     gamma_below, gamma_above = node.aux
     picked = x[np.arange(len(x)), targets]
     p = np.exp(picked)
@@ -151,7 +154,7 @@ def _focal(node, x, targets):
 
 
 def _confidence_gap(node, x, targets):
-    _check_rows(node, x, targets)
+    _check_targets(node, targets, x.shape)
     n = len(x)
     columns = np.argmax(x, axis=1)
     confidence = np.exp(x[np.arange(n), columns])
@@ -179,10 +182,7 @@ def _huber(node, x):
 
 def _one_hot(node, targets):
     n_classes, on, off = node.aux
-    if targets.ndim != 1:
-        raise GraphError(f"one_hot: expected 1-d targets, got shape {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
-        raise GraphError(f"target labels out of range for {n_classes} classes")
+    _check_targets(node, targets, targets.shape[:1] + (n_classes,))
     out = np.full((targets.shape[0], n_classes), off)
     out[np.arange(targets.shape[0]), targets] = on
     return out
@@ -419,8 +419,8 @@ class Graph:
     def forward(self, bindings, root=None):
         """Evaluate all nodes up to `root` (default: last built) and return its value.
 
-        Every leaf is bound, as an array of its declared dtype; an int leaf
-        takes floats only when they are whole numbers in the int64 range.
+        Every leaf is bound by _bind, to an integer or float array of its
+        declared dtype; any other dtype raises GraphError naming the leaf.
         """
         leaves = self._leaf_names
         if bindings.keys() != leaves.keys():
@@ -430,11 +430,7 @@ class Graph:
             missing = set(leaves) - set(bindings)
             raise GraphError(f"missing binding(s) for leaf(s): {sorted(missing)}")
         for name, node in leaves.items():
-            value = bindings[name]
-            if node.aux is np.int64:
-                node.value = _int_value(name, value)
-            else:
-                node.value = np.asarray(value, dtype=np.float64)
+            node.value = _bind(node, bindings[name])
         root = root if root is not None else self.nodes[-1]
         for node, rule, inputs in self._plan(root).forward:
             node.value = rule(node, *[inp.value for inp in inputs])

@@ -26,6 +26,12 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def check_labels(y, n_classes):
+    """Raise ValueError unless every label in the array `y` is in [0, n_classes)."""
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"labels out of range for {n_classes} classes")
+
+
 @dataclass
 class Dataset:
     """Labeled rows with stable original ids.
@@ -46,8 +52,7 @@ class Dataset:
         n = len(self.y)
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features must be finite")
-        if n and (self.y.min() < 0 or self.y.max() >= self.n_classes):
-            raise ValueError(f"labels out of range for {self.n_classes} classes")
+        check_labels(self.y, self.n_classes)
         if self.ids is None:
             self.ids = np.arange(n, dtype=np.int64)
         elif self.ids.shape != (n,) or len(np.unique(self.ids)) != n:
@@ -253,11 +258,12 @@ def split_positions(y, n_classes, train_fraction, seed):
     """Per-class seeded shuffle, then a floor(train_fraction * n_k) split.
 
     Returns the (train, validation) positions in `y` as int64 arrays. A
-    class with fewer than 2 rows, or whose floor is 0, raises a ValueError
-    naming the class. The floor uses exact rational arithmetic over the
-    double value of train_fraction.
+    label outside [0, n_classes) raises a ValueError, as does a class with
+    fewer than 2 rows or whose floor is 0, naming the class. The floor uses
+    exact rational arithmetic over the double value of train_fraction.
     """
     check("dataset.train_fraction", train_fraction)
+    check_labels(y, n_classes)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     train_parts, val_parts = [], []
     for k in range(n_classes):

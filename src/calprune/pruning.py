@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .data import check_labels
 from .ranges import check, check_fields, require_kind
 
 
@@ -58,8 +59,10 @@ def update_ema(scores, confidences, ema_factor):
 def prune_using_ema(labels, ids, scores, n_classes, percent):
     """Positions into `labels`, `ids` and `scores` (one value per row) of the rows
     left when each class loses its lowest-scored percent, ties to the lowest id
-    first; survivors keep their order within a class, classes ascending."""
+    first; survivors keep their order within a class, classes ascending. A
+    label outside [0, n_classes) raises ValueError."""
     check("prune.percent", percent)
+    check_labels(labels, n_classes)
     keep_parts = []
     for k in range(n_classes):
         positions = np.flatnonzero(labels == k)

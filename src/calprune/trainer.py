@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, _fold
+from .autodiff import Graph, _bind, _fold
 from .data import minibatches
 from .losses import LossSpec, nll_loss, total_loss
 from .metrics import build_report
 from .mlp import (MlpParams, forward_logits, logits_graph, param_bindings, predict,
                   row_blocks)
 from .pruning import PruneSchedule, prune_using_ema, update_ema
-from .ranges import check_fields
+from .ranges import POSITIVE, check_fields, require, require_kind
 
 TEMPERATURE_LO, TEMPERATURE_HI = 0.05, 10.0  # golden-section search bracket
 TEMPERATURE_RESOLUTION = 1e-3
@@ -237,13 +237,22 @@ def _finite_logits(params, batch):
     return logits
 
 
+def _check_temperature(temperature):
+    """Raise ValueError, naming the value, unless `temperature` is a finite number > 0."""
+    require_kind("number", temperature, "temperature")
+    require(POSITIVE, temperature, "temperature")
+
+
 def records_for(params, data, temperatures=(1.0,)):
-    """One (confidence, correct) pair of float64 arrays per temperature.
+    """One (confidence, correct) pair of float64 arrays per temperature, each
+    a finite number > 0.
 
     The rows are forwarded once, block by block (mlp.row_blocks), and each
     temperature divides the same block logits, so no whole-set logits are built.
     """
     _check_classes(params, data)
+    for t in temperatures:
+        _check_temperature(t)
     n = len(data)
     records = [(np.empty(n), np.empty(n)) for _ in temperatures]
     for rows in row_blocks(n):
@@ -263,14 +272,15 @@ def evaluate_model(params, data, n_bins, deltas):
 
 
 def mean_nll(logits, labels, temperature=1.0):
-    """Mean negative log-likelihood of softmax(logits / temperature) at `labels`:
-    losses.nll_loss on a graph of its own, which raises GraphError unless the
-    logits are (n, K), n >= 1, with one whole-number label in [0, K) per row."""
+    """Mean negative log-likelihood of softmax(logits / temperature) at `labels`,
+    the temperature a finite number > 0: losses.nll_loss on a graph of its
+    own, which raises GraphError unless the logits are (n, K) numbers, n >= 1,
+    with one whole-number label in [0, K) per row."""
+    _check_temperature(temperature)
     graph = Graph()
     x, y = graph.leaf("logits", param=False), graph.int_leaf("labels")
     nll_loss(graph, graph.log_softmax(x), y)
-    logits = np.asarray(logits, dtype=np.float64)
-    return float(graph.forward({"logits": logits / temperature, "labels": labels}))
+    return float(graph.forward({"logits": _bind(x, logits) / temperature, "labels": labels}))
 
 
 def fit_temperature(params, val):

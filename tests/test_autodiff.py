@@ -178,7 +178,7 @@ def test_focal_and_confidence_gap_reject_bad_rows_naming_the_op(op):
     g = Graph()
     args = (0.0, 0.0) if op == "focal" else ()
     getattr(g, op)(g.leaf("x"), g.int_leaf("t"), *args)
-    shapes = f"{op}: expected (n, K) log-probabilities with n >= 1 and one target per row"
+    shapes = f"{op}: expected shape (n, K) with n >= 1 and one target per row"
     for x, t, message in ((np.zeros(3), [0, 1, 2], f"{shapes}, got shapes (3,) and (3,)"),
                           (np.zeros((3, 2)), [0, 1], f"{shapes}, got shapes (3, 2) and (2,)"),
                           (np.zeros((0, 2)), np.zeros(0), f"{shapes}, got shapes (0, 2) and (0,)"),
@@ -186,6 +186,73 @@ def test_focal_and_confidence_gap_reject_bad_rows_naming_the_op(op):
                           (np.zeros((2, 2)), [-1, 0], f"{op}: target out of range for 2 classes")):
         with pytest.raises(GraphError, match=re.escape(message)):
             g.forward({"x": x, "t": t})
+
+
+def test_one_hot_rejects_bad_targets_naming_the_op():
+    """one_hot reads its labels by the rule of focal and confidence_gap: one
+    target in [0, K) per row of an (n, K) result, n >= 1."""
+    g = Graph()
+    g.one_hot(g.int_leaf("t"), 2)
+    shapes = "one_hot: expected shape (n, K) with n >= 1 and one target per row"
+    for t, message in ((np.zeros((3, 2)), f"{shapes}, got shapes (3, 2) and (3, 2)"),
+                       (np.asarray(1), f"{shapes}, got shapes (2,) and ()"),
+                       (np.zeros(0), f"{shapes}, got shapes (0, 2) and (0,)"),
+                       ([0, 2], "one_hot: target out of range for 2 classes"),
+                       ([-1, 0], "one_hot: target out of range for 2 classes")):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            g.forward({"t": t})
+    assert g.forward({"t": [1, 0, 1]}).tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kind", ["leaf", "int_leaf"])
+def test_leaves_bind_only_integer_and_float_arrays(kind):
+    """Both leaf kinds refuse booleans, strings, objects and complex numbers
+    naming the leaf, and bind integers and whole floats to the same values."""
+    g = Graph()
+    v = getattr(g, kind)("v")
+    for bad in (np.array([True, False]), ["1", "0"], np.array([1, 0], dtype=object),
+                np.array([1 + 0j, 0j])):
+        dtype = np.asarray(bad).dtype
+        with pytest.raises(GraphError, match=f"^leaf 'v' got dtype {re.escape(str(dtype))}, "):
+            g.forward({"v": bad})
+    dtype = np.float64 if kind == "leaf" else np.int64
+    for good in ([1, 0], np.array([1, 0], dtype=np.uint8), np.array([1.0, 0.0], dtype=np.float32),
+                 np.array([1.0, 0.0])):
+        bound = g.forward({"v": good})
+        assert bound.dtype == dtype and bound.tolist() == [1, 0]
+    same = np.array([1, 0], dtype=dtype)
+    assert g.forward({"v": same}) is same  # an array of the leaf's dtype binds as it is
+
+
+def _one_leaf_graph(op, *args):
+    g = Graph()
+    getattr(g, op)(g.leaf("x"), *args)
+    return g
+
+
+GRAPH_MISUSES = {
+    "mean_of_a_scalar": (lambda: _one_leaf_graph("mean").forward({"x": 5.0}),
+                         "mean needs an input with a leading axis, got a scalar"),
+    "mean_of_an_empty_axis": (lambda: _one_leaf_graph("mean").forward({"x": np.zeros((0, 3))}),
+                              "mean over an empty leading axis"),
+    "huber_of_a_vector": (lambda: _one_leaf_graph("huber", 1.0).forward({"x": np.ones(2)}),
+                          "huber expects a scalar, got shape (2,)"),
+    "foreign_root": (lambda: _one_leaf_graph("exp").forward({"x": np.ones(2)},
+                                                            root=Graph().leaf("z")),
+                     "Node(leaf 'z') is not a node of this graph"),
+    "duplicate_leaf": (lambda: _one_leaf_graph("exp").leaf("x"), "duplicate leaf name 'x'"),
+    "backward_before_forward": (lambda: _one_leaf_graph("sum").backward(),
+                                "backward() before forward()"),
+    "grad_check_step_0": (lambda: grad_check(_one_leaf_graph("sum"), {"x": np.ones(2)}, step=0),
+                          "grad_check step must be > 0, got 0"),
+}
+
+
+@pytest.mark.parametrize("misuse", GRAPH_MISUSES)
+def test_graph_misuse_raises_a_graph_error_naming_it(misuse):
+    call, message = GRAPH_MISUSES[misuse]
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_int_leaf_rejects_fractional_and_non_finite_labels():

@@ -69,6 +69,11 @@ def test_unknown_key_rejected_with_name():
         resolve_config({"outputs": "x"})
 
 
+def test_resolve_config_refuses_a_root_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+        resolve_config([1, 2])
+
+
 def test_source_specific_keys_enforced():
     with pytest.raises(ConfigError, match="dataset.images"):
         resolve_config({"dataset": {"source": "gaussian_mixture", "images": "x"}})

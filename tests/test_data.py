@@ -10,7 +10,7 @@ import pytest
 from calprune.config import build_datasets, resolve_config
 from calprune.data import (Dataset, generate_gaussian_mixture, load_csv,
                            load_idx_pair, minibatches, mixture_means, mixture_posterior,
-                           stratified_split)
+                           split_positions, stratified_split)
 
 
 def test_mixture_sizes_and_determinism():
@@ -342,6 +342,14 @@ def test_stratified_split_rejects_a_class_left_out_of_training():
     data = Dataset(np.zeros((12, 2)), np.array([0] * 10 + [1] * 2), 2)
     with pytest.raises(ValueError, match=r"class 1 has 2 rows; train_fraction 0\.4"):
         stratified_split(data, 0.4, seed=0)
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2, 2, 2], [0, 0, 1, 1, -1]],
+                         ids=["label_high", "label_negative"])
+def test_split_positions_refuses_labels_out_of_range(labels):
+    """A label outside [0, K) is refused, not left out of both splits."""
+    with pytest.raises(ValueError, match="^labels out of range for 2 classes$"):
+        split_positions(np.array(labels), 2, 0.5, seed=0)
 
 
 def test_dataset_defaults_ids_and_ema():

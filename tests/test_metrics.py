@@ -302,6 +302,8 @@ def test_test_error_values():
     assert error_rate(np.array([1.0, 1.0, 1.0, 0.0])) == pytest.approx(25.0)
     assert error_rate(np.array([1.0])) == 0.0
     assert error_rate(np.array([0.0])) == 100.0
+    with pytest.raises(ValueError, match="^test_error requires at least one record$"):
+        error_rate(np.array([]))
 
 
 def test_single_record_ece():

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -70,6 +71,13 @@ def test_dimension_mismatch_rejected():
     params = init_mlp([2, 3], seed=1)
     with pytest.raises(ValueError, match="input width"):
         forward_logits(params, np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2,)])
+def test_predict_rejects_logits_without_two_classes(shape):
+    message = f"logits must be (n, K) with K >= 2, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predict(np.zeros(shape))
 
 
 def test_predict_uniform_ties_to_class_zero():

@@ -151,6 +151,17 @@ def test_prune_rejects_bad_percent():
             prune(rows, bad)
 
 
+@pytest.mark.parametrize("labels, n_classes, message", [
+    ([0, 0, 1, 1, 2, 2, 2], 2, "labels out of range for 2 classes"),
+    ([0, 0, 1, 1, -1], 2, "labels out of range for 2 classes"),
+    ([0, 0, 2, 2], 3, "class 1 has no instances to prune from"),
+], ids=["label_high", "label_negative", "class_empty"])
+def test_prune_refuses_labels_it_cannot_prune_class_by_class(labels, n_classes, message):
+    """A label outside [0, K) is refused, not dropped with its row."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        prune(make_rows(labels), 10.0, n_classes)
+
+
 def test_prune_count_exact_rational():
     assert prune_count(30.0, 10) == 3       # float 0.3*10 would floor to 2
     assert prune_count(10.0, 1000) == 100

@@ -174,6 +174,8 @@ def test_lr_schedule():
     assert lr_at_epoch(120, cfg) == pytest.approx(0.001)
     flat = TrainConfig(max_epochs=10, batch_size=8, learning_rate=0.1, lr_milestones=[])
     assert lr_at_epoch(9, flat) == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="^epoch must be >= 1, got 0$"):
+        lr_at_epoch(0, flat)
 
 
 def small_experiment(n_classes=2, per_class=100, noise=0.0, seed=3):
@@ -432,6 +434,15 @@ def test_class_count_must_match_the_model_output_width():
         fit_temperature(init_mlp([2, 4, 2], seed=1), val)
 
 
+def test_evaluation_and_temperature_fitting_refuse_an_empty_set():
+    params = init_mlp([2, 4, 2], seed=1)
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
+        evaluate_model(params, empty, 10, [0.95])
+    with pytest.raises(ValueError, match="^temperature fitting needs a nonempty validation set$"):
+        fit_temperature(params, empty)
+
+
 def test_training_evaluates_nothing(monkeypatch):
     """A quickstart-shaped run trains without forwarding, predicting or
     scoring anything outside its loss graph."""
@@ -577,10 +588,12 @@ def test_mean_nll_rejects_labels_that_are_not_one_class_index_per_row():
     logits = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
     assert mean_nll(logits, [2, 1]) == pytest.approx(0.4795, abs=1e-4)
     out_of_range = re.escape("focal: target out of range for 3 classes")
-    rows = re.escape("focal: expected (n, K) log-probabilities with n >= 1 and one target "
-                     "per row, got shapes ")
+    rows = re.escape("focal: expected shape (n, K) with n >= 1 and one target per row, "
+                     "got shapes ")
     for labels, message in (([-1, 1], out_of_range), ([3, 1], out_of_range),
                             ([1.5, 1], "int leaf 'labels' got 1.5, which is not a whole"),
+                            (["1", "0"], "leaf 'labels' got dtype <U1, not integers or floats"),
+                            ([True, False], "leaf 'labels' got dtype bool, not integers or floats"),
                             ([1], rows + re.escape("(2, 3) and (1,)")),
                             ([0, 1, 2], rows + re.escape("(2, 3) and (3,)"))):
         with pytest.raises(GraphError, match=f"^{message}"):
@@ -592,6 +605,26 @@ def test_mean_nll_rejects_labels_that_are_not_one_class_index_per_row():
             mean_nll(empty, [0, 0])
     with pytest.raises(GraphError, match=f"^{out_of_range}$"):
         fit_temperature_on_logits(logits, [-1, 1])
+    with pytest.raises(GraphError, match="^leaf 'logits' got dtype <U3, not integers or floats$"):
+        mean_nll([["1.0", "2.0", "3.0"], ["0.0", "1.0", "0.0"]], [2, 1])
+
+
+@pytest.mark.parametrize("t, problem", [
+    (0.0, "in (0, inf), got 0.0"), (-1.0, "in (0, inf), got -1.0"),
+    (np.nan, "in (0, inf), got NaN"), (np.inf, "in (0, inf), got Infinity"),
+    (1j, "of type number, got complex 1j"), (object(), "of type number, got object"),
+    (True, "of type number, got boolean true"),
+], ids=["zero", "negative", "nan", "inf", "complex", "object", "bool"])
+def test_records_and_nll_refuse_a_temperature_that_is_not_a_finite_number_above_0(t, problem):
+    """At T = -1 both would answer, records_for with every prediction flipped;
+    at T = 0 both would divide by zero."""
+    data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 2)
+    params = init_mlp([2, 2], seed=0)
+    message = re.escape(f"temperature must be {problem}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        records_for(params, data, temperatures=(1.0, t))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mean_nll(np.zeros((2, 2)), [0, 1], t)
 
 
 def removed_mean_nll(logits, labels, temperature=1.0):
