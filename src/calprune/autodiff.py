@@ -91,7 +91,8 @@ def _zero_view(shape):
 
 def _bind(leaf, value):
     """`value` as an array of `leaf`'s dtype: integers or floats, where an int
-    leaf takes a float only as a whole number in the int64 range. An array
+    leaf takes only integer dtypes that np.can_cast to int64 (as Dataset
+    does) and floats that are whole numbers in the int64 range. An array
     already of that dtype binds as it is."""
     value = np.asarray(value)
     if value.dtype.kind not in "iuf":
@@ -101,6 +102,9 @@ def _bind(leaf, value):
         if not whole.all():
             raise GraphError(f"int leaf {leaf.name!r} got {value[~whole][0]}, "
                              "which is not a whole number in the int64 range")
+    elif leaf.aux is np.int64 and not np.can_cast(value.dtype, np.int64):
+        raise GraphError(f"int leaf {leaf.name!r} got dtype {value.dtype}, "
+                         "which does not cast safely to int64")
     return value.astype(leaf.aux, copy=False)
 
 
@@ -236,11 +240,14 @@ def _confidence_gap_vjp(adj, node, x, targets):
 
 
 # op kind -> (forward rule, adjoint rules for its leading inputs). An input
-# without a rule (such as the targets of focal) gets no gradient.
+# without a rule (such as the targets of focal) gets no gradient. dense's input
+# gradient multiplies by a C-contiguous copy of w.T: OpenBLAS runs the NT
+# product with the view w.T on two threads at training batch sizes, and the
+# woken worker then busy-waits for ~0.1 s (README "Determinism").
 RULES = {
     "leaf": (lambda node: node.value, ()),  # bound by forward() before the sweep
     "dense": (lambda node, h, w, b: dense_layer(h, w, b, node.aux),
-              (lambda adj, node, h, w, b: _dense_delta(adj, node) @ w.T,
+              (lambda adj, node, h, w, b: _dense_delta(adj, node) @ np.ascontiguousarray(w.T),
                lambda adj, node, h, w, b: h.T @ _dense_delta(adj, node),
                lambda adj, node, h, w, b: np.add.reduce(_dense_delta(adj, node), axis=0))),
     "add": (_elementwise(np.add), (lambda adj, node, a, b: adj,

@@ -208,9 +208,10 @@ def build_loss_spec(cfg):
 
 
 def build_prune_schedule(cfg):
-    """The epochs in 1..train.max_epochs to prune at, from the prune section,
+    """The epochs below train.max_epochs to prune at, from the prune section,
     or None if pruning is disabled or no such epoch is left: a run that never
-    prunes scores no rows.
+    prunes scores no rows. A prune at max_epochs would follow the last update,
+    so no epoch would train on what it kept.
 
     Explicit `prune.epochs` win over every `prune.interval`-th epoch; epochs
     before `prune.warmup_epochs` (default: the first LR milestone) are dropped.
@@ -225,8 +226,8 @@ def build_prune_schedule(cfg):
     last = cfg["train"]["max_epochs"]
     epochs = p["epochs"]
     if epochs is None:
-        epochs = range(p["interval"], last + 1, p["interval"])
-    epochs = [e for e in epochs if warmup <= e <= last]
+        epochs = range(p["interval"], last, p["interval"])
+    epochs = [e for e in epochs if warmup <= e < last]
     return PruneSchedule(p["percent"], p["ema_factor"], epochs=epochs) if epochs else None
 
 

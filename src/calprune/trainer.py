@@ -3,7 +3,8 @@
 The loop is a single logical thread: per epoch it shuffles the surviving
 instances, runs forward/backward/update per minibatch and, when pruning,
 records every instance's predicted confidence from its own minibatch forward
-pass, folds those into the EMA scores, and prunes at scheduled epochs.
+pass, folds those into the EMA scores, and prunes at scheduled epochs; after
+the last scheduled epoch it records no confidences.
 Everything is deterministic given the config seed; a non-finite loss, or
 non-finite parameters after the last step, abort loudly.
 """
@@ -179,6 +180,8 @@ def train_with_pruning(train, params, config):
     ema = np.zeros(len(train))  # one score per row of `train`; a pruned row keeps its last
     epoch_log, prune_events = [], []
     total_updates = 0
+    # confidences and the EMA feed only prune events, so scoring stops at the last one
+    last_scored = max(config.prune.epochs, default=0) if config.prune is not None else 0
 
     # one loss graph for the whole run; each batch rebinds the x and y leaves
     graph = Graph()
@@ -191,7 +194,8 @@ def train_with_pruning(train, params, config):
         for epoch in range(1, config.max_epochs + 1):
             lr = lr_at_epoch(epoch, config)
             blocks = minibatches(alive, config.batch_size, epoch, config.seed)
-            if config.prune is not None:
+            scoring = epoch <= last_scored
+            if scoring:
                 epoch_conf = np.full(len(alive), np.nan)  # by position in `alive`
             loss_sum = 0.0
             for batch_no, block in enumerate(blocks):
@@ -203,14 +207,14 @@ def train_with_pruning(train, params, config):
                         f"non-finite loss at epoch {epoch}, batch {batch_no}")
                 grads = graph.backward(root=loss_node)
                 sgd_update(state, grads, lr, config.momentum, config.weight_decay)
-                if config.prune is not None:
+                if scoring:
                     # exp(±0) is 1
                     epoch_conf[block] = np.exp(_fold(np.maximum, log_probs.value.T))
                 loss_sum += loss_value * len(block)
 
             total_updates += len(alive)
             epoch_log.append(EpochStats(epoch, loss_sum / len(alive), len(alive)))
-            if config.prune is not None:
+            if scoring:
                 ema[alive] = update_ema(ema[alive], epoch_conf, config.prune.ema_factor)
                 if epoch in config.prune.epochs:
                     keep = prune_using_ema(train.y[alive], train.ids[alive], ema[alive],
@@ -271,15 +275,22 @@ def evaluate_model(params, data, n_bins, deltas):
     return build_report(confidences, correct, n_bins, deltas)
 
 
+def _nll_graph():
+    """A graph whose root is losses.nll_loss of the float leaf "logits" at the
+    int leaf "labels", and that logits leaf."""
+    graph = Graph()
+    x, y = graph.leaf("logits", param=False), graph.int_leaf("labels")
+    nll_loss(graph, graph.log_softmax(x), y)
+    return graph, x
+
+
 def mean_nll(logits, labels, temperature=1.0):
     """Mean negative log-likelihood of softmax(logits / temperature) at `labels`,
     the temperature a finite number > 0: losses.nll_loss on a graph of its
     own, which raises GraphError unless the logits are (n, K) numbers, n >= 1,
     with one whole-number label in [0, K) per row."""
     _check_temperature(temperature)
-    graph = Graph()
-    x, y = graph.leaf("logits", param=False), graph.int_leaf("labels")
-    nll_loss(graph, graph.log_softmax(x), y)
+    graph, x = _nll_graph()
     return float(graph.forward({"logits": _bind(x, logits) / temperature, "labels": labels}))
 
 
@@ -299,9 +310,12 @@ def fit_temperature(params, val):
 
 
 def fit_temperature_on_logits(logits, labels):
+    graph, x = _nll_graph()  # mean_nll's graph, built once; each probe rebinds logits / t
+    logits = _bind(x, logits)
+
     def nll(t):
         with np.errstate(over="ignore", invalid="ignore"):
-            value = mean_nll(logits, labels, temperature=t)
+            value = float(graph.forward({"logits": logits / t, "labels": labels}))
         if not math.isfinite(value):
             raise NonFiniteLogits(f"the validation NLL at temperature {t:g} is not finite")
         return value

@@ -224,6 +224,17 @@ def test_leaves_bind_only_integer_and_float_arrays(kind):
     assert g.forward({"v": same}) is same  # an array of the leaf's dtype binds as it is
 
 
+def test_int_leaf_refuses_an_integer_dtype_that_does_not_fit_int64():
+    """uint64 would wrap past the int64 range (2**64 - 1 reading -1), so an int
+    leaf refuses the dtype, as Dataset does; smaller unsigned dtypes bind."""
+    g = Graph()
+    g.int_leaf("t")
+    with pytest.raises(GraphError, match="^int leaf 't' got dtype uint64, which does not cast "
+                                         "safely to int64$"):
+        g.forward({"t": np.array([2**64 - 1, 2**63], dtype=np.uint64)})
+    assert g.forward({"t": np.array([2**32 - 1], dtype=np.uint32)}).tolist() == [2**32 - 1]
+
+
 def _one_leaf_graph(op, *args):
     g = Graph()
     getattr(g, op)(g.leaf("x"), *args)

@@ -1,6 +1,11 @@
 """SGD mechanics, the training loop's accounting, and temperature scaling."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +26,8 @@ from calprune.trainer import (TrainConfig, TrainingDiverged, evaluate_model,
                               lr_at_epoch, mean_nll, records_for, sgd_state, sgd_update,
                               train_with_pruning)
 
-QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "quickstart_config.json"
+ROOT = Path(__file__).resolve().parent.parent
+QUICKSTART = ROOT / "demos" / "quickstart_config.json"
 MNIST_ARRAYS = param_bindings(init_mlp([784, 256, 256, 10], seed=0))  # only read
 
 
@@ -213,6 +219,81 @@ def test_training_without_pruning_computes_no_confidences(monkeypatch):
     monkeypatch.setattr(trainer, "_fold", never)
     result = train_with_pruning(train, init_mlp([2, 8, 2], seed=1), cfg)
     assert not result.ema.any()
+
+
+def test_training_scores_rows_only_up_to_the_last_prune(monkeypatch):
+    """Confidences and the EMA feed only prune events, so epochs after the last
+    one fold none in: the EMA equals that of a run stopped at that epoch."""
+    train, _, _ = small_experiment(noise=0.1, seed=6)
+    folded = []
+
+    def spy(scores, confidences, ema_factor):
+        folded.append(len(confidences))
+        return update_ema(scores, confidences, ema_factor)
+
+    monkeypatch.setattr(trainer, "update_ema", spy)
+    runs = []
+    for max_epochs in (2, 5):
+        cfg = TrainConfig(max_epochs=max_epochs, batch_size=32, learning_rate=0.05,
+                          lr_milestones=[], seed=7, loss=LossSpec(kind="nll"),
+                          prune=PruneSchedule(percent=10.0, epochs={1, 2}))
+        runs.append(train_with_pruning(train, init_mlp([2, 8, 2], seed=7), cfg))
+    assert len(folded) == 4  # epochs 1 and 2 of each run
+    short, long = runs
+    assert [e.epoch for e in long.prune_events] == [1, 2]
+    assert long.ema.tobytes() == short.ema.tobytes()
+    assert long.survivors.tolist() == short.survivors.tolist()
+    assert long.params.weights[0].tobytes() != short.params.weights[0].tobytes()
+
+
+# Trains the quickstart config once and prints the CPU seconds that the
+# process's other threads (OpenBLAS's workers) spent during the training call
+# alone, and that call's wall time. The 0.3 s wait lets a worker woken while
+# setting up finish its busy-wait (about 0.1 s) first.
+WORKER_CPU_SCRIPT = textwrap.dedent("""
+    import json, os, sys, time
+    from calprune.config import (build_datasets, build_train_config, load_config,
+                                 model_widths)
+    from calprune.mlp import init_mlp
+    from calprune.trainer import train_with_pruning
+
+    def worker_cpu_s():
+        ticks = 0
+        for task in os.listdir("/proc/self/task"):
+            if int(task) != os.getpid():
+                with open(f"/proc/self/task/{task}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+                ticks += int(fields[11]) + int(fields[12])  # utime, stime
+        return ticks / os.sysconf("SC_CLK_TCK")
+
+    cfg = load_config(sys.argv[1], env={})
+    train, _, _ = build_datasets(cfg, splits=("train",))
+    config = build_train_config(cfg)
+    params = init_mlp(model_widths(cfg, train.x.shape[1], train.n_classes), config.seed)
+    time.sleep(0.3)
+    cpu, wall = worker_cpu_s(), time.perf_counter()
+    train_with_pruning(train, params, config)
+    print(json.dumps({"worker_cpu_s": worker_cpu_s() - cpu,
+                      "wall_s": time.perf_counter() - wall}))
+""")
+
+
+def test_quickstart_training_leaves_the_blas_worker_asleep():
+    """At quickstart widths every product of a training step runs on the calling
+    thread. An NT product such as delta @ w.T (w a transposed view) is split
+    across OpenBLAS's threads at 128 rows, and the woken worker then busy-waits
+    for about 0.1 s, so it spun through the whole run (README "Determinism")."""
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to read thread CPU times from")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")).lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')}, not OpenBLAS")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", WORKER_CPU_SCRIPT, str(QUICKSTART)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    measured = json.loads(proc.stdout)
+    assert measured["worker_cpu_s"] < 0.1 * measured["wall_s"], measured
 
 
 def test_training_leaves_caller_params_unchanged():
@@ -641,6 +722,48 @@ def test_mean_nll_is_the_removed_numpy_form_bit_for_bit():
         labels = rng.integers(0, k, n)
         t = rng.uniform(0.05, 10.0)
         assert mean_nll(logits, labels, t).hex() == removed_mean_nll(logits, labels, t).hex()
+
+
+def mean_nll_search(logits, labels):
+    """The golden-section search of fit_temperature_on_logits with each probe
+    a fresh mean_nll, as it was before the fit built one graph: the reference."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = trainer.TEMPERATURE_LO, trainer.TEMPERATURE_HI
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f_c, f_d = mean_nll(logits, labels, c), mean_nll(logits, labels, d)
+    while hi - lo > trainer.TEMPERATURE_RESOLUTION:
+        if f_c <= f_d:
+            hi, d, f_d = d, c, f_c
+            c = hi - invphi * (hi - lo)
+            f_c = mean_nll(logits, labels, c)
+        else:
+            lo, c, f_c = c, d, f_d
+            d = lo + invphi * (hi - lo)
+            f_d = mean_nll(logits, labels, d)
+    return min([0.5 * (lo + hi), 1.0], key=lambda t: (mean_nll(logits, labels, t), t))
+
+
+def test_temperature_fit_builds_one_graph_and_matches_a_mean_nll_search(monkeypatch):
+    built = []
+
+    class CountingGraph(Graph):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    rng = np.random.default_rng(41)
+    cases = [calibrated_logits()]
+    for _ in range(20):
+        n, k = rng.integers(1, 300), rng.integers(2, 10)
+        cases.append((rng.normal(0.0, rng.choice([0.3, 3.0, 30.0]), (n, k)),
+                      rng.integers(0, k, n)))
+    for logits, labels in cases:
+        expected = mean_nll_search(logits, labels)
+        monkeypatch.setattr(trainer, "Graph", CountingGraph)
+        built.clear()
+        assert fit_temperature_on_logits(logits, labels).hex() == expected.hex()
+        assert len(built) == 1
+        monkeypatch.undo()
 
 
 def test_temperature_preserves_argmax():
